@@ -31,7 +31,8 @@ from . import data as D
 from . import evaluate as E
 from .config import RunConfig, config_hash, load_config
 from .runtime import tune_allocator
-from .models import InferencePlan, build_model, load_model, save_model
+from .models import (ONE_STEP_KINDS, InferencePlan, build_model, forecast_recursive,
+                     load_model, save_model)
 from .train import (
     DivergenceError,
     best_model,
@@ -222,12 +223,8 @@ def cmd_forecast(args) -> int:
     window = D.normalize(window_mph)
     plan = InferencePlan(model)
     start = time.perf_counter()
-    if model.kind in ("lstm", "lstm-seg", "sa-lstm"):
-        rolling = np.array(window)
-        preds = np.empty((horizons, D.NUM_SEGMENTS))
-        for k in range(horizons):
-            preds[k] = plan.run(rolling)[0]
-            rolling = np.vstack([rolling[1:], preds[k][None, :]])
+    if model.kind in ONE_STEP_KINDS:
+        preds = forecast_recursive(model, window, horizons, plan=plan).horizons
     else:
         preds = plan.run(window)[:horizons]
     elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -42,21 +42,9 @@ _FP_SCALE = float(1 << 26)     # fixed-point vehicle units
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VelocityField:
-    """One timestep: mean speed per segment, miles/hour."""
-
-    speeds: np.ndarray
-    minute: int
-
-    def __post_init__(self):
-        if self.speeds.shape != (NUM_SEGMENTS,):
-            raise ValueError(f"expected {NUM_SEGMENTS} speeds, got shape {self.speeds.shape}")
-
-
 @dataclass
 class Series:
-    """Chronological stack of velocity fields."""
+    """Chronological stack of velocity fields (per-segment speeds, mph)."""
 
     minutes: np.ndarray          # (T,) int64, strictly increasing
     speeds: np.ndarray           # (T, NUM_SEGMENTS) mph
@@ -73,9 +61,6 @@ class Series:
 
     def __len__(self):
         return len(self.minutes)
-
-    def frame(self, index: int) -> VelocityField:
-        return VelocityField(self.speeds[index], int(self.minutes[index]))
 
 
 @dataclass(frozen=True)
@@ -142,8 +127,8 @@ def write_csv(series: Series, destination) -> None:
 
 
 def read_csv(source) -> Series:
-    """Strict inverse of ``write_csv``; malformed rows are rejected with
-    their line number."""
+    """Strict inverse of ``write_csv``; malformed rows and speeds that are
+    not finite and non-negative are rejected with their line number."""
     own = not hasattr(source, "read")
     stream = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
@@ -175,6 +160,11 @@ def read_csv(source) -> Series:
         if own:
             stream.close()
     speeds = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_SEGMENTS)
+    bad = ~np.isfinite(speeds) | (speeds < 0.0)
+    if bad.any():
+        row, seg = np.argwhere(bad)[0]
+        raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
+                         "is not a finite non-negative number")
     return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
 
 

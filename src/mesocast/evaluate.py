@@ -3,8 +3,9 @@
 Reported MSE follows the display convention of the accuracy tables: the raw
 mean squared error on normalized speeds multiplied by 1000.  The hard metric
 evaluates each congested window independently and averages the per-window
-values.  The latency benchmark times the bare model forward on one fixed
-window (no normalisation, no I/O) with an untimed warmup, single process.
+values, scored by the chunked tape-free ``models.predict_batch``.  The
+latency benchmark times the bare model forward on one fixed window (no
+normalisation, no I/O) with an untimed warmup, single process.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .runtime import tune_allocator
 
 MSE_DISPLAY_SCALE = 1000.0
 
-_EVAL_CHUNK = 256  # windows per batched forward, keeps the working set cache-resident
-
 
 @dataclass
 class EvalReport:
@@ -29,19 +28,12 @@ class EvalReport:
     hard_mse_scaled: float                     # mean over horizons and hard windows
     per_horizon: dict[int, dict[str, float]]   # horizon -> {"easy": ..., "hard": ...}
     hard_per_window: list[dict[int, float]]    # per hard window, horizon -> scaled MSE
-    latency_ms: float | None = None
-
-
-def _chunked_predictions(model, x: np.ndarray, horizons: int) -> np.ndarray:
-    parts = [predict_batch(model, x[i:i + _EVAL_CHUNK], horizons)
-             for i in range(0, x.shape[0], _EVAL_CHUNK)]
-    return np.concatenate(parts, axis=0)
 
 
 def _per_horizon_mse(model, series: Series, s: int, horizons: int) -> dict[int, float]:
     x, y = stack_windows(build_windows(series, s, horizons))
     x, y = normalize(x), normalize(y)
-    preds = _chunked_predictions(model, x, horizons)
+    preds = predict_batch(model, x, horizons)
     out = {}
     for h in range(1, horizons + 1):
         d = preds[:, h - 1] - y[:, h - 1]
@@ -81,8 +73,6 @@ def report_lines(name: str, report: EvalReport) -> list[str]:
              "  (MSE x 1e3, normalized speeds)"]
     for h, vals in sorted(report.per_horizon.items()):
         lines.append(f"  t+{h}: easy {vals['easy']:.3f}  hard {vals['hard']:.3f}")
-    if report.latency_ms is not None:
-        lines.append(f"  latency {report.latency_ms:.3f} ms")
     return lines
 
 

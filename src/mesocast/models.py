@@ -11,24 +11,24 @@ normalized 21-wide predictions:
   plus the earlier predictions (s+i-1 cells) starting from layer i-1's
   terminal state, all layers sharing one affine head.
 
-Each model has two execution paths: a taped forward used for training and
-batched evaluation, and a buffer-reusing single-window plan for latency-
-critical inference.  Both compute the same formulas; tests pin them to each
-other at 1e-12.
+Each model has two execution paths: the taped ``forward_graph``, for
+training only, and one tape-free step kernel over preallocated ``(rows, .)``
+buffers, run by an ``InferencePlan`` for one window (the latency path) and by
+``predict_batch`` for PREDICT_CHUNK windows per pass.  Both compute the same
+formulas; tests pin them to each other at 1e-12.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .cells import (
-    AttentionParams,
     LstmParams,
     LstmState,
     SaLstmParams,
@@ -125,10 +125,6 @@ class OneStepModel:
         out = _head_apply(state.h, self.head_w, self.head_b)
         return ad.reshape(out, (B, NUM_SEGMENTS))
 
-    def detached(self) -> "OneStepModel":
-        return OneStepModel(self.kind, _detach_cell(self.cell), ad.tensor(self.head_w.data),
-                            ad.tensor(self.head_b.data), self.s)
-
 
 @dataclass
 class AllAtOnceModel:
@@ -169,10 +165,6 @@ class AllAtOnceModel:
         out = _head_apply(state.h, self.head_w, self.head_b)   # (rows, horizon)
         grouped = ad.reshape(out, (B, NUM_SEGMENTS, self.horizon))
         return ad.transpose(grouped)                           # (B, horizon, 21)
-
-    def detached(self) -> "AllAtOnceModel":
-        return AllAtOnceModel(_detach_cell(self.cell), ad.tensor(self.head_w.data),
-                              ad.tensor(self.head_b.data), self.s, self.horizon)
 
 
 @dataclass
@@ -237,22 +229,6 @@ class NStepModel:
             states.append(state)
         return preds, states
 
-    def detached(self) -> "NStepModel":
-        return NStepModel([_detach_cell(l) for l in self.layers],
-                          ad.tensor(self.head_w.data), ad.tensor(self.head_b.data), self.s)
-
-
-def _detach_cell(cell):
-    if isinstance(cell, SaLstmParams):
-        return SaLstmParams(
-            lstm=_detach_cell(cell.lstm),
-            attn=AttentionParams(*(ad.tensor(t.data) for t in
-                                   (cell.attn.w_q, cell.attn.w_k, cell.attn.w_v))),
-            out_proj=ad.tensor(cell.out_proj.data),
-        )
-    return LstmParams(*(ad.tensor(getattr(cell, f"w_{g}").data) for g in "fico"),
-                      *(ad.tensor(getattr(cell, f"b_{g}").data) for g in "fico"))
-
 
 def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
                 horizon: int = 3, seed: int = 0):
@@ -283,153 +259,174 @@ def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
 
 
 # ---------------------------------------------------------------------------
-# single-window inference plans (latency path)
+# tape-free forward: single-window plans and batched prediction
 # ---------------------------------------------------------------------------
 
+# Windows per predict_batch pass, chosen by measurement: 16-32 windows ran
+# fastest on a 2-vCPU host with one BLAS thread.  At 32 windows x 21 rows
+# each (rows, 64) buffer is ~344 KB, inside a 2 MiB L2.
+PREDICT_CHUNK = 32
 
-class _SaCellBuffers:
-    """Preallocated buffers for one SA-LSTM (or plain per-segment LSTM) step
-    over ``tokens`` rows.  Gate biases ride as an appended ones column; the
-    attention query projection carries the 1/sqrt(d) scaling."""
 
-    def __init__(self, cell, tokens: int, in_width: int):
-        hidden = cell.hidden
+class _StepBuffers:
+    """Work arrays for one cell step over up to ``groups`` groups of
+    ``tokens`` rows, allocated once.  Every layer of a plan shares them, so
+    a layer starts from the state the previous one left.  ``resize`` rebinds
+    them to the leading groups; one group keeps 2-D attention products
+    (cheapest at batch 1), several groups use batched 3-D ones."""
+
+    def __init__(self, groups: int, tokens: int, hidden: int, in_width: int, attn_width: int):
+        rows = groups * tokens
+        self.tokens, self.hidden, self.attn_width = tokens, hidden, attn_width
+        self._cat = np.empty((rows, hidden + in_width + 1))
+        self._cat[:, -1] = 1.0
+        self._full = {name: np.empty((rows, hidden))
+                      for name in ("zf", "zi", "zc", "zo", "c", "tmp", "mixed")}
+        self._full.update({name: np.empty((rows, attn_width)) for name in ("q", "k", "v", "att")})
+        self._scores = np.empty((groups, tokens, tokens))
+        self._rowsum = np.empty((groups, tokens, 1))
+        self.resize(groups)
+
+    def resize(self, groups: int) -> None:
+        rows = groups * self.tokens
+        self.groups = groups
+        self.cat = self._cat[:rows]
+        # [h, x, 1]: the state lives in cat, so a step copies only its input
+        self.h = self.cat[:, :self.hidden]
+        self.x = self.cat[:, self.hidden:-1]
+        for name, full in self._full.items():
+            setattr(self, name, full[:rows])
+        q, k, v, att = (a.reshape(groups, self.tokens, self.attn_width)
+                        for a in (self.q, self.k, self.v, self.att))
+        views = (q, k.transpose(0, 2, 1), v, att, self._scores[:groups], self._rowsum[:groups])
+        if groups == 1:
+            views = [view[0] for view in views]
+        self.qg, self.ktg, self.vg, self.attg, self.scores, self.rowsum = views
+        self.mm = np.dot if groups == 1 else np.matmul
+
+
+class _StepKernel:
+    """One tape-free LSTM / SA-LSTM step (the formulas of ``cells.lstm_step``
+    and ``cells.sa_lstm_step``) for one cell's weights on shared buffers.
+    Gate biases ride as the ones column of ``cat``; the attention query
+    projection carries the 1/sqrt(d) scaling."""
+
+    def __init__(self, cell, buffers: _StepBuffers):
         lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
-        self.hidden = hidden
-        self.in_width = in_width
-        self.tokens = tokens
-        self.w = {g: np.vstack([getattr(lstm, f"w_{g}").data,
-                                getattr(lstm, f"b_{g}").data[None, :]])
-                  for g in "fico"}
-        self.cat = np.empty((tokens, hidden + in_width + 1))
-        self.cat[:, -1] = 1.0
-        self.zf = np.empty((tokens, hidden))
-        self.zi = np.empty((tokens, hidden))
-        self.zc = np.empty((tokens, hidden))
-        self.zo = np.empty((tokens, hidden))
-        self.h = np.zeros((tokens, hidden))
-        self.c = np.zeros((tokens, hidden))
-        self.tmp = np.empty((tokens, hidden))
+        self.buf = buffers
+        self.w_f, self.w_i, self.w_c, self.w_o = (
+            np.vstack([getattr(lstm, f"w_{g}").data, getattr(lstm, f"b_{g}").data[None, :]])
+            for g in "fico")
         self.attn = None
         if isinstance(cell, SaLstmParams):
-            d = cell.attn.proj_width
-            self.attn = {
-                "wq": cell.attn.w_q.data / np.sqrt(d),
-                "wk": np.ascontiguousarray(cell.attn.w_k.data),
-                "wv": np.ascontiguousarray(cell.attn.w_v.data),
-                "proj": np.ascontiguousarray(cell.out_proj.data),
-            }
-            self.q = np.empty((tokens, d))
-            self.k = np.empty((tokens, d))
-            self.v = np.empty((tokens, d))
-            self.scores = np.empty((tokens, tokens))
-            self.row = np.empty((tokens, 1))
-            self.att = np.empty((tokens, d))
-            self.mixed = np.empty((tokens, hidden))
+            self.attn = (cell.attn.w_q.data / np.sqrt(cell.attn.proj_width),
+                         np.ascontiguousarray(cell.attn.w_k.data),
+                         np.ascontiguousarray(cell.attn.w_v.data),
+                         np.ascontiguousarray(cell.out_proj.data))
 
-    def reset(self):
-        self.h.fill(0.0)
-        self.c.fill(0.0)
+    @property
+    def h(self) -> np.ndarray:
+        return self.buf.h
 
-    def step(self, x: np.ndarray):
-        hid = self.hidden
-        self.cat[:, :hid] = self.h
-        self.cat[:, hid:hid + self.in_width] = x
-        np.dot(self.cat, self.w["f"], out=self.zf)
-        ad.sigmoid_array(self.zf, out=self.zf)
-        np.dot(self.cat, self.w["i"], out=self.zi)
-        ad.sigmoid_array(self.zi, out=self.zi)
-        np.dot(self.cat, self.w["c"], out=self.zc)
-        np.tanh(self.zc, out=self.zc)
-        np.dot(self.cat, self.w["o"], out=self.zo)
+    def reset(self) -> None:
+        self.buf.h.fill(0.0)
+        self.buf.c.fill(0.0)
+
+    def step(self, x: np.ndarray) -> None:
+        """Advance the buffers' state by one (rows, in_width) input."""
+        b = self.buf
+        b.x[...] = x
+        np.dot(b.cat, self.w_f, out=b.zf)
+        ad.sigmoid_array(b.zf, out=b.zf)
+        np.dot(b.cat, self.w_i, out=b.zi)
+        ad.sigmoid_array(b.zi, out=b.zi)
+        np.dot(b.cat, self.w_c, out=b.zc)
+        np.tanh(b.zc, out=b.zc)
+        np.dot(b.cat, self.w_o, out=b.zo)
         if self.attn is not None:
-            a = self.attn
-            np.dot(self.zo, a["wq"], out=self.q)
-            np.dot(self.zo, a["wk"], out=self.k)
-            np.dot(self.zo, a["wv"], out=self.v)
-            np.dot(self.q, self.k.T, out=self.scores)
-            np.max(self.scores, axis=1, keepdims=True, out=self.row)
-            self.scores -= self.row
-            np.exp(self.scores, out=self.scores)
-            np.sum(self.scores, axis=1, keepdims=True, out=self.row)
-            self.scores /= self.row
-            np.dot(self.scores, self.v, out=self.att)
-            np.dot(self.att, a["proj"], out=self.mixed)
-            self.zo += self.mixed
-        ad.sigmoid_array(self.zo, out=self.zo)
-        self.c *= self.zf
-        np.multiply(self.zi, self.zc, out=self.tmp)
-        self.c += self.tmp
-        np.tanh(self.c, out=self.tmp)
-        np.multiply(self.zo, self.tmp, out=self.h)
+            wq, wk, wv, proj = self.attn
+            np.dot(b.zo, wq, out=b.q)
+            np.dot(b.zo, wk, out=b.k)
+            np.dot(b.zo, wv, out=b.v)
+            b.mm(b.qg, b.ktg, out=b.scores)
+            np.max(b.scores, axis=-1, keepdims=True, out=b.rowsum)
+            b.scores -= b.rowsum
+            np.exp(b.scores, out=b.scores)
+            np.sum(b.scores, axis=-1, keepdims=True, out=b.rowsum)
+            b.scores /= b.rowsum
+            b.mm(b.scores, b.vg, out=b.attg)
+            np.dot(b.att, proj, out=b.mixed)
+            b.zo += b.mixed
+        ad.sigmoid_array(b.zo, out=b.zo)
+        b.c *= b.zf
+        np.multiply(b.zi, b.zc, out=b.tmp)
+        b.c += b.tmp
+        np.tanh(b.c, out=b.tmp)
+        np.multiply(b.zo, b.tmp, out=b.h)
 
 
 class InferencePlan:
-    """Low-latency single-window forward for a frozen parameter snapshot.
+    """Tape-free forward for a frozen parameter snapshot, ``groups`` windows
+    per pass (one on the latency path, PREDICT_CHUNK in ``predict_batch``).
 
     Buffers are allocated once and reused, so a plan is not thread-safe;
     build one plan per thread.  Rebuild after parameters change.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, groups: int = 1):
         self.kind = model.kind
         self.s = model.s
         self.horizon = getattr(model, "horizon", 1)
         self.head_w = np.ascontiguousarray(model.head_w.data)
         self.head_b = model.head_b.data.copy()
-        if model.kind == "lstm":
-            self.cells = [_SaCellBuffers(model.cell, 1, NUM_SEGMENTS)]
-        elif model.kind in ("lstm-seg", "sa-lstm", "all-at-once"):
-            self.cells = [_SaCellBuffers(model.cell, NUM_SEGMENTS, 1)]
-        elif model.kind == "nstep":
-            self.cells = [_SaCellBuffers(layer, NUM_SEGMENTS, 1) for layer in model.layers]
-        else:
-            raise ValueError(f"no inference plan for kind {model.kind!r}")
-        self._xcol = np.empty((NUM_SEGMENTS, 1))
+        # the dense lstm reads a whole field as one token, the others one token per segment
+        tokens, in_width = (1, NUM_SEGMENTS) if model.kind == "lstm" else (NUM_SEGMENTS, 1)
+        self._buf = _StepBuffers(groups, tokens, model.hidden, in_width, model.attn_width)
+        cells = model.layers if model.kind == "nstep" else [model.cell]
+        self.cells = [_StepKernel(cell, self._buf) for cell in cells]
+        # one (rows, in_width) input per step: the window's frames, then the
+        # predictions fed back; grown when more horizons are asked for
+        self._seq = np.empty((self.s + self.horizon, groups * tokens, in_width))
 
-    def run(self, window: np.ndarray) -> np.ndarray:
-        """(s, 21) normalized -> (horizon, 21) normalized (horizon taken from
-        the model; one-step kinds return a single row)."""
+    def run(self, window: np.ndarray, horizons: int | None = None) -> np.ndarray:
+        """(s, 21) normalized -> (horizons, 21) normalized; horizons defaults
+        to the model's own (one row for one-step kinds, which recurse for
+        more)."""
         window = _check_window(window, self.s)
-        if self.kind == "lstm":
-            cell = self.cells[0]
-            cell.reset()
-            for t in range(self.s):
-                cell.step(window[t][None, :])
-            return (cell.h @ self.head_w + self.head_b).reshape(1, NUM_SEGMENTS)
-        if self.kind in ("lstm-seg", "sa-lstm"):
-            cell = self.cells[0]
-            cell.reset()
-            for t in range(self.s):
-                self._xcol[:, 0] = window[t]
-                cell.step(self._xcol)
-            return (cell.h @ self.head_w + self.head_b).reshape(1, NUM_SEGMENTS)
-        if self.kind == "all-at-once":
-            cell = self.cells[0]
-            cell.reset()
-            for t in range(self.s):
-                self._xcol[:, 0] = window[t]
-                cell.step(self._xcol)
-            return np.ascontiguousarray((cell.h @ self.head_w + self.head_b).T)
-        # nstep: layer i re-reads the window plus earlier predictions and
-        # starts from the previous layer's terminal state
-        preds = np.empty((self.horizon, NUM_SEGMENTS))
-        prev = None
-        for i, cell in enumerate(self.cells):
-            if prev is None:
+        out = np.empty((1, self.horizon if horizons is None else horizons, NUM_SEGMENTS))
+        self._forward(window[None], out)
+        return out[0]
+
+    def _forward(self, windows: np.ndarray, out: np.ndarray) -> None:
+        """(G, s, 21) normalized windows, G <= groups -> out (G, horizons, 21).
+        One-step kinds recurse: horizon k reads the last s entries of (window
+        + predictions so far) from a zero state.  nstep layer k re-reads the
+        window plus the earlier predictions from layer k-1's terminal state."""
+        groups, horizons = out.shape[:2]
+        if horizons < 1:
+            raise ValueError(f"horizons must be >= 1, got {horizons}")
+        if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
+            raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
+        if groups != self._buf.groups:
+            self._buf.resize(groups)
+        s, rows = self.s, groups * self._buf.tokens
+        if len(self._seq) < s + horizons:
+            self._seq = np.empty((s + horizons,) + self._seq.shape[1:])
+        seq = self._seq[:, :rows]
+        seq[:s] = windows.transpose(1, 0, 2).reshape(s, rows, -1)
+        nstep = self.kind == "nstep"
+        for k in range(1 if self.kind == "all-at-once" else horizons):
+            cell = self.cells[k if nstep else 0]
+            if k == 0 or not nstep:
                 cell.reset()
+            for xt in (seq[:s + k] if nstep else seq[k:k + s]):
+                cell.step(xt)
+            head = cell.h @ self.head_w + self.head_b
+            if self.kind == "all-at-once":                     # (rows, horizon)
+                out[...] = head.reshape(groups, NUM_SEGMENTS, -1).transpose(0, 2, 1)[:, :horizons]
             else:
-                cell.h[:] = prev.h
-                cell.c[:] = prev.c
-            for t in range(self.s):
-                self._xcol[:, 0] = window[t]
-                cell.step(self._xcol)
-            for j in range(i):
-                self._xcol[:, 0] = preds[j]
-                cell.step(self._xcol)
-            preds[i] = ((cell.h @ self.head_w).ravel() + self.head_b[0])
-            prev = cell
-        return preds
+                seq[s + k] = head
+                out[:, k] = head.reshape(groups, NUM_SEGMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +447,8 @@ def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
                        plan: InferencePlan | None = None) -> Forecast:
     """Feed each prediction back as the newest frame: horizon k consumes the
     last s entries of (window + predictions so far)."""
-    if horizons < 1:
-        raise ValueError(f"horizons must be >= 1, got {horizons}")
     plan = plan or InferencePlan(model)
-    window = _check_window(window, model.s)
-    rolling = np.array(window)
-    out = np.empty((horizons, NUM_SEGMENTS))
-    for k in range(horizons):
-        out[k] = plan.run(rolling)[0]
-        rolling = np.vstack([rolling[1:], out[k][None, :]])
-    return Forecast(horizons=out)
+    return Forecast(horizons=plan.run(window, horizons))
 
 
 def forecast_all_at_once(model: AllAtOnceModel, window: np.ndarray,
@@ -480,28 +469,15 @@ def nstep_forward(model: NStepModel, window: np.ndarray) -> Forecast:
 
 
 def predict_batch(model, x: np.ndarray, horizons: int) -> np.ndarray:
-    """(B, s, 21) -> (B, horizons, 21) on the tape-free batched path; one-step
-    models cover extra horizons recursively."""
+    """(B, s, 21) -> (B, horizons, 21) on the tape-free kernel, PREDICT_CHUNK
+    windows per pass; one-step models cover extra horizons recursively and
+    nstep runs only its first ``horizons`` layers."""
     x = _check_batch(x, model.s)
-    m = model.detached()
-    if model.kind in ONE_STEP_KINDS:
-        rolling = x
-        outs = []
-        for _ in range(horizons):
-            pred = m.forward_graph(rolling).data
-            outs.append(pred)
-            rolling = np.concatenate([rolling[:, 1:, :], pred[:, None, :]], axis=1)
-        return np.stack(outs, axis=1)
-    if model.kind == "all-at-once":
-        if horizons > model.horizon:
-            raise ValueError(f"model emits {model.horizon} horizons, {horizons} requested")
-        return m.forward_graph(x).data[:, :horizons, :]
-    if model.kind == "nstep":
-        if horizons > model.horizon:
-            raise ValueError(f"model emits {model.horizon} horizons, {horizons} requested")
-        preds = m.forward_graph(x)
-        return np.stack([p.data for p in preds[:horizons]], axis=1)
-    raise ValueError(f"unknown model kind {model.kind!r}")
+    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))))
+    out = np.empty((len(x), horizons, NUM_SEGMENTS))
+    for start in range(0, len(x), PREDICT_CHUNK):
+        plan._forward(x[start:start + PREDICT_CHUNK], out[start:start + PREDICT_CHUNK])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,48 +498,93 @@ def serialize_model(model) -> bytes:
         "dims": model.dims(),
         "blocks": [[name, list(t.data.shape)] for name, t in blocks.items()],
     }
-    head_bytes = json.dumps(header, sort_keys=True).encode()
     payload = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
                        for t in blocks.values())
-    body = _MAGIC + len(head_bytes).to_bytes(4, "little") + head_bytes + payload
+    return pack_container(_MAGIC, header, payload)
+
+
+def pack_container(magic: bytes, header: dict, payload: bytes) -> bytes:
+    """Magic, header length, JSON header, payload, trailing crc32."""
+    head = json.dumps(header, sort_keys=True).encode()
+    body = magic + len(head).to_bytes(4, "little") + head + payload
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
+def unpack_container(blob: bytes, magic: bytes, what: str):
+    """JSON header and payload of a ``pack_container`` blob, after checking
+    its magic and checksum."""
+    if len(blob) < 12 or blob[:4] != magic:
+        raise ValueError(f"not a {what} (bad magic)")
+    body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
+    if zlib.crc32(body) != crc:
+        raise ValueError(f"{what} corrupt (checksum mismatch)")
+    head_len = int.from_bytes(blob[4:8], "little")
+    return json.loads(blob[8:8 + head_len].decode()), body[8 + head_len:]
+
+
 def deserialize_model(blob: bytes, expect_kind: str | None = None):
-    header, payload = _read_container(blob, expect_kind)
-    dims = header["dims"]
-    model = build_model(header["kind"], s=dims["s"], hidden=dims["hidden"],
-                        attn_width=dims["attn_width"] or 16,
-                        horizon=dims.get("horizon", 3), seed=0)
+    header, dims, payload = _read_container(blob, expect_kind)
+    model = build_model(header["kind"], seed=0, **dims)
     _fill_blocks(model, header["blocks"], payload)
     return model
 
 
+def is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def is_shape(value) -> bool:
+    return isinstance(value, list) and all(is_count(d) for d in value)
+
+
+def is_name(value) -> bool:
+    return isinstance(value, str)
+
+
+def rows_of(*columns):
+    """Test for a list of rows, each a list whose entries pass the matching
+    column test."""
+    return lambda value: isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == len(columns)
+        and all(ok(v) for ok, v in zip(columns, row)) for row in value)
+
+
+def check_fields(header, where: str, **tests) -> None:
+    """Raise a ValueError naming the first field of ``header`` that its test
+    rejects (a missing field reads as None)."""
+    for key, ok in tests.items():
+        value = header.get(key) if isinstance(header, dict) else None
+        if not ok(value):
+            raise ValueError(f"{where}: field {key!r} is missing or malformed: {value!r:.60}")
+
+
 def _read_container(blob: bytes, expect_kind: str | None):
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise ValueError("not a model container (bad magic)")
-    body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != crc:
-        raise ValueError("model container corrupt (checksum mismatch)")
-    head_len = int.from_bytes(blob[4:8], "little")
-    header = json.loads(blob[8:8 + head_len].decode())
-    if header["format_version"] != _FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {header['format_version']}")
-    if expect_kind is not None and header["kind"] != expect_kind:
-        raise ValueError(
-            f"model kind mismatch: container holds {header['kind']!r}, "
-            f"expected {expect_kind!r}"
-        )
-    payload = body[8 + head_len:]
+    """Header, the build_model dims it names, and payload, all checked."""
+    header, payload = unpack_container(blob, _MAGIC, "model container")
+    check_fields(header, "model header",
+                 format_version=lambda v: is_count(v) and v == _FORMAT_VERSION,
+                 kind=lambda v: v in MODEL_KINDS, dims=lambda v: isinstance(v, dict),
+                 blocks=rows_of(is_name, is_shape))
+    kind, dims = header["kind"], header["dims"]
+    if expect_kind is not None and kind != expect_kind:
+        raise ValueError(f"model kind mismatch: container holds {kind!r}, expected {expect_kind!r}")
+    positive = lambda v: is_count(v) and v >= 1
+    tests = dict(s=positive, hidden=positive,
+                 attn_width=is_count if kind in ("lstm", "lstm-seg") else positive)
+    if kind not in ONE_STEP_KINDS:
+        tests["horizon"] = positive
+    check_fields(dims, "model header dims", **tests)
     expected = sum(int(np.prod(shape)) for _, shape in header["blocks"]) * 8
     if len(payload) != expected:
         raise ValueError(f"payload truncated: {len(payload)} bytes, expected {expected}")
-    return header, payload
+    return header, {key: dims[key] for key in tests}, payload
+
 
 def _fill_blocks(model, block_table, payload: bytes) -> None:
     blocks = model.blocks()
-    if [name for name, _ in block_table] != list(blocks.keys()):
-        raise ValueError("block table does not match model structure")
+    if [(name, list(shape)) for name, shape in block_table] != \
+            [(name, list(t.shape)) for name, t in blocks.items()]:
+        raise ValueError("model header: field 'blocks' does not match the model structure")
     offset = 0
     for name, shape in block_table:
         n = int(np.prod(shape)) * 8

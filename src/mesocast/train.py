@@ -2,10 +2,11 @@
 
 Full-batch mode is the reference protocol: one AdamW update per epoch over
 every training window, bitwise reproducible from (seed, corpus, config).
-Large batches are evaluated in fixed-size taped chunks whose gradients are
-accumulated in a fixed order, so chunking bounds memory without breaking
-determinism.  A shuffled mini-batch mode exists for faster non-ablation
-runs; its shuffle is a pure function of (seed, epoch).
+Gradients are evaluated in fixed-size taped chunks and accumulated in a
+fixed order, so chunking bounds memory without breaking determinism; the
+tape serves only these passes, validation runs the tape-free
+``models.predict_batch``.  A shuffled mini-batch mode exists for faster
+non-ablation runs; its shuffle is a pure function of (seed, epoch).
 
 The stacked model trains in stages: stage i updates layer i plus the shared
 head against horizon i only, every other layer stays bitwise frozen; the
@@ -16,6 +17,7 @@ resuming from a checkpoint cannot drift.
 
 from __future__ import annotations
 
+import copy
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -23,23 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import models
 from .autodiff import Tensor
 from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
 from .losses import LossConfig, combined_loss
-from .models import (
-    AllAtOnceModel,
-    NStepModel,
-    OneStepModel,
-    deserialize_model,
-    serialize_model,
-)
+from .models import (AllAtOnceModel, NStepModel, OneStepModel, check_fields, deserialize_model,
+                     is_count, is_name, is_shape, pack_container, rows_of, serialize_model,
+                     unpack_container)
 from .runtime import tune_allocator
 from .seeding import block_rng
 
 
 class DivergenceError(RuntimeError):
     """Raised when the training loss stops being finite; carries the run
-    with the last finite parameter state restored."""
+    with the last finite parameter and optimizer state restored."""
 
     def __init__(self, message: str, run: "TrainRun"):
         super().__init__(message)
@@ -132,11 +131,6 @@ class AdamW:
             param.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adamw_step(blocks, grads, state: AdamW, lr: float) -> None:
-    """Functional entry point matching the optimizer contract."""
-    state.step(blocks, grads, lr)
-
-
 # ---------------------------------------------------------------------------
 # plateau scheduler (pure replay)
 # ---------------------------------------------------------------------------
@@ -194,9 +188,8 @@ def _mse_np(pred: np.ndarray, truth: np.ndarray) -> float:
 def _eval_mse(model, x, y, horizons: list[int]) -> float:
     """Mean over the requested horizons of the normalized MSE, batched on the
     tape-free path."""
-    from .models import predict_batch
-
-    preds = predict_batch(model, x, max(horizons))
+    # looked up on the module, so a wrapper installed there (a tracer) sees validation
+    preds = models.predict_batch(model, x, max(horizons))
     return float(np.mean([_mse_np(preds[:, h - 1], y[:, h - 1]) for h in horizons]))
 
 
@@ -330,46 +323,49 @@ def save_checkpoint(run: TrainRun, cfg: TrainConfig, path) -> None:
         "best": [[n, list(run.best_params[n].shape)] for n in best_names],
         "model_len": len(model_blob),
     }
-    head = json.dumps(header, sort_keys=True).encode()
     payload = [model_blob]
     for n in opt_names:
         payload.append(np.ascontiguousarray(run.optimizer.m[n], dtype="<f8").tobytes())
         payload.append(np.ascontiguousarray(run.optimizer.v[n], dtype="<f8").tobytes())
     for n in best_names:
         payload.append(np.ascontiguousarray(run.best_params[n], dtype="<f8").tobytes())
-    body = _CKPT_MAGIC + len(head).to_bytes(4, "little") + head + b"".join(payload)
     with open(path, "wb") as fh:
-        fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
+        fh.write(pack_container(_CKPT_MAGIC, header, b"".join(payload)))
+
+
+def _is_hex(value) -> bool:
+    try:
+        return isinstance(float.fromhex(value), float)
+    except (TypeError, ValueError):
+        return False
 
 
 def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
-    body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != crc:
-        raise ValueError("checkpoint corrupt (checksum mismatch)")
-    head_len = int.from_bytes(blob[4:8], "little")
-    header = json.loads(blob[8:8 + head_len].decode())
+    header, payload = unpack_container(blob, _CKPT_MAGIC, "checkpoint")
+    hex_or_none = lambda v: v is None or _is_hex(v)
+    check_fields(header, "checkpoint header", config=is_name, epoch=is_count,
+                 best_metric=_is_hex,
+                 history=rows_of(is_count, _is_hex, _is_hex, hex_or_none, hex_or_none),
+                 opt=rows_of(is_name, is_shape, is_count), best=rows_of(is_name, is_shape),
+                 model_len=is_count)
     if header["config"] != config_fingerprint(cfg):
         raise ValueError("checkpoint was produced under a different training config")
-    offset = 8 + head_len
-    model = deserialize_model(body[offset:offset + header["model_len"]])
-    offset += header["model_len"]
+    model = deserialize_model(payload[:header["model_len"]])
+    offset = header["model_len"]
+
+    def take(shape):
+        nonlocal offset
+        start, offset = offset, offset + int(np.prod(shape)) * 8
+        return np.frombuffer(payload[start:offset], dtype="<f8").reshape(shape).copy()
+
     opt = AdamW(cfg)
     for name, shape, t in header["opt"]:
-        n = int(np.prod(shape)) * 8
-        opt.m[name] = np.frombuffer(body[offset:offset + n], dtype="<f8").reshape(shape).copy()
-        offset += n
-        opt.v[name] = np.frombuffer(body[offset:offset + n], dtype="<f8").reshape(shape).copy()
-        offset += n
-        opt.t[name] = t
-    best = {}
-    for name, shape in header["best"]:
-        n = int(np.prod(shape)) * 8
-        best[name] = np.frombuffer(body[offset:offset + n], dtype="<f8").reshape(shape).copy()
-        offset += n
+        opt.m[name], opt.v[name], opt.t[name] = take(shape), take(shape), t
+    best = {name: take(shape) for name, shape in header["best"]}
+    if offset != len(payload):
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, header describes {offset}")
     history = [
         MetricRecord(epoch=e, lr=float.fromhex(lr), train_loss=float.fromhex(tl),
                      easy=None if easy is None else float.fromhex(easy),
@@ -390,16 +386,20 @@ def _batch_order(seed: int, epoch: int, total: int) -> np.ndarray:
     return block_rng(seed, f"shuffle-epoch{epoch}").permutation(total)
 
 
-def _run_epochs(model, staged: StagedData, cfg: TrainConfig, run: TrainRun,
+def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
                 first_epoch: int, last_epoch: int, horizons: list[int],
                 trainable: set[str] | None, base_lr: float, history_from: int) -> None:
     """Advance ``run`` through epochs (first_epoch, last_epoch]; ``trainable``
-    limits which blocks the optimizer touches (None = all)."""
-    blocks = run.model.blocks()
+    limits which blocks the optimizer touches (None = all).  A non-finite
+    loss rolls the parameters and the optimizer back to the last finite
+    epoch, so the run stays resumable."""
+    model = run.model
+    blocks = model.blocks()
     frozen = {n for n in blocks if trainable is not None and n not in trainable}
     updatable = {n: t for n, t in blocks.items() if n not in frozen}
     for epoch in range(first_epoch + 1, last_epoch + 1):
         snapshot = _snapshot(blocks)
+        optimizer = copy.deepcopy(run.optimizer)
         lr = plateau_lr(run.monitored_history(cfg.monitor, history_from, last_epoch),
                         cfg, base_lr)
         if cfg.full_batch:
@@ -421,13 +421,14 @@ def _run_epochs(model, staged: StagedData, cfg: TrainConfig, run: TrainRun,
             loss_value /= max(seen, 1)
         if not np.isfinite(loss_value):
             _restore(blocks, snapshot)
+            run.optimizer = optimizer
             run.epoch = epoch - 1
             raise DivergenceError(
                 f"training loss became non-finite at epoch {epoch}; "
-                "parameters restored to the last finite epoch", run)
+                "parameters and optimizer restored to the last finite epoch", run)
         record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
         if epoch % cfg.validate_every == 0 or epoch == last_epoch:
-            easy, hard = validation_metrics(run.model, staged, horizons)
+            easy, hard = validation_metrics(model, staged, horizons)
             record.easy, record.hard = easy, hard
             monitored = {"easy": easy, "hard": hard, "train": loss_value}[cfg.monitor]
             if monitored < run.best_metric:
@@ -448,7 +449,7 @@ def train_one_step_model(model, corpus: Corpus, cfg: TrainConfig,
     horizon = getattr(model, "horizon", 1)
     horizons = list(range(1, horizon + 1))
     staged = stage_corpus(corpus, model.s, horizon, cfg)
-    _run_epochs(model, staged, cfg, run, run.epoch, cfg.epochs_per_stage, horizons,
+    _run_epochs(staged, cfg, run, run.epoch, cfg.epochs_per_stage, horizons,
                 trainable=None, base_lr=cfg.lr, history_from=0)
     if run.best_params is None:
         run.best_params = _snapshot(run.model.blocks())
@@ -484,7 +485,7 @@ def train_nstep(model: NStepModel, corpus: Corpus, cfg: TrainConfig,
             trainable = set(model.layer_block_names(stage_index)) | {"head/w", "head/b"}
             horizons = [stage_index + 1]
             base_lr = cfg.lr
-        _run_epochs(model, staged, cfg, run, max(run.epoch, first), last, horizons,
+        _run_epochs(staged, cfg, run, max(run.epoch, first), last, horizons,
                     trainable=trainable, base_lr=base_lr, history_from=first)
     if run.best_params is None:
         run.best_params = _snapshot(model.blocks())

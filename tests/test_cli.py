@@ -7,6 +7,7 @@ from mesocast import data as D
 from mesocast.cli import main
 from mesocast.config import RunConfig, load_config
 from mesocast.models import build_model, save_model
+from containers import with_header
 
 
 TINY_INI = """
@@ -175,6 +176,14 @@ class TestEval:
         out, cfg = trained_dir
         assert run_cli("eval", "--config", cfg, "--out", out,
                        "--checkpoint", out / "missing.bin") == 2
+
+    def test_malformed_model_header_exits_2(self, trained_dir, capsys):
+        out, cfg = trained_dir
+        bad = out / "no_blocks.bin"
+        bad.write_bytes(with_header((out / "model.bin").read_bytes(),
+                                    lambda h: h.pop("blocks")))
+        assert run_cli("eval", "--config", cfg, "--out", out, "--checkpoint", bad) == 2
+        assert "'blocks'" in capsys.readouterr().err
 
 
 class TestForecast:

@@ -124,6 +124,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 1"):
             read_csv(io.StringIO("time,a,b\n"))
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-5"])
+    def test_non_finite_or_negative_speed_names_line(self, speed):
+        lines = data.series_to_csv_text(toy_series(4)).splitlines()
+        parts = lines[3].split(",")
+        parts[7] = speed
+        lines[3] = ",".join(parts)
+        with pytest.raises(ValueError, match="line 4: speed .* at seg06"):
+            read_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_zero_speed_accepted(self):
+        lines = data.series_to_csv_text(toy_series(2)).splitlines()
+        parts = lines[1].split(",")
+        parts[1] = "0"
+        lines[1] = ",".join(parts)
+        assert read_csv(io.StringIO("\n".join(lines) + "\n")).speeds[0, 0] == 0.0
+
 
 class TestCtm:
     def test_free_flow_fixed_point(self):

@@ -15,6 +15,7 @@ from mesocast.models import (
     predict_batch,
     serialize_model,
 )
+from containers import with_header
 
 
 def tiny(kind, seed=0, **kw):
@@ -72,14 +73,14 @@ class TestPlanMatchesGraph:
         m = tiny(kind, seed=11)
         w = rand_window(4, 11)
         fast = forecast_one(m, w)
-        taped = m.detached().forward_graph(w[None, :, :]).data[0]
+        taped = m.forward_graph(w[None, :, :]).data[0]
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
     def test_all_at_once_paths_agree(self):
         m = tiny("all-at-once", seed=12)
         w = rand_window(4, 12)
         fast = forecast_all_at_once(m, w).horizons
-        taped = m.detached().forward_graph(w[None, :, :]).data[0]
+        taped = m.forward_graph(w[None, :, :]).data[0]
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
     def test_nstep_paths_agree(self):
@@ -89,13 +90,54 @@ class TestPlanMatchesGraph:
         taped = nstep_forward(m, w).horizons
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
-    def test_batched_matches_single(self):
-        m = tiny("sa-lstm", seed=14)
-        X = np.stack([rand_window(4, 100 + i) for i in range(5)])
-        batched = predict_batch(m, X, horizons=1)
+    @pytest.mark.parametrize("batch", [1, models.PREDICT_CHUNK, models.PREDICT_CHUNK + 5])
+    @pytest.mark.parametrize("horizons", [1, 2, 3])
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_batched_matches_single(self, kind, horizons, batch):
+        # one chunk, exactly one full chunk, and a full chunk plus a remainder
+        m = tiny(kind, seed=14)
+        X = np.stack([rand_window(4, 100 + i) for i in range(batch)])
+        batched = predict_batch(m, X, horizons)
+        assert batched.shape == (batch, horizons, NUM_SEGMENTS)
         plan = InferencePlan(m)
-        for i in range(5):
-            np.testing.assert_allclose(batched[i, 0], plan.run(X[i])[0], rtol=0, atol=1e-12)
+        for i in range(batch):
+            if kind in models.ONE_STEP_KINDS:
+                single = forecast_recursive(m, X[i], horizons, plan=plan).horizons
+            else:
+                single = plan.run(X[i])[:horizons]
+            np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched, taped_predictions(m, X, horizons),
+                                   rtol=0, atol=1e-12)
+
+    def test_nstep_runs_only_requested_layers(self, monkeypatch):
+        m = tiny("nstep", seed=18)
+        X = np.stack([rand_window(4, 200 + i) for i in range(3)])
+        full = predict_batch(m, X, 3)
+        for layer in m.layers[1:]:
+            for t in layer.blocks("x").values():
+                t.data[:] = np.nan
+        steps = []
+        step = models._StepKernel.step
+        monkeypatch.setattr(models._StepKernel, "step",
+                            lambda self, x: (steps.append(1), step(self, x)))
+        first = predict_batch(m, X, 1)
+        assert len(steps) == m.s           # layer 1 over the window, one chunk
+        assert np.all(np.isfinite(first))
+        assert np.array_equal(first[:, 0], full[:, 0])
+
+
+def taped_predictions(m, X, horizons):
+    """predict_batch's contract computed on the taped forward."""
+    if m.kind in models.ONE_STEP_KINDS:
+        rolling, outs = X, []
+        for _ in range(horizons):
+            pred = m.forward_graph(rolling).data
+            outs.append(pred)
+            rolling = np.concatenate([rolling[:, 1:], pred[:, None]], axis=1)
+        return np.stack(outs, axis=1)
+    if m.kind == "all-at-once":
+        return m.forward_graph(X).data[:, :horizons]
+    return np.stack([p.data for p in m.forward_graph(X)[:horizons]], axis=1)
 
 
 class TestRecursive:
@@ -241,6 +283,26 @@ class TestSerialization:
         blob[-40] ^= 0xFF
         with pytest.raises(ValueError, match="checksum"):
             deserialize_model(bytes(blob))
+
+    @pytest.mark.parametrize("kind, edit, field", [
+        ("sa-lstm", lambda h: h.pop("format_version"), "format_version"),
+        ("sa-lstm", lambda h: h.update(format_version="1"), "format_version"),
+        ("sa-lstm", lambda h: h.pop("kind"), "kind"),
+        ("sa-lstm", lambda h: h.update(kind="gru"), "kind"),
+        ("sa-lstm", lambda h: h.pop("dims"), "dims"),
+        ("sa-lstm", lambda h: h.update(dims=[4, 5, 3]), "dims"),
+        ("sa-lstm", lambda h: h["dims"].pop("s"), "'s'"),
+        ("sa-lstm", lambda h: h["dims"].update(hidden="5"), "hidden"),
+        ("sa-lstm", lambda h: h["dims"].update(attn_width=0), "attn_width"),
+        ("nstep", lambda h: h["dims"].pop("horizon"), "horizon"),
+        ("sa-lstm", lambda h: h.pop("blocks"), "blocks"),
+        ("sa-lstm", lambda h: h.update(blocks=[["head/b"]]), "blocks"),
+        ("sa-lstm", lambda h: h["blocks"][-1].__setitem__(1, [-1]), "blocks"),
+        ("sa-lstm", lambda h: h["dims"].update(hidden=6), "blocks"),
+    ])
+    def test_malformed_header_names_field(self, kind, edit, field):
+        with pytest.raises(ValueError, match=field):
+            deserialize_model(with_header(serialize_model(tiny(kind)), edit))
 
     def test_save_load_file(self, tmp_path):
         m = tiny("all-at-once", seed=31)

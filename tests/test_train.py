@@ -16,6 +16,7 @@ from mesocast.train import (
     train_nstep,
     train_one_step_model,
 )
+from containers import with_header
 
 
 def tiny_cfg(**kw):
@@ -176,6 +177,31 @@ class TestTrainOneStep:
         with pytest.raises(DivergenceError, match="non-finite"):
             train_one_step_model(model, corpus, tiny_cfg(epochs_per_stage=3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_rolls_optimizer_back_and_resumes(self, tmp_path):
+        # a huge step after epoch 1 makes the epoch-2 loss overflow
+        corpus = wavy_corpus()
+        cfg = tiny_cfg(lr=1e300, epochs_per_stage=3)
+        make = lambda: build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=8)
+        one = train_one_step_model(make(), corpus, tiny_cfg(lr=1e300, epochs_per_stage=1))
+        with pytest.raises(DivergenceError, match="epoch 2") as info:
+            train_one_step_model(make(), corpus, cfg)
+        run = info.value.run
+        assert run.epoch == 1
+        assert run.optimizer.t == one.optimizer.t == {n: 1 for n in one.optimizer.t}
+        for name in one.optimizer.m:
+            assert np.array_equal(run.optimizer.m[name], one.optimizer.m[name]), name
+            assert np.array_equal(run.optimizer.v[name], one.optimizer.v[name]), name
+        path = tmp_path / "diverged.ckpt"
+        save_checkpoint(run, cfg, path)
+        back = load_checkpoint(path, cfg)
+        assert back.epoch == 1 and back.optimizer.t == run.optimizer.t
+        for name in back.optimizer.m:
+            assert np.all(np.isfinite(back.optimizer.m[name])), name
+            assert np.all(np.isfinite(back.optimizer.v[name])), name
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            train_one_step_model(None, corpus, cfg, resume=back)
+
     def test_chunked_gradients_match_single_chunk(self):
         corpus = wavy_corpus()
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=9)
@@ -202,7 +228,7 @@ class TestTrainNStep:
         run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 3, cfg)
         trainable = set(model.layer_block_names(0)) | {"head/w", "head/b"}
-        T._run_epochs(model, staged, cfg, run, 0, 2, [1], trainable, cfg.lr, 0)
+        T._run_epochs(staged, cfg, run, 0, 2, [1], trainable, cfg.lr, 0)
         for name, t in model.blocks().items():
             if name in trainable:
                 assert not np.array_equal(t.data, init[name]), name
@@ -261,6 +287,31 @@ class TestCheckpoints:
             assert np.array_equal(run.optimizer.v[name], back.optimizer.v[name])
         assert [r.train_loss for r in back.history] == [r.train_loss for r in run.history]
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.pop("config"), "config"),
+        (lambda h: h.pop("epoch"), "epoch"),
+        (lambda h: h.update(epoch=-1), "epoch"),
+        (lambda h: h.pop("best_metric"), "best_metric"),
+        (lambda h: h.update(best_metric="fast"), "best_metric"),
+        (lambda h: h.pop("history"), "history"),
+        (lambda h: h.update(history=[[1, "0x1p-1"]]), "history"),
+        (lambda h: h.pop("opt"), "opt"),
+        (lambda h: h.update(opt=[["head/b", [1], "1"]]), "opt"),
+        (lambda h: h.pop("best"), "best"),
+        (lambda h: h.update(best=[["head/b", "1"]]), "best"),
+        (lambda h: h.pop("model_len"), "model_len"),
+        (lambda h: h.update(model_len="40"), "model_len"),
+    ])
+    def test_malformed_header_names_field(self, tmp_path, edit, field):
+        cfg = tiny_cfg(epochs_per_stage=2)
+        run = train_one_step_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=14),
+                                   wavy_corpus(), cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        path.write_bytes(with_header(path.read_bytes(), edit))
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(path, cfg)
+
     def test_resume_equals_uninterrupted(self, tmp_path):
         corpus = wavy_corpus()
         straight_cfg = tiny_cfg(epochs_per_stage=6)
@@ -291,7 +342,7 @@ class TestCheckpoints:
         run = T.TrainRun(model=model, optimizer=AdamW(partial_cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 2, partial_cfg)
         trainable = set(model.layer_block_names(0)) | {"head/w", "head/b"}
-        T._run_epochs(model, staged, partial_cfg, run, 0, 2, [1], trainable, partial_cfg.lr, 0)
+        T._run_epochs(staged, partial_cfg, run, 0, 2, [1], trainable, partial_cfg.lr, 0)
         # checkpoint sits exactly at the stage-1 boundary (epoch 2 of 6)
         path = tmp_path / "stage1.ckpt"
         save_checkpoint(run, cfg, path)
