@@ -19,6 +19,7 @@ __all__ = [
     "Tensor",
     "tensor",
     "parameter",
+    "node",
     "backward",
     "add",
     "sub",
@@ -45,8 +46,10 @@ __all__ = [
 
 
 def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as 0.5*(1+tanh(x/2)); float64 tanh is far faster
-    than exp on this code path and agrees with 1/(1+exp(-x)) to ~1 ulp."""
+    """Logistic function as 0.5*(1+tanh(x/2)); agrees with 1/(1+exp(-x))
+    to ~1 ulp and, unlike exp(-x), cannot overflow, so large negative inputs
+    raise no RuntimeWarning.  It is not the faster form: 1/(1+exp(-x))
+    measured 27-35 % faster at 21 and 672 rows of width 64 (2 vCPU)."""
     out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out *= 0.5
@@ -106,7 +109,10 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def _node(data, parents, vjp) -> Tensor:
+def node(data, parents, vjp) -> Tensor:
+    """Record ``data`` as the output of an op on ``parents`` whose
+    vector-Jacobian product ``vjp`` maps the output gradient to one gradient
+    (or None) per parent; a constant when no parent requires a gradient."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(data)
@@ -124,39 +130,39 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
-    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
+    return node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
-    return _node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-    return _node(a.data * k, (a,), lambda g: (g * k,))
+    return node(a.data * k, (a,), lambda g: (g * k,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = sigmoid_array(a.data)
-    return _node(y, (a,), lambda g: (g * (y * (1.0 - y)),))
+    return node(y, (a,), lambda g: (g * (y * (1.0 - y)),))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _node(y, (a,), lambda g: (g * (1.0 - y * y),))
+    return node(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def abs_(a: Tensor) -> Tensor:
     # subgradient 0 at the kink
     sgn = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g: (g * sgn,))
+    return node(np.abs(a.data), (a,), lambda g: (g * sgn,))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def vjp(g):
             return g @ bd.T, ad.T @ g
 
-        return _node(ad @ bd, (a, b), vjp)
+        return node(ad @ bd, (a, b), vjp)
     if ad.ndim == 3 and bd.ndim == 3:
         if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
             raise ValueError(f"matmul: batch shapes disagree, {ad.shape} @ {bd.shape}")
@@ -186,7 +192,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def vjp(g):
             return g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g
 
-        return _node(ad @ bd, (a, b), vjp)
+        return node(ad @ bd, (a, b), vjp)
     if ad.ndim == 3 and bd.ndim == 2:
         if ad.shape[2] != bd.shape[0]:
             raise ValueError(f"matmul: inner extents disagree, {ad.shape} @ {bd.shape}")
@@ -198,7 +204,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             db = ad.reshape(B * m, k).T @ g.reshape(B * m, n)
             return da, db
 
-        return _node(ad @ bd, (a, b), vjp)
+        return node(ad @ bd, (a, b), vjp)
     raise ValueError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
 
 
@@ -214,7 +220,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
-    return _node(y, (a,), vjp)
+    return node(y, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def concat(parts, axis: int = 0) -> Tensor:
             np.moveaxis(gm[offsets[i]:offsets[i + 1]], 0, axis) for i in range(len(sizes))
         )
 
-    return _node(out, parts, vjp)
+    return node(out, parts, vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -257,19 +263,19 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _node(a.data[idx].copy(), (a,), vjp)
+    return node(a.data[idx].copy(), (a,), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ValueError(f"transpose: needs ndim >= 2, got shape {a.data.shape}")
-    return _node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
+    return node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (np.ascontiguousarray(g).reshape(orig),))
+    return node(a.data.reshape(shape), (a,), lambda g: (np.ascontiguousarray(g).reshape(orig),))
 
 
 def pad_last(a: Tensor, left: int, right: int, mode: str = "zero") -> Tensor:
@@ -295,7 +301,7 @@ def pad_last(a: Tensor, left: int, right: int, mode: str = "zero") -> Tensor:
                 core[..., -1] += g[..., left + n:].sum(axis=-1)
         return (core,)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def broadcast_rows(a: Tensor, rows: int) -> Tensor:
@@ -307,7 +313,7 @@ def broadcast_rows(a: Tensor, rows: int) -> Tensor:
     def vjp(g):
         return (g.sum(axis=0).reshape(orig),)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
@@ -319,7 +325,7 @@ def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
     def vjp(g):
         return g, g.sum(axis=0)
 
-    return _node(mat.data + vec.data, (mat, vec), vjp)
+    return node(mat.data + vec.data, (mat, vec), vjp)
 
 
 def downsample2(a: Tensor) -> Tensor:
@@ -331,7 +337,7 @@ def downsample2(a: Tensor) -> Tensor:
         full[..., ::2] = g
         return (full,)
 
-    return _node(a.data[..., ::2].copy(), (a,), vjp)
+    return node(a.data[..., ::2].copy(), (a,), vjp)
 
 
 def upsample2(a: Tensor) -> Tensor:
@@ -339,12 +345,12 @@ def upsample2(a: Tensor) -> Tensor:
     x = a.data
     out = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
     out[..., ::2] = x
-    return _node(out, (a,), lambda g: (g[..., ::2].copy(),))
+    return node(out, (a,), lambda g: (g[..., ::2].copy(),))
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
-    return _node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+    return node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -354,7 +360,7 @@ def mean_all(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, float(g) * inv),)
 
-    return _node(a.data.mean(), (a,), vjp)
+    return node(a.data.mean(), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +384,27 @@ def backward(root: Tensor) -> None:
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in seen:
+        if id(t) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
     acc: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
-        g = acc.pop(id(node), None)
+    for t in reversed(topo):
+        g = acc.pop(id(t), None)
         if g is None:
             continue
-        if node._vjp is None:
-            node.grad = np.array(g)  # leaf; own the buffer
+        if t._vjp is None:
+            t.grad = np.array(g)  # leaf; own the buffer
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        for p, pg in zip(t._parents, t._vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
             prev = acc.get(id(p))

@@ -41,25 +41,31 @@ class ModelSection:
     horizon: int = 3
 
 
+_TRAIN = TrainConfig()
+
+
 @dataclass
 class TrainingSection:
-    lr: float = 0.01
-    weight_decay: float = 1e-4
-    plateau_patience: int = 3
-    lr_decay_factor: float = 10.0
-    epochs_per_stage: int = 48
-    seed: int = 0
-    full_batch: bool = True
-    batch_size: int = 256
-    validate_every: int = 4
-    monitor: str = "easy"
-    lap_depth: int = 3
-    lap_weight: float = 1.0
-    lap_padding: str = "zero"
-    train_stride: int = 24
-    val_stride: int = 8
-    grad_chunk: int = 128
-    finetune_lr_scale: float = 0.1
+    """TrainConfig's fields (defaults taken from it) with the loss settings
+    flattened to lap_*, plus the output file names."""
+
+    lr: float = _TRAIN.lr
+    weight_decay: float = _TRAIN.weight_decay
+    plateau_patience: int = _TRAIN.plateau_patience
+    lr_decay_factor: float = _TRAIN.lr_decay_factor
+    epochs_per_stage: int = _TRAIN.epochs_per_stage
+    seed: int = _TRAIN.seed
+    full_batch: bool = _TRAIN.full_batch
+    batch_size: int = _TRAIN.batch_size
+    validate_every: int = _TRAIN.validate_every
+    monitor: str = _TRAIN.monitor
+    lap_depth: int = _TRAIN.loss.pyramid_depth
+    lap_weight: float = _TRAIN.loss.lap_weight
+    lap_padding: str = _TRAIN.loss.padding_mode
+    train_stride: int = _TRAIN.train_stride
+    val_stride: int = _TRAIN.val_stride
+    grad_chunk: int = _TRAIN.grad_chunk
+    finetune_lr_scale: float = _TRAIN.finetune_lr_scale
     model_out: str = "model.bin"
     checkpoint_out: str = "run.ckpt"
     metrics_csv: str = "metrics.csv"
@@ -101,18 +107,13 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            lr=t.lr, weight_decay=t.weight_decay,
-            plateau_patience=t.plateau_patience, lr_decay_factor=t.lr_decay_factor,
-            epochs_per_stage=t.epochs_per_stage, seed=t.seed,
-            full_batch=t.full_batch, batch_size=t.batch_size,
-            validate_every=t.validate_every, monitor=t.monitor,
-            loss=LossConfig(pyramid_depth=t.lap_depth, lap_weight=t.lap_weight,
-                            padding_mode=t.lap_padding),
-            train_stride=t.train_stride, val_stride=t.val_stride,
-            grad_chunk=t.grad_chunk, finetune_lr_scale=t.finetune_lr_scale,
-        )
+        values = asdict(self.training)
+        loss = LossConfig(pyramid_depth=values.pop("lap_depth"),
+                          lap_weight=values.pop("lap_weight"),
+                          padding_mode=values.pop("lap_padding"))
+        for name in ("model_out", "checkpoint_out", "metrics_csv"):
+            del values[name]
+        return TrainConfig(loss=loss, **values)
 
     def resolved(self) -> dict:
         return {

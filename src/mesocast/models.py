@@ -11,16 +11,19 @@ normalized 21-wide predictions:
   plus the earlier predictions (s+i-1 cells) starting from layer i-1's
   terminal state, all layers sharing one affine head.
 
-Each model has two execution paths: the taped ``forward_graph``, for
-training only, and one tape-free step kernel over preallocated ``(rows, .)``
-buffers, run by an ``InferencePlan`` for one window (the latency path) and by
-``predict_batch`` for PREDICT_CHUNK windows per pass.  Both compute the same
-formulas; tests pin them to each other at 1e-12.
+Every path runs the one cell step kernel, ``cells.StepKernel``.  The taped
+``forward_graph``, for training only, records each cell step as a single tape
+node (``cells.lstm_step`` / ``cells.sa_lstm_step``).  The tape-free
+``InferencePlan`` drives the kernel on ``(rows, .)`` buffers allocated once,
+for one window (the latency path) and, in ``predict_batch``, for
+PREDICT_CHUNK windows per pass.  Tests pin the two paths to each other at
+1e-12.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -32,6 +35,8 @@ from .cells import (
     LstmParams,
     LstmState,
     SaLstmParams,
+    StepBuffers,
+    StepKernel,
     init_lstm_params,
     init_sa_lstm_params,
     lstm_step,
@@ -268,103 +273,6 @@ def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
 PREDICT_CHUNK = 32
 
 
-class _StepBuffers:
-    """Work arrays for one cell step over up to ``groups`` groups of
-    ``tokens`` rows, allocated once.  Every layer of a plan shares them, so
-    a layer starts from the state the previous one left.  ``resize`` rebinds
-    them to the leading groups; one group keeps 2-D attention products
-    (cheapest at batch 1), several groups use batched 3-D ones."""
-
-    def __init__(self, groups: int, tokens: int, hidden: int, in_width: int, attn_width: int):
-        rows = groups * tokens
-        self.tokens, self.hidden, self.attn_width = tokens, hidden, attn_width
-        self._cat = np.empty((rows, hidden + in_width + 1))
-        self._cat[:, -1] = 1.0
-        self._full = {name: np.empty((rows, hidden))
-                      for name in ("zf", "zi", "zc", "zo", "c", "tmp", "mixed")}
-        self._full.update({name: np.empty((rows, attn_width)) for name in ("q", "k", "v", "att")})
-        self._scores = np.empty((groups, tokens, tokens))
-        self._rowsum = np.empty((groups, tokens, 1))
-        self.resize(groups)
-
-    def resize(self, groups: int) -> None:
-        rows = groups * self.tokens
-        self.groups = groups
-        self.cat = self._cat[:rows]
-        # [h, x, 1]: the state lives in cat, so a step copies only its input
-        self.h = self.cat[:, :self.hidden]
-        self.x = self.cat[:, self.hidden:-1]
-        for name, full in self._full.items():
-            setattr(self, name, full[:rows])
-        q, k, v, att = (a.reshape(groups, self.tokens, self.attn_width)
-                        for a in (self.q, self.k, self.v, self.att))
-        views = (q, k.transpose(0, 2, 1), v, att, self._scores[:groups], self._rowsum[:groups])
-        if groups == 1:
-            views = [view[0] for view in views]
-        self.qg, self.ktg, self.vg, self.attg, self.scores, self.rowsum = views
-        self.mm = np.dot if groups == 1 else np.matmul
-
-
-class _StepKernel:
-    """One tape-free LSTM / SA-LSTM step (the formulas of ``cells.lstm_step``
-    and ``cells.sa_lstm_step``) for one cell's weights on shared buffers.
-    Gate biases ride as the ones column of ``cat``; the attention query
-    projection carries the 1/sqrt(d) scaling."""
-
-    def __init__(self, cell, buffers: _StepBuffers):
-        lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
-        self.buf = buffers
-        self.w_f, self.w_i, self.w_c, self.w_o = (
-            np.vstack([getattr(lstm, f"w_{g}").data, getattr(lstm, f"b_{g}").data[None, :]])
-            for g in "fico")
-        self.attn = None
-        if isinstance(cell, SaLstmParams):
-            self.attn = (cell.attn.w_q.data / np.sqrt(cell.attn.proj_width),
-                         np.ascontiguousarray(cell.attn.w_k.data),
-                         np.ascontiguousarray(cell.attn.w_v.data),
-                         np.ascontiguousarray(cell.out_proj.data))
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.buf.h
-
-    def reset(self) -> None:
-        self.buf.h.fill(0.0)
-        self.buf.c.fill(0.0)
-
-    def step(self, x: np.ndarray) -> None:
-        """Advance the buffers' state by one (rows, in_width) input."""
-        b = self.buf
-        b.x[...] = x
-        np.dot(b.cat, self.w_f, out=b.zf)
-        ad.sigmoid_array(b.zf, out=b.zf)
-        np.dot(b.cat, self.w_i, out=b.zi)
-        ad.sigmoid_array(b.zi, out=b.zi)
-        np.dot(b.cat, self.w_c, out=b.zc)
-        np.tanh(b.zc, out=b.zc)
-        np.dot(b.cat, self.w_o, out=b.zo)
-        if self.attn is not None:
-            wq, wk, wv, proj = self.attn
-            np.dot(b.zo, wq, out=b.q)
-            np.dot(b.zo, wk, out=b.k)
-            np.dot(b.zo, wv, out=b.v)
-            b.mm(b.qg, b.ktg, out=b.scores)
-            np.max(b.scores, axis=-1, keepdims=True, out=b.rowsum)
-            b.scores -= b.rowsum
-            np.exp(b.scores, out=b.scores)
-            np.sum(b.scores, axis=-1, keepdims=True, out=b.rowsum)
-            b.scores /= b.rowsum
-            b.mm(b.scores, b.vg, out=b.attg)
-            np.dot(b.att, proj, out=b.mixed)
-            b.zo += b.mixed
-        ad.sigmoid_array(b.zo, out=b.zo)
-        b.c *= b.zf
-        np.multiply(b.zi, b.zc, out=b.tmp)
-        b.c += b.tmp
-        np.tanh(b.c, out=b.tmp)
-        np.multiply(b.zo, b.tmp, out=b.h)
-
-
 class InferencePlan:
     """Tape-free forward for a frozen parameter snapshot, ``groups`` windows
     per pass (one on the latency path, PREDICT_CHUNK in ``predict_batch``).
@@ -381,9 +289,9 @@ class InferencePlan:
         self.head_b = model.head_b.data.copy()
         # the dense lstm reads a whole field as one token, the others one token per segment
         tokens, in_width = (1, NUM_SEGMENTS) if model.kind == "lstm" else (NUM_SEGMENTS, 1)
-        self._buf = _StepBuffers(groups, tokens, model.hidden, in_width, model.attn_width)
+        self._buf = StepBuffers(groups, tokens, model.hidden, in_width, model.attn_width)
         cells = model.layers if model.kind == "nstep" else [model.cell]
-        self.cells = [_StepKernel(cell, self._buf) for cell in cells]
+        self.cells = [StepKernel(cell, self._buf) for cell in cells]
         # one (rows, in_width) input per step: the window's frames, then the
         # predictions fed back; grown when more horizons are asked for
         self._seq = np.empty((self.s + self.horizon, groups * tokens, in_width))
@@ -574,9 +482,20 @@ def _read_container(blob: bytes, expect_kind: str | None):
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive
     check_fields(dims, "model header dims", **tests)
-    expected = sum(int(np.prod(shape)) for _, shape in header["blocks"]) * 8
+    expected = sum(math.prod(shape) for _, shape in header["blocks"]) * 8
     if len(payload) != expected:
         raise ValueError(f"payload truncated: {len(payload)} bytes, expected {expected}")
+    # build_model allocates from the dims, so bound them by the payload first:
+    # each layer holds 4 gates of at least (hidden x hidden) and 4 attention
+    # projections of (hidden x attn_width), the head (hidden x head columns)
+    hidden = dims["hidden"]
+    attn = dims["attn_width"] if kind not in ("lstm", "lstm-seg") else 0
+    layers = dims["horizon"] if kind == "nstep" else 1
+    head = dims["horizon"] if kind == "all-at-once" else 1
+    floor = max(4 * hidden * hidden * layers, 4 * hidden * attn * layers, hidden * head)
+    if floor * 8 > len(payload):
+        raise ValueError(f"model header: field 'dims' needs at least {floor} parameters, "
+                         f"the payload holds {len(payload) // 8}")
     return header, {key: dims[key] for key in tests}, payload
 
 

@@ -2,23 +2,30 @@
 
 Full-batch mode is the reference protocol: one AdamW update per epoch over
 every training window, bitwise reproducible from (seed, corpus, config).
-Gradients are evaluated in fixed-size taped chunks and accumulated in a
-fixed order, so chunking bounds memory without breaking determinism; the
-tape serves only these passes, validation runs the tape-free
-``models.predict_batch``.  A shuffled mini-batch mode exists for faster
-non-ablation runs; its shuffle is a pure function of (seed, epoch).
+Gradients are evaluated in fixed-size taped chunks (``grad_chunk`` windows,
+32 by default so a chunk's per-step arrays stay cache-sized) and accumulated
+in a fixed order, so chunking bounds memory without breaking determinism;
+each chunk's tape is freed before the next is built.  The tape serves only
+these passes, validation runs the tape-free ``models.predict_batch``.  A
+shuffled mini-batch mode exists for faster non-ablation runs; its shuffle is
+a pure function of (seed, epoch).
 
 The stacked model trains in stages: stage i updates layer i plus the shared
 head against horizon i only, every other layer stays bitwise frozen; the
-final stage unfreezes everything under the summed loss.  The learning rate
-is replayed from the validation history on every epoch (never stored), so
-resuming from a checkpoint cannot drift.
+final stage unfreezes everything under the summed loss.  Frozen blocks are
+tape constants for their whole stage, so they cost no weight products and a
+layer whose inputs are all frozen (layer 1 in stages 2..n) records no tape;
+the trainable gradients are bitwise those of the all-trainable graph.  The
+learning rate is replayed from the validation history on every epoch (never
+stored), so resuming from a checkpoint cannot drift.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -63,7 +70,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     train_stride: int = 24            # keep every k-th training window
     val_stride: int = 8               # easy-window subsampling for in-run validation
-    grad_chunk: int = 128             # windows per taped chunk (cache locality)
+    grad_chunk: int = 32              # windows per taped chunk (cache locality)
     finetune_lr_scale: float = 0.1    # base lr multiplier for the unfrozen stage
 
     def __post_init__(self):
@@ -245,6 +252,7 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[
         loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons), weight)
         ad.backward(loss)
         loss_value += loss.item()
+        del loss            # free this chunk's tape before the next one is built
         for name, t in blocks.items():
             if t.grad is None:
                 continue
@@ -336,7 +344,7 @@ def save_checkpoint(run: TrainRun, cfg: TrainConfig, path) -> None:
 def _is_hex(value) -> bool:
     try:
         return isinstance(float.fromhex(value), float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -357,7 +365,7 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
 
     def take(shape):
         nonlocal offset
-        start, offset = offset, offset + int(np.prod(shape)) * 8
+        start, offset = offset, offset + math.prod(shape) * 8
         return np.frombuffer(payload[start:offset], dtype="<f8").reshape(shape).copy()
 
     opt = AdamW(cfg)
@@ -386,56 +394,71 @@ def _batch_order(seed: int, epoch: int, total: int) -> np.ndarray:
     return block_rng(seed, f"shuffle-epoch{epoch}").permutation(total)
 
 
+@contextlib.contextmanager
+def _tape_constants(tensors: list[Tensor]):
+    """Make ``tensors`` tape constants for the duration of the block and
+    restore their flags on the way out, also when it raises.  A frozen block
+    then costs no weight products, and a layer whose inputs are all frozen
+    records no tape at all."""
+    flags = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, flags):
+            t.requires_grad = flag
+
+
 def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
                 first_epoch: int, last_epoch: int, horizons: list[int],
                 trainable: set[str] | None, base_lr: float, history_from: int) -> None:
     """Advance ``run`` through epochs (first_epoch, last_epoch]; ``trainable``
-    limits which blocks the optimizer touches (None = all).  A non-finite
+    limits which blocks the optimizer touches (None = all), the others are
+    tape constants until the call returns or raises.  A non-finite
     loss rolls the parameters and the optimizer back to the last finite
     epoch, so the run stays resumable."""
     model = run.model
     blocks = model.blocks()
-    frozen = {n for n in blocks if trainable is not None and n not in trainable}
-    updatable = {n: t for n, t in blocks.items() if n not in frozen}
-    for epoch in range(first_epoch + 1, last_epoch + 1):
-        snapshot = _snapshot(blocks)
-        optimizer = copy.deepcopy(run.optimizer)
-        lr = plateau_lr(run.monitored_history(cfg.monitor, history_from, last_epoch),
-                        cfg, base_lr)
-        if cfg.full_batch:
-            loss_value, grads = _accumulate_gradients(
-                model, blocks, staged.x, staged.y, cfg, horizons)
-            grads = {n: g for n, g in grads.items() if n not in frozen}
-            run.optimizer.step(updatable, grads, lr)
-        else:
-            order = _batch_order(cfg.seed, epoch, staged.x.shape[0])
-            loss_value, seen = 0.0, 0
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                value, grads = _accumulate_gradients(
-                    model, blocks, staged.x, staged.y, cfg, horizons, indices=idx)
-                grads = {n: g for n, g in grads.items() if n not in frozen}
-                run.optimizer.step(updatable, grads, lr)
-                loss_value += value * len(idx)
-                seen += len(idx)
-            loss_value /= max(seen, 1)
-        if not np.isfinite(loss_value):
-            _restore(blocks, snapshot)
-            run.optimizer = optimizer
-            run.epoch = epoch - 1
-            raise DivergenceError(
-                f"training loss became non-finite at epoch {epoch}; "
-                "parameters and optimizer restored to the last finite epoch", run)
-        record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
-        if epoch % cfg.validate_every == 0 or epoch == last_epoch:
-            easy, hard = validation_metrics(model, staged, horizons)
-            record.easy, record.hard = easy, hard
-            monitored = {"easy": easy, "hard": hard, "train": loss_value}[cfg.monitor]
-            if monitored < run.best_metric:
-                run.best_metric = monitored
-                run.best_params = _snapshot(blocks)
-        run.history.append(record)
-        run.epoch = epoch
+    frozen = [t for n, t in blocks.items() if trainable is not None and n not in trainable]
+    with _tape_constants(frozen):
+        for epoch in range(first_epoch + 1, last_epoch + 1):
+            snapshot = _snapshot(blocks)
+            optimizer = copy.deepcopy(run.optimizer)
+            lr = plateau_lr(run.monitored_history(cfg.monitor, history_from, last_epoch),
+                            cfg, base_lr)
+            if cfg.full_batch:
+                loss_value, grads = _accumulate_gradients(
+                    model, blocks, staged.x, staged.y, cfg, horizons)
+                run.optimizer.step(blocks, grads, lr)
+            else:
+                order = _batch_order(cfg.seed, epoch, staged.x.shape[0])
+                loss_value, seen = 0.0, 0
+                for start in range(0, len(order), cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    value, grads = _accumulate_gradients(
+                        model, blocks, staged.x, staged.y, cfg, horizons, indices=idx)
+                    run.optimizer.step(blocks, grads, lr)
+                    loss_value += value * len(idx)
+                    seen += len(idx)
+                loss_value /= max(seen, 1)
+            if not np.isfinite(loss_value):
+                _restore(blocks, snapshot)
+                run.optimizer = optimizer
+                run.epoch = epoch - 1
+                raise DivergenceError(
+                    f"training loss became non-finite at epoch {epoch}; "
+                    "parameters and optimizer restored to the last finite epoch", run)
+            record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
+            if epoch % cfg.validate_every == 0 or epoch == last_epoch:
+                easy, hard = validation_metrics(model, staged, horizons)
+                record.easy, record.hard = easy, hard
+                monitored = {"easy": easy, "hard": hard, "train": loss_value}[cfg.monitor]
+                if monitored < run.best_metric:
+                    run.best_metric = monitored
+                    run.best_params = _snapshot(blocks)
+            run.history.append(record)
+            run.epoch = epoch
 
 
 def train_one_step_model(model, corpus: Corpus, cfg: TrainConfig,

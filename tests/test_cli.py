@@ -6,6 +6,7 @@ import pytest
 from mesocast import data as D
 from mesocast.cli import main
 from mesocast.config import RunConfig, load_config
+from mesocast.train import TrainConfig
 from mesocast.models import build_model, save_model
 from containers import with_header
 
@@ -58,6 +59,9 @@ class TestConfig:
         assert cfg.model.kind == "sa-lstm"
         assert cfg.training.lr == 0.01
         assert cfg.training.plateau_patience == 3
+
+    def test_training_defaults_come_from_train_config(self):
+        assert RunConfig().train_config() == TrainConfig()
 
     def test_load_and_types(self, tiny_config):
         cfg = load_config(tiny_config)

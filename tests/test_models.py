@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mesocast import autodiff as ad
-from mesocast import models
+from mesocast import cells, models
 from mesocast.data import NUM_SEGMENTS
 from mesocast.models import (
     InferencePlan,
@@ -117,8 +117,8 @@ class TestPlanMatchesGraph:
             for t in layer.blocks("x").values():
                 t.data[:] = np.nan
         steps = []
-        step = models._StepKernel.step
-        monkeypatch.setattr(models._StepKernel, "step",
+        step = cells.StepKernel.step
+        monkeypatch.setattr(cells.StepKernel, "step",
                             lambda self, x: (steps.append(1), step(self, x)))
         first = predict_batch(m, X, 1)
         assert len(steps) == m.s           # layer 1 over the window, one chunk
@@ -303,6 +303,20 @@ class TestSerialization:
     def test_malformed_header_names_field(self, kind, edit, field):
         with pytest.raises(ValueError, match=field):
             deserialize_model(with_header(serialize_model(tiny(kind)), edit))
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("sa-lstm", {"hidden": 1500}),
+        ("lstm", {"hidden": 1500}),
+        ("sa-lstm", {"attn_width": 10 ** 6}),
+        ("all-at-once", {"horizon": 10 ** 9}),
+        ("nstep", {"horizon": 10 ** 4}),
+    ])
+    def test_oversized_dims_rejected_before_allocation(self, monkeypatch, kind, dims):
+        blob = with_header(serialize_model(tiny(kind)), lambda h: h["dims"].update(dims))
+        monkeypatch.setattr(models, "build_model",
+                            lambda *a, **k: pytest.fail("build_model called"))
+        with pytest.raises(ValueError, match="dims"):
+            deserialize_model(blob)
 
     def test_save_load_file(self, tmp_path):
         m = tiny("all-at-once", seed=31)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mesocast import autodiff as ad
+from mesocast import cells
 from mesocast import train as T
 from mesocast.data import NUM_SEGMENTS, Corpus, Series
 from mesocast.losses import LossConfig
@@ -257,6 +258,47 @@ class TestTrainNStep:
             for later in range(stage_horizon + 1, 4):
                 assert not any(n.startswith(f"layer{later}/") for n in grads)
 
+    def test_frozen_blocks_are_tape_constants_in_every_stage(self, monkeypatch):
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=19)
+        staged = T.stage_corpus(wavy_corpus(), 4, 3, tiny_cfg())
+        x, y, blocks = staged.x[:8], staged.y[:8], model.blocks()
+        taped = []            # per recorded step: does it take weight products?
+        adjoint = cells.StepKernel.adjoint
+        monkeypatch.setattr(cells.StepKernel, "adjoint",
+                            lambda self, g, c, need: (taped.append(need[2]),
+                                                      adjoint(self, g, c, need))[1])
+        # layer k unrolls s + k - 1 steps.  Stage 2: layer 1 records nothing.
+        # Stage 3: layer 2 records only the step that reads prediction 1,
+        # which passes dh back for the head and takes no weight products
+        expected = {0: [True] * 4, 1: [True] * 5, 2: [False] + [True] * 6}
+        for stage, steps in expected.items():
+            trainable = set(model.layer_block_names(stage)) | {"head/w", "head/b"}
+            loss_all, grads_all = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(),
+                                                          [stage + 1])
+            taped.clear()
+            with T._tape_constants([t for n, t in blocks.items() if n not in trainable]):
+                loss, grads = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(),
+                                                      [stage + 1])
+            assert sorted(taped) == sorted(steps)
+            assert loss == loss_all
+            assert set(grads) == trainable
+            for name in trainable:
+                assert np.array_equal(grads[name], grads_all[name]), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_requires_grad_restored_after_stage_and_divergence(self):
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=20)
+        cfg = tiny_cfg(epochs_per_stage=1)
+        run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
+        staged = T.stage_corpus(wavy_corpus(), 4, 2, cfg)
+        stage = lambda i: set(model.layer_block_names(i)) | {"head/w", "head/b"}
+        T._run_epochs(staged, cfg, run, 0, 1, [1], stage(0), cfg.lr, 0)
+        assert all(t.requires_grad for t in model.blocks().values())
+        model.head_b.data[:] = np.inf
+        with pytest.raises(DivergenceError):
+            T._run_epochs(staged, cfg, run, 1, 2, [2], stage(1), cfg.lr, 1)
+        assert all(t.requires_grad for t in model.blocks().values())
+
     def test_single_layer_stage_matches_one_step_training(self):
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=4)
@@ -293,6 +335,7 @@ class TestCheckpoints:
         (lambda h: h.update(epoch=-1), "epoch"),
         (lambda h: h.pop("best_metric"), "best_metric"),
         (lambda h: h.update(best_metric="fast"), "best_metric"),
+        (lambda h: h.update(best_metric="0x1p99999"), "best_metric"),
         (lambda h: h.pop("history"), "history"),
         (lambda h: h.update(history=[[1, "0x1p-1"]]), "history"),
         (lambda h: h.pop("opt"), "opt"),
