@@ -8,7 +8,7 @@ so repeated passes over the same graph are bitwise identical.
 The op set is the minimum needed by the forecasting stack: matrix products
 (plain and batched with shared right-hand weights), row softmax, the usual
 elementwise gate functions, and the shape algebra used by window assembly
-and the band-pass pyramid (concat / slice / pad / 2x up-down sampling).
+and the packed cell state (concat / slice / transpose / reshape).
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ __all__ = [
     "narrow",
     "transpose",
     "reshape",
-    "pad_last",
-    "broadcast_rows",
-    "downsample2",
-    "upsample2",
     "sum_all",
     "mean_all",
     "sigmoid_array",
@@ -278,44 +274,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return node(a.data.reshape(shape), (a,), lambda g: (np.ascontiguousarray(g).reshape(orig),))
 
 
-def pad_last(a: Tensor, left: int, right: int, mode: str = "zero") -> Tensor:
-    """Pad the last axis; ``zero`` drops pad gradient, ``replicate`` folds it
-    onto the edge samples."""
-    if left < 0 or right < 0:
-        raise ValueError(f"pad_last: negative pad ({left}, {right})")
-    if mode not in ("zero", "replicate"):
-        raise ValueError(f"pad_last: unknown mode {mode!r}")
-    x = a.data
-    n = x.shape[-1]
-    if mode == "replicate" and n == 0:
-        raise ValueError("pad_last: cannot replicate an empty axis")
-    width = [(0, 0)] * (x.ndim - 1) + [(left, right)]
-    out = np.pad(x, width, mode="constant" if mode == "zero" else "edge")
-
-    def vjp(g):
-        core = g[..., left:left + n].copy()
-        if mode == "replicate":
-            if left:
-                core[..., 0] += g[..., :left].sum(axis=-1)
-            if right:
-                core[..., -1] += g[..., left + n:].sum(axis=-1)
-        return (core,)
-
-    return node(out, (a,), vjp)
-
-
-def broadcast_rows(a: Tensor, rows: int) -> Tensor:
-    """Tile a (n,) or (1, n) tensor into (rows, n); gradient sums the rows."""
-    v = a.data.reshape(-1)
-    orig = a.data.shape
-    out = np.broadcast_to(v, (rows, v.size)).copy()
-
-    def vjp(g):
-        return (g.sum(axis=0).reshape(orig),)
-
-    return node(out, (a,), vjp)
-
-
 def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
     """mat + row-broadcast vec without materialising the tiled rows; the
     hot path for per-gate bias terms."""
@@ -326,26 +284,6 @@ def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return node(mat.data + vec.data, (mat, vec), vjp)
-
-
-def downsample2(a: Tensor) -> Tensor:
-    """Keep even-indexed entries of the last axis."""
-    shape = a.data.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[..., ::2] = g
-        return (full,)
-
-    return node(a.data[..., ::2].copy(), (a,), vjp)
-
-
-def upsample2(a: Tensor) -> Tensor:
-    """Zero-stuff the last axis: out[..., 2i] = in[..., i], odd slots 0."""
-    x = a.data
-    out = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
-    out[..., ::2] = x
-    return node(out, (a,), lambda g: (g[..., ::2].copy(),))
 
 
 def sum_all(a: Tensor) -> Tensor:

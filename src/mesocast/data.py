@@ -18,7 +18,6 @@ integer arithmetic, so conservation holds bitwise at every substep.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -166,12 +165,6 @@ def read_csv(source) -> Series:
         raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
                          "is not a finite non-negative number")
     return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
-
-
-def series_to_csv_text(series: Series) -> str:
-    buf = io.StringIO()
-    write_csv(series, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

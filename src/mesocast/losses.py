@@ -2,15 +2,23 @@
 that weights fine spatial scales, used to sharpen shockwave fronts.
 
 The pyramid is one-dimensional along the segment axis and is applied row by
-row, so a (rows, length) tensor of spatial profiles is decomposed in one
+row, so a (rows, length) array of spatial profiles is decomposed in one
 pass.  Reduction uses the binomial kernel [1, 4, 6, 4, 1]/16; expansion
 zero-stuffs and blurs with doubled gain.  Details are stored as the exact
 difference between a level and the expansion of the next, so reconstruction
 is exact by construction.
+
+``build_pyramid`` and ``reconstruct`` are untaped numpy functions and the
+reference definition of the pyramid.  Every step of it, padding included, is
+linear, so level j of a profile x is x @ A_j for a fixed matrix A_j, and the
+penalty sum_j 4^j |L_j(p) - L_j(t)|_1 is |(p - t) @ M|_1 with one matrix
+M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  The taped
+``lap_loss`` is that one product against a cached, read-only M.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +48,8 @@ class LossConfig:
 
 @dataclass
 class PyramidLevels:
-    details: list[Tensor]  # band-pass levels, level j has length padded/2^j
-    residual: Tensor       # low-pass top, length padded/2^depth
+    details: list[np.ndarray]  # band-pass levels, level j has length padded/2^j
+    residual: np.ndarray       # low-pass top, length padded/2^depth
 
 
 def padded_length(length: int, depth: int) -> int:
@@ -54,51 +62,46 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else ad.tensor(x)
 
 
-def _blur(t: Tensor, mode: str) -> Tensor:
-    xp = ad.pad_last(t, 2, 2, mode)
-    n = t.shape[-1]
-    acc = ad.scale(ad.narrow(xp, -1, 0, n), _KERNEL[0])
+def _pad(x: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
+    width = [(0, 0)] * (x.ndim - 1) + [(left, right)]
+    return np.pad(x, width, mode="constant" if mode == "zero" else "edge")
+
+
+def _blur(xp: np.ndarray, n: int, gain: float) -> np.ndarray:
+    """The 5-tap kernel times ``gain`` over a profile padded by 2 per side."""
+    acc = xp[..., 0:n] * (gain * _KERNEL[0])
     for k in range(1, 5):
-        acc = ad.add(acc, ad.scale(ad.narrow(xp, -1, k, n), _KERNEL[k]))
+        acc = acc + xp[..., k:k + n] * (gain * _KERNEL[k])
     return acc
 
 
-def _reduce(t: Tensor, mode: str) -> Tensor:
-    return ad.downsample2(_blur(t, mode))
+def _reduce(x: np.ndarray, mode: str) -> np.ndarray:
+    return _blur(_pad(x, 2, 2, mode), x.shape[-1], 1.0)[..., ::2]
 
 
-def _expand(t: Tensor, mode: str) -> Tensor:
+def _expand(x: np.ndarray, mode: str) -> np.ndarray:
     """Upsample to twice the length: pad, zero-stuff, blur with gain 2.
 
     Padding before stuffing keeps boundary samples consistent with ``mode``,
     so expansion preserves constants exactly under replicate padding.
     """
-    up = ad.upsample2(ad.pad_last(t, 1, 1, mode))
-    n = 2 * t.shape[-1]
-    acc = ad.scale(ad.narrow(up, -1, 0, n), 2.0 * _KERNEL[0])
-    for k in range(1, 5):
-        acc = ad.add(acc, ad.scale(ad.narrow(up, -1, k, n), 2.0 * _KERNEL[k]))
-    return acc
-
-
-def pad_profile(x, depth: int, mode: str) -> Tensor:
-    """Right-pad spatial profiles so the length divides by 2**depth."""
-    t = _as_tensor(x)
-    target = padded_length(t.shape[-1], depth)
-    extra = target - t.shape[-1]
-    return ad.pad_last(t, 0, extra, mode) if extra else t
+    xp = _pad(x, 1, 1, mode)
+    up = np.zeros(xp.shape[:-1] + (2 * xp.shape[-1],))
+    up[..., ::2] = xp
+    return _blur(up, 2 * x.shape[-1], 2.0)
 
 
 def build_pyramid(x, depth: int, mode: str = "zero") -> PyramidLevels:
     """Decompose profiles (last axis) into ``depth`` band-pass levels plus a
-    low-pass residual; the input is padded internally."""
+    low-pass residual; the input is right-padded to a multiple of 2**depth."""
     if depth < 1:
         raise ValueError(f"build_pyramid: depth must be >= 1, got {depth}")
-    current = pad_profile(x, depth, mode)
+    current = np.asarray(x, dtype=np.float64)
+    current = _pad(current, 0, padded_length(current.shape[-1], depth) - current.shape[-1], mode)
     details = []
     for _ in range(depth):
         coarser = _reduce(current, mode)
-        details.append(ad.sub(current, _expand(coarser, mode)))
+        details.append(current - _expand(coarser, mode))
         current = coarser
     return PyramidLevels(details=details, residual=current)
 
@@ -108,24 +111,19 @@ def reconstruct(levels: PyramidLevels, mode: str = "zero") -> np.ndarray:
     error verbatim."""
     g = levels.residual
     for detail in reversed(levels.details):
-        g = ad.add(detail, _expand(g, mode))
-    return g.data
+        g = detail + _expand(g, mode)
+    return g
 
 
-def _l1(a: Tensor, b: Tensor) -> Tensor:
-    return ad.sum_all(ad.abs_(ad.sub(a, b)))
-
-
-def pyramid_weighted_l1(pa: PyramidLevels, pb: PyramidLevels) -> Tensor:
-    """sum_j 4^j * |L_j(a) - L_j(b)|_1 with the residual counted as the top
-    index, so coarse speed-level error is penalised too."""
-    if len(pa.details) != len(pb.details):
-        raise ValueError("pyramid depths differ")
-    total = ad.scale(_l1(pa.details[0], pb.details[0]), 1.0)
-    for j in range(1, len(pa.details)):
-        total = ad.add(total, ad.scale(_l1(pa.details[j], pb.details[j]), float(4 ** j)))
-    top = len(pa.details)
-    return ad.add(total, ad.scale(_l1(pa.residual, pb.residual), float(4 ** top)))
+@functools.lru_cache(maxsize=32)   # a process uses one or two keys; bounded all the same
+def pyramid_matrix(length: int, depth: int, mode: str) -> np.ndarray:
+    """Read-only M = [A_0 | 4 A_1 | ... | 4^depth R] with ``length`` rows:
+    x @ M is x's pyramid levels side by side, level j weighted by 4^j (a power
+    of two, so the weighting is exact)."""
+    levels = build_pyramid(np.eye(length), depth, mode)
+    m = np.hstack([4.0 ** j * a for j, a in enumerate(levels.details + [levels.residual])])
+    m.flags.writeable = False
+    return m
 
 
 def mse(pred, truth) -> Tensor:
@@ -137,14 +135,17 @@ def mse(pred, truth) -> Tensor:
 
 
 def lap_loss(x, x_other, depth: int, mode: str = "zero") -> Tensor:
-    """Multi-scale L1 between pyramid representations; depth 0 disables the
-    term and returns constant zero."""
+    """sum_j 4^j |L_j(x) - L_j(x_other)|_1 over the pyramid levels, with the
+    residual counted as the top index so coarse speed-level error is
+    penalised too; depth 0 disables the term and returns constant zero."""
     a, b = _as_tensor(x), _as_tensor(x_other)
     if a.shape != b.shape:
         raise ValueError(f"lap_loss: shape mismatch {a.shape} vs {b.shape}")
     if depth == 0:
         return ad.tensor(0.0)
-    return pyramid_weighted_l1(build_pyramid(a, depth, mode), build_pyramid(b, depth, mode))
+    length = a.shape[-1]
+    diff = ad.reshape(ad.sub(a, b), (-1, length))
+    return ad.sum_all(ad.abs_(ad.matmul(diff, ad.tensor(pyramid_matrix(length, depth, mode)))))
 
 
 def combined_loss(pred, truth, cfg: LossConfig) -> Tensor:

@@ -43,7 +43,7 @@ from .cells import (
     sa_lstm_step,
     zero_state,
 )
-from .data import NUM_SEGMENTS
+from .data import MINUTES_PER_DAY, NUM_SEGMENTS
 from .seeding import block_rng
 
 ONE_STEP_KINDS = ("lstm", "lstm-seg", "sa-lstm")
@@ -342,27 +342,12 @@ class InferencePlan:
 # ---------------------------------------------------------------------------
 
 
-def forecast_one(model: OneStepModel, window: np.ndarray,
-                 plan: InferencePlan | None = None) -> np.ndarray:
-    """One normalized velocity field from one window."""
-    if model.kind not in ONE_STEP_KINDS:
-        raise ValueError(f"forecast_one needs a one-step model, got {model.kind!r}")
-    plan = plan or InferencePlan(model)
-    return plan.run(window)[0]
-
-
 def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
                        plan: InferencePlan | None = None) -> Forecast:
     """Feed each prediction back as the newest frame: horizon k consumes the
     last s entries of (window + predictions so far)."""
     plan = plan or InferencePlan(model)
     return Forecast(horizons=plan.run(window, horizons))
-
-
-def forecast_all_at_once(model: AllAtOnceModel, window: np.ndarray,
-                         plan: InferencePlan | None = None) -> Forecast:
-    plan = plan or InferencePlan(model)
-    return Forecast(horizons=plan.run(window))
 
 
 def nstep_forward(model: NStepModel, window: np.ndarray) -> Forecast:
@@ -477,7 +462,8 @@ def _read_container(blob: bytes, expect_kind: str | None):
     if expect_kind is not None and kind != expect_kind:
         raise ValueError(f"model kind mismatch: container holds {kind!r}, expected {expect_kind!r}")
     positive = lambda v: is_count(v) and v >= 1
-    tests = dict(s=positive, hidden=positive,
+    # s sizes the plan's (s + horizon, rows, .) buffers and no block, so bound it here
+    tests = dict(s=lambda v: positive(v) and v <= MINUTES_PER_DAY, hidden=positive,
                  attn_width=is_count if kind in ("lstm", "lstm-seg") else positive)
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive

@@ -30,6 +30,12 @@ def toy_series(T, start=0, seed=0):
     )
 
 
+def csv_lines(series):
+    buf = io.StringIO()
+    write_csv(series, buf)
+    return buf.getvalue().splitlines()
+
+
 class TestWindows:
     def test_window_count(self):
         windows = build_windows(toy_series(12), s=8, horizon=3)
@@ -94,7 +100,7 @@ class TestCsv:
 
     def test_wrong_column_count_names_line(self):
         series = toy_series(3)
-        lines = data.series_to_csv_text(series).splitlines()
+        lines = csv_lines(series)
         lines[2] = ",".join(lines[2].split(",")[:-1])  # drop a speed column
         with pytest.raises(ValueError, match="line 3"):
             read_csv(io.StringIO("\n".join(lines) + "\n"))
@@ -104,7 +110,7 @@ class TestCsv:
         assert len(back) == 0
 
     def test_blank_cell_rejected(self):
-        lines = data.series_to_csv_text(toy_series(2)).splitlines()
+        lines = csv_lines(toy_series(2))
         parts = lines[1].split(",")
         parts[3] = ""
         lines[1] = ",".join(parts)
@@ -112,7 +118,7 @@ class TestCsv:
             read_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_non_monotone_minute_rejected(self):
-        lines = data.series_to_csv_text(toy_series(3, start=5)).splitlines()
+        lines = csv_lines(toy_series(3, start=5))
         # rewrite the last row's minute so it goes backwards
         parts = lines[3].split(",")
         parts[0] = "4"
@@ -126,7 +132,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-5"])
     def test_non_finite_or_negative_speed_names_line(self, speed):
-        lines = data.series_to_csv_text(toy_series(4)).splitlines()
+        lines = csv_lines(toy_series(4))
         parts = lines[3].split(",")
         parts[7] = speed
         lines[3] = ",".join(parts)
@@ -134,7 +140,7 @@ class TestCsv:
             read_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_zero_speed_accepted(self):
-        lines = data.series_to_csv_text(toy_series(2)).splitlines()
+        lines = csv_lines(toy_series(2))
         parts = lines[1].split(",")
         parts[1] = "0"
         lines[1] = ",".join(parts)

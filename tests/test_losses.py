@@ -74,8 +74,8 @@ class TestPyramid:
     def test_constant_profile_has_zero_details(self, c):
         p = losses.build_pyramid(np.full(21, c), depth=3, mode="replicate")
         for d in p.details:
-            np.testing.assert_array_equal(d.data, np.zeros_like(d.data))
-        np.testing.assert_array_equal(p.residual.data, np.full(3, c))
+            np.testing.assert_array_equal(d, np.zeros_like(d))
+        np.testing.assert_array_equal(p.residual, np.full(3, c))
 
     @pytest.mark.parametrize("mode", ["zero", "replicate"])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -94,8 +94,8 @@ class TestPyramid:
             p = losses.build_pyramid(x, 3, mode)
             details, residual = pyramid_oracle(x, 3, mode)
             for impl, ref in zip(p.details, details):
-                np.testing.assert_allclose(impl.data, ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p.residual.data, residual, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(impl, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p.residual, residual, rtol=0, atol=1e-12)
 
     def test_level_shapes(self):
         p = losses.build_pyramid(np.zeros(21), 3, "zero")
@@ -109,7 +109,7 @@ class TestPyramid:
         for r in range(3):
             single = losses.build_pyramid(x[r], 2, "zero")
             for bd, sd in zip(batched.details, single.details):
-                np.testing.assert_array_equal(bd.data[r], sd.data)
+                np.testing.assert_array_equal(bd[r], sd)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError, match="depth"):
@@ -147,9 +147,15 @@ class TestLapLoss:
     def test_matches_oracle_on_random_profiles(self, seed):
         rng = np.random.default_rng(600 + seed)
         x, y = rng.uniform(0, 1, 21), rng.uniform(0, 1, 21)
-        for depth in (1, 2, 3):
-            impl = losses.lap_loss(x, y, depth, "zero").item()
-            assert impl == pytest.approx(lap_oracle(x, y, depth, "zero"), abs=1e-10)
+        xb, yb = rng.uniform(0, 1, (32, 21)), rng.uniform(0, 1, (32, 21))
+        for mode in losses.PADDING_MODES:
+            for depth in (1, 2, 3, 4):
+                impl = losses.lap_loss(x, y, depth, mode).item()
+                assert impl == pytest.approx(lap_oracle(x, y, depth, mode), abs=1e-10)
+                # a batch is the sum of its rows' penalties
+                batched = losses.lap_loss(xb, yb, depth, mode).item()
+                per_row = sum(lap_oracle(xb[r], yb[r], depth, mode) for r in range(32))
+                assert batched == pytest.approx(per_row, abs=1e-10)
 
     @given(st.integers(0, 2**31 - 1))
     def test_symmetric_nonnegative_definite(self, seed):
@@ -164,25 +170,26 @@ class TestLapLoss:
             assert ab > 0.0
 
     def test_level_weight_quadruples(self):
-        # same unit difference planted one level deeper contributes exactly 4x
-        def planted(level, length):
-            zeros = [ad.tensor(np.zeros(length >> j)) for j in range(3)]
-            residual = ad.tensor(np.zeros(length >> 3))
-            details = list(zeros)
-            bump = np.zeros(length >> level)
-            bump[0] = 1.0
-            details[level] = ad.tensor(bump)
-            return losses.PyramidLevels(details=details, residual=residual)
+        # block j of M is level j of the identity's pyramid times exactly 4^j,
+        # the residual counted as level ``depth``
+        for mode in losses.PADDING_MODES:
+            for depth in (1, 2, 3, 4):
+                levels = losses.build_pyramid(np.eye(21), depth, mode)
+                blocks = levels.details + [levels.residual]
+                m = losses.pyramid_matrix(21, depth, mode)
+                assert m.shape == (21, sum(b.shape[1] for b in blocks))
+                offset = 0
+                for j, block in enumerate(blocks):
+                    width = block.shape[1]
+                    np.testing.assert_array_equal(m[:, offset:offset + width], 4.0 ** j * block)
+                    offset += width
 
-        base = losses.PyramidLevels(
-            details=[ad.tensor(np.zeros(24 >> j)) for j in range(3)],
-            residual=ad.tensor(np.zeros(3)),
-        )
-        contributions = [
-            losses.pyramid_weighted_l1(planted(level, 24), base).item() for level in range(3)
-        ]
-        assert contributions[1] == 4.0 * contributions[0]
-        assert contributions[2] == 4.0 * contributions[1]
+    def test_matrix_is_cached_and_read_only(self):
+        m = losses.pyramid_matrix(21, 3, "zero")
+        assert losses.pyramid_matrix(21, 3, "zero") is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -217,15 +224,18 @@ class TestCombinedLoss:
         assert losses.combined_loss(p, t, cfg).item() == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        truth = rng.uniform(0.1, 0.9, 21)
-        pred0 = truth + rng.uniform(0.05, 0.2, 21) * np.sign(rng.uniform(-1, 1, 21))
-        cfg = losses.LossConfig(pyramid_depth=3, lap_weight=1.0)
+        # one profile and a batch of four, under either padding mode
+        for shape, mode in [(21, "zero"), ((4, 21), "zero"), (21, "replicate"),
+                            ((4, 21), "replicate")]:
+            rng = np.random.default_rng(6)
+            truth = rng.uniform(0.1, 0.9, shape)
+            pred0 = truth + rng.uniform(0.05, 0.2, shape) * np.sign(rng.uniform(-1, 1, shape))
+            cfg = losses.LossConfig(pyramid_depth=3, lap_weight=1.0, padding_mode=mode)
 
-        def build(leaves):
-            return losses.combined_loss(leaves[0], ad.tensor(truth), cfg)
+            def build(leaves):
+                return losses.combined_loss(leaves[0], ad.tensor(truth), cfg)
 
-        assert_grads_close(build, [pred0], h=1e-6, tol=1e-5)
+            assert_grads_close(build, [pred0], h=1e-6, tol=1e-5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,11 @@ import pytest
 
 from mesocast import autodiff as ad
 from mesocast import cells, models
-from mesocast.data import NUM_SEGMENTS
+from mesocast.data import MINUTES_PER_DAY, NUM_SEGMENTS
 from mesocast.models import (
     InferencePlan,
     build_model,
     deserialize_model,
-    forecast_all_at_once,
-    forecast_one,
     forecast_recursive,
     nstep_forward,
     predict_batch,
@@ -39,13 +37,13 @@ class TestForecastOne:
         m = zero_all(tiny("lstm"))
         bias = np.linspace(-1, 1, NUM_SEGMENTS)
         m.head_b.data[:] = bias
-        out = forecast_one(m, rand_window(4, 1))
+        out = InferencePlan(m).run(rand_window(4, 1))[0]
         np.testing.assert_array_equal(out, bias)
 
     def test_zero_params_scalar_bias_sa(self):
         m = zero_all(tiny("sa-lstm"))
         m.head_b.data[:] = 0.37
-        out = forecast_one(m, rand_window(4, 2))
+        out = InferencePlan(m).run(rand_window(4, 2))[0]
         np.testing.assert_array_equal(out, np.full(NUM_SEGMENTS, 0.37))
 
     def test_zeroed_attention_equals_per_segment_lstm(self):
@@ -55,16 +53,12 @@ class TestForecastOne:
         sa.cell.out_proj.data[:] = 0.0
         seg = tiny("lstm-seg", seed=3)  # same block names, same init streams
         w = rand_window(4, 3)
-        assert np.array_equal(forecast_one(sa, w), forecast_one(seg, w))
+        assert np.array_equal(InferencePlan(sa).run(w)[0], InferencePlan(seg).run(w)[0])
 
     def test_wrong_window_length_rejected(self):
         m = tiny("sa-lstm")
         with pytest.raises(ValueError, match="window shape"):
-            forecast_one(m, rand_window(5))
-
-    def test_multi_step_kind_rejected(self):
-        with pytest.raises(ValueError, match="one-step"):
-            forecast_one(tiny("nstep"), rand_window(4))
+            InferencePlan(m).run(rand_window(5))
 
 
 class TestPlanMatchesGraph:
@@ -72,14 +66,14 @@ class TestPlanMatchesGraph:
     def test_one_step_paths_agree(self, kind):
         m = tiny(kind, seed=11)
         w = rand_window(4, 11)
-        fast = forecast_one(m, w)
+        fast = InferencePlan(m).run(w)[0]
         taped = m.forward_graph(w[None, :, :]).data[0]
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
     def test_all_at_once_paths_agree(self):
         m = tiny("all-at-once", seed=12)
         w = rand_window(4, 12)
-        fast = forecast_all_at_once(m, w).horizons
+        fast = InferencePlan(m).run(w)
         taped = m.forward_graph(w[None, :, :]).data[0]
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
@@ -146,7 +140,7 @@ class TestRecursive:
         w = rand_window(4, 4)
         plan = InferencePlan(m)
         rec = forecast_recursive(m, w, 1, plan=plan)
-        assert np.array_equal(rec.horizons[0], forecast_one(m, w, plan=plan))
+        assert np.array_equal(rec.horizons[0], plan.run(w)[0])
 
     def test_constant_fixed_point(self):
         # zero cell, zero head weight, head bias b: every prediction is b, so
@@ -168,7 +162,7 @@ class TestRecursive:
         rec = forecast_recursive(m, w, n, plan=plan)
         rolling = np.array(w)
         for k in range(n):
-            manual = forecast_one(m, rolling, plan=plan)
+            manual = plan.run(rolling)[0]
             assert np.array_equal(rec.horizons[k], manual)
             rolling = np.vstack([rolling[1:], manual[None, :]])
 
@@ -181,7 +175,7 @@ class TestAllAtOnce:
     def test_zero_params_bias_per_horizon(self):
         m = zero_all(tiny("all-at-once"))
         m.head_b.data[:] = [0.2, 0.5, 0.8]
-        out = forecast_all_at_once(m, rand_window(4, 7)).horizons
+        out = InferencePlan(m).run(rand_window(4, 7))
         for k, b in enumerate([0.2, 0.5, 0.8]):
             np.testing.assert_array_equal(out[k], np.full(NUM_SEGMENTS, b))
 
@@ -189,12 +183,12 @@ class TestAllAtOnce:
         aao = tiny("all-at-once", horizon=1, seed=8)
         one = models.OneStepModel("sa-lstm", aao.cell, aao.head_w, aao.head_b, aao.s)
         w = rand_window(4, 8)
-        assert np.array_equal(forecast_all_at_once(aao, w).horizons[0], forecast_one(one, w))
+        assert np.array_equal(InferencePlan(aao).run(w)[0], InferencePlan(one).run(w)[0])
 
     def test_reshape_round_trip(self):
         m = tiny("all-at-once", seed=9)
         w = rand_window(4, 9)
-        out = forecast_all_at_once(m, w).horizons          # (horizon, 21)
+        out = InferencePlan(m).run(w)                      # (horizon, 21)
         plan = InferencePlan(m)
         cell = plan.cells[0]
         cell.reset()
@@ -217,7 +211,8 @@ class TestNStep:
         one = models.OneStepModel("sa-lstm", m.layers[0], m.head_w, m.head_b, m.s)
         w = rand_window(4, 15)
         fc = nstep_forward(m, w)
-        np.testing.assert_allclose(fc.horizons[0], forecast_one(one, w), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fc.horizons[0], InferencePlan(one).run(w)[0],
+                                   rtol=0, atol=1e-12)
 
     def test_layer2_manual_reexecution(self):
         from mesocast import cells as C
@@ -310,6 +305,8 @@ class TestSerialization:
         ("sa-lstm", {"attn_width": 10 ** 6}),
         ("all-at-once", {"horizon": 10 ** 9}),
         ("nstep", {"horizon": 10 ** 4}),
+        ("sa-lstm", {"s": 10 ** 12}),
+        ("nstep", {"s": MINUTES_PER_DAY + 1}),
     ])
     def test_oversized_dims_rejected_before_allocation(self, monkeypatch, kind, dims):
         blob = with_header(serialize_model(tiny(kind)), lambda h: h["dims"].update(dims))
@@ -318,12 +315,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dims"):
             deserialize_model(blob)
 
+    def test_window_of_a_day_loads(self):
+        # s is in no block shape, so the header alone decides it
+        blob = with_header(serialize_model(tiny("sa-lstm")),
+                           lambda h: h["dims"].update(s=MINUTES_PER_DAY))
+        assert deserialize_model(blob).s == MINUTES_PER_DAY
+
     def test_save_load_file(self, tmp_path):
         m = tiny("all-at-once", seed=31)
         path = tmp_path / "model.bin"
         models.save_model(m, path)
         back = models.load_model(path, expect_kind="all-at-once")
         w = rand_window(4, 31)
-        assert np.array_equal(
-            forecast_all_at_once(m, w).horizons, forecast_all_at_once(back, w).horizons
-        )
+        assert np.array_equal(InferencePlan(m).run(w), InferencePlan(back).run(w))

@@ -6,7 +6,7 @@ from mesocast import cells
 from mesocast import train as T
 from mesocast.data import NUM_SEGMENTS, Corpus, Series
 from mesocast.losses import LossConfig
-from mesocast.models import build_model, forecast_one
+from mesocast.models import InferencePlan, build_model
 from mesocast.train import (
     AdamW,
     DivergenceError,
@@ -143,7 +143,7 @@ class TestTrainOneStep:
         run = train_one_step_model(model, corpus, cfg)
         assert run.history[-1].train_loss <= 1e-6
         window = np.full((4, NUM_SEGMENTS), c / 80.0)
-        pred = forecast_one(run.model, window)
+        pred = InferencePlan(run.model).run(window)[0]
         assert np.max(np.abs(pred - c / 80.0)) <= 1e-3
 
     def test_same_seed_bitwise_identical(self):
