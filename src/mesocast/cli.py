@@ -99,15 +99,9 @@ def _load_corpus(cfg: RunConfig, out: Path) -> D.Corpus:
     return D.Corpus(train=train, easy=easy, hard=hard)
 
 
-def _model_kind(cfg: RunConfig) -> str:
-    if cfg.model.kind == "lstm" and cfg.model.per_segment:
-        return "lstm-seg"
-    return cfg.model.kind
-
-
 def _build_model(cfg: RunConfig):
     return build_model(
-        _model_kind(cfg), s=cfg.model.s, hidden=cfg.model.hidden,
+        cfg.model.kind, s=cfg.model.s, hidden=cfg.model.hidden,
         attn_width=cfg.model.attn_width, horizon=cfg.model.horizon,
         seed=cfg.training.seed,
     )
@@ -168,7 +162,7 @@ def cmd_train(args) -> int:
     _write_metrics_csv(run.history, out / cfg.training.metrics_csv)
     horizons = getattr(best, "horizon", 1)
     report = E.evaluate(best, corpus, horizons=horizons)
-    for line in E.report_lines(_model_kind(cfg), report):
+    for line in E.report_lines(best.kind, report):
         print(line)
     _write_manifest(out, "train", cfg, [cfg.training.model_out,
                                         cfg.training.checkpoint_out,

@@ -33,8 +33,7 @@ class DataSection:
 
 @dataclass
 class ModelSection:
-    kind: str = "sa-lstm"            # lstm | sa-lstm | all-at-once | nstep
-    per_segment: bool = False        # plain LSTM variant with per-segment tokens
+    kind: str = "sa-lstm"            # lstm | lstm-seg | sa-lstm | all-at-once | nstep
     s: int = 8
     hidden: int = 64
     attn_width: int = 16
@@ -55,10 +54,7 @@ class TrainingSection:
     lr_decay_factor: float = _TRAIN.lr_decay_factor
     epochs_per_stage: int = _TRAIN.epochs_per_stage
     seed: int = _TRAIN.seed
-    full_batch: bool = _TRAIN.full_batch
-    batch_size: int = _TRAIN.batch_size
     validate_every: int = _TRAIN.validate_every
-    monitor: str = _TRAIN.monitor
     lap_depth: int = _TRAIN.loss.pyramid_depth
     lap_weight: float = _TRAIN.loss.lap_weight
     lap_padding: str = _TRAIN.loss.padding_mode
@@ -132,17 +128,6 @@ _SECTIONS = {
 }
 
 
-def _parse_value(raw: str, kind: type):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return kind(raw)
-
-
 def load_config(path) -> RunConfig:
     """Parse an INI run config; unknown sections or keys are errors."""
     parser = configparser.ConfigParser()
@@ -154,13 +139,12 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"unknown config section [{section}], "
                              f"expected one of {sorted(_SECTIONS)}")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
         types = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in types:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             try:
-                setattr(target, key, _parse_value(raw, types[key]))
+                setattr(target, key, types[key](raw))
             except ValueError as exc:
                 raise ValueError(f"bad value for {section}.{key}: {exc}") from None
     return cfg

@@ -1,4 +1,4 @@
-"""Metrics, the latency benchmark, and machine-readable exports.
+"""Metrics and the latency benchmark.
 
 Reported MSE follows the display convention of the accuracy tables: the raw
 mean squared error on normalized speeds multiplied by 1000.  The hard metric
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUM_SEGMENTS, Corpus, Series, build_windows, normalize, stack_windows
+from .data import Corpus, Series, build_windows, normalize, stack_windows
 from .models import InferencePlan, predict_batch
 from .runtime import tune_allocator
 
@@ -110,47 +110,3 @@ def coefficient_of_variation(values) -> float:
     values = np.asarray(values, dtype=np.float64)
     return float(values.std() / values.mean())
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def export_heatmap(series_or_speeds, path) -> None:
-    """Matrix CSV, rows = segments 0..20, columns = minutes, values mph."""
-    speeds = (series_or_speeds.speeds if isinstance(series_or_speeds, Series)
-              else np.asarray(series_or_speeds, dtype=np.float64))
-    if speeds.ndim != 2 or speeds.shape[1] != NUM_SEGMENTS:
-        raise ValueError(f"expected (T, {NUM_SEGMENTS}) speeds, got {speeds.shape}")
-    matrix = speeds.T
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in matrix:
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
-
-
-def read_heatmap(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def export_velocity_curve(series: Series, minute: int, path) -> None:
-    """Two columns (segment index, speed mph) for one timestep."""
-    match = np.nonzero(series.minutes == minute)[0]
-    if len(match) == 0:
-        raise ValueError(f"minute {minute} not in series "
-                         f"[{series.minutes[0]}, {series.minutes[-1]}]")
-    row = series.speeds[match[0]]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("segment,speed_mph\n")
-        for seg in range(NUM_SEGMENTS):
-            fh.write(f"{seg},{format(row[seg], '.12g')}\n")
-
-
-def export_velocity_curves(series: Series, minutes, directory) -> list[str]:
-    """One curve file per requested timestep, e.g. the free-flow, bottleneck
-    onset, congested, and dissipation stages in a single call."""
-    paths = []
-    for minute in minutes:
-        path = f"{directory}/curve_t{int(minute)}.csv"
-        export_velocity_curve(series, minute, path)
-        paths.append(path)
-    return paths

@@ -52,12 +52,9 @@ MODEL_KINDS = ONE_STEP_KINDS + ("all-at-once", "nstep")
 
 @dataclass
 class Forecast:
-    """Normalized horizon predictions plus per-layer terminal states when
-    produced by the stacked model."""
+    """Normalized horizon predictions."""
 
     horizons: np.ndarray                     # (n, NUM_SEGMENTS)
-    layer_steps: list[int] | None = None     # cells unrolled per layer
-    terminal_states: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _init_head(hidden: int, width: int, seed: int) -> tuple[Tensor, Tensor]:
@@ -114,15 +111,12 @@ class OneStepModel:
         """Batched taped forward: (B, s, 21) normalized -> (B, 21)."""
         x = _check_batch(x, self.s)
         B = x.shape[0]
-        if self.kind == "lstm":
-            state = zero_state(B, self.hidden)
-            for t in range(self.s):
-                state = lstm_step(self.cell, state, ad.tensor(x[:, t, :]))
-            return _head_apply(state.h, self.head_w, self.head_b)
-        rows = B * NUM_SEGMENTS
+        # the dense lstm reads a whole field as one token, the others one token per segment
+        tokens, in_width = (1, NUM_SEGMENTS) if self.kind == "lstm" else (NUM_SEGMENTS, 1)
+        rows = B * tokens
         state = zero_state(rows, self.hidden)
         for t in range(self.s):
-            xt = ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, 1))
+            xt = ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
             if self.kind == "sa-lstm":
                 state = sa_lstm_step(self.cell, state, xt, tokens=NUM_SEGMENTS)
             else:
@@ -192,9 +186,6 @@ class NStepModel:
     def attn_width(self) -> int:
         return self.layers[0].attn.proj_width
 
-    def layer_steps(self) -> list[int]:
-        return [self.s + i for i in range(self.horizon)]
-
     def blocks(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for i, layer in enumerate(self.layers):
@@ -239,6 +230,8 @@ def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
                 horizon: int = 3, seed: int = 0):
     """Construct a freshly initialised model of the given kind; parameter
     blocks draw name-keyed streams so shared block names agree across kinds."""
+    if not 1 <= s <= MINUTES_PER_DAY:
+        raise ValueError(f"window length s must be in 1..{MINUTES_PER_DAY}, got {s}")
     if kind == "lstm":
         cell = init_lstm_params(hidden, NUM_SEGMENTS, seed, "layer1")
         w, b = _init_head(hidden, NUM_SEGMENTS, seed)
@@ -348,17 +341,6 @@ def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
     last s entries of (window + predictions so far)."""
     plan = plan or InferencePlan(model)
     return Forecast(horizons=plan.run(window, horizons))
-
-
-def nstep_forward(model: NStepModel, window: np.ndarray) -> Forecast:
-    """Taped-path forward for one window, returning per-layer terminal
-    states; use an InferencePlan when only speed matters."""
-    preds, states = model.forward_graph_with_states(np.asarray(window)[None, :, :])
-    return Forecast(
-        horizons=np.vstack([p.data[0] for p in preds]),
-        layer_steps=model.layer_steps(),
-        terminal_states=[(st.h.data.copy(), st.c.data.copy()) for st in states],
-    )
 
 
 def predict_batch(model, x: np.ndarray, horizons: int) -> np.ndarray:

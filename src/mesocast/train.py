@@ -1,14 +1,13 @@
 """Optimization harness.
 
-Full-batch mode is the reference protocol: one AdamW update per epoch over
-every training window, bitwise reproducible from (seed, corpus, config).
+Training is full-batch: one AdamW update per epoch over every training
+window, bitwise reproducible from (seed, corpus, config).
 Gradients are evaluated in fixed-size taped chunks (``grad_chunk`` windows,
 32 by default so a chunk's per-step arrays stay cache-sized) and accumulated
 in a fixed order, so chunking bounds memory without breaking determinism;
 each chunk's tape is freed before the next is built.  The tape serves only
-these passes, validation runs the tape-free ``models.predict_batch``.  A
-shuffled mini-batch mode exists for faster non-ablation runs; its shuffle is
-a pure function of (seed, epoch).
+these passes, validation runs the tape-free ``models.predict_batch``.
+Model selection and the plateau schedule read the easy validation metric.
 
 The stacked model trains in stages: stage i updates layer i plus the shared
 head against horizon i only, every other layer stays bitwise frozen; the
@@ -40,7 +39,6 @@ from .models import (AllAtOnceModel, NStepModel, OneStepModel, check_fields, des
                      is_count, is_name, is_shape, pack_container, rows_of, serialize_model,
                      unpack_container)
 from .runtime import tune_allocator
-from .seeding import block_rng
 
 
 class DivergenceError(RuntimeError):
@@ -63,10 +61,7 @@ class TrainConfig:
     lr_decay_factor: float = 10.0
     epochs_per_stage: int = 48
     seed: int = 0
-    full_batch: bool = True
-    batch_size: int = 256
     validate_every: int = 4
-    monitor: str = "easy"             # easy | hard | train
     loss: LossConfig = field(default_factory=LossConfig)
     train_stride: int = 24            # keep every k-th training window
     val_stride: int = 8               # easy-window subsampling for in-run validation
@@ -80,8 +75,6 @@ class TrainConfig:
             raise ValueError("plateau_patience must be >= 1")
         if self.lr_decay_factor <= 1:
             raise ValueError("lr_decay_factor must be > 1")
-        if self.monitor not in ("easy", "hard", "train"):
-            raise ValueError(f"unknown monitor {self.monitor!r}")
         if self.epochs_per_stage < 0:
             raise ValueError("epochs_per_stage must be >= 0")
 
@@ -234,12 +227,9 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[in
     raise ValueError(f"cannot train model of type {type(model).__name__}")
 
 
-def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int],
-                          indices: np.ndarray | None = None):
+def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int]):
     """Loss value and per-block gradients over the given windows, evaluated
     in fixed chunks; exact full-set mean via chunk-size weighting."""
-    if indices is not None:
-        x, y = x[indices], y[indices]
     total = x.shape[0]
     grads: dict[str, np.ndarray] = {}
     loss_value = 0.0
@@ -277,16 +267,12 @@ class TrainRun:
     best_metric: float = np.inf
     best_params: dict[str, np.ndarray] | None = None
 
-    def monitored_history(self, monitor: str, epochs_lo: int = 0,
+    def monitored_history(self, epochs_lo: int = 0,
                           epochs_hi: int | None = None) -> list[float]:
-        out = []
-        for rec in self.history:
-            if rec.easy is None:
-                continue
-            if rec.epoch <= epochs_lo or (epochs_hi is not None and rec.epoch > epochs_hi):
-                continue
-            out.append({"easy": rec.easy, "hard": rec.hard, "train": rec.train_loss}[monitor])
-        return out
+        """Easy validation metrics recorded in epochs (epochs_lo, epochs_hi]."""
+        return [rec.easy for rec in self.history
+                if rec.easy is not None and rec.epoch > epochs_lo
+                and (epochs_hi is None or rec.epoch <= epochs_hi)]
 
 
 def _snapshot(blocks: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -303,6 +289,9 @@ def config_fingerprint(cfg: TrainConfig) -> str:
         k: (v.hex() if isinstance(v, float) else v)
         for k, v in vars(cfg).items() if k != "loss"
     }
+    # retired options, hashed at the only values they still have, so that
+    # checkpoints written while they were settable keep resuming
+    payload.update(full_batch=True, batch_size=256, monitor="easy")
     payload["loss"] = [cfg.loss.pyramid_depth, float(cfg.loss.lap_weight).hex(),
                        cfg.loss.padding_mode]
     return f"{zlib.crc32(json.dumps(payload, sort_keys=True).encode()):08x}"
@@ -390,10 +379,6 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
 # ---------------------------------------------------------------------------
 
 
-def _batch_order(seed: int, epoch: int, total: int) -> np.ndarray:
-    return block_rng(seed, f"shuffle-epoch{epoch}").permutation(total)
-
-
 @contextlib.contextmanager
 def _tape_constants(tensors: list[Tensor]):
     """Make ``tensors`` tape constants for the duration of the block and
@@ -425,23 +410,10 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
         for epoch in range(first_epoch + 1, last_epoch + 1):
             snapshot = _snapshot(blocks)
             optimizer = copy.deepcopy(run.optimizer)
-            lr = plateau_lr(run.monitored_history(cfg.monitor, history_from, last_epoch),
-                            cfg, base_lr)
-            if cfg.full_batch:
-                loss_value, grads = _accumulate_gradients(
-                    model, blocks, staged.x, staged.y, cfg, horizons)
-                run.optimizer.step(blocks, grads, lr)
-            else:
-                order = _batch_order(cfg.seed, epoch, staged.x.shape[0])
-                loss_value, seen = 0.0, 0
-                for start in range(0, len(order), cfg.batch_size):
-                    idx = order[start:start + cfg.batch_size]
-                    value, grads = _accumulate_gradients(
-                        model, blocks, staged.x, staged.y, cfg, horizons, indices=idx)
-                    run.optimizer.step(blocks, grads, lr)
-                    loss_value += value * len(idx)
-                    seen += len(idx)
-                loss_value /= max(seen, 1)
+            lr = plateau_lr(run.monitored_history(history_from, last_epoch), cfg, base_lr)
+            loss_value, grads = _accumulate_gradients(
+                model, blocks, staged.x, staged.y, cfg, horizons)
+            run.optimizer.step(blocks, grads, lr)
             if not np.isfinite(loss_value):
                 _restore(blocks, snapshot)
                 run.optimizer = optimizer
@@ -453,9 +425,8 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
             if epoch % cfg.validate_every == 0 or epoch == last_epoch:
                 easy, hard = validation_metrics(model, staged, horizons)
                 record.easy, record.hard = easy, hard
-                monitored = {"easy": easy, "hard": hard, "train": loss_value}[cfg.monitor]
-                if monitored < run.best_metric:
-                    run.best_metric = monitored
+                if easy < run.best_metric:
+                    run.best_metric = easy
                     run.best_params = _snapshot(blocks)
             run.history.append(record)
             run.epoch = epoch

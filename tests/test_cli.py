@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mesocast import data as D
-from mesocast.cli import main
+from mesocast.cli import _build_model, main
 from mesocast.config import RunConfig, load_config
 from mesocast.train import TrainConfig
 from mesocast.models import build_model, save_model
@@ -68,13 +68,22 @@ class TestConfig:
         assert cfg.data.train_days == 1
         assert cfg.model.hidden == 4
         assert cfg.training.lap_depth == 0
-        assert isinstance(cfg.training.full_batch, bool)
+        assert type(cfg.training.grad_chunk) is int and cfg.training.grad_chunk == 64
 
     def test_unknown_key_rejected(self, tmp_path):
+        # learning_rate never was a key; the others are retired options
         bad = tmp_path / "bad.ini"
-        bad.write_text("[training]\nlearning_rate = 0.1\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            load_config(bad)
+        for line in ("[training]\nlearning_rate = 0.1", "[training]\nfull_batch = false",
+                     "[training]\nbatch_size = 16", "[training]\nmonitor = hard",
+                     "[model]\nper_segment = true"):
+            bad.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown key"):
+                load_config(bad)
+
+    def test_lstm_seg_kind_builds(self, tmp_path):
+        path = tmp_path / "seg.ini"
+        path.write_text("[model]\nkind = lstm-seg\n")
+        assert _build_model(load_config(path)).kind == "lstm-seg"
 
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -152,6 +161,16 @@ class TestTrain:
 
     def test_missing_corpus_exits_2(self, tiny_config, tmp_path, capsys):
         assert run_cli("train", "--config", tiny_config, "--out", tmp_path / "nope") == 2
+
+    def test_window_longer_than_a_day_exits_2(self, tiny_config, tmp_path, capsys):
+        # a model file with s > 1440 could never be loaded again
+        out = tmp_path / "out"
+        run_cli("generate", "--config", tiny_config, "--out", out)
+        long_window = tmp_path / "long.ini"
+        long_window.write_text(TINY_INI.replace("\ns = 4\n", "\ns = 2000\n"))
+        assert run_cli("train", "--config", long_window, "--out", out) == 2
+        assert "2000" in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
 
 
 class TestEval:

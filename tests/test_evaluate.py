@@ -9,10 +9,6 @@ from mesocast.evaluate import (
     bench_repeated,
     coefficient_of_variation,
     evaluate,
-    export_heatmap,
-    export_velocity_curve,
-    export_velocity_curves,
-    read_heatmap,
 )
 
 
@@ -111,55 +107,14 @@ class TestBench:
         assert coefficient_of_variation(vals) == pytest.approx(np.std(vals) / 2.0)
 
 
-class TestExports:
-    def test_heatmap_shape_and_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        series = Series(minutes=np.arange(2), speeds=rng.uniform(0, 90, (2, NUM_SEGMENTS)))
-        path = tmp_path / "heat.csv"
-        export_heatmap(series, path)
-        matrix = read_heatmap(path)
-        assert matrix.shape == (NUM_SEGMENTS, 2)
-        assert np.max(np.abs(matrix - series.speeds.T)) <= 1e-9
 
-    def test_heatmap_reexport_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(10)
-        series = Series(minutes=np.arange(5), speeds=rng.uniform(0, 90, (5, NUM_SEGMENTS)))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_heatmap(series, p1)
-        export_heatmap(series, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_forecast_heatmap_of_fixed_point_model(self, tmp_path):
-        # bias-only model: every horizon equals the head bias, so the heatmap
-        # is the final input column repeated
+class TestForecast:
+    def test_recursive_forecast_of_fixed_point_model(self):
+        # bias-only model: every horizon equals the head bias, so the
+        # recursion repeats the final input frame
         b = np.linspace(0.4, 0.9, 1)[0]
         model = zero_model(bias=b)
         window = np.random.default_rng(11).uniform(0, 1, (4, NUM_SEGMENTS))
         window[-1] = b
         fc = forecast_recursive(model, window, 3)
-        path = tmp_path / "fc.csv"
-        export_heatmap(fc.horizons * 80.0, path)
-        matrix = read_heatmap(path)
-        for col in range(3):
-            np.testing.assert_allclose(matrix[:, col], window[-1] * 80.0, atol=1e-9)
-
-    def test_velocity_curve_constant(self, tmp_path):
-        series = constant_series(70.0, 10)
-        path = tmp_path / "curve.csv"
-        export_velocity_curve(series, 4, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "segment,speed_mph"
-        assert len(rows) == 1 + NUM_SEGMENTS
-        assert all(line.endswith(",70") for line in rows[1:])
-
-    def test_stage_timesteps_batch(self, tmp_path):
-        series = constant_series(70.0, 240)
-        paths = export_velocity_curves(series, [24, 48, 180, 216], tmp_path)
-        assert len(paths) == 4
-        for p in paths:
-            assert open(p).readline().strip() == "segment,speed_mph"
-
-    def test_minute_out_of_range_rejected(self, tmp_path):
-        series = constant_series(70.0, 10)
-        with pytest.raises(ValueError, match="minute 10"):
-            export_velocity_curve(series, 10, tmp_path / "x.csv")
+        np.testing.assert_allclose(fc.horizons, np.tile(window[-1], (3, 1)), rtol=0, atol=1e-12)

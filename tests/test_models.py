@@ -9,7 +9,6 @@ from mesocast.models import (
     build_model,
     deserialize_model,
     forecast_recursive,
-    nstep_forward,
     predict_batch,
     serialize_model,
 )
@@ -24,6 +23,12 @@ def tiny(kind, seed=0, **kw):
 
 def rand_window(s, seed=0):
     return np.random.default_rng(seed).uniform(0.2, 1.0, (s, NUM_SEGMENTS))
+
+
+def taped_horizons(m, w):
+    """(n, 21) predictions of the taped nstep forward for one window."""
+    preds, _ = m.forward_graph_with_states(w[None])
+    return np.vstack([p.data[0] for p in preds])
 
 
 def zero_all(model):
@@ -81,7 +86,7 @@ class TestPlanMatchesGraph:
         m = tiny("nstep", seed=13)
         w = rand_window(4, 13)
         fast = InferencePlan(m).run(w)
-        taped = nstep_forward(m, w).horizons
+        taped = taped_horizons(m, w)
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, models.PREDICT_CHUNK, models.PREDICT_CHUNK + 5])
@@ -199,19 +204,24 @@ class TestAllAtOnce:
 
 
 class TestNStep:
-    def test_layer_step_counts(self):
+    def test_layer_step_counts(self, monkeypatch):
         m = build_model("nstep", s=8, hidden=4, attn_width=2, horizon=3)
-        assert m.layer_steps() == [8, 9, 10]
-        fc = nstep_forward(m, rand_window(8, 10))
-        assert fc.layer_steps == [8, 9, 10]
-        assert len(fc.terminal_states) == 3
+        steps = {id(layer): 0 for layer in m.layers}
+
+        def counting_step(layer, *args, **kw):
+            steps[id(layer)] += 1
+            return cells.sa_lstm_step(layer, *args, **kw)
+
+        monkeypatch.setattr(models, "sa_lstm_step", counting_step)
+        preds, states = m.forward_graph_with_states(rand_window(8, 10)[None])
+        assert [steps[id(layer)] for layer in m.layers] == [8, 9, 10]
+        assert len(preds) == len(states) == 3
 
     def test_single_layer_equals_one_step(self):
         m = tiny("nstep", horizon=1, seed=15)
         one = models.OneStepModel("sa-lstm", m.layers[0], m.head_w, m.head_b, m.s)
         w = rand_window(4, 15)
-        fc = nstep_forward(m, w)
-        np.testing.assert_allclose(fc.horizons[0], InferencePlan(one).run(w)[0],
+        np.testing.assert_allclose(taped_horizons(m, w)[0], InferencePlan(one).run(w)[0],
                                    rtol=0, atol=1e-12)
 
     def test_layer2_manual_reexecution(self):
@@ -219,7 +229,7 @@ class TestNStep:
 
         m = tiny("nstep", seed=16)
         w = rand_window(4, 16)
-        fc = nstep_forward(m, w)
+        preds, states = m.forward_graph_with_states(w[None])
 
         # manual: layer1 over the window, then layer2 over window + pred1
         # starting from layer1's terminal state
@@ -229,29 +239,29 @@ class TestNStep:
             state = C.sa_lstm_step(m.layers[0], state, ad.tensor(w[t][:, None]), tokens=rows)
         h1 = state
         pred1 = (h1.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
-        np.testing.assert_array_equal(fc.horizons[0], pred1)
-        np.testing.assert_array_equal(fc.terminal_states[0][0], h1.h.data)
+        np.testing.assert_array_equal(preds[0].data[0], pred1)
+        np.testing.assert_array_equal(states[0].h.data, h1.h.data)
 
         seq = [w[t][:, None] for t in range(m.s)] + [pred1[:, None]]
         state = h1
         for xt in seq:
             state = C.sa_lstm_step(m.layers[1], state, ad.tensor(xt), tokens=rows)
         pred2 = (state.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
-        np.testing.assert_array_equal(fc.horizons[1], pred2)
+        np.testing.assert_array_equal(preds[1].data[0], pred2)
 
     def test_shared_head_mutation_moves_every_horizon(self):
         m = tiny("nstep", seed=17)
         w = rand_window(4, 17)
-        before = nstep_forward(m, w).horizons
+        before = taped_horizons(m, w)
         m.head_b.data[:] += 0.25
-        after = nstep_forward(m, w).horizons
+        after = taped_horizons(m, w)
         assert np.all(np.abs(after - before) > 1e-6)
 
     def test_deterministic_from_seed(self):
         a = tiny("nstep", seed=21)
         b = tiny("nstep", seed=21)
         w = rand_window(4, 21)
-        assert np.array_equal(nstep_forward(a, w).horizons, nstep_forward(b, w).horizons)
+        assert np.array_equal(taped_horizons(a, w), taped_horizons(b, w))
 
 
 class TestSerialization:
@@ -320,6 +330,12 @@ class TestSerialization:
         blob = with_header(serialize_model(tiny("sa-lstm")),
                            lambda h: h["dims"].update(s=MINUTES_PER_DAY))
         assert deserialize_model(blob).s == MINUTES_PER_DAY
+
+    @pytest.mark.parametrize("s", [0, MINUTES_PER_DAY + 1])
+    def test_build_rejects_window_outside_a_day(self, s):
+        # a model built with such an s would save a file that cannot be loaded
+        with pytest.raises(ValueError, match="window length s"):
+            build_model("sa-lstm", s=s)
 
     def test_save_load_file(self, tmp_path):
         m = tiny("all-at-once", seed=31)

@@ -163,13 +163,6 @@ class TestTrainOneStep:
         run = train_one_step_model(model, corpus, tiny_cfg(epochs_per_stage=12))
         assert run.history[-1].train_loss < run.history[0].train_loss
 
-    def test_minibatch_mode_runs_and_improves(self):
-        corpus = wavy_corpus()
-        model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=7)
-        cfg = tiny_cfg(full_batch=False, batch_size=16, epochs_per_stage=8)
-        run = train_one_step_model(model, corpus, cfg)
-        assert run.history[-1].train_loss < run.history[0].train_loss
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_restored_state(self):
         corpus = constant_corpus()
@@ -393,6 +386,17 @@ class TestCheckpoints:
         for (n1, a), (n2, b) in zip(straight.model.blocks().items(),
                                     resumed.model.blocks().items()):
             assert n1 == n2 and np.array_equal(a.data, b.data), n1
+
+    @pytest.mark.parametrize("cfg, fingerprint", [
+        (TrainConfig(), "58d12a14"),
+        (TrainConfig(lr=0.003, grad_chunk=64, epochs_per_stage=7,
+                     loss=LossConfig(pyramid_depth=2, lap_weight=0.5, padding_mode="replicate")),
+         "e8460b92"),
+    ])
+    def test_fingerprint_survives_retired_options(self, cfg, fingerprint):
+        # values taken before full_batch, batch_size and monitor were removed,
+        # so checkpoints written while they were settable still resume
+        assert T.config_fingerprint(cfg) == fingerprint
 
     def test_config_mismatch_rejected(self, tmp_path):
         corpus = constant_corpus()
