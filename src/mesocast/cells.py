@@ -236,6 +236,16 @@ class StepKernel:
         self.buf.h.fill(0.0)
         self.buf.c.fill(0.0)
 
+    def load(self, hc: np.ndarray) -> None:
+        """Set the state to a packed ``(rows, 2H)`` ``[h | c]`` array."""
+        self.buf.h[...] = hc[:, :self.buf.hidden]
+        self.buf.c[...] = hc[:, self.buf.hidden:]
+
+    def save(self, hc: np.ndarray) -> None:
+        """Write the state into a packed ``(rows, 2H)`` ``[h | c]`` array."""
+        hc[:, :self.buf.hidden] = self.buf.h
+        hc[:, self.buf.hidden:] = self.buf.c
+
     def step(self, x: np.ndarray) -> None:
         """Advance the buffers' state by one (rows, in_width) input."""
         b = self.buf

@@ -31,8 +31,8 @@ from . import data as D
 from . import evaluate as E
 from .config import RunConfig, config_hash, load_config
 from .runtime import tune_allocator
-from .models import (ONE_STEP_KINDS, InferencePlan, build_model, forecast_recursive,
-                     load_model, save_model)
+from .models import (MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model,
+                     forecast_recursive, load_model, save_model)
 from .train import (
     DivergenceError,
     best_model,
@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a generated corpus")
     common(p)
-    p.add_argument("--model", choices=["lstm", "sa-lstm", "all-at-once", "nstep"])
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--n", type=int, help="horizon count for nstep/all-at-once")
     p.add_argument("--epochs", type=int, help="epochs (per stage for nstep)")
     p.add_argument("--lap-depth", dest="lap_depth", type=int,

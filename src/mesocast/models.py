@@ -17,7 +17,9 @@ node (``cells.lstm_step`` / ``cells.sa_lstm_step``).  The tape-free
 ``InferencePlan`` drives the kernel on ``(rows, .)`` buffers allocated once,
 for one window (the latency path) and, in ``predict_batch``, for
 PREDICT_CHUNK windows per pass.  Tests pin the two paths to each other at
-1e-12.
+1e-12.  Both nstep unrolls can start from a ``Prefix``: the states that the
+first layers reach before any prediction is fed back, kept by the staged
+trainer while those layers are frozen.
 """
 
 from __future__ import annotations
@@ -166,6 +168,38 @@ class AllAtOnceModel:
         return ad.transpose(grouped)                           # (B, horizon, 21)
 
 
+# Layers 1 and 2 walk the input frames before they read any prediction (layer
+# 2 starts from layer 1's terminal state); layer 3 starts from layer 2's
+# terminal state, which has read prediction 1.  So a prefix has at most two
+# entries.
+MAX_PREFIX = 2
+
+
+@dataclass
+class Prefix:
+    """States of an nstep window set that the leading layers reach before any
+    prediction is fed back: entry i is layer i+1's packed ``(windows * 21,
+    2H)`` ``[h | c]`` state after the s input frames (entry 0 is layer 1's
+    terminal state).  An unroll starts layer i+1 from entry i for i <
+    ``known`` and writes the later entries as it walks them."""
+
+    states: list[np.ndarray]
+    known: int = 0
+
+    def rows(self, start: int, stop: int) -> "Prefix":
+        return Prefix([hc[start:stop] for hc in self.states], self.known)
+
+
+def _check_prefix(prefix: Prefix | None, layers: int) -> tuple[list[np.ndarray], int]:
+    if prefix is None:
+        return [], 0
+    limit = min(layers, MAX_PREFIX)
+    if len(prefix.states) > limit:
+        raise ValueError(f"a prefix for a pass over {layers} nstep layers holds at most "
+                         f"{limit} states, got {len(prefix.states)}")
+    return prefix.states, prefix.known
+
+
 @dataclass
 class NStepModel:
     layers: list[SaLstmParams]
@@ -206,20 +240,31 @@ class NStepModel:
         preds, _ = self.forward_graph_with_states(x)
         return preds
 
-    def forward_graph_with_states(self, x, upto: int | None = None):
+    def forward_graph_with_states(self, x, upto: int | None = None,
+                                  prefix: Prefix | None = None):
+        """Predictions and terminal states of the first ``upto`` layers.  A
+        layer started from a ``prefix`` entry records nothing for its input
+        frames: the entry is a tape constant."""
         x = _check_batch(x, self.s)
         B = x.shape[0]
         rows = B * NUM_SEGMENTS
+        layers = self.layers[:upto]
+        held, known = _check_prefix(prefix, len(layers))
         base = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, 1))
                 for t in range(self.s)]
         preds: list[Tensor] = []
         states: list[LstmState] = []
         state = zero_state(rows, self.hidden)
-        for i, layer in enumerate(self.layers[:upto]):
-            seq = base + [ad.reshape(p, (rows, 1)) for p in preds]
-            assert len(seq) == self.s + i
-            for xt in seq:
-                state = sa_lstm_step(layer, state, xt, tokens=NUM_SEGMENTS)
+        for i, layer in enumerate(layers):
+            if i < known:
+                state = LstmState.packed(ad.tensor(held[i]))
+            else:
+                for xt in base:
+                    state = sa_lstm_step(layer, state, xt, tokens=NUM_SEGMENTS)
+                if i < len(held):
+                    held[i][...] = state.hc.data
+            for p in preds:
+                state = sa_lstm_step(layer, state, ad.reshape(p, (rows, 1)), tokens=NUM_SEGMENTS)
             out = _head_apply(state.h, self.head_w, self.head_b)
             preds.append(ad.reshape(out, (B, NUM_SEGMENTS)))
             states.append(state)
@@ -232,6 +277,12 @@ def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
     blocks draw name-keyed streams so shared block names agree across kinds."""
     if not 1 <= s <= MINUTES_PER_DAY:
         raise ValueError(f"window length s must be in 1..{MINUTES_PER_DAY}, got {s}")
+    positive = {"hidden": hidden, "horizon": horizon}
+    if kind not in ("lstm", "lstm-seg"):
+        positive["attn_width"] = attn_width
+    for name, value in positive.items():
+        if value < 1:
+            raise ValueError(f"model {name} must be >= 1, got {value}")
     if kind == "lstm":
         cell = init_lstm_params(hidden, NUM_SEGMENTS, seed, "layer1")
         w, b = _init_head(hidden, NUM_SEGMENTS, seed)
@@ -298,16 +349,22 @@ class InferencePlan:
         self._forward(window[None], out)
         return out[0]
 
-    def _forward(self, windows: np.ndarray, out: np.ndarray) -> None:
+    def _forward(self, windows: np.ndarray, out: np.ndarray,
+                 prefix: Prefix | None = None) -> None:
         """(G, s, 21) normalized windows, G <= groups -> out (G, horizons, 21).
         One-step kinds recurse: horizon k reads the last s entries of (window
         + predictions so far) from a zero state.  nstep layer k re-reads the
-        window plus the earlier predictions from layer k-1's terminal state."""
+        window plus the earlier predictions from layer k-1's terminal state,
+        or starts after the window from an nstep ``prefix`` entry."""
         groups, horizons = out.shape[:2]
         if horizons < 1:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
         if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
+        nstep = self.kind == "nstep"
+        if prefix is not None and not nstep:
+            raise ValueError(f"only nstep unrolls start from a prefix, not {self.kind}")
+        held, known = _check_prefix(prefix, horizons)
         if groups != self._buf.groups:
             self._buf.resize(groups)
         s, rows = self.s, groups * self._buf.tokens
@@ -315,12 +372,19 @@ class InferencePlan:
             self._seq = np.empty((s + horizons,) + self._seq.shape[1:])
         seq = self._seq[:, :rows]
         seq[:s] = windows.transpose(1, 0, 2).reshape(s, rows, -1)
-        nstep = self.kind == "nstep"
         for k in range(1 if self.kind == "all-at-once" else horizons):
             cell = self.cells[k if nstep else 0]
-            if k == 0 or not nstep:
-                cell.reset()
-            for xt in (seq[:s + k] if nstep else seq[k:k + s]):
+            frames, fed = (seq[:s], seq[s:s + k]) if nstep else (seq[k:k + s], ())
+            if k < known:
+                cell.load(held[k])
+            else:
+                if k == 0 or not nstep:
+                    cell.reset()
+                for xt in frames:
+                    cell.step(xt)
+                if k < len(held):
+                    cell.save(held[k])
+            for xt in fed:
                 cell.step(xt)
             head = cell.h @ self.head_w + self.head_b
             if self.kind == "all-at-once":                     # (rows, horizon)
@@ -343,15 +407,19 @@ def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
     return Forecast(horizons=plan.run(window, horizons))
 
 
-def predict_batch(model, x: np.ndarray, horizons: int) -> np.ndarray:
+def predict_batch(model, x: np.ndarray, horizons: int,
+                  prefix: Prefix | None = None) -> np.ndarray:
     """(B, s, 21) -> (B, horizons, 21) on the tape-free kernel, PREDICT_CHUNK
     windows per pass; one-step models cover extra horizons recursively and
-    nstep runs only its first ``horizons`` layers."""
+    nstep runs only its first ``horizons`` layers, from the ``prefix`` of the
+    B windows where one is given."""
     x = _check_batch(x, model.s)
     plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))))
     out = np.empty((len(x), horizons, NUM_SEGMENTS))
     for start in range(0, len(x), PREDICT_CHUNK):
-        plan._forward(x[start:start + PREDICT_CHUNK], out[start:start + PREDICT_CHUNK])
+        stop = start + PREDICT_CHUNK
+        part = prefix and prefix.rows(start * NUM_SEGMENTS, stop * NUM_SEGMENTS)
+        plan._forward(x[start:stop], out[start:stop], part)
     return out
 
 

@@ -14,15 +14,29 @@ head against horizon i only, every other layer stays bitwise frozen; the
 final stage unfreezes everything under the summed loss.  Frozen blocks are
 tape constants for their whole stage, so they cost no weight products and a
 layer whose inputs are all frozen (layer 1 in stages 2..n) records no tape;
-the trainable gradients are bitwise those of the all-trainable graph.  The
-learning rate is replayed from the validation history on every epoch (never
-stored), so resuming from a checkpoint cannot drift.
+the trainable gradients are bitwise those of the all-trainable graph.
+
+What the frozen layers compute without the head is computed once per
+schedule (a ``PrefixStore`` of ``models.Prefix`` states, per taped chunk of
+the training windows, for the easy set and for each hard set): from stage 2
+on, layer 1's terminal state; from stage 3 on, also layer 2's state after the
+input frames.  Later layers read the head's predictions before their frames
+end, so they are never held.  The training chunks fill their prefix in a
+stage's first epoch; a stage's last validation runs on the parameters the
+next stage freezes and so leaves that stage's validation prefix.  Entries are
+keyed by digests of the frozen layers' bytes, and the store is emptied before
+the fine-tune stage, where every layer trains; a resumed run starts with it
+empty.  Results are bitwise those of walking every step.
+
+The learning rate is replayed from the validation history on every epoch
+(never stored), so resuming from a checkpoint cannot drift.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import json
 import math
 import zlib
@@ -35,9 +49,9 @@ from . import models
 from .autodiff import Tensor
 from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
 from .losses import LossConfig, combined_loss
-from .models import (AllAtOnceModel, NStepModel, OneStepModel, check_fields, deserialize_model,
-                     is_count, is_name, is_shape, pack_container, rows_of, serialize_model,
-                     unpack_container)
+from .models import (MAX_PREFIX, AllAtOnceModel, NStepModel, OneStepModel, Prefix, check_fields,
+                     deserialize_model, is_count, is_name, is_shape, pack_container, rows_of,
+                     serialize_model, unpack_container)
 from .runtime import tune_allocator
 
 
@@ -77,6 +91,9 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must be > 1")
         if self.epochs_per_stage < 0:
             raise ValueError("epochs_per_stage must be >= 0")
+        for name in ("validate_every", "grad_chunk", "train_stride", "val_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -185,18 +202,76 @@ def _mse_np(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _eval_mse(model, x, y, horizons: list[int]) -> float:
+def _eval_mse(model, x, y, horizons: list[int], prefix: Prefix | None = None) -> float:
     """Mean over the requested horizons of the normalized MSE, batched on the
     tape-free path."""
     # looked up on the module, so a wrapper installed there (a tracer) sees validation
-    preds = models.predict_batch(model, x, max(horizons))
+    preds = models.predict_batch(model, x, max(horizons), prefix=prefix)
     return float(np.mean([_mse_np(preds[:, h - 1], y[:, h - 1]) for h in horizons]))
 
 
-def validation_metrics(model, staged: StagedData, horizons: list[int]) -> tuple[float, float]:
-    easy = _eval_mse(model, staged.easy[0], staged.easy[1], horizons)
-    hard = float(np.mean([_eval_mse(model, hx, hy, horizons) for hx, hy in staged.hard]))
-    return easy, hard
+def validation_metrics(model, staged: StagedData, horizons: list[int],
+                       prefixes: PrefixStore | None = None,
+                       depth: int = 0) -> tuple[float, float]:
+    """Easy and mean hard metric; an nstep model's window sets start from, and
+    fill, the first ``depth`` entries of their ``prefixes``."""
+    sets = [("easy", staged.easy)] + [(f"hard{i}", h) for i, h in enumerate(staged.hard)]
+    mse = []
+    for name, (x, y) in sets:
+        with _prefix_of(prefixes, name, len(x), depth) as prefix:
+            mse.append(_eval_mse(model, x, y, horizons, prefix))
+    return mse[0], float(np.mean(mse[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the frozen nstep prefix
+# ---------------------------------------------------------------------------
+
+
+class PrefixStore:
+    """Frozen prefixes (``models.Prefix``) of the nstep window sets, so that a
+    stage walks each frozen layer's input frames once rather than every epoch.
+    Entry i of a set is held with a digest of the bytes of layer i+1 and is
+    read only while layers 1..i+1 all match their digests."""
+
+    def __init__(self, model: NStepModel):
+        self.model = model
+        self._sets: dict[str, list[tuple[bytes, np.ndarray]]] = {}
+
+    def _digests(self, depth: int) -> list[bytes]:
+        return [hashlib.blake2b(b"".join(t.data.tobytes() for t in layer.blocks("").values()))
+                .digest() for layer in self.model.layers[:depth]]
+
+    def prefix(self, name: str, windows: int, depth: int) -> Prefix:
+        """The first ``depth`` entries for ``windows`` windows: the held ones
+        that are still valid, then fresh arrays for the unroll to fill."""
+        held = self._sets.get(name, [])
+        known = 0
+        for (digest, _), current in zip(held, self._digests(depth)):
+            if digest != current:
+                break
+            known += 1
+        fresh = [np.empty((windows * NUM_SEGMENTS, 2 * self.model.hidden))
+                 for _ in range(known, depth)]
+        return Prefix([hc for _, hc in held[:known]] + fresh, known)
+
+    def keep(self, name: str, prefix: Prefix) -> None:
+        """Hold the entries an unroll filled in ``prefix``."""
+        if len(prefix.states) > prefix.known:
+            self._sets[name] = list(zip(self._digests(len(prefix.states)), prefix.states))
+
+
+@contextlib.contextmanager
+def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int):
+    """The prefix of window set ``name`` for one unroll (None without a
+    store), kept when the unroll returns."""
+    if prefixes is None:
+        yield None
+        return
+    prefix = prefixes.prefix(name, windows, depth)
+    yield prefix
+    prefixes.keep(name, prefix)
+
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +279,10 @@ def validation_metrics(model, staged: StagedData, horizons: list[int]) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[int]):
-    """Summed per-horizon combined loss over one taped chunk."""
+def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[int],
+                prefix: Prefix | None = None):
+    """Summed per-horizon combined loss over one taped chunk, an nstep chunk
+    unrolled from ``prefix``."""
     if isinstance(model, OneStepModel):
         pred = model.forward_graph(x_chunk)
         return combined_loss(pred, ad.tensor(y_chunk[:, 0, :]), loss_cfg)
@@ -218,7 +295,7 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[in
             total = term if total is None else ad.add(total, term)
         return total
     if isinstance(model, NStepModel):
-        preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons))
+        preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
         total = None
         for h in horizons:
             term = combined_loss(preds[h - 1], ad.tensor(y_chunk[:, h - 1, :]), loss_cfg)
@@ -227,9 +304,11 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[in
     raise ValueError(f"cannot train model of type {type(model).__name__}")
 
 
-def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int]):
+def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int],
+                          prefixes: PrefixStore | None = None, depth: int = 0):
     """Loss value and per-block gradients over the given windows, evaluated
-    in fixed chunks; exact full-set mean via chunk-size weighting."""
+    in fixed chunks; exact full-set mean via chunk-size weighting.  An nstep
+    chunk starts from, and fills, the first ``depth`` entries of its prefix."""
     total = x.shape[0]
     grads: dict[str, np.ndarray] = {}
     loss_value = 0.0
@@ -239,7 +318,8 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[
         weight = xc.shape[0] / total
         for t in blocks.values():
             t.grad = None
-        loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons), weight)
+        with _prefix_of(prefixes, f"train{start}", xc.shape[0], depth) as prefix:
+            loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons, prefix), weight)
         ad.backward(loss)
         loss_value += loss.item()
         del loss            # free this chunk's tape before the next one is built
@@ -397,12 +477,15 @@ def _tape_constants(tensors: list[Tensor]):
 
 def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
                 first_epoch: int, last_epoch: int, horizons: list[int],
-                trainable: set[str] | None, base_lr: float, history_from: int) -> None:
+                trainable: set[str] | None, base_lr: float, history_from: int,
+                prefixes: PrefixStore | None = None, depths: tuple[int, int] = (0, 0)) -> None:
     """Advance ``run`` through epochs (first_epoch, last_epoch]; ``trainable``
     limits which blocks the optimizer touches (None = all), the others are
-    tape constants until the call returns or raises.  A non-finite
-    loss rolls the parameters and the optimizer back to the last finite
-    epoch, so the run stays resumable."""
+    tape constants until the call returns or raises.  An nstep unroll reads
+    and fills ``depths[0]`` entries of its window set's ``prefixes``, the
+    last validation ``depths[1]``, which covers what the next stage reuses.  A
+    non-finite loss rolls the parameters and the optimizer back to the last
+    finite epoch, so the run stays resumable."""
     model = run.model
     blocks = model.blocks()
     frozen = [t for n, t in blocks.items() if trainable is not None and n not in trainable]
@@ -412,7 +495,7 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
             optimizer = copy.deepcopy(run.optimizer)
             lr = plateau_lr(run.monitored_history(history_from, last_epoch), cfg, base_lr)
             loss_value, grads = _accumulate_gradients(
-                model, blocks, staged.x, staged.y, cfg, horizons)
+                model, blocks, staged.x, staged.y, cfg, horizons, prefixes, depths[0])
             run.optimizer.step(blocks, grads, lr)
             if not np.isfinite(loss_value):
                 _restore(blocks, snapshot)
@@ -423,7 +506,8 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
                     "parameters and optimizer restored to the last finite epoch", run)
             record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
             if epoch % cfg.validate_every == 0 or epoch == last_epoch:
-                easy, hard = validation_metrics(model, staged, horizons)
+                easy, hard = validation_metrics(model, staged, horizons, prefixes,
+                                                depths[epoch == last_epoch])
                 record.easy, record.hard = easy, hard
                 if easy < run.best_metric:
                     run.best_metric = easy
@@ -467,11 +551,13 @@ def train_nstep(model: NStepModel, corpus: Corpus, cfg: TrainConfig,
     model = run.model
     n = model.horizon
     staged = stage_corpus(corpus, model.s, n, cfg)
+    prefixes = PrefixStore(model)
     for stage_index, (first, last) in enumerate(nstep_stage_bounds(n, cfg.epochs_per_stage)):
         if run.epoch >= last:
             continue
         finetune = stage_index == n
         if finetune:
+            prefixes = None          # nothing is frozen, so free the held states
             trainable = None
             horizons = list(range(1, n + 1))
             base_lr = cfg.lr * cfg.finetune_lr_scale
@@ -479,8 +565,13 @@ def train_nstep(model: NStepModel, corpus: Corpus, cfg: TrainConfig,
             trainable = set(model.layer_block_names(stage_index)) | {"head/w", "head/b"}
             horizons = [stage_index + 1]
             base_lr = cfg.lr
+        # one prefix entry per frozen leading layer; the last validation also
+        # fills the entry the next layer stage freezes
+        depth = min(stage_index, MAX_PREFIX)
+        handoff = min(stage_index + 1, MAX_PREFIX) if stage_index + 1 < n else depth
         _run_epochs(staged, cfg, run, max(run.epoch, first), last, horizons,
-                    trainable=trainable, base_lr=base_lr, history_from=first)
+                    trainable=trainable, base_lr=base_lr, history_from=first,
+                    prefixes=prefixes, depths=(depth, handoff))
     if run.best_params is None:
         run.best_params = _snapshot(model.blocks())
         if run.history:

@@ -7,7 +7,7 @@ from mesocast import data as D
 from mesocast.cli import _build_model, main
 from mesocast.config import RunConfig, load_config
 from mesocast.train import TrainConfig
-from mesocast.models import build_model, save_model
+from mesocast.models import build_model, load_model, save_model
 from containers import with_header
 
 
@@ -171,6 +171,48 @@ class TestTrain:
         assert run_cli("train", "--config", long_window, "--out", out) == 2
         assert "2000" in capsys.readouterr().err
         assert not (out / "model.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """A generated 1-day corpus and its config, for training runs that write
+    into their own directory."""
+    out = tmp_path_factory.mktemp("corpus")
+    cfg_path = out / "run.ini"
+    cfg_path.write_text(TINY_INI)
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out, cfg_path
+
+
+class TestTrainInputs:
+    def test_every_model_kind_is_a_choice(self, corpus_dir):
+        out, cfg = corpus_dir
+        assert run_cli("train", "--config", cfg, "--out", out, "--model", "lstm-seg") == 0
+        assert load_model(out / "model.bin").kind == "lstm-seg"
+
+    @pytest.mark.parametrize("edit, flags, field", [
+        (("validate_every = 1", "validate_every = 0"), [], "validate_every"),
+        (("hidden = 4", "hidden = 0"), [], "hidden"),
+        (None, ["--model", "all-at-once", "--n", "0"], "horizon"),
+        (None, ["--model", "nstep", "--n", "0"], "horizon"),
+        (("grad_chunk = 64", "grad_chunk = 0"), [], "grad_chunk"),
+        (("train_stride = 200", "train_stride = 0"), [], "train_stride"),
+        (("val_stride = 100", "val_stride = 0"), [], "val_stride"),
+        (("attn_width = 2", "attn_width = 0"), [], "attn_width"),
+    ], ids=["validate_every", "hidden", "all-at-once-n", "nstep-n", "grad_chunk",
+            "train_stride", "val_stride", "attn_width"])
+    def test_zero_where_one_is_the_least_exits_2(self, corpus_dir, tmp_path, capsys,
+                                                   edit, flags, field):
+        out, _ = corpus_dir
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TINY_INI.replace(*edit) if edit else TINY_INI)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("train.csv", "easy.csv", "hard0.csv"):
+            (run_dir / name).write_bytes((out / name).read_bytes())
+        assert run_cli("train", "--config", cfg, "--out", run_dir, *flags) == 2
+        assert field in capsys.readouterr().err
+        assert not (run_dir / "model.bin").exists()
 
 
 class TestEval:

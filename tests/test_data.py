@@ -1,4 +1,5 @@
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -250,3 +251,15 @@ class TestCorpus:
     def test_minutes_are_consecutive(self, small_corpus):
         assert np.all(np.diff(small_corpus.train.minutes) == 1)
         assert np.all(np.diff(small_corpus.easy.minutes) == 1)
+
+
+def test_small_corpus_digest():
+    # digest of the generator as it stood before any work on its speed: a
+    # faster generator must reproduce this corpus bit for bit
+    corpus = make_corpus(CtmConfig(seed=4), CorpusSizes(train_days=1, easy_days=1,
+                                                        hard_windows=1, hard_minutes=240))
+    crc = 0
+    for series in (corpus.train, corpus.easy, *corpus.hard):
+        for part in (series.minutes.astype("<i8"), series.speeds.astype("<f8")):
+            crc = zlib.crc32(np.ascontiguousarray(part).tobytes().hex().encode(), crc)
+    assert f"{crc:08x}" == "9ee80b19"

@@ -264,6 +264,76 @@ class TestNStep:
         assert np.array_equal(taped_horizons(a, w), taped_horizons(b, w))
 
 
+def empty_prefix(m, windows, depth):
+    return models.Prefix([np.empty((windows * NUM_SEGMENTS, 2 * m.hidden))
+                          for _ in range(depth)])
+
+
+class TestPrefix:
+    """Both nstep unrolls fill a prefix as they walk it and start from it
+    bitwise as if they had walked it."""
+
+    X = np.stack([rand_window(4, 300 + i) for i in range(35)])   # a chunk plus 3
+
+    def test_plan_filled_then_read_is_bitwise(self):
+        m = tiny("nstep", seed=19)
+        plain = predict_batch(m, self.X, 3)
+        prefix = empty_prefix(m, len(self.X), 2)
+        assert np.array_equal(predict_batch(m, self.X, 3, prefix=prefix), plain)
+        for known in (1, 2):
+            prefix.known = known
+            assert np.array_equal(predict_batch(m, self.X, 3, prefix=prefix), plain)
+
+    def test_plan_reads_the_prefix_it_is_given(self, monkeypatch):
+        m = tiny("nstep", seed=20)
+        prefix = empty_prefix(m, len(self.X), 2)
+        predict_batch(m, self.X, 3, prefix=prefix)
+        prefix.known = 2
+        steps = []
+        step = cells.StepKernel.step
+        monkeypatch.setattr(cells.StepKernel, "step",
+                            lambda self, x: (steps.append(1), step(self, x)))
+        before = predict_batch(m, self.X, 3, prefix=prefix)
+        assert len(steps) == 2 * (1 + m.s + 2)     # two chunks: layer 2 on pred 1, layer 3
+        prefix.states[1][:] = 0.0
+        after = predict_batch(m, self.X, 3, prefix=prefix)
+        assert np.array_equal(after[:, 0], before[:, 0])
+        assert not np.array_equal(after[:, 1], before[:, 1])
+
+    def test_taped_filled_then_read_is_bitwise(self):
+        m = tiny("nstep", seed=21)
+        plain = taped_predictions(m, self.X, 3)
+        prefix = empty_prefix(m, len(self.X), 2)
+        preds, _ = m.forward_graph_with_states(self.X, prefix=prefix)
+        assert np.array_equal(np.stack([p.data for p in preds], axis=1), plain)
+        prefix.known = 2
+        preds, _ = m.forward_graph_with_states(self.X, prefix=prefix)
+        assert np.array_equal(np.stack([p.data for p in preds], axis=1), plain)
+
+    def test_taped_and_plan_prefixes_agree(self):
+        m = tiny("nstep", seed=22)
+        taped, plan = empty_prefix(m, len(self.X), 2), empty_prefix(m, len(self.X), 2)
+        m.forward_graph_with_states(self.X, prefix=taped)
+        predict_batch(m, self.X, 2, prefix=plan)
+        for a, b in zip(taped.states, plan.states):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_prefix_deeper_than_the_pass_rejected(self):
+        m = tiny("nstep", seed=23)
+        with pytest.raises(ValueError, match="prefix"):
+            predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 2))
+        with pytest.raises(ValueError, match="prefix"):
+            m.forward_graph_with_states(self.X, upto=1, prefix=empty_prefix(m, len(self.X), 2))
+        with pytest.raises(ValueError, match="prefix"):
+            predict_batch(tiny("nstep", horizon=4), self.X, 4,
+                          prefix=empty_prefix(m, len(self.X), 3))
+
+    def test_prefix_of_one_step_kind_rejected(self):
+        m = tiny("sa-lstm", seed=24)
+        with pytest.raises(ValueError, match="only nstep"):
+            predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 1))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["lstm", "lstm-seg", "sa-lstm", "all-at-once", "nstep"])
     def test_round_trip_bitwise(self, kind):

@@ -1,8 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from mesocast import autodiff as ad
-from mesocast import cells
+from mesocast import cells, models
 from mesocast import train as T
 from mesocast.data import NUM_SEGMENTS, Corpus, Series
 from mesocast.losses import LossConfig
@@ -33,6 +35,42 @@ def constant_corpus(c=70.0, T=40):
     speeds = np.full((T, NUM_SEGMENTS), c)
     make = lambda: Series(minutes=np.arange(T), speeds=speeds.copy())
     return Corpus(train=make(), easy=make(), hard=[make()])
+
+
+def run_digest(run) -> str:
+    """crc32 over the hex bytes of everything a run carries forward: final
+    blocks, AdamW moments and step counts, best parameters and metric, and
+    the metric history."""
+    arr = lambda a: np.ascontiguousarray(a, dtype="<f8").tobytes().hex()
+    opt = run.optimizer
+    parts = [part for name, t in run.model.blocks().items() for part in (name, arr(t.data))]
+    parts += [part for name in sorted(opt.m)
+              for part in (name, arr(opt.m[name]), arr(opt.v[name]), str(opt.t[name]))]
+    parts += [part for name in sorted(run.best_params)
+              for part in (name, arr(run.best_params[name]))]
+    parts.append(float(run.best_metric).hex())
+    for r in run.history:
+        parts += [str(r.epoch), r.lr.hex(), r.train_loss.hex(),
+                  str(r.easy and r.easy.hex()), str(r.hard and r.hard.hex())]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part.encode(), crc)
+    return f"{crc:08x}"
+
+
+def diverge_at(monkeypatch, epoch):
+    """Report a non-finite loss for the ``epoch``-th epoch a training call
+    runs, after its real gradients were taken, so the run raises
+    DivergenceError there with the state of the epoch before."""
+    real = T._accumulate_gradients
+    calls = []
+
+    def patched(*args):
+        loss, grads = real(*args)
+        calls.append(loss)
+        return (np.nan if len(calls) == epoch else loss), grads
+
+    monkeypatch.setattr(T, "_accumulate_gradients", patched)
 
 
 def wavy_corpus(T=60, seed=0):
@@ -292,6 +330,55 @@ class TestTrainNStep:
             T._run_epochs(staged, cfg, run, 1, 2, [2], stage(1), cfg.lr, 1)
         assert all(t.requires_grad for t in model.blocks().values())
 
+    def test_frozen_prefix_is_walked_once_per_stage(self, monkeypatch):
+        # s = 4, 54 training windows in 4 chunks, 3 validation sets of 2
+        # passes each; 2 epochs per stage, each validated.  A stage walks its
+        # frozen layers' frames in its first epoch only, and validation
+        # starts from what the previous stage's last validation left
+        counts = {"taped": 0, "kernel": 0}
+        per_epoch = []
+        taped_step, kernel_step, validate = (models.sa_lstm_step, cells.StepKernel.step,
+                                             T.validation_metrics)
+
+        def counting_taped(*args, **kwargs):
+            counts["taped"] += 1
+            return taped_step(*args, **kwargs)
+
+        def counting_kernel(self, x):
+            counts["kernel"] += 1
+            return kernel_step(self, x)
+
+        def counting_validation(*args, **kwargs):
+            before = counts["kernel"]
+            out = validate(*args, **kwargs)
+            per_epoch.append((counts["taped"], counts["kernel"] - before))
+            counts["taped"] = 0
+            return out
+
+        monkeypatch.setattr(models, "sa_lstm_step", counting_taped)
+        monkeypatch.setattr(cells.StepKernel, "step", counting_kernel)
+        monkeypatch.setattr(T, "validation_metrics", counting_validation)
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=23)
+        train_nstep(model, wavy_corpus(), tiny_cfg(epochs_per_stage=2, validate_every=1,
+                                                   grad_chunk=16))
+        taped = [4 * steps for steps in (4, 4, 4 + 5, 5, 4 + 1 + 6, 1 + 6, 15, 15)]
+        validated = [6 * steps for steps in (4, 4, 5, 5, 1 + 6, 1 + 6, 15, 15)]
+        assert per_epoch == list(zip(taped, validated))
+
+    def test_stale_prefix_entry_is_not_read(self):
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=24)
+        store = T.PrefixStore(model)
+        prefix = store.prefix("easy", 5, 2)
+        assert prefix.known == 0 and len(prefix.states) == 2
+        store.keep("easy", prefix)
+        assert store.prefix("easy", 5, 2).known == 2
+        assert store.prefix("easy", 5, 1).known == 1
+        one_ulp = lambda a: np.nextafter(a, np.inf)      # the least change a block can see
+        model.layers[1].attn.w_q.data[0, 0] = one_ulp(model.layers[1].attn.w_q.data[0, 0])
+        assert store.prefix("easy", 5, 2).known == 1
+        model.layers[0].lstm.b_f.data[0] = one_ulp(model.layers[0].lstm.b_f.data[0])
+        assert store.prefix("easy", 5, 2).known == 0
+
     def test_single_layer_stage_matches_one_step_training(self):
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=4)
@@ -387,6 +474,27 @@ class TestCheckpoints:
                                     resumed.model.blocks().items()):
             assert n1 == n2 and np.array_equal(a.data, b.data), n1
 
+    @pytest.mark.parametrize("stop", [5, 8], ids=["inside-stage2", "inside-stage3"])
+    def test_resume_nstep_horizon3_after_divergence(self, tmp_path, monkeypatch, stop):
+        # 3 epochs per stage: stage 2 is epochs 4..6, stage 3 is 7..9.  The
+        # diverging epoch follows the checkpoint, so the run raises inside the
+        # stage, and its checkpoint resumes into a stage whose frozen prefix
+        # (layer 1, then layer 2's input frames) must be recomputed
+        corpus = wavy_corpus(seed=4)
+        cfg = tiny_cfg(epochs_per_stage=3, validate_every=2, grad_chunk=16)
+        make = lambda: build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=22)
+        straight = train_nstep(make(), corpus, cfg)
+        diverge_at(monkeypatch, stop + 1)
+        with pytest.raises(DivergenceError, match=f"epoch {stop + 1}") as info:
+            train_nstep(make(), corpus, cfg)
+        monkeypatch.undo()
+        assert info.value.run.epoch == stop
+        path = tmp_path / "diverged.ckpt"
+        save_checkpoint(info.value.run, cfg, path)
+        resumed = train_nstep(None, corpus, cfg, resume=load_checkpoint(path, cfg))
+        assert resumed.epoch == straight.epoch == 12
+        assert run_digest(resumed) == run_digest(straight)
+
     @pytest.mark.parametrize("cfg, fingerprint", [
         (TrainConfig(), "58d12a14"),
         (TrainConfig(lr=0.003, grad_chunk=64, epochs_per_stage=7,
@@ -420,3 +528,14 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
             load_checkpoint(path, cfg)
+
+
+class TestPinnedResults:
+    def test_nstep_horizon3_schedule_digest(self):
+        # digest taken before the frozen nstep prefix was cached, so the cache
+        # is checked against the code that recomputed every frozen step
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=21)
+        run = train_nstep(model, wavy_corpus(seed=3),
+                          tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
+        assert run.epoch == 8
+        assert run_digest(run) == "d79b9e34"
