@@ -89,14 +89,21 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, outputs: list[str])
 
 
 def _hard_paths(cfg: RunConfig, out: Path) -> list[Path]:
-    return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows)]
+    count = cfg.corpus_sizes().hard_windows        # validates the [data] sizes
+    return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(count)]
+
+
+def _load_held_out(cfg: RunConfig, out: Path) -> D.Corpus:
+    """The easy series and the hard windows: all that evaluation reads."""
+    return D.Corpus(train=None, easy=D.read_csv(out / cfg.data.easy_csv),
+                    hard=[D.read_csv(p) for p in _hard_paths(cfg, out)])
 
 
 def _load_corpus(cfg: RunConfig, out: Path) -> D.Corpus:
     train = D.read_csv(out / cfg.data.train_csv)
-    easy = D.read_csv(out / cfg.data.easy_csv)
-    hard = [D.read_csv(p) for p in _hard_paths(cfg, out)]
-    return D.Corpus(train=train, easy=easy, hard=hard)
+    corpus = _load_held_out(cfg, out)
+    corpus.train = train
+    return corpus
 
 
 def _build_model(cfg: RunConfig):
@@ -173,7 +180,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
-    corpus = _load_corpus(cfg, out)
+    corpus = _load_held_out(cfg, out)
     checkpoints = args.checkpoint or [str(out / cfg.evaluation.checkpoint)]
     horizons = cfg.evaluation.horizons
     rows = []

@@ -1,4 +1,12 @@
-"""Series handling and the synthetic highway corpus.
+"""Series handling, CSV interchange and the synthetic highway corpus.
+
+Ingest is whole-array work.  ``read_csv`` parses a file in one
+``np.loadtxt`` pass into a (minute, 21 speeds) record array; only a file
+that fails it is bisected, with more loadtxt calls, down to its first bad
+line, so every rejection names a line without a second parser.
+``build_windows`` returns read-only strided views of the series, which
+slice (``[::stride]``), index and iterate like a list of
+``SequenceWindow``; ``stack_windows`` copies just the rows asked for.
 
 The measured quantity is the per-minute mean speed over 21 consecutive
 segments of an 11.4 km highway stretch.  Real feeds being proprietary, the
@@ -55,7 +63,8 @@ class Series:
             raise ValueError(f"speeds must be (T, {NUM_SEGMENTS}), got {self.speeds.shape}")
         if len(self.minutes) != len(self.speeds):
             raise ValueError("minutes and speeds lengths differ")
-        if len(self.minutes) > 1 and np.any(np.diff(self.minutes) <= 0):
+        # compared, not differenced: a difference of far-apart int64 minutes wraps
+        if np.any(self.minutes[1:] <= self.minutes[:-1]):
             raise ValueError("minutes must be strictly increasing")
 
     def __len__(self):
@@ -71,7 +80,36 @@ class SequenceWindow:
     start_minute: int
 
 
-def build_windows(series: Series, s: int, horizon: int) -> list[SequenceWindow]:
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A run of windows as read-only strided views of one series.  Slicing
+    gives another view; nothing is copied until ``stack_windows``."""
+
+    inputs: np.ndarray           # (count, s, NUM_SEGMENTS)
+    targets: np.ndarray          # (count, horizon, NUM_SEGMENTS)
+    start_minutes: np.ndarray    # (count,)
+
+    def __len__(self):
+        return len(self.start_minutes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Windows(self.inputs[index], self.targets[index], self.start_minutes[index])
+        return SequenceWindow(self.inputs[index], self.targets[index],
+                              int(self.start_minutes[index]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _rolling(rows: np.ndarray, count: int, length: int) -> np.ndarray:
+    """(count, length, 21) read-only view whose entry i is rows[i:i + length]."""
+    step, cell = rows.strides
+    return np.lib.stride_tricks.as_strided(rows, shape=(count, length, rows.shape[1]),
+                                           strides=(step, step, cell), writeable=False)
+
+
+def build_windows(series: Series, s: int, horizon: int) -> Windows:
     """All stride-1 windows; requires minute-consecutive data."""
     if s < 1 or horizon < 0:
         raise ValueError(f"invalid window spec s={s}, horizon={horizon}")
@@ -81,20 +119,15 @@ def build_windows(series: Series, s: int, horizon: int) -> list[SequenceWindow]:
     if T > 1 and np.any(np.diff(series.minutes) != 1):
         raise ValueError("series minutes are not consecutive")
     count = T - s - horizon + 1
-    return [
-        SequenceWindow(
-            inputs=series.speeds[i:i + s],
-            targets=series.speeds[i + s:i + s + horizon],
-            start_minute=int(series.minutes[i]),
-        )
-        for i in range(count)
-    ]
+    return Windows(_rolling(series.speeds, count, s),
+                   _rolling(series.speeds[s:], count, horizon),
+                   series.minutes[:count])
 
 
-def stack_windows(windows: list[SequenceWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, s, 21) inputs and (B, horizon, 21) targets."""
-    return (np.stack([w.inputs for w in windows]),
-            np.stack([w.targets for w in windows]))
+def stack_windows(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """(B, s, 21) inputs and (B, horizon, 21) targets, copied into arrays of
+    their own."""
+    return windows.inputs.copy(), windows.targets.copy()
 
 
 def normalize(speeds):
@@ -125,46 +158,90 @@ def write_csv(series: Series, destination) -> None:
             stream.close()
 
 
+# one data row: the minute, then the 21 speeds
+_ROW = np.dtype([("minute", np.int64), ("speeds", np.float64, (NUM_SEGMENTS,))])
+
+
+def _parse(rows: list[str]) -> np.ndarray | None:
+    """``rows`` as one ``_ROW`` array, or None when a row does not parse.
+    loadtxt skips empty rows (and warns when there is nothing else), so a
+    short result means one was there."""
+    if not rows:
+        return np.empty(0, _ROW)
+    if not any(rows):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return table if len(table) == len(rows) else None
+
+
+def _first_malformed(rows: list[str]) -> int:
+    """Index of the first row that does not parse; ``_parse(rows)`` has
+    failed, so there is one.  The bisection parses about len(rows) rows."""
+    lo, hi = 0, len(rows)    # rows[:lo] parse, rows[lo:hi] hold one that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse(rows[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _malformed(row: str, lineno: int) -> ValueError:
+    """The rejection of a row that does not parse, checked in the order
+    column count, blank cell, value."""
+    cells = row.split(",") if row else []
+    if len(cells) != 1 + NUM_SEGMENTS:
+        return ValueError(f"line {lineno}: expected {1 + NUM_SEGMENTS} columns, got {len(cells)}")
+    if any(cell.strip() == "" for cell in cells):
+        return ValueError(f"line {lineno}: blank cell")
+    return ValueError(f"line {lineno}: unparseable value")
+
+
 def read_csv(source) -> Series:
-    """Strict inverse of ``write_csv``; malformed rows and speeds that are
-    not finite and non-negative are rejected with their line number."""
+    """Strict inverse of ``write_csv``, parsed in one vectorized pass;
+    malformed rows and speeds that are not finite and non-negative are
+    rejected with their line number.  Lines end in LF, CRLF or CR, and cells
+    are unquoted ASCII numerals."""
     own = not hasattr(source, "read")
     stream = open(source, "r", encoding="utf-8", newline="") if own else source
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty file: missing header") from None
-        if header != CSV_HEADER:
-            raise ValueError(f"line 1: bad header {header[:3]}..., expected {CSV_HEADER[:3]}...")
-        minutes, rows = [], []
-        previous = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + NUM_SEGMENTS:
-                raise ValueError(f"line {lineno}: expected {1 + NUM_SEGMENTS} columns, got {len(row)}")
-            if any(cell.strip() == "" for cell in row):
-                raise ValueError(f"line {lineno}: blank cell")
-            try:
-                minute = int(row[0])
-                speeds = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable value") from None
-            if previous is not None and minute <= previous:
-                raise ValueError(f"line {lineno}: minute {minute} not increasing")
-            previous = minute
-            minutes.append(minute)
-            rows.append(speeds)
+        text = stream.read()
     finally:
         if own:
             stream.close()
-    speeds = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_SEGMENTS)
+    if not text:
+        raise ValueError("empty file: missing header")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()              # the last line's terminator
+    header = lines[0].split(",") if lines[0] else []
+    if header != CSV_HEADER:
+        raise ValueError(f"line 1: bad header {header[:3]}..., expected {CSV_HEADER[:3]}...")
+    rows = lines[1:]
+    table = _parse(rows)
+    stop = len(rows)
+    if table is None:
+        stop = _first_malformed(rows)
+        table = _parse(rows[:stop])
+    # rows[:stop] parsed: a minute going back among them comes first
+    minutes = table["minute"].copy()
+    back = np.flatnonzero(minutes[1:] <= minutes[:-1])
+    if len(back):
+        row = int(back[0]) + 1
+        raise ValueError(f"line {row + 2}: minute {int(minutes[row])} not increasing")
+    if stop < len(rows):
+        raise _malformed(rows[stop], stop + 2)
+    speeds = table["speeds"].copy()
     bad = ~np.isfinite(speeds) | (speeds < 0.0)
     if bad.any():
         row, seg = np.argwhere(bad)[0]
         raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
                          "is not a finite non-negative number")
-    return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
+    return Series(minutes=minutes, speeds=speeds)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +431,15 @@ class CorpusSizes:
     hard_windows: int = 4
     hard_minutes: int = 440
 
+    def __post_init__(self):
+        # the hard metric is a mean over the hard windows
+        if self.hard_windows < 1:
+            raise ValueError(f"hard_windows must be >= 1, got {self.hard_windows}")
+
 
 @dataclass
 class Corpus:
-    train: Series
+    train: Series | None         # None where only the held-out sets are read
     easy: Series
     hard: list[Series] = field(default_factory=list)
 

@@ -10,9 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mesocast import models
+from mesocast import data, models, train
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -62,3 +63,37 @@ def test_workload_names_exist(module, attr):
 def test_workload_reads_forecast_horizons():
     # the serving path reads forecast_recursive(...).horizons
     assert "horizons" in {f.name for f in dataclasses.fields(models.Forecast)}
+
+
+@pytest.fixture()
+def workload(monkeypatch):
+    # workload.py imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workload", BENCH / "workload.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_set_up_shapes(workload):
+    # the train and serve set-ups stage windows through these two calls
+    S, H = workload.S, workload.HORIZONS
+    rng = np.random.default_rng(0)
+    make = lambda T: data.Series(minutes=np.arange(T),
+                                 speeds=rng.uniform(0, 90, (T, data.NUM_SEGMENTS)))
+    hard = [make(40), make(30)]
+    x, y = workload.windows_of(hard, H)
+    count = sum(len(s) - S - H + 1 for s in hard)
+    assert x.shape == (count, S, data.NUM_SEGMENTS) and y.shape == (count, H, data.NUM_SEGMENTS)
+    assert x.dtype == y.dtype == np.float64
+
+    corpus = data.Corpus(train=make(200), easy=make(100), hard=hard)
+    staged = train.stage_corpus(corpus, S, H, train.TrainConfig(train_stride=7, val_stride=3))
+    train_count = len(range(0, 200 - S - H + 1, 7))
+    assert staged.x.shape == (train_count, S, data.NUM_SEGMENTS)
+    assert staged.y.shape == (train_count, H, data.NUM_SEGMENTS)
+    easy_count = len(range(0, 100 - S - H + 1, 3))
+    assert [a.shape[0] for a in staged.easy] == [easy_count, easy_count]
+    assert [(hx.shape, hy.shape) for hx, hy in staged.hard] == \
+        [((len(s) - S - H + 1, S, data.NUM_SEGMENTS), (len(s) - S - H + 1, H, data.NUM_SEGMENTS))
+         for s in hard]

@@ -123,6 +123,14 @@ class TestGenerate:
         assert run_cli("generate", "--config", bad, "--out", tmp_path) == 2
         assert "jam_density" in capsys.readouterr().err
 
+    def test_zero_hard_windows_exits_2(self, tmp_path, capsys):
+        # the hard metric is a mean over the hard windows
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(TINY_INI.replace("hard_windows = 1", "hard_windows = 0"))
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "hard_windows" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train.csv").exists()
+
     def test_env_var_output_dir(self, tiny_config, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("MESOCAST_OUT", str(target))
@@ -199,8 +207,9 @@ class TestTrainInputs:
         (("train_stride = 200", "train_stride = 0"), [], "train_stride"),
         (("val_stride = 100", "val_stride = 0"), [], "val_stride"),
         (("attn_width = 2", "attn_width = 0"), [], "attn_width"),
+        (("hard_windows = 1", "hard_windows = 0"), [], "hard_windows"),
     ], ids=["validate_every", "hidden", "all-at-once-n", "nstep-n", "grad_chunk",
-            "train_stride", "val_stride", "attn_width"])
+            "train_stride", "val_stride", "attn_width", "hard_windows"])
     def test_zero_where_one_is_the_least_exits_2(self, corpus_dir, tmp_path, capsys,
                                                    edit, flags, field):
         out, _ = corpus_dir
@@ -236,6 +245,15 @@ class TestEval:
         assert code == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 2  # three models x two horizons
+
+    def test_reads_no_train_series(self, trained_dir, tmp_path):
+        out, cfg = trained_dir
+        assert run_cli("eval", "--config", cfg, "--out", out) == 0
+        for name in ("easy.csv", "hard0.csv", "model.bin"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        assert not (tmp_path / "train.csv").exists()
+        assert run_cli("eval", "--config", cfg, "--out", tmp_path) == 0
+        assert (tmp_path / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
     def test_missing_checkpoint_exits_2(self, trained_dir):
         out, cfg = trained_dir

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesocast import data
@@ -19,8 +19,10 @@ from mesocast.data import (
     normalize,
     denormalize,
     read_csv,
+    stack_windows,
     write_csv,
 )
+from reference_csv import read_csv_reference
 
 
 def toy_series(T, start=0, seed=0):
@@ -70,6 +72,22 @@ class TestWindows:
         assert len(windows) == T - s - horizon + 1
         for i, w in enumerate(windows):
             assert w.start_minute == i
+
+    @pytest.mark.parametrize("s, horizon, k", [(1, 0, 1), (8, 3, 1), (8, 3, 79),
+                                               (4, 2, 3), (3, 5, 7), (12, 1, 200)])
+    def test_stack_of_strided_rows_copies_each_window(self, s, horizon, k):
+        series = toy_series(150)
+        before = series.speeds.copy()
+        x, y = stack_windows(build_windows(series, s, horizon)[::k])
+        starts = range(0, 150 - s - horizon + 1, k)
+        want_x = np.stack([series.speeds[i:i + s] for i in starts])
+        want_y = np.stack([series.speeds[i + s:i + s + horizon] for i in starts])
+        for got, want in ((x, want_x), (y, want_y)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+            got[...] = -1.0  # the stack owns its rows
+        assert series.speeds.tobytes() == before.tobytes()
 
 
 class TestNormalization:
@@ -140,12 +158,135 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 4: speed .* at seg06"):
             read_csv(io.StringIO("\n".join(lines) + "\n"))
 
+    def test_minutes_far_apart_read_back(self):
+        series = Series(minutes=[-9 * 10**18, 9 * 10**18], speeds=np.ones((2, data.NUM_SEGMENTS)))
+        buf = io.StringIO()
+        write_csv(series, buf)
+        buf.seek(0)
+        assert read_csv(buf).minutes.tolist() == [-9 * 10**18, 9 * 10**18]
+
     def test_zero_speed_accepted(self):
         lines = csv_lines(toy_series(2))
         parts = lines[1].split(",")
         parts[1] = "0"
         lines[1] = ",".join(parts)
         assert read_csv(io.StringIO("\n".join(lines) + "\n")).speeds[0, 0] == 0.0
+
+
+# speeds write_csv can meet: finite and non-negative, with the extremes of
+# the float64 grid and a negative zero
+csv_speeds = st.one_of(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                                        89.99999999999, 1e300]))
+
+
+@st.composite
+def csv_series(draw, min_rows=0):
+    rows = draw(st.integers(min_rows, 8))
+    start = draw(st.integers(-10**6, 10**6))
+    steps = draw(st.lists(st.integers(1, 5), min_size=rows, max_size=rows))
+    speeds = draw(st.lists(csv_speeds, min_size=rows * data.NUM_SEGMENTS,
+                           max_size=rows * data.NUM_SEGMENTS))
+    return Series(minutes=start + np.cumsum(steps, dtype=np.int64),
+                  speeds=np.array(speeds, dtype=np.float64).reshape(rows, data.NUM_SEGMENTS))
+
+
+def csv_text(lines, ending, trailing):
+    return ending.join(lines) + (ending if trailing else "")
+
+
+def both_readers(text):
+    """(new reader's result or error, reference reader's result or error),
+    each reading the text as a file opened with ``newline=""`` is read."""
+    out = []
+    for reader in (read_csv, read_csv_reference):
+        try:
+            out.append(reader(io.StringIO(text, newline="")))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def _set_cell(column, value):
+    def edit(lines, row, pick):
+        cells = lines[row].split(",")
+        cells[column(cells, pick)] = value(cells, pick)
+        lines[row] = ",".join(cells)
+    return edit
+
+
+def _drop_cell(lines, row, pick):
+    lines[row] = lines[row].rsplit(",", 1)[0]
+
+
+def _extra_cell(lines, row, pick):
+    lines[row] += ",1.5"
+
+
+def _empty_line(lines, row, pick):
+    lines.insert(row, "")
+
+
+def _repeat_minute(lines, row, pick):
+    cells = lines[row].split(",")
+    cells[0] = lines[row - 1].split(",")[0]
+    lines[row] = ",".join(cells)
+
+
+any_column = lambda cells, pick: pick.draw(st.integers(0, data.NUM_SEGMENTS))
+speed_column = lambda cells, pick: pick.draw(st.integers(1, data.NUM_SEGMENTS))
+
+# rejection class -> edits of lines[row] (lines[0] is the header) that make
+# line row + 1 of the file its first bad line
+REJECTIONS = {
+    "column count": [_drop_cell, _extra_cell, _empty_line],
+    "blank cell": [_set_cell(any_column, lambda c, pick: pick.draw(st.sampled_from(["", " ", "\t"])))],
+    "unparseable minute": [_set_cell(lambda c, pick: 0, lambda c, pick: c[0] + ".0"),
+                           _set_cell(lambda c, pick: 0, lambda c, pick: "1e3")],
+    "unparseable speed": [_set_cell(speed_column, lambda c, pick: pick.draw(
+        st.sampled_from(["abc", "1.2.3", "0x10", "1;5", "--1", "nan(1)"])))],
+    "minute not increasing": [_repeat_minute],
+    "speed out of range": [_set_cell(speed_column, lambda c, pick: pick.draw(
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-5", "-1e-300"])))],
+}
+
+
+class TestCsvAgainstReference:
+    """The vectorized reader against the csv-module reader it replaced."""
+
+    @given(csv_series(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_written_files_read_bitwise_equal(self, series, ending, trailing):
+        new, ref = both_readers(csv_text(csv_lines(series), ending, trailing))
+        assert isinstance(new, Series) and isinstance(ref, Series)
+        for got, want in ((new.minutes, ref.minutes), (new.speeds, ref.speeds)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60)
+    @given(st.data(), csv_series(min_rows=2), st.sampled_from(sorted(REJECTIONS)),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_each_rejection_names_the_same_line(self, pick, series, kind, ending, trailing):
+        lines = csv_lines(series)
+        # row 1 has no earlier minute to repeat
+        row = pick.draw(st.integers(2 if kind == "minute not increasing" else 1,
+                                    len(lines) - 1))
+        pick.draw(st.sampled_from(REJECTIONS[kind]))(lines, row, pick)
+        new, ref = both_readers(csv_text(lines, ending, trailing))
+        assert isinstance(ref, ValueError) and isinstance(new, ValueError)
+        assert str(ref).startswith(f"line {row + 1}:")
+        assert str(new) == str(ref)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        ",".join(data.CSV_HEADER[:-1]) + "\n0" + ",1" * data.NUM_SEGMENTS + "\n",
+        ",".join(data.CSV_HEADER).replace("seg05", "seg5") + "\n",
+        "time,a,b\n",
+    ], ids=["empty file", "empty header", "short header", "misnamed column", "foreign header"])
+    def test_header_rejections_match(self, text):
+        new, ref = both_readers(text)
+        assert isinstance(ref, ValueError) and isinstance(new, ValueError)
+        assert str(new) == str(ref)
 
 
 class TestCtm:
