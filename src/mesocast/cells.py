@@ -164,7 +164,7 @@ def init_sa_lstm_params(hidden, proj_width, seed, prefix, trainable=True) -> SaL
 
 
 class StepBuffers:
-    """Work arrays for one cell step over up to ``groups`` groups of
+    """Work arrays for one cell step over up to ``capacity`` groups of
     ``tokens`` rows, allocated once.  Every layer of a plan shares them, so
     a layer starts from the state the previous one left.  ``resize`` rebinds
     them to the leading groups; one group keeps 2-D attention products
@@ -172,7 +172,8 @@ class StepBuffers:
 
     def __init__(self, groups: int, tokens: int, hidden: int, in_width: int, attn_width: int):
         rows = groups * tokens
-        self.tokens, self.hidden, self.attn_width = tokens, hidden, attn_width
+        self.capacity, self.tokens = groups, tokens
+        self.hidden, self.attn_width = hidden, attn_width
         self._cat = np.empty((rows, hidden + in_width + 1))
         self._cat[:, -1] = 1.0
         self._full = {name: np.empty((rows, hidden))
@@ -241,10 +242,12 @@ class StepKernel:
         self.buf.h[...] = hc[:, :self.buf.hidden]
         self.buf.c[...] = hc[:, self.buf.hidden:]
 
-    def save(self, hc: np.ndarray) -> None:
-        """Write the state into a packed ``(rows, 2H)`` ``[h | c]`` array."""
-        hc[:, :self.buf.hidden] = self.buf.h
-        hc[:, self.buf.hidden:] = self.buf.c
+    def save(self, hc: np.ndarray, start: int = 0) -> None:
+        """Write the state of rows ``start`` on into a packed ``(rows, 2H)``
+        ``[h | c]`` array."""
+        stop = start + len(hc)
+        hc[:, :self.buf.hidden] = self.buf.h[start:stop]
+        hc[:, self.buf.hidden:] = self.buf.c[start:stop]
 
     def step(self, x: np.ndarray) -> None:
         """Advance the buffers' state by one (rows, in_width) input."""

@@ -147,6 +147,10 @@ def load_config(path) -> RunConfig:
                 setattr(target, key, types[key](raw))
             except ValueError as exc:
                 raise ValueError(f"bad value for {section}.{key}: {exc}") from None
+    # eval and forecast would write a table or a forecast with no rows
+    if cfg.evaluation.horizons < 1:
+        raise ValueError("bad value for evaluation.horizons: must be >= 1, "
+                         f"got {cfg.evaluation.horizons}")
     return cfg
 
 

@@ -25,7 +25,6 @@ integer arithmetic, so conservation holds bitwise at every substep.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -143,16 +142,20 @@ def denormalize(values):
 # ---------------------------------------------------------------------------
 
 
+# one data row as written: the minute, then the 21 speeds at 12 significant digits
+_ROW_FORMAT = "%d" + ",%.12g" * NUM_SEGMENTS + "\n"
+
+
 def write_csv(series: Series, destination) -> None:
-    """Header ``minute,seg00..seg20``, one row per minute, >= 6 significant
-    digits, newline-terminated UTF-8 rows."""
+    """Header ``minute,seg00..seg20``, one row per minute, 12 significant
+    digits, newline-terminated UTF-8 rows; one ``%``-format per row."""
+    text = "".join([_ROW_FORMAT % (minute, *row) for minute, row
+                    in zip(series.minutes.tolist(), series.speeds.tolist())])
     own = not hasattr(destination, "write")
     stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for minute, row in zip(series.minutes, series.speeds):
-            writer.writerow([int(minute)] + [format(v, ".12g") for v in row])
+        stream.write(",".join(CSV_HEADER) + "\n")
+        stream.write(text)
     finally:
         if own:
             stream.close()
@@ -548,7 +551,9 @@ def _simulate_hard_window(base: CtmConfig, minutes: int, seed: int, index: int) 
         series = simulate_into(sim, minutes, noise)
         if has_sustained_congestion(series):
             return series
-    raise RuntimeError(f"hard window {index}: congestion criterion failed after 20 attempts")
+    raise ValueError(f"hard window {index}: no {CONGESTION_MINUTES}-minute congestion in "
+                     f"20 attempts of hard_minutes = {minutes}; a longer window gives the "
+                     "queue time to form")
 
 
 def make_corpus(base: CtmConfig, sizes: CorpusSizes = CorpusSizes()) -> Corpus:

@@ -3,9 +3,12 @@
 Reported MSE follows the display convention of the accuracy tables: the raw
 mean squared error on normalized speeds multiplied by 1000.  The hard metric
 evaluates each congested window independently and averages the per-window
-values, scored by the chunked tape-free ``models.predict_batch``.  The
-latency benchmark times the bare model forward on one fixed window (no
-normalisation, no I/O) with an untimed warmup, single process.
+values, scored by the chunked tape-free ``models.predict_batch``.  Each
+series is cut into stride-1 windows, so a one-step model's recursive
+horizons start from the frame state of the neighbouring window instead of
+re-walking its frames (see ``models``).  The latency benchmark times the
+bare model forward on one fixed window (no normalisation, no I/O) with an
+untimed warmup, single process.
 """
 
 from __future__ import annotations

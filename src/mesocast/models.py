@@ -20,6 +20,17 @@ PREDICT_CHUNK windows per pass.  Tests pin the two paths to each other at
 1e-12.  Both nstep unrolls can start from a ``Prefix``: the states that the
 first layers reach before any prediction is fed back, kept by the staged
 trainer while those layers are frozen.
+
+A one-step recursion reuses frame states the same way, within one
+``predict_batch`` chunk.  Horizon k of window j walks frames k..s-1 from
+zero before its k fed predictions, and those frames are the first s-k frames
+of window j+k.  So when a chunk's windows are consecutive (each is the
+previous one moved on one frame, bit for bit, as ``eval`` builds them), one
+frame pass from zero over the chunk and the later starts inside its last
+window gives every horizon its start state, and horizon k then walks only
+its k predictions: s + H(H-1)/2 cell steps per chunk instead of s*H for H <=
+s horizons, with the same bits.  A chunk with a seam, a single window (the
+latency path) and horizons past s, which read no frame, walk from zero.
 """
 
 from __future__ import annotations
@@ -353,9 +364,12 @@ class InferencePlan:
                  prefix: Prefix | None = None) -> None:
         """(G, s, 21) normalized windows, G <= groups -> out (G, horizons, 21).
         One-step kinds recurse: horizon k reads the last s entries of (window
-        + predictions so far) from a zero state.  nstep layer k re-reads the
-        window plus the earlier predictions from layer k-1's terminal state,
-        or starts after the window from an nstep ``prefix`` entry."""
+        + predictions so far) from a zero state, or, when the G windows are
+        consecutive, starts after its real frames from the state a frame pass
+        left (``_frame_starts``) and walks only its k fed predictions.  nstep
+        layer k re-reads the window plus the earlier predictions from layer
+        k-1's terminal state, or starts after the window from an nstep
+        ``prefix`` entry."""
         groups, horizons = out.shape[:2]
         if horizons < 1:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
@@ -365,16 +379,25 @@ class InferencePlan:
         if prefix is not None and not nstep:
             raise ValueError(f"only nstep unrolls start from a prefix, not {self.kind}")
         held, known = _check_prefix(prefix, horizons)
-        if groups != self._buf.groups:
-            self._buf.resize(groups)
         s, rows = self.s, groups * self._buf.tokens
+        reach = min(horizons, s)         # horizons that read a real frame
+        # the frame pass runs reach - 1 more starts than there are windows
+        if (self.kind in ONE_STEP_KINDS and reach > 1
+                and 1 < groups <= self._buf.capacity - (reach - 1) and _consecutive(windows)):
+            held = self._frame_starts(windows, reach)
+            known = reach
+        elif groups != self._buf.groups:
+            self._buf.resize(groups)
         if len(self._seq) < s + horizons:
             self._seq = np.empty((s + horizons,) + self._seq.shape[1:])
         seq = self._seq[:, :rows]
         seq[:s] = windows.transpose(1, 0, 2).reshape(s, rows, -1)
         for k in range(1 if self.kind == "all-at-once" else horizons):
             cell = self.cells[k if nstep else 0]
-            frames, fed = (seq[:s], seq[s:s + k]) if nstep else (seq[k:k + s], ())
+            if nstep:
+                frames, fed = seq[:s], seq[s:s + k]
+            else:
+                frames, fed = seq[k:s], seq[max(s, k):s + k]
             if k < known:
                 cell.load(held[k])
             else:
@@ -393,6 +416,38 @@ class InferencePlan:
                 seq[s + k] = head
                 out[:, k] = head.reshape(groups, NUM_SEGMENTS)
 
+    def _frame_starts(self, windows: np.ndarray, reach: int) -> list[np.ndarray]:
+        """States of G consecutive windows after their real frames, for the
+        first ``reach`` horizons of a one-step recursion: entry k holds, per
+        window j, the packed state after frames k..s-1 from zero.  Those are
+        window j+k's first s-k frames, so one frame pass from zero over the
+        G windows and the reach-1 later starts inside the last window gives
+        every entry: entry k is the pass after s-k steps, k groups on."""
+        groups, extra = len(windows), reach - 1
+        s, tokens = self.s, self._buf.tokens
+        # the series the windows cut, row j+t being frame t of window j; the
+        # extra starts read past its end into zeros after their last use
+        series = np.zeros((groups + extra + s - 1, NUM_SEGMENTS))
+        series[:groups] = windows[:, 0]
+        series[groups:groups + s - 1] = windows[-1, 1:]
+        states = np.empty((reach, groups * tokens, 2 * self._buf.hidden))
+        self._buf.resize(groups + extra)
+        cell = self.cells[0]
+        cell.reset()
+        for t in range(s):
+            cell.step(series[t:t + groups + extra].reshape((groups + extra) * tokens, -1))
+            k = s - 1 - t
+            if k < reach:
+                cell.save(states[k], start=k * tokens)
+        self._buf.resize(groups)
+        return list(states)
+
+
+def _consecutive(windows: np.ndarray) -> bool:
+    """Whether each window is the previous one moved on one frame, bit for bit."""
+    bits = windows.view(np.uint64)
+    return np.array_equal(bits[1:, :-1], bits[:-1, 1:])
+
 
 # ---------------------------------------------------------------------------
 # forecasting entry points
@@ -410,11 +465,15 @@ def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
 def predict_batch(model, x: np.ndarray, horizons: int,
                   prefix: Prefix | None = None) -> np.ndarray:
     """(B, s, 21) -> (B, horizons, 21) on the tape-free kernel, PREDICT_CHUNK
-    windows per pass; one-step models cover extra horizons recursively and
-    nstep runs only its first ``horizons`` layers, from the ``prefix`` of the
-    B windows where one is given."""
+    windows per pass; one-step models cover extra horizons recursively (from
+    a frame pass over each chunk whose windows are consecutive) and nstep
+    runs only its first ``horizons`` layers, from the ``prefix`` of the B
+    windows where one is given.  Nothing is carried across chunks."""
     x = _check_batch(x, model.s)
-    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))))
+    # room for the starts a one-step frame pass runs past a chunk's last window
+    # (without it every chunk walks from zero)
+    extra = min(horizons, model.s) - 1 if model.kind in ONE_STEP_KINDS else 0
+    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))) + extra)
     out = np.empty((len(x), horizons, NUM_SEGMENTS))
     for start in range(0, len(x), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK

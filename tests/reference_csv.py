@@ -1,6 +1,8 @@
-"""The series CSV reader as it stood before the vectorized one: the csv
-module and one ``int``/``float`` call per cell.  Tests run both readers on
-the same input and require the same series or the same rejection."""
+"""The series CSV reader and writer as they stood before the vectorized
+ones: the csv module and one ``int``/``float``/``format`` call per cell.
+Tests run both readers on the same input and require the same series or the
+same rejection, and both writers on the same series and require the same
+bytes."""
 
 import csv
 
@@ -47,3 +49,16 @@ def read_csv_reference(source) -> Series:
         raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
                          "is not a finite non-negative number")
     return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
+
+
+def write_csv_reference(series: Series, destination) -> None:
+    own = not hasattr(destination, "write")
+    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
+    try:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for minute, row in zip(series.minutes, series.speeds):
+            writer.writerow([int(minute)] + [format(v, ".12g") for v in row])
+    finally:
+        if own:
+            stream.close()

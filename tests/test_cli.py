@@ -131,6 +131,15 @@ class TestGenerate:
         assert "hard_windows" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train.csv").exists()
 
+    def test_hard_window_too_short_to_congest_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(TINY_INI.replace("hard_windows = 1",
+                                        "hard_windows = 1\nhard_minutes = 60"))
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "hard_minutes = 60" in err and "hard window 0" in err
+        assert "Traceback" not in err
+
     def test_env_var_output_dir(self, tiny_config, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("MESOCAST_OUT", str(target))
@@ -304,6 +313,26 @@ class TestForecast:
         D.write_csv(series, out / "short.csv")
         assert run_cli("forecast", "--config", tiny_config, "--out", out,
                        "--input", out / "short.csv", "--checkpoint", model_path) == 2
+
+
+@pytest.mark.parametrize("kind", ["sa-lstm", "nstep"])
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_zero_horizons_exits_2(corpus_dir, tmp_path, capsys, command, kind):
+    out, _ = corpus_dir
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(TINY_INI.replace("horizons = 2", "horizons = 0"))
+    model_path = tmp_path / "model.bin"
+    save_model(build_model(kind, s=4, hidden=4, attn_width=2, horizon=2), model_path)
+    written = tmp_path / f"{command}.csv"
+    if command == "eval":
+        argv = []
+        cfg.write_text(cfg.read_text() + f"report_csv = {written}\n")
+    else:
+        argv = ["--input", out / "hard0.csv", "--output", written]
+    assert run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
+                   *argv) == 2
+    assert "evaluation.horizons" in capsys.readouterr().err
+    assert not written.exists()
 
 
 class TestBench:

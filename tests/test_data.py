@@ -22,7 +22,7 @@ from mesocast.data import (
     stack_windows,
     write_csv,
 )
-from reference_csv import read_csv_reference
+from reference_csv import read_csv_reference, write_csv_reference
 
 
 def toy_series(T, start=0, seed=0):
@@ -249,6 +249,45 @@ REJECTIONS = {
     "speed out of range": [_set_cell(speed_column, lambda c, pick: pick.draw(
         st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-5", "-1e-300"])))],
 }
+
+
+# what a writer must reproduce: any float64, a negative zero, and values
+# that need all 12 significant digits
+written_speeds = st.one_of(
+    st.floats(),
+    st.floats(-1e4, 1e4).map(lambda v: float(format(v, ".12g"))),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.00000000001, 123.456789012, 9.99999999999e-5,
+                     -89.9999999999, 1e16, 1.7976931348623157e308]))
+
+
+@st.composite
+def written_series(draw):
+    rows = draw(st.integers(0, 6))
+    minutes = draw(st.sets(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows))
+    speeds = draw(st.lists(written_speeds, min_size=rows * data.NUM_SEGMENTS,
+                           max_size=rows * data.NUM_SEGMENTS))
+    return Series(minutes=np.array(sorted(minutes), dtype=np.int64),
+                  speeds=np.array(speeds, dtype=np.float64).reshape(rows, data.NUM_SEGMENTS))
+
+
+def written_bytes(writer, series) -> bytes:
+    buf = io.StringIO(newline="")
+    writer(series, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvWriterAgainstReference:
+    """The one-format-per-row writer against the csv-module writer it replaced."""
+
+    @given(written_series())
+    def test_same_bytes(self, series):
+        assert written_bytes(write_csv, series) == written_bytes(write_csv_reference, series)
+
+    def test_same_file_for_a_simulated_series(self, tmp_path):
+        series = ctm_simulate(CtmConfig(seed=6), 120)
+        write_csv(series, tmp_path / "new.csv")
+        write_csv_reference(series, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCsvAgainstReference:

@@ -3,7 +3,8 @@ import pytest
 
 from mesocast import autodiff as ad
 from mesocast import cells, models
-from mesocast.data import MINUTES_PER_DAY, NUM_SEGMENTS
+from mesocast.data import (MINUTES_PER_DAY, NUM_SEGMENTS, CtmConfig, build_windows,
+                           ctm_simulate, normalize, stack_windows)
 from mesocast.models import (
     InferencePlan,
     build_model,
@@ -332,6 +333,121 @@ class TestPrefix:
         m = tiny("sa-lstm", seed=24)
         with pytest.raises(ValueError, match="only nstep"):
             predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 1))
+
+
+def series_windows(s, count, seed):
+    """``count`` consecutive normalized (s, 21) windows of a simulated series."""
+    x, _ = stack_windows(build_windows(ctm_simulate(CtmConfig(seed=seed), count + s), s, 1))
+    return normalize(x)
+
+
+def one_step_steps(s, horizons):
+    """StepKernel steps of one chunk of consecutive windows: one frame pass
+    of s steps, then horizon k < s walks its k fed predictions and horizon
+    k >= s its s predictions from zero."""
+    reach = min(horizons, s)
+    return s + reach * (reach - 1) // 2 + (horizons - reach) * s
+
+
+def count_steps(monkeypatch) -> list:
+    steps = []
+    step = cells.StepKernel.step
+    monkeypatch.setattr(cells.StepKernel, "step",
+                        lambda self, x: (steps.append(1), step(self, x)))
+    return steps
+
+
+def zero_start_walk(monkeypatch, m, X, horizons):
+    """predict_batch with every chunk taken for one with a seam: each horizon
+    walks its last s entries from zero at the same chunk geometry."""
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_consecutive", lambda windows: False)
+        steps = count_steps(patch)
+        out = predict_batch(m, X, horizons)
+    chunks = -(-len(X) // models.PREDICT_CHUNK)
+    assert len(steps) == chunks * m.s * horizons
+    return out
+
+
+class TestFrameReuse:
+    """On consecutive windows a one-step recursion starts horizon k after its
+    real frames from the state of window j+k, bitwise as if it had walked
+    them from zero."""
+
+    S = 8
+    BATCHES = (1, 31, 32, 33, 34)
+    HORIZONS = (1, 2, 3, S, S + 2)
+
+    @pytest.mark.parametrize("horizons", HORIZONS)
+    @pytest.mark.parametrize("kind", models.ONE_STEP_KINDS)
+    def test_matches_per_window_recursion(self, kind, horizons):
+        # at these dims the parent's chunks already agreed with single
+        # windows bitwise for the per-segment kinds; the dense lstm's
+        # single-row product takes another BLAS routine, so it agrees at 1e-12
+        m = build_model(kind, s=self.S, hidden=5, attn_width=3, seed=40)
+        X = series_windows(self.S, max(self.BATCHES), seed=40)
+        plan = InferencePlan(m)
+        single = np.stack([forecast_recursive(m, w, horizons, plan=plan).horizons for w in X])
+        for batch in self.BATCHES:
+            out = predict_batch(m, X[:batch], horizons)
+            if kind == "lstm":
+                np.testing.assert_allclose(out, single[:batch], rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(out, single[:batch]), batch
+
+    @pytest.mark.parametrize("horizons", HORIZONS)
+    @pytest.mark.parametrize("kind", models.ONE_STEP_KINDS)
+    def test_matches_zero_start_walk(self, monkeypatch, kind, horizons):
+        m = build_model(kind, s=self.S, hidden=16, attn_width=4, seed=41)
+        X = series_windows(self.S, 2 * models.PREDICT_CHUNK + 6, seed=41)
+        for batch in self.BATCHES + (len(X),):
+            assert np.array_equal(predict_batch(m, X[:batch], horizons),
+                                  zero_start_walk(monkeypatch, m, X[:batch], horizons)), batch
+
+    @pytest.mark.parametrize("kind", models.ONE_STEP_KINDS)
+    def test_seam_between_series(self, monkeypatch, kind):
+        # 20 windows of one series, then 20 of another: the first chunk holds
+        # the seam and walks from zero, the second chunk is consecutive
+        m = build_model(kind, s=self.S, hidden=5, attn_width=3, seed=42)
+        X = np.concatenate([series_windows(self.S, 20, seed=42),
+                            series_windows(self.S, 20, seed=43)])
+        plan = InferencePlan(m)
+        for horizons in (3, self.S + 2):
+            steps = count_steps(monkeypatch)
+            out = predict_batch(m, X, horizons)
+            assert len(steps) == self.S * horizons + one_step_steps(self.S, horizons)
+            assert np.array_equal(out, zero_start_walk(monkeypatch, m, X, horizons))
+            single = np.stack([forecast_recursive(m, w, horizons, plan=plan).horizons
+                               for w in X])
+            np.testing.assert_allclose(out, single, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("horizons", HORIZONS)
+    @pytest.mark.parametrize("kind", models.ONE_STEP_KINDS)
+    def test_step_count_pins_the_reuse(self, monkeypatch, kind, horizons):
+        m = build_model(kind, s=self.S, hidden=5, attn_width=3, seed=44)
+        X = series_windows(self.S, 2 * models.PREDICT_CHUNK + 6, seed=44)
+        for batch, chunks in ((2, 1), (34, 2), (len(X), 3)):
+            steps = count_steps(monkeypatch)
+            predict_batch(m, X[:batch], horizons)
+            assert len(steps) == chunks * one_step_steps(self.S, horizons), batch
+        steps = count_steps(monkeypatch)
+        predict_batch(m, X[:1], horizons)           # one window: nothing to share
+        assert len(steps) == self.S * horizons
+
+    @pytest.mark.parametrize("flip", ["ulp", "signed zero"])
+    def test_frames_equal_only_in_value_are_a_seam(self, monkeypatch, flip):
+        m = build_model("sa-lstm", s=self.S, hidden=5, attn_width=3, seed=45)
+        X = series_windows(self.S, 10, seed=45)
+        # window 5's first frame is window 4's second frame, but for one bit
+        if flip == "ulp":
+            X[5, 0, 0] = np.nextafter(X[5, 0, 0], 2.0)
+        else:
+            X[:, :, 0] = 0.0
+            X[5, 0, 0] = -0.0
+        steps = count_steps(monkeypatch)
+        out = predict_batch(m, X, 3)
+        assert len(steps) == self.S * 3
+        assert np.array_equal(out, zero_start_walk(monkeypatch, m, X, 3))
 
 
 class TestSerialization:
