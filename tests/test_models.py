@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -458,6 +460,18 @@ class TestSerialization:
         for (name, a), (name2, b) in zip(m.blocks().items(), back.blocks().items()):
             assert name == name2
             assert np.array_equal(a.data, b.data), name
+
+    @pytest.mark.parametrize("kind, sha256", [
+        ("lstm", "18c99ce3f7c8567334165df29d4fa3b07bfdf7b19748a584cff0f8a0c2cff5a2"),
+        ("lstm-seg", "1e0be2af6648aaa1615efd02bde51ef138918fa9b126b9ebdcacbd2f308b5659"),
+        ("sa-lstm", "aecc1f12a684c78527db0c143152ff2105df914a760b16e4faff72019e97eebd"),
+        ("all-at-once", "aed364aea83bf03ccbb279f54f9a0b73e601c710f4458e8f0bb460bcf2a1c9cd"),
+        ("nstep", "d4ed40f6716c1ba3279d6cfce932befe2c8a7be2374a65c55c6ce46f53afea60"),
+    ])
+    def test_container_bytes_pinned(self, kind, sha256):
+        # MSOC v1 bytes of a fresh model: block names, order, dims and init
+        blob = serialize_model(build_model(kind, s=8, hidden=16, attn_width=4, horizon=3, seed=5))
+        assert hashlib.sha256(blob).hexdigest() == sha256
 
     def test_truncated_rejected(self):
         blob = serialize_model(tiny("sa-lstm"))

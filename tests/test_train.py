@@ -539,3 +539,14 @@ class TestPinnedResults:
                           tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 8
         assert run_digest(run) == "d79b9e34"
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("lstm", "3c9db2c4"), ("lstm-seg", "dbfded31"),
+        ("sa-lstm", "2718d78c"), ("all-at-once", "dfcf583a"),
+    ])
+    def test_single_stage_digest(self, kind, digest):
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=21)
+        run = train_one_step_model(model, wavy_corpus(seed=3),
+                                   tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
+        assert run.epoch == 2
+        assert run_digest(run) == digest
