@@ -5,10 +5,14 @@ output tensor; ``backward`` replays the recorded graph once in reverse
 topological order.  All arithmetic is 64-bit and evaluation order is fixed,
 so repeated passes over the same graph are bitwise identical.
 
-The op set is the minimum needed by the forecasting stack: matrix products
-(plain and batched with shared right-hand weights), row softmax, the usual
-elementwise gate functions, and the shape algebra used by window assembly
-and the packed cell state (concat / slice / transpose / reshape).
+The op set is what training records: each cell step is one ``node`` with a
+hand-derived adjoint (see ``cells``); the head is ``matmul`` plus
+``add_bias``; ``narrow`` and ``reshape`` view the packed cell state and the
+head's columns; the losses use the elementwise ops and the reductions.  Row
+softmax, ``transpose`` and the batched 3-D ``matmul`` serve only
+``cells.self_attention``, the taped reference that the fused attention is
+tested against.  The gate functions and ``concat`` live with the tests'
+references.
 """
 
 from __future__ import annotations
@@ -25,12 +29,9 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "sigmoid",
-    "tanh",
     "abs_",
     "matmul",
     "softmax_rows",
-    "concat",
     "add_bias",
     "narrow",
     "transpose",
@@ -82,18 +83,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data) -> Tensor:
     """Constant (non-trainable) tensor."""
@@ -143,16 +132,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
     return node(a.data * k, (a,), lambda g: (g * k,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = sigmoid_array(a.data)
-    return node(y, (a,), lambda g: (g * (y * (1.0 - y)),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return node(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -222,24 +201,6 @@ def softmax_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat: no inputs")
-    datas = [p.data for p in parts]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        gm = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(gm[offsets[i]:offsets[i + 1]], 0, axis) for i in range(len(sizes))
-        )
-
-    return node(out, parts, vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -99,18 +99,12 @@ class SaLstmParams:
         return out
 
 
+@dataclass
 class LstmState:
     """Recurrent state of a batch of rows, carried as one packed (rows, 2H)
     tensor ``hc = [h | c]``; ``h`` and ``c`` are taped views of it."""
 
-    def __init__(self, h: Tensor, c: Tensor):
-        self.hc = ad.concat([h, c], axis=1)
-
-    @classmethod
-    def packed(cls, hc: Tensor) -> "LstmState":
-        state = cls.__new__(cls)
-        state.hc = hc
-        return state
+    hc: Tensor
 
     @property
     def hidden(self) -> int:
@@ -126,7 +120,7 @@ class LstmState:
 
 
 def zero_state(rows: int, hidden: int) -> LstmState:
-    return LstmState.packed(ad.tensor(np.zeros((rows, 2 * hidden))))
+    return LstmState(ad.tensor(np.zeros((rows, 2 * hidden))))
 
 
 def init_lstm_params(hidden, in_width, seed, prefix, trainable=True) -> LstmParams:
@@ -369,7 +363,7 @@ def _record(cell: LstmParams | SaLstmParams, state: LstmState, x: Tensor,
     b.h, b.c = hc[:, :H], hc[:, H:]             # keep cat intact for the adjoint
     kernel.step(x.data)
     parents = [state.hc, x, *cell.blocks("").values()]
-    return LstmState.packed(ad.node(hc, parents, lambda g: kernel.adjoint(
+    return LstmState(ad.node(hc, parents, lambda g: kernel.adjoint(
         g, hc_prev[:, H:], [t.requires_grad for t in parents])))
 
 

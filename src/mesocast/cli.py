@@ -31,8 +31,7 @@ from . import data as D
 from . import evaluate as E
 from .config import RunConfig, config_hash, load_config
 from .runtime import tune_allocator
-from .models import (MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model,
-                     forecast_recursive, load_model, save_model)
+from .models import MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model, load_model, save_model
 from .train import (
     DivergenceError,
     best_model,
@@ -114,6 +113,16 @@ def _build_model(cfg: RunConfig):
     )
 
 
+def _load_for_horizons(path, horizons: int):
+    """The model at ``path``, checked to reach ``[evaluation] horizons``: a
+    one-step kind recurses to any horizon, a multi-step one emits its own."""
+    model = load_model(path)
+    if model.kind not in ONE_STEP_KINDS and horizons > model.horizon:
+        raise ValueError(f"evaluation.horizons = {horizons} exceeds the {model.horizon} horizons "
+                         f"that the {model.kind} model {path} emits")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -167,8 +176,7 @@ def cmd_train(args) -> int:
     save_model(best, out / cfg.training.model_out)
     save_checkpoint(run, train_cfg, ckpt_path)
     _write_metrics_csv(run.history, out / cfg.training.metrics_csv)
-    horizons = getattr(best, "horizon", 1)
-    report = E.evaluate(best, corpus, horizons=horizons)
+    report = E.evaluate(best, corpus, horizons=best.horizon)
     for line in E.report_lines(best.kind, report):
         print(line)
     _write_manifest(out, "train", cfg, [cfg.training.model_out,
@@ -183,11 +191,10 @@ def cmd_eval(args) -> int:
     corpus = _load_held_out(cfg, out)
     checkpoints = args.checkpoint or [str(out / cfg.evaluation.checkpoint)]
     horizons = cfg.evaluation.horizons
+    loaded = [(path, _load_for_horizons(path, horizons)) for path in checkpoints]
     rows = []
-    for path in checkpoints:
-        model = load_model(path)
-        report = E.evaluate(model, corpus, horizons=min(horizons,
-                                                        getattr(model, "horizon", horizons)))
+    for path, model in loaded:
+        report = E.evaluate(model, corpus, horizons=horizons)
         rows.append((Path(path).stem, model.kind, report))
         for line in E.report_lines(f"{Path(path).stem} [{model.kind}]", report):
             print(line)
@@ -205,7 +212,8 @@ def cmd_eval(args) -> int:
 def cmd_forecast(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
-    model = load_model(args.checkpoint or (out / cfg.evaluation.checkpoint))
+    horizons = cfg.evaluation.horizons
+    model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
     series = D.read_csv(args.input)
     if len(series) < model.s:
         raise ValueError(f"input has {len(series)} frames, model needs {model.s}")
@@ -220,14 +228,10 @@ def cmd_forecast(args) -> int:
     if np.any(np.diff(series.minutes[end - model.s:end]) != 1):
         raise ValueError("input frames are not minute-consecutive")
 
-    horizons = cfg.evaluation.horizons
     window = D.normalize(window_mph)
     plan = InferencePlan(model)
     start = time.perf_counter()
-    if model.kind in ONE_STEP_KINDS:
-        preds = forecast_recursive(model, window, horizons, plan=plan).horizons
-    else:
-        preds = plan.run(window)[:horizons]
+    preds = plan.run(window, horizons)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     # clamp only at the export boundary
     preds = np.clip(preds, 0.0, 1.0)

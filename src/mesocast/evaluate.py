@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus, Series, build_windows, normalize, stack_windows
-from .models import InferencePlan, predict_batch
+from .models import ONE_STEP_KINDS, InferencePlan, predict_batch
 from .runtime import tune_allocator
 
 MSE_DISPLAY_SCALE = 1000.0
@@ -50,9 +50,8 @@ def evaluate(model, corpus: Corpus, horizons: int = 1) -> EvalReport:
     if horizons < 1:
         raise ValueError(f"horizons must be >= 1, got {horizons}")
     tune_allocator()
-    model_horizon = getattr(model, "horizon", None)
-    if model_horizon is not None and horizons > model_horizon:
-        raise ValueError(f"model emits {model_horizon} horizons, {horizons} requested")
+    if model.kind not in ONE_STEP_KINDS and horizons > model.horizon:
+        raise ValueError(f"model emits {model.horizon} horizons, {horizons} requested")
     easy = _per_horizon_mse(model, corpus.easy, model.s, horizons)
     hard_windows = [_per_horizon_mse(model, series, model.s, horizons)
                     for series in corpus.hard]

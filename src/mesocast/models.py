@@ -11,15 +11,26 @@ normalized 21-wide predictions:
   plus the earlier predictions (s+i-1 cells) starting from layer i-1's
   terminal state, all layers sharing one affine head.
 
-Every path runs the one cell step kernel, ``cells.StepKernel``.  The taped
-``forward_graph``, for training only, records each cell step as a single tape
-node (``cells.lstm_step`` / ``cells.sa_lstm_step``).  The tape-free
-``InferencePlan`` drives the kernel on ``(rows, .)`` buffers allocated once,
-for one window (the latency path) and, in ``predict_batch``, for
-PREDICT_CHUNK windows per pass.  Tests pin the two paths to each other at
-1e-12.  Both nstep unrolls can start from a ``Prefix``: the states that the
-first layers reach before any prediction is fed back, kept by the staged
-trainer while those layers are frozen.
+One class, ``Forecaster(kind, layers, head_w, head_b, s, horizon)``, holds
+every kind.  The kinds differ only in their data: ``layers`` has one cell
+(``nstep``: one per horizon), the head has one column per segment token
+(``all-at-once``: one per horizon, split with ``narrow``), and ``horizon``
+counts what one unroll emits, 1 for the one-step kinds.  The names
+``OneStepModel``, ``AllAtOnceModel`` and ``NStepModel`` are aliases of it
+that the benchmark's tracer still binds.
+
+Every path runs the one cell step kernel, ``cells.StepKernel``, on one step
+schedule, ``_schedule``: which entries of (window frames + predictions) pass
+k walks, which it reads as fed predictions, and whether it starts from zero.
+The taped unroll, ``Forecaster.forward_graph_with_states``, serves training
+only and records each cell step as a single tape node (``cells.lstm_step`` /
+``cells.sa_lstm_step``).  The tape-free ``InferencePlan`` drives the kernel
+on ``(rows, .)`` buffers allocated once, for one window (the latency path)
+and, in ``predict_batch``, for PREDICT_CHUNK windows per pass; it alone
+recurses a one-step kind past its own horizon.  Tests pin the two paths to
+each other at 1e-12.  Both nstep unrolls can start from a ``Prefix``: the
+states that the first layers reach before any prediction is fed back, kept
+by the staged trainer while those layers are frozen.
 
 A one-step recursion reuses frame states the same way, within one
 ``predict_batch`` chunk.  Horizon k of window j walks frames k..s-1 from
@@ -59,7 +70,8 @@ from .cells import (
 from .data import MINUTES_PER_DAY, NUM_SEGMENTS
 from .seeding import block_rng
 
-ONE_STEP_KINDS = ("lstm", "lstm-seg", "sa-lstm")
+LSTM_KINDS = ("lstm", "lstm-seg")          # plain LSTM cells, no attention
+ONE_STEP_KINDS = LSTM_KINDS + ("sa-lstm",)
 MODEL_KINDS = ONE_STEP_KINDS + ("all-at-once", "nstep")
 
 
@@ -95,90 +107,6 @@ def _head_apply(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_bias(ad.matmul(h, w), b)
 
 
-@dataclass
-class OneStepModel:
-    kind: str
-    cell: LstmParams | SaLstmParams
-    head_w: Tensor
-    head_b: Tensor
-    s: int
-
-    @property
-    def hidden(self) -> int:
-        return self.cell.hidden
-
-    @property
-    def attn_width(self) -> int:
-        return self.cell.attn.proj_width if self.kind == "sa-lstm" else 0
-
-    def blocks(self) -> dict[str, Tensor]:
-        out = self.cell.blocks("layer1")
-        out["head/w"] = self.head_w
-        out["head/b"] = self.head_b
-        return out
-
-    def dims(self) -> dict:
-        return {"s": self.s, "hidden": self.hidden, "attn_width": self.attn_width}
-
-    def forward_graph(self, x) -> Tensor:
-        """Batched taped forward: (B, s, 21) normalized -> (B, 21)."""
-        x = _check_batch(x, self.s)
-        B = x.shape[0]
-        # the dense lstm reads a whole field as one token, the others one token per segment
-        tokens, in_width = (1, NUM_SEGMENTS) if self.kind == "lstm" else (NUM_SEGMENTS, 1)
-        rows = B * tokens
-        state = zero_state(rows, self.hidden)
-        for t in range(self.s):
-            xt = ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
-            if self.kind == "sa-lstm":
-                state = sa_lstm_step(self.cell, state, xt, tokens=NUM_SEGMENTS)
-            else:
-                state = lstm_step(self.cell, state, xt)
-        out = _head_apply(state.h, self.head_w, self.head_b)
-        return ad.reshape(out, (B, NUM_SEGMENTS))
-
-
-@dataclass
-class AllAtOnceModel:
-    cell: SaLstmParams
-    head_w: Tensor
-    head_b: Tensor
-    s: int
-    horizon: int
-    kind: str = "all-at-once"
-
-    @property
-    def hidden(self) -> int:
-        return self.cell.hidden
-
-    @property
-    def attn_width(self) -> int:
-        return self.cell.attn.proj_width
-
-    def blocks(self) -> dict[str, Tensor]:
-        out = self.cell.blocks("layer1")
-        out["head/w"] = self.head_w
-        out["head/b"] = self.head_b
-        return out
-
-    def dims(self) -> dict:
-        return {"s": self.s, "hidden": self.hidden, "attn_width": self.attn_width,
-                "horizon": self.horizon}
-
-    def forward_graph(self, x) -> Tensor:
-        """(B, s, 21) -> (B, horizon, 21); horizon k is head column k."""
-        x = _check_batch(x, self.s)
-        B = x.shape[0]
-        rows = B * NUM_SEGMENTS
-        state = zero_state(rows, self.hidden)
-        for t in range(self.s):
-            xt = ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, 1))
-            state = sa_lstm_step(self.cell, state, xt, tokens=NUM_SEGMENTS)
-        out = _head_apply(state.h, self.head_w, self.head_b)   # (rows, horizon)
-        grouped = ad.reshape(out, (B, NUM_SEGMENTS, self.horizon))
-        return ad.transpose(grouped)                           # (B, horizon, 21)
-
-
 # Layers 1 and 2 walk the input frames before they read any prediction (layer
 # 2 starts from layer 1's terminal state); layer 3 starts from layer 2's
 # terminal state, which has read prediction 1.  So a prefix has at most two
@@ -201,9 +129,11 @@ class Prefix:
         return Prefix([hc[start:stop] for hc in self.states], self.known)
 
 
-def _check_prefix(prefix: Prefix | None, layers: int) -> tuple[list[np.ndarray], int]:
+def _check_prefix(prefix: Prefix | None, kind: str, layers: int) -> tuple[list[np.ndarray], int]:
     if prefix is None:
         return [], 0
+    if kind != "nstep":
+        raise ValueError(f"only nstep unrolls start from a prefix, not {kind}")
     limit = min(layers, MAX_PREFIX)
     if len(prefix.states) > limit:
         raise ValueError(f"a prefix for a pass over {layers} nstep layers holds at most "
@@ -211,17 +141,30 @@ def _check_prefix(prefix: Prefix | None, layers: int) -> tuple[list[np.ndarray],
     return prefix.states, prefix.known
 
 
+def _schedule(kind: str, s: int, k: int) -> tuple[slice, slice, bool]:
+    """Pass k of an unroll over ``seq`` = the s window frames, then the
+    predictions in order: the entries it walks from its start state, the fed
+    predictions it then reads, and whether it starts from zero.  nstep layer
+    k re-reads every frame and the k earlier predictions from layer k-1's
+    state; pass k of a one-step recursion reads the last s entries from
+    zero."""
+    if kind == "nstep":
+        return slice(0, s), slice(s, s + k), k == 0
+    return slice(k, s), slice(max(s, k), s + k), True
+
+
 @dataclass
-class NStepModel:
-    layers: list[SaLstmParams]
+class Forecaster:
+    """Every model kind: ``layers`` holds one cell (``nstep``: one per
+    horizon), ``horizon`` counts the horizons one unroll emits (1 for the
+    one-step kinds, which recurse for more)."""
+
+    kind: str
+    layers: list[LstmParams | SaLstmParams]
     head_w: Tensor
     head_b: Tensor
     s: int
-    kind: str = "nstep"
-
-    @property
-    def horizon(self) -> int:
-        return len(self.layers)
+    horizon: int
 
     @property
     def hidden(self) -> int:
@@ -229,7 +172,13 @@ class NStepModel:
 
     @property
     def attn_width(self) -> int:
-        return self.layers[0].attn.proj_width
+        return 0 if self.kind in LSTM_KINDS else self.layers[0].attn.proj_width
+
+    @property
+    def layout(self) -> tuple[int, int]:
+        """(tokens, in_width) of one window: the dense lstm reads a whole field
+        as one token, the others one token per segment."""
+        return (1, NUM_SEGMENTS) if self.kind == "lstm" else (NUM_SEGMENTS, 1)
 
     def blocks(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -239,12 +188,11 @@ class NStepModel:
         out["head/b"] = self.head_b
         return out
 
-    def layer_block_names(self, index: int) -> list[str]:
-        return list(self.layers[index].blocks(f"layer{index + 1}").keys())
-
     def dims(self) -> dict:
-        return {"s": self.s, "hidden": self.hidden, "attn_width": self.attn_width,
-                "horizon": self.horizon}
+        dims = {"s": self.s, "hidden": self.hidden, "attn_width": self.attn_width}
+        if self.kind not in ONE_STEP_KINDS:
+            dims["horizon"] = self.horizon
+        return dims
 
     def forward_graph(self, x) -> list[Tensor]:
         """(B, s, 21) -> one (B, 21) prediction tensor per horizon."""
@@ -253,69 +201,77 @@ class NStepModel:
 
     def forward_graph_with_states(self, x, upto: int | None = None,
                                   prefix: Prefix | None = None):
-        """Predictions and terminal states of the first ``upto`` layers.  A
-        layer started from a ``prefix`` entry records nothing for its input
-        frames: the entry is a tape constant."""
+        """Taped unroll of the first ``upto`` layers on the ``_schedule`` the
+        plan runs: predictions in horizon order and each layer's terminal
+        state.  A layer started from a ``prefix`` entry records nothing for
+        its input frames: the entry is a tape constant."""
         x = _check_batch(x, self.s)
-        B = x.shape[0]
-        rows = B * NUM_SEGMENTS
+        B, s = x.shape[0], self.s
+        tokens, in_width = self.layout
+        rows = B * tokens
         layers = self.layers[:upto]
-        held, known = _check_prefix(prefix, len(layers))
-        base = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, 1))
-                for t in range(self.s)]
-        preds: list[Tensor] = []
+        held, known = _check_prefix(prefix, self.kind, len(layers))
+        # the (rows, in_width) frames, then the (B, 21) predictions
+        seq = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
+               for t in range(s)]
+        # horizons per head application: all-at-once emits one per head column
+        columns = self.head_w.shape[1] // in_width
         states: list[LstmState] = []
-        state = zero_state(rows, self.hidden)
-        for i, layer in enumerate(layers):
-            if i < known:
-                state = LstmState.packed(ad.tensor(held[i]))
+        for k, layer in enumerate(layers):
+            walk, fed, fresh = _schedule(self.kind, s, k)
+            if k < known:
+                state = LstmState(ad.tensor(held[k]))
             else:
-                for xt in base:
-                    state = sa_lstm_step(layer, state, xt, tokens=NUM_SEGMENTS)
-                if i < len(held):
-                    held[i][...] = state.hc.data
-            for p in preds:
-                state = sa_lstm_step(layer, state, ad.reshape(p, (rows, 1)), tokens=NUM_SEGMENTS)
+                if fresh:
+                    state = zero_state(rows, self.hidden)
+                for xt in seq[walk]:
+                    state = self._step(layer, state, xt)
+                if k < len(held):
+                    held[k][...] = state.hc.data
+            for p in seq[fed]:
+                state = self._step(layer, state, ad.reshape(p, (rows, in_width)))
             out = _head_apply(state.h, self.head_w, self.head_b)
-            preds.append(ad.reshape(out, (B, NUM_SEGMENTS)))
+            parts = [out] if columns == 1 else [ad.narrow(out, 1, j, 1) for j in range(columns)]
+            seq += [ad.reshape(part, (B, NUM_SEGMENTS)) for part in parts]
             states.append(state)
-        return preds, states
+        return seq[s:], states
+
+    def _step(self, layer, state: LstmState, xt: Tensor) -> LstmState:
+        # the module-level names, so a wrapper installed there (a tracer) sees each step
+        if self.kind in LSTM_KINDS:
+            return lstm_step(layer, state, xt)
+        return sa_lstm_step(layer, state, xt, tokens=NUM_SEGMENTS)
+
+
+# The benchmark's tracer wraps forward_graph under two of these names and
+# forward_graph_with_states under the third; the benchmark's next version
+# (ROADMAP item 1) drops them, and this line goes with it.
+OneStepModel = AllAtOnceModel = NStepModel = Forecaster
 
 
 def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
-                horizon: int = 3, seed: int = 0):
+                horizon: int = 3, seed: int = 0) -> Forecaster:
     """Construct a freshly initialised model of the given kind; parameter
     blocks draw name-keyed streams so shared block names agree across kinds."""
     if not 1 <= s <= MINUTES_PER_DAY:
         raise ValueError(f"window length s must be in 1..{MINUTES_PER_DAY}, got {s}")
     positive = {"hidden": hidden, "horizon": horizon}
-    if kind not in ("lstm", "lstm-seg"):
+    if kind not in LSTM_KINDS:
         positive["attn_width"] = attn_width
     for name, value in positive.items():
         if value < 1:
             raise ValueError(f"model {name} must be >= 1, got {value}")
-    if kind == "lstm":
-        cell = init_lstm_params(hidden, NUM_SEGMENTS, seed, "layer1")
-        w, b = _init_head(hidden, NUM_SEGMENTS, seed)
-        return OneStepModel("lstm", cell, w, b, s)
-    if kind == "lstm-seg":
-        cell = init_lstm_params(hidden, 1, seed, "layer1")
-        w, b = _init_head(hidden, 1, seed)
-        return OneStepModel("lstm-seg", cell, w, b, s)
-    if kind == "sa-lstm":
-        cell = init_sa_lstm_params(hidden, attn_width, seed, "layer1")
-        w, b = _init_head(hidden, 1, seed)
-        return OneStepModel("sa-lstm", cell, w, b, s)
-    if kind == "all-at-once":
-        cell = init_sa_lstm_params(hidden, attn_width, seed, "layer1")
-        w, b = _init_head(hidden, horizon, seed)
-        return AllAtOnceModel(cell, w, b, s, horizon)
-    if kind == "nstep":
-        layers = [init_sa_lstm_params(hidden, attn_width, seed, f"layer{i + 1}")
-                  for i in range(horizon)]
-        w, b = _init_head(hidden, 1, seed)
-        return NStepModel(layers, w, b, s)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    names = [f"layer{i + 1}" for i in range(horizon if kind == "nstep" else 1)]
+    if kind in LSTM_KINDS:
+        in_width = NUM_SEGMENTS if kind == "lstm" else 1
+        layers = [init_lstm_params(hidden, in_width, seed, name) for name in names]
+    else:
+        layers = [init_sa_lstm_params(hidden, attn_width, seed, name) for name in names]
+    width = {"lstm": NUM_SEGMENTS, "all-at-once": horizon}.get(kind, 1)
+    w, b = _init_head(hidden, width, seed)
+    return Forecaster(kind, layers, w, b, s, 1 if kind in ONE_STEP_KINDS else horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +292,15 @@ class InferencePlan:
     build one plan per thread.  Rebuild after parameters change.
     """
 
-    def __init__(self, model, groups: int = 1):
+    def __init__(self, model: Forecaster, groups: int = 1):
         self.kind = model.kind
         self.s = model.s
-        self.horizon = getattr(model, "horizon", 1)
+        self.horizon = model.horizon
         self.head_w = np.ascontiguousarray(model.head_w.data)
         self.head_b = model.head_b.data.copy()
-        # the dense lstm reads a whole field as one token, the others one token per segment
-        tokens, in_width = (1, NUM_SEGMENTS) if model.kind == "lstm" else (NUM_SEGMENTS, 1)
+        tokens, in_width = model.layout
         self._buf = StepBuffers(groups, tokens, model.hidden, in_width, model.attn_width)
-        cells = model.layers if model.kind == "nstep" else [model.cell]
-        self.cells = [StepKernel(cell, self._buf) for cell in cells]
+        self.cells = [StepKernel(cell, self._buf) for cell in model.layers]
         # one (rows, in_width) input per step: the window's frames, then the
         # predictions fed back; grown when more horizons are asked for
         self._seq = np.empty((self.s + self.horizon, groups * tokens, in_width))
@@ -375,14 +329,12 @@ class InferencePlan:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
         if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
-        nstep = self.kind == "nstep"
-        if prefix is not None and not nstep:
-            raise ValueError(f"only nstep unrolls start from a prefix, not {self.kind}")
-        held, known = _check_prefix(prefix, horizons)
+        held, known = _check_prefix(prefix, self.kind, horizons)
         s, rows = self.s, groups * self._buf.tokens
+        recursive = self.kind in ONE_STEP_KINDS
         reach = min(horizons, s)         # horizons that read a real frame
         # the frame pass runs reach - 1 more starts than there are windows
-        if (self.kind in ONE_STEP_KINDS and reach > 1
+        if (recursive and reach > 1
                 and 1 < groups <= self._buf.capacity - (reach - 1) and _consecutive(windows)):
             held = self._frame_starts(windows, reach)
             known = reach
@@ -392,22 +344,19 @@ class InferencePlan:
             self._seq = np.empty((s + horizons,) + self._seq.shape[1:])
         seq = self._seq[:, :rows]
         seq[:s] = windows.transpose(1, 0, 2).reshape(s, rows, -1)
-        for k in range(1 if self.kind == "all-at-once" else horizons):
-            cell = self.cells[k if nstep else 0]
-            if nstep:
-                frames, fed = seq[:s], seq[s:s + k]
-            else:
-                frames, fed = seq[k:s], seq[max(s, k):s + k]
+        for k in range(horizons if recursive else min(horizons, len(self.cells))):
+            cell = self.cells[0 if recursive else k]
+            walk, fed, fresh = _schedule(self.kind, s, k)
             if k < known:
                 cell.load(held[k])
             else:
-                if k == 0 or not nstep:
+                if fresh:
                     cell.reset()
-                for xt in frames:
+                for xt in seq[walk]:
                     cell.step(xt)
                 if k < len(held):
                     cell.save(held[k])
-            for xt in fed:
+            for xt in seq[fed]:
                 cell.step(xt)
             head = cell.h @ self.head_w + self.head_b
             if self.kind == "all-at-once":                     # (rows, horizon)
@@ -454,7 +403,7 @@ def _consecutive(windows: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
+def forecast_recursive(model: Forecaster, window: np.ndarray, horizons: int,
                        plan: InferencePlan | None = None) -> Forecast:
     """Feed each prediction back as the newest frame: horizon k consumes the
     last s entries of (window + predictions so far)."""
@@ -462,7 +411,7 @@ def forecast_recursive(model: OneStepModel, window: np.ndarray, horizons: int,
     return Forecast(horizons=plan.run(window, horizons))
 
 
-def predict_batch(model, x: np.ndarray, horizons: int,
+def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
                   prefix: Prefix | None = None) -> np.ndarray:
     """(B, s, 21) -> (B, horizons, 21) on the tape-free kernel, PREDICT_CHUNK
     windows per pass; one-step models cover extra horizons recursively (from
@@ -573,7 +522,7 @@ def _read_container(blob: bytes, expect_kind: str | None):
     positive = lambda v: is_count(v) and v >= 1
     # s sizes the plan's (s + horizon, rows, .) buffers and no block, so bound it here
     tests = dict(s=lambda v: positive(v) and v <= MINUTES_PER_DAY, hidden=positive,
-                 attn_width=is_count if kind in ("lstm", "lstm-seg") else positive)
+                 attn_width=is_count if kind in LSTM_KINDS else positive)
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive
     check_fields(dims, "model header dims", **tests)
@@ -584,7 +533,7 @@ def _read_container(blob: bytes, expect_kind: str | None):
     # each layer holds 4 gates of at least (hidden x hidden) and 4 attention
     # projections of (hidden x attn_width), the head (hidden x head columns)
     hidden = dims["hidden"]
-    attn = dims["attn_width"] if kind not in ("lstm", "lstm-seg") else 0
+    attn = dims["attn_width"] if kind not in LSTM_KINDS else 0
     layers = dims["horizon"] if kind == "nstep" else 1
     head = dims["horizon"] if kind == "all-at-once" else 1
     floor = max(4 * hidden * hidden * layers, 4 * hidden * attn * layers, hidden * head)

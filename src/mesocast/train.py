@@ -5,7 +5,10 @@ window, bitwise reproducible from (seed, corpus, config).
 Gradients are evaluated in fixed-size taped chunks (``grad_chunk`` windows,
 32 by default so a chunk's per-step arrays stay cache-sized) and accumulated
 in a fixed order, so chunking bounds memory without breaking determinism;
-each chunk's tape is freed before the next is built.  The tape serves only
+each chunk's tape is freed before the next is built.  A chunk's loss
+(``_stage_loss``) is the same for every model kind: one taped unroll up to
+the last horizon of the stage, then the combined loss of each of the
+stage's horizons, summed in horizon order.  The tape serves only
 these passes, validation runs the tape-free ``models.predict_batch``.
 Model selection and the plateau schedule read the easy validation metric.
 
@@ -49,9 +52,9 @@ from . import models
 from .autodiff import Tensor
 from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
 from .losses import LossConfig, combined_loss
-from .models import (MAX_PREFIX, AllAtOnceModel, NStepModel, OneStepModel, Prefix, check_fields,
-                     deserialize_model, is_count, is_name, is_shape, pack_container, rows_of,
-                     serialize_model, unpack_container)
+from .models import (MAX_PREFIX, Forecaster, Prefix, check_fields, deserialize_model, is_count,
+                     is_name, is_shape, pack_container, rows_of, serialize_model,
+                     unpack_container)
 from .runtime import tune_allocator
 
 
@@ -234,7 +237,7 @@ class PrefixStore:
     Entry i of a set is held with a digest of the bytes of layer i+1 and is
     read only while layers 1..i+1 all match their digests."""
 
-    def __init__(self, model: NStepModel):
+    def __init__(self, model: Forecaster):
         self.model = model
         self._sets: dict[str, list[tuple[bytes, np.ndarray]]] = {}
 
@@ -281,27 +284,16 @@ def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int
 
 def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[int],
                 prefix: Prefix | None = None):
-    """Summed per-horizon combined loss over one taped chunk, an nstep chunk
-    unrolled from ``prefix``."""
-    if isinstance(model, OneStepModel):
-        pred = model.forward_graph(x_chunk)
-        return combined_loss(pred, ad.tensor(y_chunk[:, 0, :]), loss_cfg)
-    if isinstance(model, AllAtOnceModel):
-        preds = model.forward_graph(x_chunk)
-        total = None
-        for h in horizons:
-            sl = ad.reshape(ad.narrow(preds, 1, h - 1, 1), (x_chunk.shape[0], NUM_SEGMENTS))
-            term = combined_loss(sl, ad.tensor(y_chunk[:, h - 1, :]), loss_cfg)
-            total = term if total is None else ad.add(total, term)
-        return total
-    if isinstance(model, NStepModel):
-        preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
-        total = None
-        for h in horizons:
-            term = combined_loss(preds[h - 1], ad.tensor(y_chunk[:, h - 1, :]), loss_cfg)
-            total = term if total is None else ad.add(total, term)
-        return total
-    raise ValueError(f"cannot train model of type {type(model).__name__}")
+    """Summed per-horizon combined loss over one taped chunk, unrolled up to
+    the last of ``horizons`` (an nstep chunk from ``prefix``).  It calls
+    ``forward_graph_with_states`` itself, the one taped unroll, so a tracer
+    wrapping ``forward_graph`` as well sees one forward per chunk."""
+    preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
+    total = None
+    for h in horizons:
+        term = combined_loss(preds[h - 1], ad.tensor(y_chunk[:, h - 1, :]), loss_cfg)
+        total = term if total is None else ad.add(total, term)
+    return total
 
 
 def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int],
@@ -524,9 +516,8 @@ def train_one_step_model(model, corpus: Corpus, cfg: TrainConfig,
     tune_allocator()
     run = resume or TrainRun(model=model, optimizer=AdamW(cfg), history=[])
     model = run.model
-    horizon = getattr(model, "horizon", 1)
-    horizons = list(range(1, horizon + 1))
-    staged = stage_corpus(corpus, model.s, horizon, cfg)
+    horizons = list(range(1, model.horizon + 1))
+    staged = stage_corpus(corpus, model.s, model.horizon, cfg)
     _run_epochs(staged, cfg, run, run.epoch, cfg.epochs_per_stage, horizons,
                 trainable=None, base_lr=cfg.lr, history_from=0)
     if run.best_params is None:
@@ -541,7 +532,7 @@ def nstep_stage_bounds(n_layers: int, epochs_per_stage: int) -> list[tuple[int, 
     return [(i * epochs_per_stage, (i + 1) * epochs_per_stage) for i in range(n_layers + 1)]
 
 
-def train_nstep(model: NStepModel, corpus: Corpus, cfg: TrainConfig,
+def train_nstep(model: Forecaster, corpus: Corpus, cfg: TrainConfig,
                 resume: TrainRun | None = None) -> TrainRun:
     """Staged schedule: stage i trains layer i and the shared head on horizon
     i alone; the final stage unfreezes every layer under the summed loss at
@@ -562,7 +553,8 @@ def train_nstep(model: NStepModel, corpus: Corpus, cfg: TrainConfig,
             horizons = list(range(1, n + 1))
             base_lr = cfg.lr * cfg.finetune_lr_scale
         else:
-            trainable = set(model.layer_block_names(stage_index)) | {"head/w", "head/b"}
+            layer_blocks = model.layers[stage_index].blocks(f"layer{stage_index + 1}")
+            trainable = set(layer_blocks) | {"head/w", "head/b"}
             horizons = [stage_index + 1]
             base_lr = cfg.lr
         # one prefix entry per frozen leading layer; the last validation also

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mesocast import data, models, train
+from mesocast.losses import LossConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -97,3 +98,30 @@ def test_workload_set_up_shapes(workload):
     assert [(hx.shape, hy.shape) for hx, hy in staged.hard] == \
         [((len(s) - S - H + 1, S, data.NUM_SEGMENTS), (len(s) - S - H + 1, H, data.NUM_SEGMENTS))
          for s in hard]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_traced_chunk_opens_one_forward_span(kind):
+    # the tracer wraps forward_graph twice through the model-class aliases and
+    # forward_graph_with_states once; a taped training chunk must still read
+    # as one forward holding every cell step of the unroll
+    tracing = _load_tracing()
+    bindings = lambda: [(owner, attr, owner.__dict__.get(attr))
+                        for _, attr, owners, *_ in tracing._patch_table() for owner in owners]
+    before = bindings()
+    s = 4
+    model = models.build_model(kind, s=s, hidden=4, attn_width=2, horizon=3, seed=1)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.2, 1.0, (5, s, data.NUM_SEGMENTS))
+    y = rng.uniform(0.2, 1.0, (5, 3, data.NUM_SEGMENTS))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        train._stage_loss(model, x, y, LossConfig(), list(range(1, model.horizon + 1)))
+    names = [span.name for span in tracer.spans]
+    assert names.count("models.forward_graph") == 1
+    forward = names.index("models.forward_graph")
+    steps = [span for span in tracer.spans
+             if span.name in ("cells.lstm_step", "cells.sa_lstm_step")]
+    assert len(steps) == (s + (s + 1) + (s + 2) if kind == "nstep" else s)
+    assert all(span.parent == forward for span in steps)
+    assert all(after is original for (_, _, original), (_, _, after) in zip(before, bindings()))

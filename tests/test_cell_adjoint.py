@@ -8,6 +8,7 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
+from reference_ops import concat, sigmoid, state_of, tanh
 
 
 # --- the cells as compositions of primitive tape ops (the reference) ---------
@@ -17,27 +18,27 @@ def _gate(cat, w, b):
 
 
 def primitive_lstm_step(p, h, c, x):
-    cat = ad.concat([h, x], axis=1)
-    f = ad.sigmoid(_gate(cat, p.w_f, p.b_f))
-    i = ad.sigmoid(_gate(cat, p.w_i, p.b_i))
-    c_tilde = ad.tanh(_gate(cat, p.w_c, p.b_c))
-    o = ad.sigmoid(_gate(cat, p.w_o, p.b_o))
+    cat = concat([h, x], axis=1)
+    f = sigmoid(_gate(cat, p.w_f, p.b_f))
+    i = sigmoid(_gate(cat, p.w_i, p.b_i))
+    c_tilde = tanh(_gate(cat, p.w_c, p.b_c))
+    o = sigmoid(_gate(cat, p.w_o, p.b_o))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, c_tilde))
-    return ad.mul(o, ad.tanh(c_new)), c_new
+    return ad.mul(o, tanh(c_new)), c_new
 
 
 def primitive_sa_lstm_step(p, h, c, x, tokens):
     rows, hidden = h.shape
-    cat = ad.concat([h, x], axis=1)
-    f = ad.sigmoid(_gate(cat, p.lstm.w_f, p.lstm.b_f))
-    i = ad.sigmoid(_gate(cat, p.lstm.w_i, p.lstm.b_i))
-    c_tilde = ad.tanh(_gate(cat, p.lstm.w_c, p.lstm.b_c))
+    cat = concat([h, x], axis=1)
+    f = sigmoid(_gate(cat, p.lstm.w_f, p.lstm.b_f))
+    i = sigmoid(_gate(cat, p.lstm.w_i, p.lstm.b_i))
+    c_tilde = tanh(_gate(cat, p.lstm.w_c, p.lstm.b_c))
     z_o = _gate(cat, p.lstm.w_o, p.lstm.b_o)
     grouped = ad.reshape(z_o, (rows // tokens, tokens, hidden))
     mixed = ad.matmul(cells.self_attention(p.attn, grouped), p.out_proj)
-    o = ad.sigmoid(ad.add(z_o, ad.reshape(mixed, (rows, hidden))))
+    o = sigmoid(ad.add(z_o, ad.reshape(mixed, (rows, hidden))))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, c_tilde))
-    return ad.mul(o, ad.tanh(c_new)), c_new
+    return ad.mul(o, tanh(c_new)), c_new
 
 
 # --- one unroll, built either way ---------------------------------------------
@@ -76,7 +77,7 @@ def unroll(p, tokens, inputs, fused):
     """Loss over a STEPS-step unroll that reads h and c of the last state and
     h of an intermediate one."""
     h, c = inputs["h0"], inputs["c0"]
-    state = cells.LstmState(h, c)
+    state = state_of(h, c)
     mid = None
     for t in range(STEPS):
         x = inputs[f"x{t}"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
+from reference_ops import sigmoid, state_of
 
 
 # --- clean-room oracles -----------------------------------------------------
@@ -59,7 +60,7 @@ class TestLstmStep:
         b = {g: np.zeros(hidden) for g in "fico"}
         p = params_from_arrays(w, b)
         c0 = np.array([[0.3, -0.7, 1.1], [0.0, 2.0, -0.1]])
-        state = cells.LstmState(ad.tensor(np.zeros((rows, hidden))), ad.tensor(c0))
+        state = state_of(ad.tensor(np.zeros((rows, hidden))), ad.tensor(c0))
         out = cells.lstm_step(p, state, ad.tensor(np.ones((rows, 1))))
         np.testing.assert_allclose(out.c.data, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
@@ -71,7 +72,7 @@ class TestLstmStep:
         b["f"] = np.full(hidden, 100.0)
         p = params_from_arrays(w, b)
         c0 = np.array([[0.9, -1.4, 0.2, 3.0]])
-        state = cells.LstmState(ad.tensor(np.zeros((1, hidden))), ad.tensor(c0))
+        state = state_of(ad.tensor(np.zeros((1, hidden))), ad.tensor(c0))
         out = cells.lstm_step(p, state, ad.tensor(np.zeros((1, 1))))
         assert np.max(np.abs(out.c.data - c0)) <= 1e-40
 
@@ -84,7 +85,7 @@ class TestLstmStep:
         c0 = rng.uniform(-1, 1, (rows, hidden))
         x = rng.uniform(-1, 1, (rows, in_width))
         p = params_from_arrays(w, b)
-        out = cells.lstm_step(p, cells.LstmState(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
+        out = cells.lstm_step(p, state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
         h_ref, c_ref = lstm_step_oracle(w, b, h0, c0, x)
         np.testing.assert_allclose(out.h.data, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.c.data, c_ref, rtol=0, atol=1e-12)
@@ -156,7 +157,7 @@ class TestSaLstmStep:
         p.attn.w_k.data[:] = 0.0
         p.attn.w_v.data[:] = 0.0
         p.out_proj.data[:] = 0.0
-        state = cells.LstmState(ad.tensor(h0), ad.tensor(c0))
+        state = state_of(ad.tensor(h0), ad.tensor(c0))
         out_sa = cells.sa_lstm_step(p, state, ad.tensor(x), tokens=4)
         out_plain = cells.lstm_step(p.lstm, state, ad.tensor(x))
         assert np.array_equal(out_sa.h.data, out_plain.h.data)
@@ -180,7 +181,7 @@ class TestSaLstmStep:
         rng = np.random.default_rng(500 + seed)
         tokens, hidden, d = 4, 3, 2
         p, h0, c0, x = self._random_setup(rng, tokens, hidden, d)
-        state = cells.LstmState(ad.tensor(h0), ad.tensor(c0))
+        state = state_of(ad.tensor(h0), ad.tensor(c0))
         out = cells.sa_lstm_step(p, state, ad.tensor(x), tokens=tokens)
 
         # explicit recomputation: per-token gates, then attention on Z_o
@@ -202,11 +203,11 @@ class TestSaLstmStep:
         tokens, hidden = 4, 3
         p, h0, c0, x = self._random_setup(rng, tokens, hidden)
         single = cells.sa_lstm_step(
-            p, cells.LstmState(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x), tokens=tokens
+            p, state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x), tokens=tokens
         )
         h2, c2, x2 = np.vstack([h0, h0]), np.vstack([c0, c0]), np.vstack([x, x])
         batched = cells.sa_lstm_step(
-            p, cells.LstmState(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
+            p, state_of(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
         )
         np.testing.assert_allclose(batched.h.data[:tokens], single.h.data, atol=1e-12)
         np.testing.assert_allclose(batched.h.data[tokens:], single.h.data, atol=1e-12)
@@ -235,7 +236,7 @@ class TestGateBehaviour:
         w, b = random_lstm_arrays(rng, 6, 2)
         cat = rng.uniform(-1, 1, (10, 8))
         for g in "fio":
-            vals = ad.sigmoid(ad.tensor(cat @ w[g] + b[g])).data
+            vals = sigmoid(ad.tensor(cat @ w[g] + b[g])).data
             assert np.all(vals > 0.0) and np.all(vals < 1.0)
 
 

@@ -335,6 +335,35 @@ def test_zero_horizons_exits_2(corpus_dir, tmp_path, capsys, command, kind):
     assert not written.exists()
 
 
+@pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_horizons_past_a_multi_step_model_exit_2(corpus_dir, tmp_path, capsys, command, kind):
+    # a one-step kind recurses to any horizon; a multi-step model emits its own
+    # horizons and no more, so asking it for t+3 is an error, not a cut table
+    out, _ = corpus_dir
+    model_path = tmp_path / "model.bin"
+    save_model(build_model(kind, s=4, hidden=4, attn_width=2, horizon=2), model_path)
+    for horizons in (2, 3):
+        cfg = tmp_path / f"h{horizons}.ini"
+        cfg.write_text(TINY_INI.replace("horizons = 2", f"horizons = {horizons}"))
+        written = tmp_path / f"{command}{horizons}.csv"
+        if command == "eval":
+            argv = []
+            cfg.write_text(cfg.read_text() + f"report_csv = {written}\n")
+        else:
+            argv = ["--input", out / "hard0.csv", "--output", written]
+        code = run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
+                       *argv)
+        err = capsys.readouterr().err
+        if kind == "sa-lstm" or horizons == 2:
+            assert code == 0, err
+            assert len(written.read_text().splitlines()) == 1 + horizons
+        else:
+            assert code == 2
+            assert "evaluation.horizons = 3" in err and "the 2 horizons" in err
+            assert not written.exists()
+
+
 class TestBench:
     def test_quick_mode_passes_budget(self, trained_dir, capsys):
         out, cfg = trained_dir

@@ -29,9 +29,8 @@ def rand_window(s, seed=0):
 
 
 def taped_horizons(m, w):
-    """(n, 21) predictions of the taped nstep forward for one window."""
-    preds, _ = m.forward_graph_with_states(w[None])
-    return np.vstack([p.data[0] for p in preds])
+    """(horizon, 21) predictions of the taped unroll for one window."""
+    return np.vstack([p.data[0] for p in m.forward_graph(w[None])])
 
 
 def zero_all(model):
@@ -57,8 +56,8 @@ class TestForecastOne:
     def test_zeroed_attention_equals_per_segment_lstm(self):
         sa = tiny("sa-lstm", seed=3)
         for name in ("w_q", "w_k", "w_v"):
-            getattr(sa.cell.attn, name).data[:] = 0.0
-        sa.cell.out_proj.data[:] = 0.0
+            getattr(sa.layers[0].attn, name).data[:] = 0.0
+        sa.layers[0].out_proj.data[:] = 0.0
         seg = tiny("lstm-seg", seed=3)  # same block names, same init streams
         w = rand_window(4, 3)
         assert np.array_equal(InferencePlan(sa).run(w)[0], InferencePlan(seg).run(w)[0])
@@ -70,26 +69,13 @@ class TestForecastOne:
 
 
 class TestPlanMatchesGraph:
-    @pytest.mark.parametrize("kind", ["lstm", "lstm-seg", "sa-lstm"])
-    def test_one_step_paths_agree(self, kind):
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_paths_agree(self, kind):
         m = tiny(kind, seed=11)
         w = rand_window(4, 11)
-        fast = InferencePlan(m).run(w)[0]
-        taped = m.forward_graph(w[None, :, :]).data[0]
-        np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
-
-    def test_all_at_once_paths_agree(self):
-        m = tiny("all-at-once", seed=12)
-        w = rand_window(4, 12)
-        fast = InferencePlan(m).run(w)
-        taped = m.forward_graph(w[None, :, :]).data[0]
-        np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
-
-    def test_nstep_paths_agree(self):
-        m = tiny("nstep", seed=13)
-        w = rand_window(4, 13)
         fast = InferencePlan(m).run(w)
         taped = taped_horizons(m, w)
+        assert fast.shape == taped.shape == (m.horizon, NUM_SEGMENTS)
         np.testing.assert_allclose(fast, taped, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, models.PREDICT_CHUNK, models.PREDICT_CHUNK + 5])
@@ -133,12 +119,10 @@ def taped_predictions(m, X, horizons):
     if m.kind in models.ONE_STEP_KINDS:
         rolling, outs = X, []
         for _ in range(horizons):
-            pred = m.forward_graph(rolling).data
-            outs.append(pred)
-            rolling = np.concatenate([rolling[:, 1:], pred[:, None]], axis=1)
+            [pred] = m.forward_graph(rolling)
+            outs.append(pred.data)
+            rolling = np.concatenate([rolling[:, 1:], pred.data[:, None]], axis=1)
         return np.stack(outs, axis=1)
-    if m.kind == "all-at-once":
-        return m.forward_graph(X).data[:, :horizons]
     return np.stack([p.data for p in m.forward_graph(X)[:horizons]], axis=1)
 
 
@@ -189,7 +173,7 @@ class TestAllAtOnce:
 
     def test_single_horizon_degenerates_to_one_step(self):
         aao = tiny("all-at-once", horizon=1, seed=8)
-        one = models.OneStepModel("sa-lstm", aao.cell, aao.head_w, aao.head_b, aao.s)
+        one = models.Forecaster("sa-lstm", aao.layers, aao.head_w, aao.head_b, aao.s, 1)
         w = rand_window(4, 8)
         assert np.array_equal(InferencePlan(aao).run(w)[0], InferencePlan(one).run(w)[0])
 
@@ -222,7 +206,7 @@ class TestNStep:
 
     def test_single_layer_equals_one_step(self):
         m = tiny("nstep", horizon=1, seed=15)
-        one = models.OneStepModel("sa-lstm", m.layers[0], m.head_w, m.head_b, m.s)
+        one = models.Forecaster("sa-lstm", [m.layers[0]], m.head_w, m.head_b, m.s, 1)
         w = rand_window(4, 15)
         np.testing.assert_allclose(taped_horizons(m, w)[0], InferencePlan(one).run(w)[0],
                                    rtol=0, atol=1e-12)

@@ -58,6 +58,11 @@ def run_digest(run) -> str:
     return f"{crc:08x}"
 
 
+def layer_names(model, index):
+    """Block names of layer ``index`` (from 0) of a model."""
+    return set(model.layers[index].blocks(f"layer{index + 1}"))
+
+
 def diverge_at(monkeypatch, epoch):
     """Report a non-finite loss for the ``epoch``-th epoch a training call
     runs, after its real gradients were taken, so the run raises
@@ -259,7 +264,7 @@ class TestTrainNStep:
         # run only stage 1 by checkpointing at its boundary: train 2 epochs
         run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 3, cfg)
-        trainable = set(model.layer_block_names(0)) | {"head/w", "head/b"}
+        trainable = layer_names(model, 0) | {"head/w", "head/b"}
         T._run_epochs(staged, cfg, run, 0, 2, [1], trainable, cfg.lr, 0)
         for name, t in model.blocks().items():
             if name in trainable:
@@ -303,7 +308,7 @@ class TestTrainNStep:
         # which passes dh back for the head and takes no weight products
         expected = {0: [True] * 4, 1: [True] * 5, 2: [False] + [True] * 6}
         for stage, steps in expected.items():
-            trainable = set(model.layer_block_names(stage)) | {"head/w", "head/b"}
+            trainable = layer_names(model, stage) | {"head/w", "head/b"}
             loss_all, grads_all = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(),
                                                           [stage + 1])
             taped.clear()
@@ -322,7 +327,7 @@ class TestTrainNStep:
         cfg = tiny_cfg(epochs_per_stage=1)
         run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
         staged = T.stage_corpus(wavy_corpus(), 4, 2, cfg)
-        stage = lambda i: set(model.layer_block_names(i)) | {"head/w", "head/b"}
+        stage = lambda i: layer_names(model, i) | {"head/w", "head/b"}
         T._run_epochs(staged, cfg, run, 0, 1, [1], stage(0), cfg.lr, 0)
         assert all(t.requires_grad for t in model.blocks().values())
         model.head_b.data[:] = np.inf
@@ -464,7 +469,7 @@ class TestCheckpoints:
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=16)
         run = T.TrainRun(model=model, optimizer=AdamW(partial_cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 2, partial_cfg)
-        trainable = set(model.layer_block_names(0)) | {"head/w", "head/b"}
+        trainable = layer_names(model, 0) | {"head/w", "head/b"}
         T._run_epochs(staged, partial_cfg, run, 0, 2, [1], trainable, partial_cfg.lr, 0)
         # checkpoint sits exactly at the stage-1 boundary (epoch 2 of 6)
         path = tmp_path / "stage1.ckpt"
