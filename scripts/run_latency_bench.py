@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from mesocast.data import NUM_SEGMENTS
-from mesocast.evaluate import bench_repeated
+from mesocast.evaluate import latency_ms
 from mesocast.models import build_model
 
 
@@ -24,8 +24,8 @@ def main() -> int:
     window = rng.uniform(0.1, 1.0, (8, NUM_SEGMENTS))
     for kind, horizon in (("lstm", 1), ("sa-lstm", 1), ("all-at-once", 3), ("nstep", 3)):
         model = build_model(kind, s=8, hidden=64, attn_width=16, horizon=horizon, seed=0)
-        means, cv = bench_repeated(model, window, repeats=args.repeats,
-                                   warmup=args.warmup, iters=args.iters)
+        means = np.asarray(latency_ms(model, window, args.warmup, args.iters, args.repeats))
+        cv = means.std() / means.mean()
         print(f"{kind:12s} mean {np.mean(means):.4f} ms  cv {cv:.3f} "
               f"over {args.repeats} x {args.iters} inferences")
     return 0

@@ -32,14 +32,7 @@ from . import evaluate as E
 from .config import RunConfig, config_hash, load_config
 from .runtime import tune_allocator
 from .models import MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model, load_model, save_model
-from .train import (
-    DivergenceError,
-    best_model,
-    load_checkpoint,
-    save_checkpoint,
-    train_nstep,
-    train_one_step_model,
-)
+from .train import DivergenceError, best_model, save_checkpoint, train_model
 
 OUT_ENV = "MESOCAST_OUT"
 
@@ -164,10 +157,7 @@ def cmd_train(args) -> int:
     train_cfg = cfg.train_config()
     ckpt_path = out / cfg.training.checkpoint_out
     try:
-        if model.kind == "nstep":
-            run = train_nstep(model, corpus, train_cfg)
-        else:
-            run = train_one_step_model(model, corpus, train_cfg)
+        run = train_model(model, corpus, train_cfg)
     except DivergenceError as exc:
         save_checkpoint(exc.run, train_cfg, ckpt_path)
         print(f"training diverged: {exc}; last checkpoint at {ckpt_path}", file=sys.stderr)
@@ -253,8 +243,7 @@ def cmd_bench(args) -> int:
     model = load_model(args.checkpoint or (out / cfg.evaluation.checkpoint))
     rng = np.random.default_rng(cfg.training.seed)
     window = rng.uniform(0.1, 1.0, (model.s, D.NUM_SEGMENTS))
-    mean_ms = E.bench_latency(model, window, warmup=cfg.evaluation.warmup,
-                              iters=cfg.evaluation.iters)
+    [mean_ms] = E.latency_ms(model, window, cfg.evaluation.warmup, cfg.evaluation.iters)
     budget = cfg.evaluation.budget_ms
     verdict = "PASS" if mean_ms < budget else "FAIL"
     print(f"{model.kind}: mean {mean_ms:.4f} ms over {cfg.evaluation.iters} inferences "

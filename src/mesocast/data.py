@@ -4,9 +4,9 @@ Ingest is whole-array work.  ``read_csv`` parses a file in one
 ``np.loadtxt`` pass into a (minute, 21 speeds) record array; only a file
 that fails it is bisected, with more loadtxt calls, down to its first bad
 line, so every rejection names a line without a second parser.
-``build_windows`` returns read-only strided views of the series, which
-slice (``[::stride]``), index and iterate like a list of
-``SequenceWindow``; ``stack_windows`` copies just the rows asked for.
+``build_windows`` returns ``Windows``, read-only strided views of the
+series that slice (``[::stride]``) into more views; ``stack_windows``
+copies just the rows asked for.
 
 The measured quantity is the per-minute mean speed over 21 consecutive
 segments of an 11.4 km highway stretch.  Real feeds being proprietary, the
@@ -70,15 +70,6 @@ class Series:
         return len(self.minutes)
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
-    """s consecutive input fields plus the following horizon targets."""
-
-    inputs: np.ndarray           # (s, NUM_SEGMENTS)
-    targets: np.ndarray          # (horizon, NUM_SEGMENTS)
-    start_minute: int
-
-
 @dataclass(frozen=True, eq=False)
 class Windows:
     """A run of windows as read-only strided views of one series.  Slicing
@@ -91,14 +82,8 @@ class Windows:
     def __len__(self):
         return len(self.start_minutes)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Windows(self.inputs[index], self.targets[index], self.start_minutes[index])
-        return SequenceWindow(self.inputs[index], self.targets[index],
-                              int(self.start_minutes[index]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, index: slice) -> "Windows":
+        return Windows(self.inputs[index], self.targets[index], self.start_minutes[index])
 
 
 def _rolling(rows: np.ndarray, count: int, length: int) -> np.ndarray:

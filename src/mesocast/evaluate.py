@@ -6,7 +6,8 @@ evaluates each congested window independently and averages the per-window
 values, scored by the chunked tape-free ``models.predict_batch``.  Each
 series is cut into stride-1 windows, so a one-step model's recursive
 horizons start from the frame state of the neighbouring window instead of
-re-walking its frames (see ``models``).  The latency benchmark times the
+re-walking its frames (see ``models``).  Training's validation metrics
+come from the same ``per_horizon_mse``.  The latency benchmark times the
 bare model forward on one fixed window (no normalisation, no I/O) with an
 untimed warmup, single process.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus, Series, build_windows, normalize, stack_windows
-from .models import ONE_STEP_KINDS, InferencePlan, predict_batch
+from .models import ONE_STEP_KINDS, InferencePlan, Prefix, predict_batch
 from .runtime import tune_allocator
 
 MSE_DISPLAY_SCALE = 1000.0
@@ -33,15 +34,23 @@ class EvalReport:
     hard_per_window: list[dict[int, float]]    # per hard window, horizon -> scaled MSE
 
 
-def _per_horizon_mse(model, series: Series, s: int, horizons: int) -> dict[int, float]:
-    x, y = stack_windows(build_windows(series, s, horizons))
-    x, y = normalize(x), normalize(y)
-    preds = predict_batch(model, x, horizons)
-    out = {}
-    for h in range(1, horizons + 1):
-        d = preds[:, h - 1] - y[:, h - 1]
-        out[h] = float(np.mean(d * d)) * MSE_DISPLAY_SCALE
+def per_horizon_mse(model, x: np.ndarray, y: np.ndarray, horizons: int,
+                    prefix: Prefix | None = None) -> list[float]:
+    """Normalized MSE of each of the first ``horizons`` horizons of the
+    tape-free ``predict_batch`` on windows ``x`` against targets ``y``."""
+    preds = predict_batch(model, x, horizons, prefix=prefix)
+    out = []
+    for h in range(horizons):
+        d = preds[:, h] - y[:, h]           # no (B, horizons, 21) temporary
+        out.append(float(np.mean(d * d)))
     return out
+
+
+def _scaled_mse(model, series: Series, horizons: int) -> dict[int, float]:
+    x, y = stack_windows(build_windows(series, model.s, horizons))
+    x, y = normalize(x), normalize(y)          # the mph copies are freed before the forward
+    mse = per_horizon_mse(model, x, y, horizons)
+    return {h: m * MSE_DISPLAY_SCALE for h, m in enumerate(mse, 1)}
 
 
 def evaluate(model, corpus: Corpus, horizons: int = 1) -> EvalReport:
@@ -52,9 +61,8 @@ def evaluate(model, corpus: Corpus, horizons: int = 1) -> EvalReport:
     tune_allocator()
     if model.kind not in ONE_STEP_KINDS and horizons > model.horizon:
         raise ValueError(f"model emits {model.horizon} horizons, {horizons} requested")
-    easy = _per_horizon_mse(model, corpus.easy, model.s, horizons)
-    hard_windows = [_per_horizon_mse(model, series, model.s, horizons)
-                    for series in corpus.hard]
+    easy = _scaled_mse(model, corpus.easy, horizons)
+    hard_windows = [_scaled_mse(model, series, horizons) for series in corpus.hard]
     per_horizon = {
         h: {
             "easy": easy[h],
@@ -83,32 +91,21 @@ def report_lines(name: str, report: EvalReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def bench_latency(model, window: np.ndarray, warmup: int = 1000,
-                  iters: int = 50_000) -> float:
-    """Mean milliseconds per forward over ``iters`` timed runs after
-    ``warmup`` untimed ones, on one fixed window."""
+def latency_ms(model, window: np.ndarray, warmup: int, iters: int,
+               repeats: int = 1) -> list[float]:
+    """Mean milliseconds per forward of each of ``repeats`` runs of ``iters``
+    timed inferences, each after ``warmup`` untimed ones, on one fixed
+    window."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     plan = InferencePlan(model)
     window = np.asarray(window, dtype=np.float64)
-    for _ in range(warmup):
-        plan.run(window)
-    start = time.perf_counter()
-    for _ in range(iters):
-        plan.run(window)
-    elapsed = time.perf_counter() - start
-    return elapsed / iters * 1e3
-
-
-def bench_repeated(model, window: np.ndarray, repeats: int = 5,
-                   warmup: int = 1000, iters: int = 10_000) -> tuple[list[float], float]:
-    """Repeated benchmark runs plus their coefficient of variation; a large
-    value flags a noisy measurement environment."""
-    means = [bench_latency(model, window, warmup, iters) for _ in range(repeats)]
-    return means, coefficient_of_variation(means)
-
-
-def coefficient_of_variation(values) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    return float(values.std() / values.mean())
-
+    means = []
+    for _ in range(repeats):
+        for _ in range(warmup):
+            plan.run(window)
+        start = time.perf_counter()
+        for _ in range(iters):
+            plan.run(window)
+        means.append((time.perf_counter() - start) / iters * 1e3)
+    return means

@@ -16,7 +16,7 @@ from .data import Corpus
 from .evaluate import EvalReport, evaluate
 from .losses import LossConfig
 from .models import build_model
-from .train import TrainConfig, best_model, train_nstep, train_one_step_model
+from .train import TrainConfig, best_model, train_model
 
 DEFAULT_MODEL = dict(s=8, hidden=64, attn_width=16)
 
@@ -41,12 +41,7 @@ def train_entry(kind: str, corpus: Corpus, seed: int, cfg: TrainConfig,
                 lap_depth: int = 0, horizon: int = 1,
                 eval_horizons: int = 1) -> TrainedEntry:
     model = build_model(kind, horizon=horizon, seed=seed, **DEFAULT_MODEL)
-    run_cfg = _with_seed(cfg, seed, lap_depth)
-    if kind == "nstep":
-        run = train_nstep(model, corpus, run_cfg)
-    else:
-        run = train_one_step_model(model, corpus, run_cfg)
-    best = best_model(run)
+    best = best_model(train_model(model, corpus, _with_seed(cfg, seed, lap_depth)))
     report = evaluate(best, corpus, horizons=eval_horizons)
     return TrainedEntry(seed=seed, kind=kind, lap_depth=lap_depth, model=best,
                         report=report)

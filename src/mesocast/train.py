@@ -12,9 +12,11 @@ stage's horizons, summed in horizon order.  The tape serves only
 these passes, validation runs the tape-free ``models.predict_batch``.
 Model selection and the plateau schedule read the easy validation metric.
 
-The stacked model trains in stages: stage i updates layer i plus the shared
-head against horizon i only, every other layer stays bitwise frozen; the
-final stage unfreezes everything under the summed loss.  Frozen blocks are
+Every kind trains by ``train_model`` walking the ``Stage`` list of
+``schedule``.  Most kinds have one stage over every block and horizon.  The
+stacked model has one per layer, where stage i updates layer i plus the
+shared head against horizon i only and every other layer stays bitwise
+frozen, then a stage that unfreezes everything under the summed loss.  Frozen blocks are
 tape constants for their whole stage, so they cost no weight products and a
 layer whose inputs are all frozen (layer 1 in stages 2..n) records no tape;
 the trainable gradients are bitwise those of the all-trainable graph.
@@ -27,30 +29,31 @@ input frames.  Later layers read the head's predictions before their frames
 end, so they are never held.  The training chunks fill their prefix in a
 stage's first epoch; a stage's last validation runs on the parameters the
 next stage freezes and so leaves that stage's validation prefix.  Entries are
-keyed by digests of the frozen layers' bytes, and the store is emptied before
-the fine-tune stage, where every layer trains; a resumed run starts with it
+keyed by digests of the frozen layers' bytes, and the store is dropped
+before the first stage that trains every block; a resumed run starts with it
 empty.  Results are bitwise those of walking every step.
 
 The learning rate is replayed from the validation history on every epoch
-(never stored), so resuming from a checkpoint cannot drift.
+(never stored), so resuming from a checkpoint cannot drift.  A non-finite
+loss raises before the optimizer steps, so a diverged run can be resumed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import hashlib
 import json
 import math
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from . import models
 from .autodiff import Tensor
 from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
+from .evaluate import per_horizon_mse
 from .losses import LossConfig, combined_loss
 from .models import (MAX_PREFIX, Forecaster, Prefix, check_fields, deserialize_model, is_count,
                      is_name, is_shape, pack_container, rows_of, serialize_model,
@@ -60,7 +63,7 @@ from .runtime import tune_allocator
 
 class DivergenceError(RuntimeError):
     """Raised when the training loss stops being finite; carries the run
-    with the last finite parameter and optimizer state restored."""
+    at the last finite epoch's parameter and optimizer state."""
 
     def __init__(self, message: str, run: "TrainRun"):
         super().__init__(message)
@@ -200,29 +203,18 @@ def stage_corpus(corpus: Corpus, s: int, horizon: int, cfg: TrainConfig) -> Stag
                       easy=(normalize(ex), normalize(ey)), hard=hard)
 
 
-def _mse_np(pred: np.ndarray, truth: np.ndarray) -> float:
-    d = pred - truth
-    return float(np.mean(d * d))
-
-
-def _eval_mse(model, x, y, horizons: list[int], prefix: Prefix | None = None) -> float:
-    """Mean over the requested horizons of the normalized MSE, batched on the
-    tape-free path."""
-    # looked up on the module, so a wrapper installed there (a tracer) sees validation
-    preds = models.predict_batch(model, x, max(horizons), prefix=prefix)
-    return float(np.mean([_mse_np(preds[:, h - 1], y[:, h - 1]) for h in horizons]))
-
-
-def validation_metrics(model, staged: StagedData, horizons: list[int],
+def validation_metrics(model, staged: StagedData, horizons: Sequence[int],
                        prefixes: PrefixStore | None = None,
                        depth: int = 0) -> tuple[float, float]:
-    """Easy and mean hard metric; an nstep model's window sets start from, and
-    fill, the first ``depth`` entries of their ``prefixes``."""
+    """Easy and mean hard metric, each the mean over ``horizons`` of the
+    normalized MSE; an nstep model's window sets start from, and fill, the
+    first ``depth`` entries of their ``prefixes``."""
     sets = [("easy", staged.easy)] + [(f"hard{i}", h) for i, h in enumerate(staged.hard)]
     mse = []
     for name, (x, y) in sets:
         with _prefix_of(prefixes, name, len(x), depth) as prefix:
-            mse.append(_eval_mse(model, x, y, horizons, prefix))
+            per_horizon = per_horizon_mse(model, x, y, max(horizons), prefix)
+        mse.append(float(np.mean([per_horizon[h - 1] for h in horizons])))
     return mse[0], float(np.mean(mse[1:]))
 
 
@@ -266,9 +258,9 @@ class PrefixStore:
 
 @contextlib.contextmanager
 def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int):
-    """The prefix of window set ``name`` for one unroll (None without a
-    store), kept when the unroll returns."""
-    if prefixes is None:
+    """The first ``depth`` prefix entries of window set ``name`` for one
+    unroll (None without a store or at depth 0), kept when it returns."""
+    if prefixes is None or depth == 0:
         yield None
         return
     prefix = prefixes.prefix(name, windows, depth)
@@ -276,13 +268,12 @@ def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int
     prefixes.keep(name, prefix)
 
 
-
 # ---------------------------------------------------------------------------
 # gradient evaluation
 # ---------------------------------------------------------------------------
 
 
-def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[int],
+def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequence[int],
                 prefix: Prefix | None = None):
     """Summed per-horizon combined loss over one taped chunk, unrolled up to
     the last of ``horizons`` (an nstep chunk from ``prefix``).  It calls
@@ -296,7 +287,7 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: list[in
     return total
 
 
-def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: list[int],
+def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Sequence[int],
                           prefixes: PrefixStore | None = None, depth: int = 0):
     """Loss value and per-block gradients over the given windows, evaluated
     in fixed chunks; exact full-set mean via chunk-size weighting.  An nstep
@@ -467,39 +458,67 @@ def _tape_constants(tensors: list[Tensor]):
             t.requires_grad = flag
 
 
-def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
-                first_epoch: int, last_epoch: int, horizons: list[int],
-                trainable: set[str] | None, base_lr: float, history_from: int,
-                prefixes: PrefixStore | None = None, depths: tuple[int, int] = (0, 0)) -> None:
-    """Advance ``run`` through epochs (first_epoch, last_epoch]; ``trainable``
-    limits which blocks the optimizer touches (None = all), the others are
-    tape constants until the call returns or raises.  An nstep unroll reads
-    and fills ``depths[0]`` entries of its window set's ``prefixes``, the
-    last validation ``depths[1]``, which covers what the next stage reuses.  A
-    non-finite loss rolls the parameters and the optimizer back to the last
-    finite epoch, so the run stays resumable."""
+@dataclass(frozen=True)
+class Stage:
+    """Epochs (first, last] of a schedule: the loss sums ``horizons``, the
+    optimizer touches ``trainable`` (None = every block) from ``base_lr``,
+    and the plateau replay reads this stage's validations only.  An unroll
+    reads and fills ``depths[0]`` prefix entries of its window set, the
+    stage's last validation ``depths[1]``, which covers what the next stage
+    reuses."""
+
+    first: int
+    last: int
+    horizons: tuple[int, ...]
+    trainable: frozenset[str] | None
+    base_lr: float
+    depths: tuple[int, int] = (0, 0)
+
+
+def schedule(model: Forecaster, cfg: TrainConfig) -> list[Stage]:
+    """One stage on every horizon, or for ``nstep`` one stage per layer (the
+    layer and the shared head on its own horizon) and then a fine-tune stage
+    of every block on every horizon at a reduced base rate."""
+    n, e = model.horizon, cfg.epochs_per_stage
+    every = tuple(range(1, n + 1))
+    if model.kind != "nstep":
+        return [Stage(0, e, every, None, cfg.lr)]
+    stages = []
+    for i in range(n):
+        # one prefix entry per frozen leading layer; the last validation also
+        # fills the entry the next layer stage freezes
+        depth = min(i, MAX_PREFIX)
+        handoff = min(i + 1, MAX_PREFIX) if i + 1 < n else depth
+        trainable = frozenset(model.layers[i].blocks(f"layer{i + 1}")) | {"head/w", "head/b"}
+        stages.append(Stage(i * e, (i + 1) * e, (i + 1,), trainable, cfg.lr, (depth, handoff)))
+    return stages + [Stage(n * e, (n + 1) * e, every, None, cfg.lr * cfg.finetune_lr_scale)]
+
+
+def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stage,
+                prefixes: PrefixStore | None = None) -> None:
+    """Advance ``run`` through the epochs of ``stage`` it has not run yet;
+    the blocks outside ``stage.trainable`` are tape constants until the call
+    returns or raises.  A non-finite loss raises before the optimizer steps,
+    so the run keeps the last finite epoch's state and stays resumable."""
     model = run.model
     blocks = model.blocks()
-    frozen = [t for n, t in blocks.items() if trainable is not None and n not in trainable]
+    frozen = [t for n, t in blocks.items()
+              if stage.trainable is not None and n not in stage.trainable]
     with _tape_constants(frozen):
-        for epoch in range(first_epoch + 1, last_epoch + 1):
-            snapshot = _snapshot(blocks)
-            optimizer = copy.deepcopy(run.optimizer)
-            lr = plateau_lr(run.monitored_history(history_from, last_epoch), cfg, base_lr)
+        for epoch in range(max(run.epoch, stage.first) + 1, stage.last + 1):
+            lr = plateau_lr(run.monitored_history(stage.first, stage.last), cfg, stage.base_lr)
             loss_value, grads = _accumulate_gradients(
-                model, blocks, staged.x, staged.y, cfg, horizons, prefixes, depths[0])
-            run.optimizer.step(blocks, grads, lr)
+                model, blocks, staged.x, staged.y, cfg, stage.horizons, prefixes, stage.depths[0])
             if not np.isfinite(loss_value):
-                _restore(blocks, snapshot)
-                run.optimizer = optimizer
                 run.epoch = epoch - 1
                 raise DivergenceError(
                     f"training loss became non-finite at epoch {epoch}; "
-                    "parameters and optimizer restored to the last finite epoch", run)
+                    "parameters and optimizer left at the last finite epoch", run)
+            run.optimizer.step(blocks, grads, lr)
             record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
-            if epoch % cfg.validate_every == 0 or epoch == last_epoch:
-                easy, hard = validation_metrics(model, staged, horizons, prefixes,
-                                                depths[epoch == last_epoch])
+            if epoch % cfg.validate_every == 0 or epoch == stage.last:
+                easy, hard = validation_metrics(model, staged, stage.horizons, prefixes,
+                                                stage.depths[epoch == stage.last])
                 record.easy, record.hard = easy, hard
                 if easy < run.best_metric:
                     run.best_metric = easy
@@ -508,67 +527,29 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun,
             run.epoch = epoch
 
 
-def train_one_step_model(model, corpus: Corpus, cfg: TrainConfig,
-                         resume: TrainRun | None = None) -> TrainRun:
-    """Single-stage training for the one-step kinds and the all-at-once
-    model; loss is the per-horizon combined objective summed over the
-    model's horizons."""
-    tune_allocator()
-    run = resume or TrainRun(model=model, optimizer=AdamW(cfg), history=[])
-    model = run.model
-    horizons = list(range(1, model.horizon + 1))
-    staged = stage_corpus(corpus, model.s, model.horizon, cfg)
-    _run_epochs(staged, cfg, run, run.epoch, cfg.epochs_per_stage, horizons,
-                trainable=None, base_lr=cfg.lr, history_from=0)
-    if run.best_params is None:
-        run.best_params = _snapshot(run.model.blocks())
-        if run.history:
-            run.best_metric = run.history[-1].train_loss
-    return run
-
-
-def nstep_stage_bounds(n_layers: int, epochs_per_stage: int) -> list[tuple[int, int]]:
-    """(first, last] epoch bounds for stages 1..n plus the fine-tune stage."""
-    return [(i * epochs_per_stage, (i + 1) * epochs_per_stage) for i in range(n_layers + 1)]
-
-
-def train_nstep(model: Forecaster, corpus: Corpus, cfg: TrainConfig,
+def train_model(model: Forecaster, corpus: Corpus, cfg: TrainConfig,
                 resume: TrainRun | None = None) -> TrainRun:
-    """Staged schedule: stage i trains layer i and the shared head on horizon
-    i alone; the final stage unfreezes every layer under the summed loss at
-    a reduced base rate.  Frozen blocks are bitwise untouched."""
+    """Train ``model`` (or continue ``resume``) through ``schedule``; a run
+    that never validated keeps its final parameters as the best."""
     tune_allocator()
     run = resume or TrainRun(model=model, optimizer=AdamW(cfg), history=[])
     model = run.model
-    n = model.horizon
-    staged = stage_corpus(corpus, model.s, n, cfg)
+    staged = stage_corpus(corpus, model.s, model.horizon, cfg)
     prefixes = PrefixStore(model)
-    for stage_index, (first, last) in enumerate(nstep_stage_bounds(n, cfg.epochs_per_stage)):
-        if run.epoch >= last:
-            continue
-        finetune = stage_index == n
-        if finetune:
+    for stage in schedule(model, cfg):
+        if stage.trainable is None:
             prefixes = None          # nothing is frozen, so free the held states
-            trainable = None
-            horizons = list(range(1, n + 1))
-            base_lr = cfg.lr * cfg.finetune_lr_scale
-        else:
-            layer_blocks = model.layers[stage_index].blocks(f"layer{stage_index + 1}")
-            trainable = set(layer_blocks) | {"head/w", "head/b"}
-            horizons = [stage_index + 1]
-            base_lr = cfg.lr
-        # one prefix entry per frozen leading layer; the last validation also
-        # fills the entry the next layer stage freezes
-        depth = min(stage_index, MAX_PREFIX)
-        handoff = min(stage_index + 1, MAX_PREFIX) if stage_index + 1 < n else depth
-        _run_epochs(staged, cfg, run, max(run.epoch, first), last, horizons,
-                    trainable=trainable, base_lr=base_lr, history_from=first,
-                    prefixes=prefixes, depths=(depth, handoff))
+        _run_epochs(staged, cfg, run, stage, prefixes)
     if run.best_params is None:
         run.best_params = _snapshot(model.blocks())
         if run.history:
             run.best_metric = run.history[-1].train_loss
     return run
+
+
+# The benchmark calls and wraps the trainer under these two names; its next
+# version (ROADMAP item 1) drops them with the model aliases.
+train_one_step_model = train_nstep = train_model
 
 
 def best_model(run: TrainRun):

@@ -29,8 +29,8 @@ def _load_tracing():
 
 def _workload_references():
     """(module name, attribute) for every ``alias.name`` in bench/workload.py
-    whose alias was imported from mesocast, and every ``from mesocast.x
-    import name``."""
+    whose alias was imported from mesocast, every ``from mesocast.x import
+    name``, and every name that a ``getattr(alias, var)`` call can look up."""
     tree = ast.parse((BENCH / "workload.py").read_text(encoding="utf-8"))
     aliases, refs = {}, set()
     for node in ast.walk(tree):
@@ -44,7 +44,38 @@ def _workload_references():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
             refs.add((aliases[node.value.id], node.attr))
+    for alias, var in _getattr_calls(tree, aliases):
+        refs.update((aliases[alias], name) for name in _string_values(tree, var))
     return sorted(refs)
+
+
+def _getattr_calls(tree, aliases):
+    """(alias, variable) of every ``getattr(alias, variable)`` call."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id in aliases:
+            assert isinstance(node.args[1], ast.Name), ast.unparse(node)
+            calls.append((node.args[0].id, node.args[1].id))
+    return calls
+
+
+def _string_values(tree, var):
+    """The strings ``var`` can take when it is unpacked from a table, as in
+    ``var, ... = table[key]`` with ``table = {key: (string, ...), ...}``."""
+    tables = {ast.unparse(node.targets[0]): node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple) \
+                and isinstance(node.value, ast.Subscript):
+            slots = [isinstance(t, ast.Name) and t.id == var for t in node.targets[0].elts]
+            table = tables.get(ast.unparse(node.value.value))
+            if True in slots and table is not None:
+                names += [row.elts[slots.index(True)].value for row in table.values]
+    assert names, f"bench/workload.py: cannot tell which names getattr(..., {var}) looks up"
+    return names
 
 
 def test_tracer_table_names_exist():

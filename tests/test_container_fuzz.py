@@ -13,7 +13,7 @@ from mesocast import models
 from mesocast.data import NUM_SEGMENTS, Corpus, Series
 from mesocast.losses import LossConfig
 from mesocast.models import build_model, deserialize_model, serialize_model
-from mesocast.train import TrainConfig, load_checkpoint, save_checkpoint, train_one_step_model
+from mesocast.train import TrainConfig, load_checkpoint, save_checkpoint, train_model
 from containers import with_header
 
 JSON = st.recursive(
@@ -73,7 +73,7 @@ def checkpoint(tmp_path_factory):
     make = lambda: Series(minutes=np.arange(T), speeds=speeds.copy())
     cfg = TrainConfig(epochs_per_stage=2, validate_every=1, train_stride=1, val_stride=1,
                       loss=LossConfig(pyramid_depth=0))
-    run = train_one_step_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=4),
+    run = train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=4),
                                Corpus(train=make(), easy=make(), hard=[make()]), cfg)
     path = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
     save_checkpoint(run, cfg, path)

@@ -46,10 +46,10 @@ class TestWindows:
 
     def test_first_window_content(self):
         series = toy_series(12)
-        w = build_windows(series, s=8, horizon=3)[0]
-        np.testing.assert_array_equal(w.inputs, series.speeds[0:8])
-        np.testing.assert_array_equal(w.targets, series.speeds[8:11])
-        assert w.start_minute == 0
+        windows = build_windows(series, s=8, horizon=3)
+        np.testing.assert_array_equal(windows.inputs[0], series.speeds[0:8])
+        np.testing.assert_array_equal(windows.targets[0], series.speeds[8:11])
+        assert windows.start_minutes[0] == 0
 
     def test_exact_length_gives_single_window(self):
         assert len(build_windows(toy_series(11), s=8, horizon=3)) == 1
@@ -70,8 +70,8 @@ class TestWindows:
         T = s + horizon + extra
         windows = build_windows(toy_series(T), s, horizon)
         assert len(windows) == T - s - horizon + 1
-        for i, w in enumerate(windows):
-            assert w.start_minute == i
+        for i in range(len(windows)):
+            assert windows.start_minutes[i] == i
 
     @pytest.mark.parametrize("s, horizon, k", [(1, 0, 1), (8, 3, 1), (8, 3, 79),
                                                (4, 2, 3), (3, 5, 7), (12, 1, 200)])

@@ -4,12 +4,7 @@ import pytest
 from mesocast import evaluate as E
 from mesocast.data import NUM_SEGMENTS, Corpus, Series, V_REF_MPH
 from mesocast.models import build_model, forecast_recursive
-from mesocast.evaluate import (
-    bench_latency,
-    bench_repeated,
-    coefficient_of_variation,
-    evaluate,
-)
+from mesocast.evaluate import evaluate, latency_ms
 
 
 def constant_series(c, T, start=0):
@@ -91,21 +86,21 @@ class TestBench:
     def test_single_iteration_smoke(self):
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=2)
         window = np.random.default_rng(0).uniform(0, 1, (4, NUM_SEGMENTS))
-        ms = bench_latency(model, window, warmup=1, iters=1)
+        [ms] = latency_ms(model, window, warmup=1, iters=1)
         assert ms > 0.0
 
     def test_repeated_runs_and_cov(self):
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=2)
         window = np.random.default_rng(0).uniform(0, 1, (4, NUM_SEGMENTS))
-        means, cov = bench_repeated(model, window, repeats=3, warmup=5, iters=50)
+        means = latency_ms(model, window, warmup=5, iters=50, repeats=3)
         assert len(means) == 3 and all(m > 0 for m in means)
+        cov = np.std(means) / np.mean(means)
         assert np.isfinite(cov) and cov >= 0.0
 
-    def test_cov_formula(self):
-        assert coefficient_of_variation([1.0, 1.0, 1.0]) == 0.0
-        vals = [1.0, 2.0, 3.0]
-        assert coefficient_of_variation(vals) == pytest.approx(np.std(vals) / 2.0)
-
+    def test_zero_iterations_rejected(self):
+        model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=2)
+        with pytest.raises(ValueError, match="iters"):
+            latency_ms(model, np.zeros((4, NUM_SEGMENTS)), warmup=0, iters=0)
 
 
 class TestForecast:

@@ -16,8 +16,7 @@ from mesocast.train import (
     load_checkpoint,
     plateau_lr,
     save_checkpoint,
-    train_nstep,
-    train_one_step_model,
+    train_model,
 )
 from containers import with_header
 
@@ -174,7 +173,7 @@ class TestTrainOneStep:
         corpus = constant_corpus()
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=1)
         before = {n: t.data.copy() for n, t in model.blocks().items()}
-        run = train_one_step_model(model, corpus, tiny_cfg(epochs_per_stage=0))
+        run = train_model(model, corpus, tiny_cfg(epochs_per_stage=0))
         for name, t in run.model.blocks().items():
             assert np.array_equal(t.data, before[name])
 
@@ -183,7 +182,7 @@ class TestTrainOneStep:
         corpus = constant_corpus(c=c, T=30)
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=2)
         cfg = tiny_cfg(epochs_per_stage=200, validate_every=10)
-        run = train_one_step_model(model, corpus, cfg)
+        run = train_model(model, corpus, cfg)
         assert run.history[-1].train_loss <= 1e-6
         window = np.full((4, NUM_SEGMENTS), c / 80.0)
         pred = InferencePlan(run.model).run(window)[0]
@@ -194,7 +193,7 @@ class TestTrainOneStep:
         runs = []
         for _ in range(2):
             model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=5)
-            runs.append(train_one_step_model(model, corpus, tiny_cfg()))
+            runs.append(train_model(model, corpus, tiny_cfg()))
         for (n1, a), (n2, b) in zip(runs[0].model.blocks().items(),
                                     runs[1].model.blocks().items()):
             assert n1 == n2 and np.array_equal(a.data, b.data)
@@ -203,7 +202,7 @@ class TestTrainOneStep:
     def test_training_reduces_loss(self):
         corpus = wavy_corpus()
         model = build_model("sa-lstm", s=4, hidden=6, attn_width=2, seed=6)
-        run = train_one_step_model(model, corpus, tiny_cfg(epochs_per_stage=12))
+        run = train_model(model, corpus, tiny_cfg(epochs_per_stage=12))
         assert run.history[-1].train_loss < run.history[0].train_loss
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -212,7 +211,7 @@ class TestTrainOneStep:
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=8)
         model.head_b.data[:] = np.inf
         with pytest.raises(DivergenceError, match="non-finite"):
-            train_one_step_model(model, corpus, tiny_cfg(epochs_per_stage=3))
+            train_model(model, corpus, tiny_cfg(epochs_per_stage=3))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_rolls_optimizer_back_and_resumes(self, tmp_path):
@@ -220,9 +219,9 @@ class TestTrainOneStep:
         corpus = wavy_corpus()
         cfg = tiny_cfg(lr=1e300, epochs_per_stage=3)
         make = lambda: build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=8)
-        one = train_one_step_model(make(), corpus, tiny_cfg(lr=1e300, epochs_per_stage=1))
+        one = train_model(make(), corpus, tiny_cfg(lr=1e300, epochs_per_stage=1))
         with pytest.raises(DivergenceError, match="epoch 2") as info:
-            train_one_step_model(make(), corpus, cfg)
+            train_model(make(), corpus, cfg)
         run = info.value.run
         assert run.epoch == 1
         assert run.optimizer.t == one.optimizer.t == {n: 1 for n in one.optimizer.t}
@@ -237,7 +236,7 @@ class TestTrainOneStep:
             assert np.all(np.isfinite(back.optimizer.m[name])), name
             assert np.all(np.isfinite(back.optimizer.v[name])), name
         with pytest.raises(DivergenceError, match="epoch 2"):
-            train_one_step_model(None, corpus, cfg, resume=back)
+            train_model(None, corpus, cfg, resume=back)
 
     def test_chunked_gradients_match_single_chunk(self):
         corpus = wavy_corpus()
@@ -265,7 +264,7 @@ class TestTrainNStep:
         run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 3, cfg)
         trainable = layer_names(model, 0) | {"head/w", "head/b"}
-        T._run_epochs(staged, cfg, run, 0, 2, [1], trainable, cfg.lr, 0)
+        T._run_epochs(staged, cfg, run, T.Stage(0, 2, (1,), frozenset(trainable), cfg.lr))
         for name, t in model.blocks().items():
             if name in trainable:
                 assert not np.array_equal(t.data, init[name]), name
@@ -276,7 +275,7 @@ class TestTrainNStep:
         corpus = wavy_corpus()
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=11)
         init = {n: t.data.copy() for n, t in model.blocks().items()}
-        run = train_nstep(model, corpus, tiny_cfg(epochs_per_stage=2))
+        run = train_model(model, corpus, tiny_cfg(epochs_per_stage=2))
         assert run.epoch == 3 * 2  # two layer stages plus fine-tune
         for name, t in run.model.blocks().items():
             assert not np.array_equal(t.data, init[name]), name
@@ -327,12 +326,13 @@ class TestTrainNStep:
         cfg = tiny_cfg(epochs_per_stage=1)
         run = T.TrainRun(model=model, optimizer=AdamW(cfg), history=[])
         staged = T.stage_corpus(wavy_corpus(), 4, 2, cfg)
-        stage = lambda i: layer_names(model, i) | {"head/w", "head/b"}
-        T._run_epochs(staged, cfg, run, 0, 1, [1], stage(0), cfg.lr, 0)
+        stage = lambda i: T.Stage(i, i + 1, (i + 1,),
+                                  frozenset(layer_names(model, i) | {"head/w", "head/b"}), cfg.lr)
+        T._run_epochs(staged, cfg, run, stage(0))
         assert all(t.requires_grad for t in model.blocks().values())
         model.head_b.data[:] = np.inf
         with pytest.raises(DivergenceError):
-            T._run_epochs(staged, cfg, run, 1, 2, [2], stage(1), cfg.lr, 1)
+            T._run_epochs(staged, cfg, run, stage(1))
         assert all(t.requires_grad for t in model.blocks().values())
 
     def test_frozen_prefix_is_walked_once_per_stage(self, monkeypatch):
@@ -364,7 +364,7 @@ class TestTrainNStep:
         monkeypatch.setattr(cells.StepKernel, "step", counting_kernel)
         monkeypatch.setattr(T, "validation_metrics", counting_validation)
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=23)
-        train_nstep(model, wavy_corpus(), tiny_cfg(epochs_per_stage=2, validate_every=1,
+        train_model(model, wavy_corpus(), tiny_cfg(epochs_per_stage=2, validate_every=1,
                                                    grad_chunk=16))
         taped = [4 * steps for steps in (4, 4, 4 + 5, 5, 4 + 1 + 6, 1 + 6, 15, 15)]
         validated = [6 * steps for steps in (4, 4, 5, 5, 1 + 6, 1 + 6, 15, 15)]
@@ -388,12 +388,57 @@ class TestTrainNStep:
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=4)
         one = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=13)
-        run_one = train_one_step_model(one, corpus, cfg)
+        run_one = train_model(one, corpus, cfg)
         nstep = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=1, seed=13)
-        run_n = train_nstep(nstep, corpus, cfg)
+        run_n = train_model(nstep, corpus, cfg)
         for a, b in zip(run_one.history, run_n.history[:len(run_one.history)]):
             assert a.train_loss == b.train_loss
             assert a.easy == b.easy
+
+
+class TestSchedule:
+    # (first, last, horizons, layer trained with the head or None for every
+    # block, fine-tune rate?, depths) at 3 epochs per stage, taken from the
+    # stage loop of the nstep trainer that train_model replaced.  That loop
+    # passed the fine-tune stage no prefix store, which reads as depths (0, 0)
+    NSTEP = {
+        1: [(0, 3, (1,), 0, False, (0, 0)), (3, 6, (1,), None, True, (0, 0))],
+        2: [(0, 3, (1,), 0, False, (0, 1)), (3, 6, (2,), 1, False, (1, 1)),
+            (6, 9, (1, 2), None, True, (0, 0))],
+        3: [(0, 3, (1,), 0, False, (0, 1)), (3, 6, (2,), 1, False, (1, 2)),
+            (6, 9, (3,), 2, False, (2, 2)), (9, 12, (1, 2, 3), None, True, (0, 0))],
+        4: [(0, 3, (1,), 0, False, (0, 1)), (3, 6, (2,), 1, False, (1, 2)),
+            (6, 9, (3,), 2, False, (2, 2)), (9, 12, (4,), 3, False, (2, 2)),
+            (12, 15, (1, 2, 3, 4), None, True, (0, 0))],
+    }
+
+    @staticmethod
+    def as_rows(model, stages, cfg):
+        layer_of = lambda stage: next(i for i in range(len(model.layers))
+                                      if stage.trainable == layer_names(model, i)
+                                      | {"head/w", "head/b"})
+        rows = []
+        for st in stages:
+            finetune = st.base_lr == cfg.lr * cfg.finetune_lr_scale
+            assert finetune or st.base_lr == cfg.lr
+            rows.append((st.first, st.last, st.horizons,
+                         None if st.trainable is None else layer_of(st), finetune, st.depths))
+        return rows
+
+    @pytest.mark.parametrize("horizon", sorted(NSTEP))
+    def test_nstep_stages(self, horizon):
+        cfg = tiny_cfg(epochs_per_stage=3)
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=horizon, seed=1)
+        assert self.as_rows(model, T.schedule(model, cfg), cfg) == self.NSTEP[horizon]
+
+    @pytest.mark.parametrize("kind, horizons", [
+        ("lstm", (1,)), ("lstm-seg", (1,)), ("sa-lstm", (1,)), ("all-at-once", (1, 2, 3)),
+    ])
+    def test_single_stage_kinds(self, kind, horizons):
+        cfg = tiny_cfg(epochs_per_stage=3)
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=1)
+        [stage] = T.schedule(model, cfg)
+        assert stage == T.Stage(0, 3, horizons, None, cfg.lr, (0, 0))
 
 
 class TestCheckpoints:
@@ -401,7 +446,7 @@ class TestCheckpoints:
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=4)
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=14)
-        run = train_one_step_model(model, corpus, cfg)
+        run = train_model(model, corpus, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(run, cfg, path)
         back = load_checkpoint(path, cfg)
@@ -432,7 +477,7 @@ class TestCheckpoints:
     ])
     def test_malformed_header_names_field(self, tmp_path, edit, field):
         cfg = tiny_cfg(epochs_per_stage=2)
-        run = train_one_step_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=14),
+        run = train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=14),
                                    wavy_corpus(), cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(run, cfg, path)
@@ -444,15 +489,15 @@ class TestCheckpoints:
         corpus = wavy_corpus()
         straight_cfg = tiny_cfg(epochs_per_stage=6)
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=15)
-        straight = train_one_step_model(model, corpus, straight_cfg)
+        straight = train_model(model, corpus, straight_cfg)
 
         half_cfg = tiny_cfg(epochs_per_stage=3)
         model2 = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=15)
-        half = train_one_step_model(model2, corpus, half_cfg)
+        half = train_model(model2, corpus, half_cfg)
         path = tmp_path / "half.ckpt"
         save_checkpoint(half, half_cfg, path)
         resumed_run = load_checkpoint(path, half_cfg)
-        resumed = train_one_step_model(None, corpus, straight_cfg, resume=resumed_run)
+        resumed = train_model(None, corpus, straight_cfg, resume=resumed_run)
 
         for (n1, a), (n2, b) in zip(straight.model.blocks().items(),
                                     resumed.model.blocks().items()):
@@ -461,7 +506,7 @@ class TestCheckpoints:
     def test_resume_nstep_mid_schedule(self, tmp_path):
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=2)
-        straight = train_nstep(
+        straight = train_model(
             build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=16),
             corpus, cfg)
 
@@ -469,12 +514,11 @@ class TestCheckpoints:
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=16)
         run = T.TrainRun(model=model, optimizer=AdamW(partial_cfg), history=[])
         staged = T.stage_corpus(corpus, 4, 2, partial_cfg)
-        trainable = layer_names(model, 0) | {"head/w", "head/b"}
-        T._run_epochs(staged, partial_cfg, run, 0, 2, [1], trainable, partial_cfg.lr, 0)
+        T._run_epochs(staged, partial_cfg, run, T.schedule(model, partial_cfg)[0])
         # checkpoint sits exactly at the stage-1 boundary (epoch 2 of 6)
         path = tmp_path / "stage1.ckpt"
         save_checkpoint(run, cfg, path)
-        resumed = train_nstep(None, corpus, cfg, resume=load_checkpoint(path, cfg))
+        resumed = train_model(None, corpus, cfg, resume=load_checkpoint(path, cfg))
         for (n1, a), (n2, b) in zip(straight.model.blocks().items(),
                                     resumed.model.blocks().items()):
             assert n1 == n2 and np.array_equal(a.data, b.data), n1
@@ -488,15 +532,15 @@ class TestCheckpoints:
         corpus = wavy_corpus(seed=4)
         cfg = tiny_cfg(epochs_per_stage=3, validate_every=2, grad_chunk=16)
         make = lambda: build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=22)
-        straight = train_nstep(make(), corpus, cfg)
+        straight = train_model(make(), corpus, cfg)
         diverge_at(monkeypatch, stop + 1)
         with pytest.raises(DivergenceError, match=f"epoch {stop + 1}") as info:
-            train_nstep(make(), corpus, cfg)
+            train_model(make(), corpus, cfg)
         monkeypatch.undo()
         assert info.value.run.epoch == stop
         path = tmp_path / "diverged.ckpt"
         save_checkpoint(info.value.run, cfg, path)
-        resumed = train_nstep(None, corpus, cfg, resume=load_checkpoint(path, cfg))
+        resumed = train_model(None, corpus, cfg, resume=load_checkpoint(path, cfg))
         assert resumed.epoch == straight.epoch == 12
         assert run_digest(resumed) == run_digest(straight)
 
@@ -514,7 +558,7 @@ class TestCheckpoints:
     def test_config_mismatch_rejected(self, tmp_path):
         corpus = constant_corpus()
         cfg = tiny_cfg(epochs_per_stage=1)
-        run = train_one_step_model(
+        run = train_model(
             build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=17), corpus, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(run, cfg, path)
@@ -524,7 +568,7 @@ class TestCheckpoints:
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         corpus = constant_corpus()
         cfg = tiny_cfg(epochs_per_stage=1)
-        run = train_one_step_model(
+        run = train_model(
             build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=18), corpus, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(run, cfg, path)
@@ -540,7 +584,7 @@ class TestPinnedResults:
         # digest taken before the frozen nstep prefix was cached, so the cache
         # is checked against the code that recomputed every frozen step
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=21)
-        run = train_nstep(model, wavy_corpus(seed=3),
+        run = train_model(model, wavy_corpus(seed=3),
                           tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 8
         assert run_digest(run) == "d79b9e34"
@@ -551,7 +595,7 @@ class TestPinnedResults:
     ])
     def test_single_stage_digest(self, kind, digest):
         model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=21)
-        run = train_one_step_model(model, wavy_corpus(seed=3),
+        run = train_model(model, wavy_corpus(seed=3),
                                    tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 2
         assert run_digest(run) == digest
