@@ -103,13 +103,21 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
+        """The [training] section as a TrainConfig; a value it rejects raises
+        a ValueError naming ``training.<key>``."""
         values = asdict(self.training)
-        loss = LossConfig(pyramid_depth=values.pop("lap_depth"),
-                          lap_weight=values.pop("lap_weight"),
-                          padding_mode=values.pop("lap_padding"))
         for name in ("model_out", "checkpoint_out", "metrics_csv"):
             del values[name]
-        return TrainConfig(loss=loss, **values)
+        try:
+            loss = LossConfig(pyramid_depth=values.pop("lap_depth"),
+                              lap_weight=values.pop("lap_weight"),
+                              padding_mode=values.pop("lap_padding"))
+            return TrainConfig(loss=loss, **values)
+        except ValueError as exc:
+            # TrainConfig and LossConfig messages read "<field> [and <field>] must ..."
+            names = str(exc).split(" must ", 1)[0].split(" and ")
+            keys = " and ".join(f"training.{_LOSS_KEYS.get(n, n)}" for n in names)
+            raise ValueError(f"bad value for {keys}: {exc}") from None
 
     def resolved(self) -> dict:
         return {
@@ -120,6 +128,10 @@ class RunConfig:
         }
 
 
+# LossConfig field -> [training] key
+_LOSS_KEYS = {"pyramid_depth": "lap_depth", "lap_weight": "lap_weight",
+              "padding_mode": "lap_padding"}
+
 _SECTIONS = {
     "data": DataSection,
     "model": ModelSection,
@@ -129,10 +141,14 @@ _SECTIONS = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse an INI run config; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
+    """Parse an INI run config; unknown sections or keys are errors.  Values
+    are taken literally (no ``%`` interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config: {exc}") from None
     cfg = RunConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -151,6 +167,7 @@ def load_config(path) -> RunConfig:
     if cfg.evaluation.horizons < 1:
         raise ValueError("bad value for evaluation.horizons: must be >= 1, "
                          f"got {cfg.evaluation.horizons}")
+    cfg.train_config()      # so a bad [training] value exits before any CSV is read
     return cfg
 
 

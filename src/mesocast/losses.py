@@ -19,6 +19,7 @@ M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  The taped
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class LossConfig:
     def __post_init__(self):
         if self.pyramid_depth < 0:
             raise ValueError(f"pyramid_depth must be >= 0, got {self.pyramid_depth}")
-        if self.lap_weight < 0:
-            raise ValueError(f"lap_weight must be >= 0, got {self.lap_weight}")
+        if not 0 <= self.lap_weight < math.inf:
+            raise ValueError(f"lap_weight must be finite and >= 0, got {self.lap_weight}")
         if self.padding_mode not in PADDING_MODES:
             raise ValueError(f"padding_mode must be one of {PADDING_MODES}")
 

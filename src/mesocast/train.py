@@ -89,17 +89,26 @@ class TrainConfig:
     finetune_lr_scale: float = 0.1    # base lr multiplier for the unfrozen stage
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        # each message starts with the fields it names; NaN fails every bound
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be >= 1")
-        if self.lr_decay_factor <= 1:
-            raise ValueError("lr_decay_factor must be > 1")
+        if not 1 < self.lr_decay_factor < math.inf:
+            raise ValueError(f"lr_decay_factor must be finite and > 1, got {self.lr_decay_factor}")
         if self.epochs_per_stage < 0:
             raise ValueError("epochs_per_stage must be >= 0")
         for name in ("validate_every", "grad_chunk", "train_stride", "val_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.finetune_lr_scale < math.inf:
+            raise ValueError("finetune_lr_scale must be positive and finite, "
+                             f"got {self.finetune_lr_scale}")
+        if not 0 < self.lr * self.finetune_lr_scale < math.inf:
+            raise ValueError("lr and finetune_lr_scale must give a positive, finite fine-tune "
+                             f"rate, got {self.lr} * {self.finetune_lr_scale}")
 
 
 @dataclass
@@ -498,7 +507,9 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stag
                 prefixes: PrefixStore | None = None) -> None:
     """Advance ``run`` through the epochs of ``stage`` it has not run yet;
     the blocks outside ``stage.trainable`` are tape constants until the call
-    returns or raises.  A non-finite loss raises before the optimizer steps,
+    returns or raises.  Only a stage that trains every block on every horizon
+    may set the best model: a layer stage's metric covers one horizon, so it
+    is not comparable.  A non-finite loss raises before the optimizer steps,
     so the run keeps the last finite epoch's state and stays resumable."""
     model = run.model
     blocks = model.blocks()
@@ -520,7 +531,7 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stag
                 easy, hard = validation_metrics(model, staged, stage.horizons, prefixes,
                                                 stage.depths[epoch == stage.last])
                 record.easy, record.hard = easy, hard
-                if easy < run.best_metric:
+                if stage.trainable is None and easy < run.best_metric:
                     run.best_metric = easy
                     run.best_params = _snapshot(blocks)
             run.history.append(record)

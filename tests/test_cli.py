@@ -85,6 +85,43 @@ class TestConfig:
         path.write_text("[model]\nkind = lstm-seg\n")
         assert _build_model(load_config(path)).kind == "lstm-seg"
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "nan"), ("lr", "inf"), ("lr", "0"), ("weight_decay", "-1e-4"),
+        ("weight_decay", "nan"), ("lr_decay_factor", "nan"), ("lr_decay_factor", "inf"),
+        ("finetune_lr_scale", "0"), ("finetune_lr_scale", "-1"),
+        ("finetune_lr_scale", "nan"), ("finetune_lr_scale", "1e-400"),
+        ("lap_weight", "nan"), ("lap_weight", "-1"), ("lap_depth", "-1"),
+        ("lap_padding", "mirror"),
+    ])
+    def test_bad_training_value_exits_2_before_reading_csvs(self, tmp_path, capsys,
+                                                             key, value):
+        # the output directory holds no corpus, so naming the key shows that
+        # the config was rejected before any CSV was opened
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[training]\n{key} = {value}\n")
+        assert run_cli("train", "--config", path, "--out", tmp_path / "empty") == 2
+        err = capsys.readouterr().err
+        assert f"training.{key}" in err and "train.csv" not in err
+
+    def test_bad_lap_depth_flag_exits_2_naming_key(self, tmp_path, capsys):
+        assert run_cli("train", "--out", tmp_path, "--lap-depth", -1) == 2
+        assert "training.lap_depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "lr = 0.1\n", "[training]\nlr = 1\nlr = 2\n", "[training]\n[training]\n",
+        "[training]\nlr\n",
+    ], ids=["no-section", "duplicate-key", "duplicate-section", "no-value"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("train", "--config", path, "--out", tmp_path) == 2
+        assert "malformed config" in capsys.readouterr().err
+
+    def test_percent_is_literal(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\nmetrics_csv = 100%.csv\n")
+        assert load_config(path).training.metrics_csv == "100%.csv"
+
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[optimizer]\nlr = 0.1\n")
@@ -370,7 +407,10 @@ class TestBench:
         code = run_cli("bench", "--config", cfg, "--out", out,
                        "--iters", 100, "--warmup", 10)
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "PASS" in printed
+        for stat in ("p50", "p99", "mean", "cv"):
+            assert f" {stat} " in printed, stat
 
     def test_budget_exceeded_nonzero_exit(self, trained_dir, capsys):
         out, cfg = trained_dir

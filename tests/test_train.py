@@ -384,6 +384,17 @@ class TestTrainNStep:
         model.layers[0].lstm.b_f.data[0] = one_ulp(model.layers[0].lstm.b_f.data[0])
         assert store.prefix("easy", 5, 2).known == 0
 
+    def test_best_model_is_chosen_in_the_finetune_stage(self):
+        # a layer stage's metric covers its own horizon only, so it must not
+        # compete with the fine-tune stage's metric over every horizon
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=25)
+        init = {n: t.data.copy() for n, t in model.blocks().items()}
+        run = train_model(model, wavy_corpus(), tiny_cfg(epochs_per_stage=2, validate_every=1))
+        for index in (1, 2):
+            for name in layer_names(model, index):
+                assert not np.array_equal(run.best_params[name], init[name]), name
+        assert run.best_metric == min(r.easy for r in run.history if r.epoch > 6)
+
     def test_single_layer_stage_matches_one_step_training(self):
         corpus = wavy_corpus()
         cfg = tiny_cfg(epochs_per_stage=4)
@@ -581,13 +592,16 @@ class TestCheckpoints:
 
 class TestPinnedResults:
     def test_nstep_horizon3_schedule_digest(self):
-        # digest taken before the frozen nstep prefix was cached, so the cache
-        # is checked against the code that recomputed every frozen step
+        # first taken before the frozen nstep prefix was cached, so the cache
+        # is checked against the code that recomputed every frozen step.
+        # Re-pinned when model selection was limited to the fine-tune stage:
+        # the final blocks, moments and history kept their bytes, and only
+        # best_params and best_metric moved
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=21)
         run = train_model(model, wavy_corpus(seed=3),
                           tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 8
-        assert run_digest(run) == "d79b9e34"
+        assert run_digest(run) == "1d5e8ab2"
 
     @pytest.mark.parametrize("kind, digest", [
         ("lstm", "3c9db2c4"), ("lstm-seg", "dbfded31"),
