@@ -65,6 +65,7 @@ def _load_run_config(args) -> RunConfig:
         cfg.evaluation.warmup = args.warmup
     if getattr(args, "budget", None) is not None:
         cfg.evaluation.budget_ms = args.budget
+    cfg.validate()          # the flags too, before any file is read
     return cfg
 
 
@@ -81,8 +82,7 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, outputs: list[str])
 
 
 def _hard_paths(cfg: RunConfig, out: Path) -> list[Path]:
-    count = cfg.corpus_sizes().hard_windows        # validates the [data] sizes
-    return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(count)]
+    return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows)]
 
 
 def _load_held_out(cfg: RunConfig, out: Path) -> D.Corpus:
@@ -124,9 +124,7 @@ def _load_for_horizons(path, horizons: int):
 def cmd_generate(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
-    ctm = cfg.ctm_config()
-    ctm.validate()
-    corpus = D.make_corpus(ctm, cfg.corpus_sizes())
+    corpus = D.make_corpus(cfg.ctm_config(), cfg.corpus_sizes())
     outputs = [cfg.data.train_csv, cfg.data.easy_csv]
     D.write_csv(corpus.train, out / cfg.data.train_csv)
     D.write_csv(corpus.easy, out / cfg.data.easy_csv)

@@ -7,10 +7,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .data import CorpusSizes, CtmConfig
 from .losses import LossConfig
+from .models import check_dims
 from .train import TrainConfig
 
 
@@ -76,6 +78,17 @@ class EvaluationSection:
     warmup: int = 1000
     iters: int = 50000
 
+    def validate(self) -> None:
+        # eval and forecast would write a table or a forecast with no rows
+        if self.horizons < 1:
+            raise ValueError(f"horizons must be >= 1, got {self.horizons}")
+        if not 0 < self.budget_ms < math.inf:
+            raise ValueError(f"budget_ms must be positive and finite, got {self.budget_ms}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.iters < 1:
+            raise ValueError(f"iters must be >= 1, got {self.iters}")
+
 
 @dataclass
 class RunConfig:
@@ -108,16 +121,18 @@ class RunConfig:
         values = asdict(self.training)
         for name in ("model_out", "checkpoint_out", "metrics_csv"):
             del values[name]
-        try:
-            loss = LossConfig(pyramid_depth=values.pop("lap_depth"),
-                              lap_weight=values.pop("lap_weight"),
-                              padding_mode=values.pop("lap_padding"))
-            return TrainConfig(loss=loss, **values)
-        except ValueError as exc:
-            # TrainConfig and LossConfig messages read "<field> [and <field>] must ..."
-            names = str(exc).split(" must ", 1)[0].split(" and ")
-            keys = " and ".join(f"training.{_LOSS_KEYS.get(n, n)}" for n in names)
-            raise ValueError(f"bad value for {keys}: {exc}") from None
+        loss = {name: values.pop(key) for name, key in _LOSS_KEYS.items()}
+        return _naming_keys("training", lambda: TrainConfig(loss=LossConfig(**loss), **values),
+                            _LOSS_KEYS)
+
+    def validate(self) -> None:
+        """Check every section the way the commands use it, without simulating
+        or allocating a model; a bad value raises a ValueError naming
+        ``<section>.<key>``."""
+        _naming_keys("data", lambda: (self.ctm_config().validate(), self.corpus_sizes()))
+        _naming_keys("model", lambda: check_dims(**asdict(self.model)))
+        self.train_config()
+        _naming_keys("evaluation", self.evaluation.validate)
 
     def resolved(self) -> dict:
         return {
@@ -131,6 +146,19 @@ class RunConfig:
 # LossConfig field -> [training] key
 _LOSS_KEYS = {"pyramid_depth": "lap_depth", "lap_weight": "lap_weight",
               "padding_mode": "lap_padding"}
+
+
+def _naming_keys(section: str, check, keys: dict | None = None):
+    """``check()``, with its ValueError, which reads "<field> [and <field>]
+    must ...", raised again naming each field as ``<section>.<key>``; a field
+    is its own key unless ``keys`` maps it."""
+    try:
+        return check()
+    except ValueError as exc:
+        names = str(exc).split(" must ", 1)[0].split(" and ")
+        named = " and ".join(f"{section}.{(keys or {}).get(n, n)}" for n in names)
+        raise ValueError(f"bad value for {named}: {exc}") from None
+
 
 _SECTIONS = {
     "data": DataSection,
@@ -163,11 +191,7 @@ def load_config(path) -> RunConfig:
                 setattr(target, key, types[key](raw))
             except ValueError as exc:
                 raise ValueError(f"bad value for {section}.{key}: {exc}") from None
-    # eval and forecast would write a table or a forecast with no rows
-    if cfg.evaluation.horizons < 1:
-        raise ValueError("bad value for evaluation.horizons: must be >= 1, "
-                         f"got {cfg.evaluation.horizons}")
-    cfg.train_config()      # so a bad [training] value exits before any CSV is read
+    cfg.validate()          # so a bad value exits before any CSV is read
     return cfg
 
 

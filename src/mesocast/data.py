@@ -25,7 +25,10 @@ integer arithmetic, so conservation holds bitwise at every substep.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -277,40 +280,46 @@ class CtmConfig:
         return self.capacity / self.free_flow_kpm
 
     def validate(self) -> None:
-        for name in ("cell_length_km", "free_flow_mph", "wave_speed_mph", "jam_density"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"fundamental diagram: {name} must be positive")
+        """Raise a ValueError "<field> must ..." for a value the simulator cannot
+        run exactly; the CFL bounds and non-negative rates rule out overdraw."""
+        # the speeds in km/min, as the simulator uses them: a tiny mph underflows to 0
+        diagram = {"cell_length_km": self.cell_length_km, "free_flow_mph": self.free_flow_kpm,
+                   "wave_speed_mph": self.wave_speed_kpm, "jam_density": self.jam_density}
+        for name, value in diagram.items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.jam_density * self.cell_length_km >= 2.0 ** 21:
+            raise ValueError("jam_density must keep a full cell under 2^21 vehicles, so that "
+                             f"fixed-point transfers round exactly, got {self.jam_density}")
         if self.substeps_per_minute < 1:
-            raise ValueError("substeps_per_minute must be >= 1")
-        dt = 1.0 / self.substeps_per_minute
-        if self.free_flow_kpm * dt > self.cell_length_km:
-            raise ValueError(
-                "fundamental diagram: CFL violated, free_flow * dt "
-                f"({self.free_flow_kpm * dt:.3f} km) exceeds cell length "
-                f"({self.cell_length_km:.3f} km); raise substeps_per_minute"
-            )
+            raise ValueError(f"substeps_per_minute must be >= 1, got {self.substeps_per_minute}")
+        speed = max("free_flow_mph", "wave_speed_mph", key=diagram.get)
+        if diagram[speed] / self.substeps_per_minute > self.cell_length_km:
+            raise ValueError(f"{speed} and substeps_per_minute must meet the CFL bound, but "
+                             f"{speed} * dt = {diagram[speed] / self.substeps_per_minute:.3f} km "
+                             f"exceeds the cell length {self.cell_length_km:.3f} km")
+        if not 0 <= self.noise_std_mph < math.inf:
+            raise ValueError(f"noise_std_mph must be finite and >= 0, got {self.noise_std_mph}")
         if not (0 <= self.initial_density <= self.jam_density):
-            raise ValueError("initial_density outside [0, jam_density]")
-        if not self.demand or self.demand[0][0] != 0:
-            raise ValueError("demand schedule must start at minute 0")
-        if any(b[0] >= a[0] for a, b in zip(self.demand[1:], self.demand)):
-            raise ValueError("demand schedule minutes must increase")
-        if self.bottleneck is not None:
-            seg = self.bottleneck.segment
-            if not 0 <= seg < NUM_SEGMENTS:
-                raise ValueError(f"bottleneck segment {seg} out of range")
-            if not 0 < self.bottleneck.capacity_factor <= 1:
-                raise ValueError("bottleneck capacity_factor must be in (0, 1]")
+            raise ValueError("initial_density must lie in [0, jam_density]")
+        starts = [minute for minute, _ in self.demand]
+        if starts[:1] != [0] or any(b >= a for a, b in zip(starts[1:], starts)):
+            raise ValueError("demand must start at minute 0, its minutes increasing")
+        if not all(rate >= 0 for _, rate in self.demand):
+            raise ValueError("demand rates must be >= 0")
+        if self.exit_supply_cap is not None and not self.exit_supply_cap >= 0:
+            raise ValueError(f"exit_supply_cap must be >= 0, got {self.exit_supply_cap}")
+        b = self.bottleneck
+        if b is not None and not 0 <= b.segment < NUM_SEGMENTS:
+            raise ValueError(f"bottleneck segment must be in 0..{NUM_SEGMENTS - 1}, "
+                             f"got {b.segment}")
+        if b is not None and not 0 < b.capacity_factor <= 1:
+            raise ValueError("bottleneck capacity_factor must be in (0, 1]")
 
 
 def _demand_rate(schedule, minute: int) -> float:
-    rate = schedule[0][1]
-    for start, value in schedule:
-        if minute >= start:
-            rate = value
-        else:
-            break
-    return rate
+    """Rate of the last anchor at or before ``minute`` (the first before it)."""
+    return schedule[max(bisect_right(schedule, minute, key=itemgetter(0)) - 1, 0)][1]
 
 
 class CtmSim:
@@ -362,21 +371,17 @@ class CtmSim:
         flux = np.empty(NUM_SEGMENTS + 1)
         flux[0] = min(_demand_rate(cfg.demand, minute), room[0])
         flux[1:NUM_SEGMENTS] = np.minimum(send[:-1], room[1:])
-        flux[NUM_SEGMENTS] = send[-1]
-        if cfg.exit_supply_cap is not None:
-            flux[NUM_SEGMENTS] = min(flux[NUM_SEGMENTS], cfg.exit_supply_cap)
+        cap_out = cfg.exit_supply_cap
+        flux[NUM_SEGMENTS] = send[-1] if cap_out is None else min(send[-1], cap_out)
         b = cfg.bottleneck
         if b is not None and b.start_minute <= minute < b.end_minute:
             flux[b.segment] = min(flux[b.segment], b.capacity_factor * cap)
 
+        # no overdraw: validate's bounds keep each transfer in [0, sender's count]
         transfer = np.rint(flux * (self.dt * _FP_SCALE))
-        # guard against fixed-point rounding overdrawing a near-empty cell
-        for i in range(NUM_SEGMENTS):
-            transfer[i + 1] = min(transfer[i + 1], self.counts[i] + transfer[i])
         self.counts += transfer[:-1]
         self.counts -= transfer[1:]
-        self.last_in = float(transfer[0])
-        self.last_out = float(transfer[-1])
+        self.last_in, self.last_out = float(transfer[0]), float(transfer[-1])
 
 
 def ctm_simulate(cfg: CtmConfig, minutes: int,
@@ -420,9 +425,10 @@ class CorpusSizes:
     hard_minutes: int = 440
 
     def __post_init__(self):
-        # the hard metric is a mean over the hard windows
-        if self.hard_windows < 1:
-            raise ValueError(f"hard_windows must be >= 1, got {self.hard_windows}")
+        # every split is read, and the hard metric is a mean over the hard windows
+        for name, count in vars(self).items():
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 @dataclass
@@ -444,15 +450,10 @@ def has_sustained_congestion(series: Series,
                              duration=CONGESTION_MINUTES) -> bool:
     """True when some ``span`` adjacent segments all stay under ``speed`` for
     ``duration`` consecutive minutes."""
-    slow = series.speeds < speed
-    for j in range(NUM_SEGMENTS - span + 1):
-        block = np.all(slow[:, j:j + span], axis=1)
-        run = 0
-        for hit in block:
-            run = run + 1 if hit else 0
-            if run >= duration:
-                return True
-    return False
+    slow = np.lib.stride_tricks.sliding_window_view(series.speeds < speed, span, axis=1)
+    # hits[t, j]: minutes before t in which segments j..j+span-1 were all slow
+    hits = np.cumsum(np.pad(slow.all(axis=2), ((1, 0), (0, 0))), axis=0)
+    return bool(np.any(hits[duration:] - hits[:-duration] == duration))
 
 
 def congested_minutes_fraction(series: Series, speed=CONGESTION_SPEED_MPH) -> float:
@@ -517,23 +518,12 @@ def _simulate_days(base: CtmConfig, days: int, seed: int, label: str) -> Series:
 def _simulate_hard_window(base: CtmConfig, minutes: int, seed: int, index: int) -> Series:
     """One heavily congested window; regenerated with a perturbed seed until
     the sustained-congestion criterion holds."""
-    offset = 300  # window starts at 5:00 so onset, propagation and dissipation fit
     for attempt in range(20):
-        rng = block_rng(seed, f"hard{index}-attempt{attempt}")
-        cfg = _day_config(base, rng, seed, hard=True)
-        shifted = replace(
-            cfg,
-            demand=tuple((m - offset, r) for m, r in cfg.demand if m >= offset),
-            bottleneck=Bottleneck(
-                cfg.bottleneck.segment,
-                cfg.bottleneck.capacity_factor,
-                cfg.bottleneck.start_minute - offset,
-                cfg.bottleneck.end_minute - offset,
-            ),
-        )
-        sim = CtmSim(shifted, initial_density=np.full(NUM_SEGMENTS, 6.0))
-        noise = block_rng(seed, f"hard{index}-noise{attempt}")
-        series = simulate_into(sim, minutes, noise)
+        cfg = _day_config(base, block_rng(seed, f"hard{index}-attempt{attempt}"), seed, hard=True)
+        sim = CtmSim(cfg, initial_density=np.full(NUM_SEGMENTS, 6.0))
+        # the window opens at 5:00 so onset, propagation and dissipation fit
+        series = simulate_into(sim, minutes, block_rng(seed, f"hard{index}-noise{attempt}"),
+                               schedule_start=300)
         if has_sustained_congestion(series):
             return series
     raise ValueError(f"hard window {index}: no {CONGESTION_MINUTES}-minute congestion in "

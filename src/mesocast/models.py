@@ -249,20 +249,43 @@ class Forecaster:
 OneStepModel = AllAtOnceModel = NStepModel = Forecaster
 
 
+# a model holds at most 512 MiB of float64 parameters; training keeps several
+# copies (gradients, two AdamW moments, the best snapshot)
+MAX_PARAMETERS = 1 << 26
+
+
+def check_dims(kind: str, s: int, hidden: int, attn_width: int, horizon: int) -> None:
+    """Raise a ValueError reading "<dim> must ..." for dims that ``build_model``
+    rejects, without allocating anything."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+    if not 1 <= s <= MINUTES_PER_DAY:
+        raise ValueError(f"s must be in 1..{MINUTES_PER_DAY} (window length s), got {s}")
+    sized = {"hidden": hidden, "horizon": horizon}
+    if kind not in LSTM_KINDS:
+        sized["attn_width"] = attn_width
+    for name, value in sized.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    in_width = NUM_SEGMENTS if kind == "lstm" else 1
+    layer = 4 * hidden * (hidden + in_width + 1)
+    if kind not in LSTM_KINDS:
+        layer += 4 * hidden * attn_width                # q, k, v and the output projection
+    layers = horizon if kind == "nstep" else 1
+    width = {"lstm": NUM_SEGMENTS, "all-at-once": horizon}.get(kind, 1)
+    count = layers * layer + (hidden + 1) * width
+    if count > MAX_PARAMETERS:
+        names = [name for name in ("hidden", "attn_width") if name in sized]
+        names += ["horizon"] if kind in ("nstep", "all-at-once") else []
+        raise ValueError(f"{' and '.join(names)} must keep the model within {MAX_PARAMETERS} "
+                         f"parameters, got {count}")
+
+
 def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
                 horizon: int = 3, seed: int = 0) -> Forecaster:
     """Construct a freshly initialised model of the given kind; parameter
     blocks draw name-keyed streams so shared block names agree across kinds."""
-    if not 1 <= s <= MINUTES_PER_DAY:
-        raise ValueError(f"window length s must be in 1..{MINUTES_PER_DAY}, got {s}")
-    positive = {"hidden": hidden, "horizon": horizon}
-    if kind not in LSTM_KINDS:
-        positive["attn_width"] = attn_width
-    for name, value in positive.items():
-        if value < 1:
-            raise ValueError(f"model {name} must be >= 1, got {value}")
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    check_dims(kind, s, hidden, attn_width, horizon)
     names = [f"layer{i + 1}" for i in range(horizon if kind == "nstep" else 1)]
     if kind in LSTM_KINDS:
         in_width = NUM_SEGMENTS if kind == "lstm" else 1

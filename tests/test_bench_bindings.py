@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mesocast import data, models, train
+from mesocast.config import load_config
 from mesocast.losses import LossConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -105,6 +106,17 @@ def workload(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_pipeline_config_loads_under_the_data_bounds(workload, monkeypatch, tmp_path):
+    # every pipeline command loads this INI; a bound it broke would fail them all
+    monkeypatch.setattr(workload, "generate", lambda *args: None)    # no simulation
+    pipeline = workload.PipelineWorkload(seed=901, work=tmp_path, checks=workload.Checks())
+    pipeline.make_inputs()
+    cfg = load_config(pipeline.config)
+    assert cfg.data.seed == 901
+    assert cfg.corpus_sizes() == workload.SMALL_SIZES
+    data.CtmSim(cfg.ctm_config())
 
 
 def test_workload_set_up_shapes(workload):

@@ -103,6 +103,39 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"training.{key}" in err and "train.csv" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "noise_std_mph", "nan"), ("data", "noise_std_mph", "-3"),
+        ("data", "free_flow_mph", "nan"), ("data", "jam_density", "nan"),
+        ("data", "wave_speed_mph", "inf"), ("data", "wave_speed_mph", "200"),
+        ("data", "free_flow_mph", "5e-324"), ("data", "substeps_per_minute", "1"),
+        ("data", "train_days", "0"), ("data", "easy_days", "0"),
+        ("data", "hard_minutes", "0"),
+        ("model", "kind", "foo"), ("model", "s", "0"), ("model", "hidden", "-1"),
+        ("model", "attn_width", "0"), ("model", "hidden", str(10 ** 9)),
+        ("evaluation", "budget_ms", "nan"), ("evaluation", "budget_ms", "-1"),
+        ("evaluation", "budget_ms", "inf"), ("evaluation", "warmup", "-1"),
+        ("evaluation", "iters", "0"),
+    ])
+    @pytest.mark.parametrize("command", ["generate", "train", "bench"])
+    def test_bad_value_exits_2_naming_key_before_any_file(self, tmp_path, capsys, section,
+                                                           key, value, command):
+        # the output directory holds no corpus and no model, and generate
+        # would write one: naming the key shows nothing was read or run
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "empty"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and ".csv" not in err and "model.bin" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, key", [("--iters", "iters"), ("--warmup", "warmup"),
+                                           ("--budget", "budget_ms")])
+    def test_bad_bench_flag_exits_2_before_the_model_loads(self, tmp_path, capsys, flag, key):
+        assert run_cli("bench", "--out", tmp_path, flag, -1) == 2
+        err = capsys.readouterr().err
+        assert f"evaluation.{key}" in err and "model.bin" not in err
+
     def test_bad_lap_depth_flag_exits_2_naming_key(self, tmp_path, capsys):
         assert run_cli("train", "--out", tmp_path, "--lap-depth", -1) == 2
         assert "training.lap_depth" in capsys.readouterr().err

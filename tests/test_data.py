@@ -1,5 +1,6 @@
 import io
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,39 @@ from mesocast.data import (
     write_csv,
 )
 from reference_csv import read_csv_reference, write_csv_reference
+from reference_ctm import demand_rate_scan, guarded_substep, has_sustained_congestion_loop
+
+
+NUM_SEGMENTS = data.NUM_SEGMENTS
+SIDE_BY_SIDE_MINUTES = 40
+
+
+@st.composite
+def valid_ctm(draw):
+    """A CtmConfig inside validate's bounds, CFL equality and a full cell at
+    the fixed-point limit included, and an initial density up to jam."""
+    free_flow = draw(st.floats(5.0, 120.0))
+    wave = draw(st.floats(2.0, 200.0))
+    substeps = draw(st.integers(1, 8))
+    floor_km = max(free_flow, wave) * data.MPH_TO_KM_PER_MIN / substeps
+    cell_km = floor_km * draw(st.just(1.0) | st.floats(1.0, 4.0))
+    jam = draw(st.floats(5.0, 400.0) | st.just(0.999 * 2.0 ** 21 / cell_km))
+    base = CtmConfig(cell_length_km=cell_km, free_flow_mph=free_flow, wave_speed_mph=wave,
+                     jam_density=jam, substeps_per_minute=substeps, noise_std_mph=0.0)
+    rate = st.just(0.0) | st.floats(0.0, 2.0 * base.capacity)
+    starts = draw(st.lists(st.integers(1, SIDE_BY_SIDE_MINUTES - 1), max_size=6, unique=True))
+    minute = st.integers(0, SIDE_BY_SIDE_MINUTES)
+    cfg = replace(
+        base,
+        demand=tuple((m, draw(rate)) for m in [0, *sorted(starts)]),
+        bottleneck=draw(st.none() | st.builds(
+            Bottleneck, st.integers(0, NUM_SEGMENTS - 1),
+            st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True), minute, minute)),
+        exit_supply_cap=draw(st.none() | rate),
+    )
+    cfg.validate()
+    level = st.just(0.0) | st.just(jam) | st.floats(0.0, jam)
+    return cfg, np.array(draw(st.lists(level, min_size=NUM_SEGMENTS, max_size=NUM_SEGMENTS)))
 
 
 def toy_series(T, start=0, seed=0):
@@ -379,6 +413,62 @@ class TestCtm:
             CtmConfig(jam_density=-1.0).validate()
         with pytest.raises(ValueError, match="CFL"):
             CtmConfig(substeps_per_minute=1, free_flow_mph=70.0).validate()
+
+    @pytest.mark.parametrize("change, field", [
+        (dict(free_flow_mph=float("nan")), "free_flow_mph"),
+        (dict(jam_density=float("nan")), "jam_density"),
+        (dict(wave_speed_mph=float("inf")), "wave_speed_mph"),
+        # the backward wave crosses more than a cell per substep
+        (dict(wave_speed_mph=200.0), "wave_speed_mph and substeps_per_minute"),
+        (dict(free_flow_mph=90.0, substeps_per_minute=3), "free_flow_mph and substeps_per_minute"),
+        (dict(jam_density=5e6), "jam_density"),
+        (dict(noise_std_mph=float("nan")), "noise_std_mph"),
+        (dict(noise_std_mph=-3.0), "noise_std_mph"),
+        (dict(noise_std_mph=float("inf")), "noise_std_mph"),
+        (dict(demand=((0, 5.0), (60, -1.0))), "demand rates"),
+        (dict(demand=((0, float("nan")),)), "demand rates"),
+        (dict(exit_supply_cap=-0.5), "exit_supply_cap"),
+        (dict(exit_supply_cap=float("nan")), "exit_supply_cap"),
+    ])
+    def test_each_bound_names_its_field(self, change, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            replace(CtmConfig(), **change).validate()
+
+    @pytest.mark.parametrize("name", ["train_days", "easy_days", "hard_windows", "hard_minutes"])
+    def test_corpus_counts_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0"):
+            CorpusSizes(**{name: 0})
+
+    @settings(max_examples=100, deadline=None)
+    @given(source=st.data())
+    def test_guard_free_substep_matches_guarded_reference(self, source):
+        cfg, density = source.draw(valid_ctm())
+        sim, ref = CtmSim(cfg, density), CtmSim(cfg, density)
+        for minute in range(SIDE_BY_SIDE_MINUTES):
+            for _ in range(cfg.substeps_per_minute):
+                sim.substep(minute)
+                guarded_substep(ref, minute)
+                assert sim.counts.tobytes() == ref.counts.tobytes()
+                assert (sim.last_in, sim.last_out) == (ref.last_in, ref.last_out)
+                assert np.all(sim.counts >= 0)
+
+    @given(anchors=st.lists(st.tuples(st.integers(1, 2000), st.floats(0.0, 100.0)),
+                            max_size=12, unique_by=lambda a: a[0]),
+           first=st.floats(0.0, 100.0), minute=st.integers(-50, 2100))
+    def test_demand_lookup_matches_scan(self, anchors, first, minute):
+        schedule = ((0, first), *sorted(anchors))
+        assert data._demand_rate(schedule, minute) == demand_rate_scan(schedule, minute)
+
+    @given(st.integers(0, 90), st.integers(1, NUM_SEGMENTS), st.integers(1, 40),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_congestion_test_matches_loop(self, minutes, span, duration, share, seed):
+        rng = np.random.default_rng(seed)
+        # long slow runs, so that both outcomes come up
+        slow = np.repeat(rng.random((minutes // 5 + 1, NUM_SEGMENTS)) < share, 5, axis=0)
+        speeds = np.where(slow[:minutes], 20.0, 60.0)
+        series = Series(minutes=np.arange(minutes), speeds=speeds)
+        assert data.has_sustained_congestion(series, 40.0, span, duration) == \
+            has_sustained_congestion_loop(speeds, 40.0, span, duration)
 
     def test_noise_and_clamp(self):
         cfg = CtmConfig(demand=((0, 5.0),), noise_std_mph=4.0, seed=11)

@@ -521,6 +521,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="window length s"):
             build_model("sa-lstm", s=s)
 
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_parameter_limit_counts_every_block(self, monkeypatch, kind):
+        count = sum(t.data.size for t in tiny(kind).blocks().values())
+        monkeypatch.setattr(models, "MAX_PARAMETERS", count)
+        tiny(kind)
+        monkeypatch.setattr(models, "MAX_PARAMETERS", count - 1)
+        with pytest.raises(ValueError, match="^hidden .*must keep the model within"):
+            tiny(kind)
+
+    @pytest.mark.parametrize("kind, dims, names", [
+        ("sa-lstm", dict(hidden=10 ** 9), "hidden and attn_width"),
+        ("sa-lstm", dict(attn_width=10 ** 9), "hidden and attn_width"),
+        ("lstm", dict(hidden=10 ** 9), "hidden"),
+        ("nstep", dict(horizon=10 ** 9), "hidden and attn_width and horizon"),
+        ("all-at-once", dict(horizon=10 ** 12), "hidden and attn_width and horizon"),
+        ("foo", {}, "kind"), ("sa-lstm", dict(s=0), "s"), ("lstm", dict(hidden=0), "hidden"),
+        ("sa-lstm", dict(attn_width=0), "attn_width"), ("nstep", dict(horizon=0), "horizon"),
+    ])
+    def test_bad_dims_rejected_before_allocation(self, monkeypatch, kind, dims, names):
+        for name in ("init_lstm_params", "init_sa_lstm_params", "_init_head"):
+            monkeypatch.setattr(models, name, lambda *a, **k: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match=f"^{names} must "):
+            build_model(kind, **dims)
+
     def test_save_load_file(self, tmp_path):
         m = tiny("all-at-once", seed=31)
         path = tmp_path / "model.bin"
