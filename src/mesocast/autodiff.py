@@ -5,14 +5,15 @@ output tensor; ``backward`` replays the recorded graph once in reverse
 topological order.  All arithmetic is 64-bit and evaluation order is fixed,
 so repeated passes over the same graph are bitwise identical.
 
-The op set is what training records: each cell step is one ``node`` with a
-hand-derived adjoint (see ``cells``); the head is ``matmul`` plus
-``add_bias``; ``narrow`` and ``reshape`` view the packed cell state and the
-head's columns; the losses use the elementwise ops and the reductions.  Row
-softmax, ``transpose`` and the batched 3-D ``matmul`` serve only
-``cells.self_attention``, the taped reference that the fused attention is
-tested against.  The gate functions and ``concat`` live with the tests'
-references.
+The op set is what training records: each cell step and each horizon's
+loss is one ``node`` with a hand-derived adjoint (see ``cells`` and
+``losses``); the head is ``matmul`` plus ``add_bias``; ``narrow`` and
+``reshape`` view the packed cell state and the head's columns; ``add`` and
+``scale`` sum and weight the loss terms.  Row softmax, ``transpose`` and the
+batched 3-D ``matmul`` serve only ``cells.self_attention``, the taped
+reference that the fused attention is tested against.  The gate functions,
+``concat``, the other elementwise ops and the reductions live with the
+tests' references.
 """
 
 from __future__ import annotations
@@ -26,18 +27,13 @@ __all__ = [
     "node",
     "backward",
     "add",
-    "sub",
-    "mul",
     "scale",
-    "abs_",
     "matmul",
     "softmax_rows",
     "add_bias",
     "narrow",
     "transpose",
     "reshape",
-    "sum_all",
-    "mean_all",
     "sigmoid_array",
 ]
 
@@ -71,10 +67,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
@@ -103,41 +95,20 @@ def node(data, parents, vjp) -> Tensor:
     return Tensor(data)
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 # ---------------------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("add", a, b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     return node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    return node(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    ad, bd = a.data, b.data
-    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
     return node(a.data * k, (a,), lambda g: (g * k,))
-
-
-def abs_(a: Tensor) -> Tensor:
-    # subgradient 0 at the kink
-    sgn = np.sign(a.data)
-    return node(np.abs(a.data), (a,), lambda g: (g * sgn,))
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +216,6 @@ def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return node(mat.data + vec.data, (mat, vec), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    return node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    inv = 1.0 / a.data.size
-
-    def vjp(g):
-        return (np.full(shape, float(g) * inv),)
-
-    return node(a.data.mean(), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

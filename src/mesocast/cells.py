@@ -123,32 +123,30 @@ def zero_state(rows: int, hidden: int) -> LstmState:
     return LstmState(ad.tensor(np.zeros((rows, 2 * hidden))))
 
 
-def init_lstm_params(hidden, in_width, seed, prefix, trainable=True) -> LstmParams:
+def init_lstm_params(hidden, in_width, seed, prefix) -> LstmParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights; forget bias starts
     at +1 so early cell state is retained."""
-    make = ad.parameter if trainable else ad.tensor
     rows = hidden + in_width
-    w = {g: make(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{g}"), rows, hidden))
+    w = {g: ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{g}"), rows, hidden))
          for g in "fico"}
-    b = {g: make(np.zeros(hidden)) for g in "ico"}
-    b["f"] = make(np.ones(hidden))
+    b = {g: ad.parameter(np.zeros(hidden)) for g in "ico"}
+    b["f"] = ad.parameter(np.ones(hidden))
     return LstmParams(w["f"], w["i"], w["c"], w["o"], b["f"], b["i"], b["c"], b["o"])
 
 
-def init_attention_params(hidden, proj_width, seed, prefix, trainable=True) -> AttentionParams:
-    make = ad.parameter if trainable else ad.tensor
+def init_attention_params(hidden, proj_width, seed, prefix) -> AttentionParams:
     return AttentionParams(
-        *(make(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{n}"), hidden, proj_width))
+        *(ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{n}"), hidden, proj_width))
           for n in "qkv")
     )
 
 
-def init_sa_lstm_params(hidden, proj_width, seed, prefix, trainable=True) -> SaLstmParams:
-    make = ad.parameter if trainable else ad.tensor
+def init_sa_lstm_params(hidden, proj_width, seed, prefix) -> SaLstmParams:
     return SaLstmParams(
-        lstm=init_lstm_params(hidden, 1, seed, prefix, trainable),
-        attn=init_attention_params(hidden, proj_width, seed, f"{prefix}/attn", trainable),
-        out_proj=make(_uniform_fan_in(block_rng(seed, f"{prefix}/out_proj"), proj_width, hidden)),
+        lstm=init_lstm_params(hidden, 1, seed, prefix),
+        attn=init_attention_params(hidden, proj_width, seed, f"{prefix}/attn"),
+        out_proj=ad.parameter(
+            _uniform_fan_in(block_rng(seed, f"{prefix}/out_proj"), proj_width, hidden)),
     )
 
 

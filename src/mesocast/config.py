@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .data import CorpusSizes, CtmConfig
+from .data import MAX_ARRAY_VALUES, CorpusSizes, CtmConfig
 from .losses import LossConfig
 from .models import check_dims
 from .train import TrainConfig
@@ -86,8 +86,8 @@ class EvaluationSection:
             raise ValueError(f"budget_ms must be positive and finite, got {self.budget_ms}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+        if not 1 <= self.iters <= MAX_ARRAY_VALUES:
+            raise ValueError(f"iters must be in 1..{MAX_ARRAY_VALUES}, got {self.iters}")
 
 
 @dataclass

@@ -40,6 +40,10 @@ ROAD_KM = 11.4
 V_REF_MPH = 80.0               # normalisation reference
 MAX_SPEED_MPH = 90.0
 MPH_TO_KM_PER_MIN = 1.609344 / 60.0
+# a count that sizes an array (a split's speeds, all hard windows together,
+# the latency benchmark's timings) keeps it within 512 MiB of float64 values,
+# the bound models.MAX_PARAMETERS sets on a model
+MAX_ARRAY_VALUES = 1 << 26
 
 CSV_HEADER = ["minute"] + [f"seg{i:02d}" for i in range(NUM_SEGMENTS)]
 
@@ -417,6 +421,9 @@ def simulate_into(sim: CtmSim, minutes: int, noise_rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
+MINUTES_PER_DAY = 1440
+
+
 @dataclass(frozen=True)
 class CorpusSizes:
     train_days: int = 35
@@ -429,6 +436,15 @@ class CorpusSizes:
         for name, count in vars(self).items():
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
+        most_days = MAX_ARRAY_VALUES // (MINUTES_PER_DAY * NUM_SEGMENTS)
+        for name, days in (("train_days", self.train_days), ("easy_days", self.easy_days)):
+            if days > most_days:
+                raise ValueError(f"{name} must be at most {most_days} (a split of "
+                                 f"{MAX_ARRAY_VALUES} speeds), got {days}")
+        if self.hard_windows * self.hard_minutes * NUM_SEGMENTS > MAX_ARRAY_VALUES:
+            raise ValueError(f"hard_windows and hard_minutes must keep the hard windows within "
+                             f"{MAX_ARRAY_VALUES} speeds, got {self.hard_windows} windows of "
+                             f"{self.hard_minutes} minutes")
 
 
 @dataclass
@@ -438,7 +454,6 @@ class Corpus:
     hard: list[Series] = field(default_factory=list)
 
 
-MINUTES_PER_DAY = 1440
 CONGESTION_SPEED_MPH = 40.0
 CONGESTION_SPAN = 3
 CONGESTION_MINUTES = 30

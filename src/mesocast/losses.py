@@ -12,8 +12,8 @@ is exact by construction.
 reference definition of the pyramid.  Every step of it, padding included, is
 linear, so level j of a profile x is x @ A_j for a fixed matrix A_j, and the
 penalty sum_j 4^j |L_j(p) - L_j(t)|_1 is |(p - t) @ M|_1 with one matrix
-M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  The taped
-``lap_loss`` is that one product against a cached, read-only M.
+M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  So the
+loss's adjoint is closed-form: 2 (p - t) / n plus sign((p - t) M) Mᵀ, scaled.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ def padded_length(length: int, depth: int) -> int:
     """Smallest multiple of 2**depth that is >= length."""
     block = 1 << depth
     return ((length + block - 1) // block) * block
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else ad.tensor(x)
 
 
 def _pad(x: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
@@ -127,36 +123,31 @@ def pyramid_matrix(length: int, depth: int, mode: str) -> np.ndarray:
     return m
 
 
-def mse(pred, truth) -> Tensor:
-    p, t = _as_tensor(pred), _as_tensor(truth)
-    if p.shape != t.shape:
-        raise ValueError(f"mse: shape mismatch {p.shape} vs {t.shape}")
-    diff = ad.sub(p, t)
-    return ad.mean_all(ad.mul(diff, diff))
+def combined_loss(pred: Tensor, truth: np.ndarray, cfg: LossConfig) -> Tensor:
+    """mse + lap_weight * |(pred - truth) @ M|_1 / (padded length * profile
+    count) as one node on ``pred``; the residual is M's top level, so coarse
+    speed-level error is penalised too.  The float expressions keep the order
+    of the composed ops (mean of squares; product, abs, sum, scale) the
+    pinned results were trained with."""
+    t = np.asarray(truth, dtype=np.float64)
+    if pred.shape != t.shape:
+        raise ValueError(f"combined_loss: shape mismatch {pred.shape} vs {t.shape}")
+    d = pred.data - t
+    value = (d * d).mean()
+    lap = cfg.pyramid_depth > 0 and cfg.lap_weight != 0.0
+    if lap:
+        length = d.shape[-1]
+        m = pyramid_matrix(length, cfg.pyramid_depth, cfg.padding_mode)
+        proj = d.reshape(-1, length) @ m
+        norm = cfg.lap_weight / (padded_length(length, cfg.pyramid_depth) * proj.shape[0])
+        value = value + np.abs(proj).sum() * norm
 
+    def vjp(g):
+        half = np.full(d.shape, float(g) * (1.0 / d.size)) * d
+        grad = half + half
+        if lap:
+            sign = np.full(proj.shape, float(g * norm)) * np.sign(proj)
+            grad = grad + (sign @ m.T).reshape(d.shape)
+        return (grad,)
 
-def lap_loss(x, x_other, depth: int, mode: str = "zero") -> Tensor:
-    """sum_j 4^j |L_j(x) - L_j(x_other)|_1 over the pyramid levels, with the
-    residual counted as the top index so coarse speed-level error is
-    penalised too; depth 0 disables the term and returns constant zero."""
-    a, b = _as_tensor(x), _as_tensor(x_other)
-    if a.shape != b.shape:
-        raise ValueError(f"lap_loss: shape mismatch {a.shape} vs {b.shape}")
-    if depth == 0:
-        return ad.tensor(0.0)
-    length = a.shape[-1]
-    diff = ad.reshape(ad.sub(a, b), (-1, length))
-    return ad.sum_all(ad.abs_(ad.matmul(diff, ad.tensor(pyramid_matrix(length, depth, mode)))))
-
-
-def combined_loss(pred, truth, cfg: LossConfig) -> Tensor:
-    """mse + lap_weight * lap / (padded length * profile count); the per-entry
-    normalisation keeps both terms comparable at lap_weight 1."""
-    p, t = _as_tensor(pred), _as_tensor(truth)
-    err = mse(p, t)
-    if cfg.pyramid_depth == 0 or cfg.lap_weight == 0.0:
-        return err
-    lap = lap_loss(p, t, cfg.pyramid_depth, cfg.padding_mode)
-    rows = int(np.prod(p.shape[:-1])) if p.data.ndim > 1 else 1
-    norm = cfg.lap_weight / (padded_length(p.shape[-1], cfg.pyramid_depth) * rows)
-    return ad.add(err, ad.scale(lap, norm))
+    return ad.node(value, (pred,), vjp)

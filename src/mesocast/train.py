@@ -291,7 +291,7 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequenc
     preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
     total = None
     for h in horizons:
-        term = combined_loss(preds[h - 1], ad.tensor(y_chunk[:, h - 1, :]), loss_cfg)
+        term = combined_loss(preds[h - 1], y_chunk[:, h - 1, :], loss_cfg)
         total = term if total is None else ad.add(total, term)
     return total
 

@@ -1,6 +1,8 @@
 """Taped ops that training never records, kept as the references the tests
-compose cells from: the gate functions, ``concat``, and a packed recurrent
-state built from separate ``h`` and ``c`` tensors."""
+compose cells and the loss from, and reduce to a scalar with: the gate
+functions, ``concat``, the elementwise ``sub``, ``mul`` and ``abs_``, the
+reductions ``sum_all`` and ``mean_all``, and a packed recurrent state built
+from separate ``h`` and ``c`` tensors."""
 
 import numpy as np
 
@@ -16,6 +18,36 @@ def sigmoid(a: ad.Tensor) -> ad.Tensor:
 def tanh(a: ad.Tensor) -> ad.Tensor:
     y = np.tanh(a.data)
     return ad.node(y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"sub: shape mismatch {a.data.shape} vs {b.data.shape}")
+    return ad.node(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
+    x, y = a.data, b.data
+    return ad.node(x * y, (a, b), lambda g: (g * y, g * x))
+
+
+def abs_(a: ad.Tensor) -> ad.Tensor:
+    # subgradient 0 at the kink
+    sgn = np.sign(a.data)
+    return ad.node(np.abs(a.data), (a,), lambda g: (g * sgn,))
+
+
+def sum_all(a: ad.Tensor) -> ad.Tensor:
+    shape = a.data.shape
+    return ad.node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def mean_all(a: ad.Tensor) -> ad.Tensor:
+    shape = a.data.shape
+    inv = 1.0 / a.data.size
+    return ad.node(a.data.mean(), (a,), lambda g: (np.full(shape, float(g) * inv),))
 
 
 def concat(parts, axis: int = 0) -> ad.Tensor:

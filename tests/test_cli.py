@@ -114,7 +114,9 @@ class TestConfig:
         ("model", "attn_width", "0"), ("model", "hidden", str(10 ** 9)),
         ("evaluation", "budget_ms", "nan"), ("evaluation", "budget_ms", "-1"),
         ("evaluation", "budget_ms", "inf"), ("evaluation", "warmup", "-1"),
-        ("evaluation", "iters", "0"),
+        ("evaluation", "iters", "0"), ("evaluation", "iters", str(10 ** 12)),
+        ("data", "train_days", str(10 ** 9)), ("data", "easy_days", str(10 ** 9)),
+        ("data", "hard_minutes", str(10 ** 12)), ("data", "hard_windows", str(10 ** 9)),
     ])
     @pytest.mark.parametrize("command", ["generate", "train", "bench"])
     def test_bad_value_exits_2_naming_key_before_any_file(self, tmp_path, capsys, section,
@@ -135,6 +137,19 @@ class TestConfig:
         assert run_cli("bench", "--out", tmp_path, flag, -1) == 2
         err = capsys.readouterr().err
         assert f"evaluation.{key}" in err and "model.bin" not in err
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("bench", "--iters", 10 ** 12, "evaluation.iters"),
+        ("generate", "--days", 10 ** 9, "data.train_days"),
+    ])
+    def test_flag_past_the_array_bound_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              command, flag, value, key):
+        # a count that sizes an array is bounded at load, not by the allocation
+        out = tmp_path / "empty"
+        assert run_cli(command, "--out", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err and "model.bin" not in err
+        assert list(out.iterdir()) == []
 
     def test_bad_lap_depth_flag_exits_2_naming_key(self, tmp_path, capsys):
         assert run_cli("train", "--out", tmp_path, "--lap-depth", -1) == 2

@@ -439,6 +439,19 @@ class TestCtm:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0"):
             CorpusSizes(**{name: 0})
 
+    @pytest.mark.parametrize("change, names", [
+        (dict(train_days=2220), "train_days"), (dict(easy_days=2220), "easy_days"),
+        (dict(hard_minutes=10 ** 12), "hard_windows and hard_minutes"),
+        (dict(hard_windows=4, hard_minutes=798916), "hard_windows and hard_minutes"),
+    ])
+    def test_corpus_counts_past_the_array_bound_rejected(self, change, names):
+        with pytest.raises(ValueError, match=f"^{names} must "):
+            CorpusSizes(**change)
+
+    def test_corpus_counts_at_the_array_bound_accepted(self):
+        # 2219 days of 1440 x 21 speeds, and 4 windows of 798915 minutes, fit in 2^26
+        CorpusSizes(train_days=2219, easy_days=2219, hard_windows=4, hard_minutes=798915)
+
     @settings(max_examples=100, deadline=None)
     @given(source=st.data())
     def test_guard_free_substep_matches_guarded_reference(self, source):

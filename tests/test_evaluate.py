@@ -78,7 +78,7 @@ class TestEvaluate:
         corpus = Corpus(train=constant_series(50, 20), easy=constant_series(50, 20),
                         hard=[constant_series(50, 20)])
         aao = build_model("all-at-once", s=4, hidden=4, attn_width=2, horizon=2, seed=1)
-        with pytest.raises(ValueError, match="horizons"):
+        with pytest.raises(ValueError, match="model emits 2 horizons, 3 requested"):
             evaluate(aao, corpus, horizons=3)
 
 

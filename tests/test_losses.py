@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import losses
 from gradcheck import assert_grads_close
+from reference_ops import abs_, mean_all, mul, sub, sum_all
 
 
 # --- independent convolution-based oracle ------------------------------------
@@ -50,23 +51,54 @@ def lap_oracle(x, y, depth, mode):
     return total + 4 ** depth * np.abs(rx - ry).sum()
 
 
+def combined(pred, truth, **cfg):
+    return losses.combined_loss(ad.tensor(pred), truth, losses.LossConfig(**cfg)).item()
+
+
+def mse(pred, truth):
+    """The combined loss at pyramid depth 0, which is the plain MSE."""
+    return combined(pred, truth, pyramid_depth=0)
+
+
+def lap(x, y, depth, mode="zero"):
+    """The pyramid penalty as the one product with ``pyramid_matrix``."""
+    n = x.shape[-1]
+    return float(np.abs((x - y).reshape(-1, n) @ losses.pyramid_matrix(n, depth, mode)).sum())
+
+
+def composed_loss(pred, truth, cfg):
+    """The combined loss composed from taped ops, the reference its one
+    node's value and adjoint must repeat bit for bit."""
+    diff = sub(pred, ad.tensor(truth))
+    err = mean_all(mul(diff, diff))
+    if cfg.pyramid_depth == 0 or cfg.lap_weight == 0.0:
+        return err
+    length = pred.shape[-1]
+    m = losses.pyramid_matrix(length, cfg.pyramid_depth, cfg.padding_mode)
+    penalty = sum_all(abs_(ad.matmul(ad.reshape(sub(pred, ad.tensor(truth)), (-1, length)),
+                                     ad.tensor(m))))
+    rows = int(np.prod(pred.shape[:-1])) if len(pred.shape) > 1 else 1
+    norm = cfg.lap_weight / (losses.padded_length(length, cfg.pyramid_depth) * rows)
+    return ad.add(err, ad.scale(penalty, norm))
+
+
 class TestMse:
     def test_identical_is_zero(self):
         x = np.random.default_rng(0).uniform(0, 1, (4, 21))
-        assert losses.mse(x, x.copy()).item() == 0.0
+        assert mse(x, x.copy()) == 0.0
 
     def test_unit_offset(self):
-        assert losses.mse(np.zeros(2), np.ones(2)).item() == 1.0
+        assert mse(np.zeros(2), np.ones(2)) == 1.0
 
     def test_display_scale_convention(self):
         # a raw MSE of 0.00066 reads 0.66 after the x1000 display scaling
         truth = np.zeros(4)
         pred = np.full(4, np.sqrt(0.00066))
-        assert round(1000.0 * losses.mse(pred, truth).item(), 10) == pytest.approx(0.66)
+        assert round(1000.0 * mse(pred, truth), 10) == pytest.approx(0.66)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            losses.mse(np.zeros(3), np.zeros(4))
+            mse(np.zeros(3), np.zeros(4))
 
 
 class TestPyramid:
@@ -128,11 +160,12 @@ class TestPyramid:
 class TestLapLoss:
     def test_equal_inputs_zero(self):
         x = np.random.default_rng(0).uniform(0, 1, 21)
-        assert losses.lap_loss(x, x.copy(), 3).item() == 0.0
+        assert lap(x, x.copy(), 3) == 0.0
 
     def test_depth_zero_disables_term(self):
         rng = np.random.default_rng(1)
-        assert losses.lap_loss(rng.uniform(0, 1, 21), rng.uniform(0, 1, 21), 0).item() == 0.0
+        x, y = rng.uniform(0, 1, 21), rng.uniform(0, 1, 21)
+        assert combined(x, y, pyramid_depth=0, lap_weight=1.0) == combined(x, y, lap_weight=0.0)
 
     def test_single_level_frozen_value(self):
         # unit impulse vs zeros, length 24, depth 1, zero padding;
@@ -140,7 +173,7 @@ class TestLapLoss:
         x = np.zeros(24)
         x[0] = 1.0
         y = np.zeros(24)
-        assert losses.lap_loss(x, y, 1, "zero").item() == pytest.approx(2.8125, abs=1e-12)
+        assert lap(x, y, 1, "zero") == pytest.approx(2.8125, abs=1e-12)
         assert lap_oracle(x, y, 1, "zero") == pytest.approx(2.8125, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -150,10 +183,10 @@ class TestLapLoss:
         xb, yb = rng.uniform(0, 1, (32, 21)), rng.uniform(0, 1, (32, 21))
         for mode in losses.PADDING_MODES:
             for depth in (1, 2, 3, 4):
-                impl = losses.lap_loss(x, y, depth, mode).item()
+                impl = lap(x, y, depth, mode)
                 assert impl == pytest.approx(lap_oracle(x, y, depth, mode), abs=1e-10)
                 # a batch is the sum of its rows' penalties
-                batched = losses.lap_loss(xb, yb, depth, mode).item()
+                batched = lap(xb, yb, depth, mode)
                 per_row = sum(lap_oracle(xb[r], yb[r], depth, mode) for r in range(32))
                 assert batched == pytest.approx(per_row, abs=1e-10)
 
@@ -161,11 +194,11 @@ class TestLapLoss:
     def test_symmetric_nonnegative_definite(self, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(0, 1, 21), rng.uniform(0, 1, 21)
-        ab = losses.lap_loss(x, y, 2).item()
-        ba = losses.lap_loss(y, x, 2).item()
+        ab = lap(x, y, 2)
+        ba = lap(y, x, 2)
         assert ab == pytest.approx(ba, abs=1e-12)
         assert ab >= 0.0
-        assert losses.lap_loss(x, x, 2).item() == 0.0
+        assert lap(x, x, 2) == 0.0
         if np.max(np.abs(x - y)) > 1e-9:
             assert ab > 0.0
 
@@ -193,49 +226,72 @@ class TestLapLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            losses.lap_loss(np.zeros(21), np.zeros(22), 2)
+            combined(np.zeros(21), np.zeros(22), pyramid_depth=2)
 
 
 class TestCombinedLoss:
     def test_zero_weight_equals_mse(self):
         rng = np.random.default_rng(2)
         p, t = rng.uniform(0, 1, 21), rng.uniform(0, 1, 21)
-        cfg = losses.LossConfig(pyramid_depth=3, lap_weight=0.0)
-        assert losses.combined_loss(p, t, cfg).item() == losses.mse(p, t).item()
+        assert combined(p, t, pyramid_depth=3, lap_weight=0.0) == np.mean((p - t) ** 2)
 
     def test_equal_inputs_zero(self):
         x = np.random.default_rng(3).uniform(0, 1, 21)
-        cfg = losses.LossConfig()
-        assert losses.combined_loss(x, x.copy(), cfg).item() == 0.0
+        assert combined(x, x.copy()) == 0.0
 
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(4)
         p, t = rng.uniform(0, 1, 21), rng.uniform(0, 1, 21)
-        cfg = losses.LossConfig(pyramid_depth=3, lap_weight=1.0, padding_mode="zero")
-        expected = losses.mse(p, t).item() + lap_oracle(p, t, 3, "zero") / 24.0
-        assert losses.combined_loss(p, t, cfg).item() == pytest.approx(expected, abs=1e-12)
+        expected = mse(p, t) + lap_oracle(p, t, 3, "zero") / 24.0
+        assert combined(p, t, pyramid_depth=3) == pytest.approx(expected, abs=1e-12)
 
     def test_batched_normalisation(self):
         rng = np.random.default_rng(5)
         p, t = rng.uniform(0, 1, (4, 21)), rng.uniform(0, 1, (4, 21))
-        cfg = losses.LossConfig(pyramid_depth=3, lap_weight=1.0)
         per_row_lap = sum(lap_oracle(p[r], t[r], 3, "zero") for r in range(4))
-        expected = losses.mse(p, t).item() + per_row_lap / (24.0 * 4)
-        assert losses.combined_loss(p, t, cfg).item() == pytest.approx(expected, abs=1e-12)
+        expected = mse(p, t) + per_row_lap / (24.0 * 4)
+        assert combined(p, t, pyramid_depth=3) == pytest.approx(expected, abs=1e-12)
+
+    def test_records_one_node_on_pred(self):
+        pred = ad.parameter(np.random.default_rng(9).uniform(0, 1, (4, 21)))
+        loss = losses.combined_loss(pred, np.zeros((4, 21)), losses.LossConfig())
+        assert loss._parents == (pred,) and pred._parents == ()
+
+    def test_node_repeats_composed_tape_bitwise(self):
+        rng = np.random.default_rng(10)
+        for shape in (21, (4, 21)):
+            truth = rng.uniform(0.1, 0.9, shape)
+            pred = truth + rng.uniform(-0.2, 0.2, shape)
+            for mode in losses.PADDING_MODES:
+                for depth in range(4):
+                    for weight in (0.0, 0.5, 1.0):
+                        cfg = losses.LossConfig(pyramid_depth=depth, lap_weight=weight,
+                                                padding_mode=mode)
+                        leaf, ref_leaf = ad.parameter(pred), ad.parameter(pred)
+                        out = ad.scale(losses.combined_loss(leaf, truth, cfg), 0.3)
+                        ref = ad.scale(composed_loss(ref_leaf, truth, cfg), 0.3)
+                        ad.backward(out)
+                        ad.backward(ref)
+                        assert out.item() == ref.item()
+                        assert np.array_equal(leaf.grad, ref_leaf.grad)
 
     def test_gradient_matches_finite_differences(self):
-        # one profile and a batch of four, under either padding mode
+        # one profile and a batch of four, under either padding mode, at every
+        # pyramid depth up to 3 and at penalty weights 0, 0.5 and 1
         for shape, mode in [(21, "zero"), ((4, 21), "zero"), (21, "replicate"),
                             ((4, 21), "replicate")]:
             rng = np.random.default_rng(6)
             truth = rng.uniform(0.1, 0.9, shape)
             pred0 = truth + rng.uniform(0.05, 0.2, shape) * np.sign(rng.uniform(-1, 1, shape))
-            cfg = losses.LossConfig(pyramid_depth=3, lap_weight=1.0, padding_mode=mode)
+            for depth in range(4):
+                for weight in (0.0, 0.5, 1.0):
+                    cfg = losses.LossConfig(pyramid_depth=depth, lap_weight=weight,
+                                            padding_mode=mode)
 
-            def build(leaves):
-                return losses.combined_loss(leaves[0], ad.tensor(truth), cfg)
+                    def build(leaves):
+                        return losses.combined_loss(leaves[0], truth, cfg)
 
-            assert_grads_close(build, [pred0], h=1e-6, tol=1e-5)
+                    assert_grads_close(build, [pred0], h=1e-6, tol=1e-5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
