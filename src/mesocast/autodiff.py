@@ -11,9 +11,8 @@ loss is one ``node`` with a hand-derived adjoint (see ``cells`` and
 ``reshape`` view the packed cell state and the head's columns; ``add`` and
 ``scale`` sum and weight the loss terms.  Row softmax, ``transpose`` and the
 batched 3-D ``matmul`` serve only ``cells.self_attention``, the taped
-reference that the fused attention is tested against.  The gate functions,
-``concat``, the other elementwise ops and the reductions live with the
-tests' references.
+reference the fused attention is tested against; ``mul`` and ``sum_all``
+serve the tests' scalarizers and ``bench/test_bench.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ __all__ = [
     "node",
     "backward",
     "add",
+    "mul",
     "scale",
     "matmul",
     "softmax_rows",
@@ -34,6 +34,7 @@ __all__ = [
     "narrow",
     "transpose",
     "reshape",
+    "sum_all",
     "sigmoid_array",
 ]
 
@@ -104,6 +105,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     return node(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
+    x, y = a.data, b.data
+    return node(x * y, (a, b), lambda g: (g * y, g * x))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -216,6 +224,11 @@ def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return node(mat.data + vec.data, (mat, vec), vjp)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    shape = a.data.shape
+    return node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 # ---------------------------------------------------------------------------

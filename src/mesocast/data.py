@@ -41,8 +41,8 @@ V_REF_MPH = 80.0               # normalisation reference
 MAX_SPEED_MPH = 90.0
 MPH_TO_KM_PER_MIN = 1.609344 / 60.0
 # a count that sizes an array (a split's speeds, all hard windows together,
-# the latency benchmark's timings) keeps it within 512 MiB of float64 values,
-# the bound models.MAX_PARAMETERS sets on a model
+# the latency benchmark's timings, a model's parameters) keeps it within
+# 512 MiB of float64 values
 MAX_ARRAY_VALUES = 1 << 26
 
 CSV_HEADER = ["minute"] + [f"seg{i:02d}" for i in range(NUM_SEGMENTS)]

@@ -67,7 +67,7 @@ from .cells import (
     sa_lstm_step,
     zero_state,
 )
-from .data import MINUTES_PER_DAY, NUM_SEGMENTS
+from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, NUM_SEGMENTS
 from .seeding import block_rng
 
 LSTM_KINDS = ("lstm", "lstm-seg")          # plain LSTM cells, no attention
@@ -249,9 +249,9 @@ class Forecaster:
 OneStepModel = AllAtOnceModel = NStepModel = Forecaster
 
 
-# a model holds at most 512 MiB of float64 parameters; training keeps several
+# a model holds at most MAX_ARRAY_VALUES parameters; training keeps several
 # copies (gradients, two AdamW moments, the best snapshot)
-MAX_PARAMETERS = 1 << 26
+MAX_PARAMETERS = MAX_ARRAY_VALUES
 
 
 def check_dims(kind: str, s: int, hidden: int, attn_width: int, horizon: int) -> None:

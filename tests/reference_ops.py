@@ -1,8 +1,7 @@
 """Taped ops that training never records, kept as the references the tests
-compose cells and the loss from, and reduce to a scalar with: the gate
-functions, ``concat``, the elementwise ``sub``, ``mul`` and ``abs_``, the
-reductions ``sum_all`` and ``mean_all``, and a packed recurrent state built
-from separate ``h`` and ``c`` tensors."""
+compose cells and the loss from: the gate functions, ``concat``, ``sub``,
+``abs_``, ``mean_all``, and a packed recurrent state built from separate
+``h`` and ``c`` tensors."""
 
 import numpy as np
 
@@ -26,22 +25,10 @@ def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad.node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-    x, y = a.data, b.data
-    return ad.node(x * y, (a, b), lambda g: (g * y, g * x))
-
-
 def abs_(a: ad.Tensor) -> ad.Tensor:
     # subgradient 0 at the kink
     sgn = np.sign(a.data)
     return ad.node(np.abs(a.data), (a,), lambda g: (g * sgn,))
-
-
-def sum_all(a: ad.Tensor) -> ad.Tensor:
-    shape = a.data.shape
-    return ad.node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def mean_all(a: ad.Tensor) -> ad.Tensor:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from mesocast import autodiff as ad
 from gradcheck import assert_grads_close
-from reference_ops import abs_, concat, mean_all, mul, sigmoid, sub, sum_all, tanh
+from reference_ops import abs_, concat, mean_all, sigmoid, sub, tanh
 
 
 def matmul_oracle(a, b):
@@ -105,7 +105,7 @@ class TestElementwise:
 
     def test_sigmoid_derivative_at_zero(self):
         w = ad.parameter([0.0])
-        out = sum_all(sigmoid(w))
+        out = ad.sum_all(sigmoid(w))
         ad.backward(out)
         np.testing.assert_allclose(w.grad, [0.25], atol=1e-15)
 
@@ -117,7 +117,7 @@ class TestElementwise:
         )
 
     def test_binary_shape_mismatch(self):
-        for op in (ad.add, sub, mul):
+        for op in (ad.add, sub, ad.mul):
             with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
                 op(ad.tensor(np.zeros(2)), ad.tensor(np.zeros(3)))
 
@@ -147,13 +147,13 @@ class TestStructural:
 class TestBackward:
     def test_sum_of_squares(self):
         x = ad.parameter([1.0, 2.0])
-        out = sum_all(mul(x, x))
+        out = ad.sum_all(ad.mul(x, x))
         ad.backward(out)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_sigmoid_chain(self):
         w = ad.parameter([[0.0]])
-        out = sum_all(sigmoid(ad.matmul(w, ad.tensor([[1.0]]))))
+        out = ad.sum_all(sigmoid(ad.matmul(w, ad.tensor([[1.0]]))))
         ad.backward(out)
         np.testing.assert_allclose(w.grad, [[0.25]], atol=1e-15)
 
@@ -169,7 +169,7 @@ class TestBackward:
 
         def run():
             h = tanh(ad.matmul(x, w))
-            loss = mean_all(mul(h, h))
+            loss = mean_all(ad.mul(h, h))
             ad.backward(loss)
             return w.grad.copy()
 
@@ -179,7 +179,7 @@ class TestBackward:
     def test_shared_subgraph_accumulates(self):
         # y = x*x + x ; dy/dx = 2x + 1
         x = ad.parameter([3.0])
-        out = sum_all(ad.add(mul(x, x), x))
+        out = ad.sum_all(ad.add(ad.mul(x, x), x))
         ad.backward(out)
         np.testing.assert_allclose(x.grad, [7.0], atol=1e-15)
 
@@ -194,9 +194,9 @@ def composite_all_primitives(leaves):
     h = concat([h, ad.scale(h, 0.5)], axis=1)            # (3, 8)
     h = ad.narrow(h, 1, 1, 6)                            # (3, 6)
     h = tanh(ad.reshape(h, (2, 9)))
-    h = mul(h, h)
+    h = ad.mul(h, h)
     row = ad.matmul(h, v)                                # (2, 1)
-    total = ad.add(sum_all(abs_(row)), mean_all(sub(h, h)))
+    total = ad.add(ad.sum_all(abs_(row)), mean_all(sub(h, h)))
     return ad.scale(total, 0.25)
 
 
@@ -218,23 +218,23 @@ class TestGradientsAgainstFiniteDifferences:
         y = rng.uniform(-2, 2, (3, 4))
         w = rng.uniform(-2, 2, (4, 3))
         cases = {
-            "add": (lambda l: sum_all(mul(ad.add(l[0], l[1]), l[0])), [x, y]),
-            "sub": (lambda l: sum_all(mul(sub(l[0], l[1]), l[1])), [x, y]),
-            "mul": (lambda l: mean_all(mul(l[0], l[1])), [x, y]),
-            "scale": (lambda l: sum_all(ad.scale(l[0], -1.7)), [x]),
+            "add": (lambda l: ad.sum_all(ad.mul(ad.add(l[0], l[1]), l[0])), [x, y]),
+            "sub": (lambda l: ad.sum_all(ad.mul(sub(l[0], l[1]), l[1])), [x, y]),
+            "mul": (lambda l: mean_all(ad.mul(l[0], l[1])), [x, y]),
+            "scale": (lambda l: ad.sum_all(ad.scale(l[0], -1.7)), [x]),
             "sigmoid": (lambda l: mean_all(sigmoid(l[0])), [x]),
             "tanh": (lambda l: mean_all(tanh(l[0])), [x]),
             # keep |x| away from the kink by construction
-            "abs": (lambda l: sum_all(abs_(l[0])), [np.sign(x) * (0.05 + np.abs(x))]),
-            "matmul": (lambda l: sum_all(ad.matmul(l[0], l[1])), [x, w]),
-            "softmax": (lambda l: sum_all(mul(ad.softmax_rows(l[0]), l[1])), [x, y]),
-            "concat": (lambda l: sum_all(mul(concat(l, axis=0), concat(l[::-1], axis=0))), [x, y]),
-            "narrow": (lambda l: sum_all(ad.narrow(l[0], 1, 1, 2)), [x]),
-            "transpose": (lambda l: sum_all(mul(ad.transpose(l[0]), l[1])), [x, x.T.copy()]),
-            "reshape": (lambda l: sum_all(mul(ad.reshape(l[0], (2, 6)), l[1])), [x, x.reshape(2, 6).copy()]),
-            "add_bias": (lambda l: sum_all(mul(ad.add_bias(l[0], l[1]), l[0])), [x, rng.uniform(-2, 2, 4)]),
+            "abs": (lambda l: ad.sum_all(abs_(l[0])), [np.sign(x) * (0.05 + np.abs(x))]),
+            "matmul": (lambda l: ad.sum_all(ad.matmul(l[0], l[1])), [x, w]),
+            "softmax": (lambda l: ad.sum_all(ad.mul(ad.softmax_rows(l[0]), l[1])), [x, y]),
+            "concat": (lambda l: ad.sum_all(ad.mul(concat(l, axis=0), concat(l[::-1], axis=0))), [x, y]),
+            "narrow": (lambda l: ad.sum_all(ad.narrow(l[0], 1, 1, 2)), [x]),
+            "transpose": (lambda l: ad.sum_all(ad.mul(ad.transpose(l[0]), l[1])), [x, x.T.copy()]),
+            "reshape": (lambda l: ad.sum_all(ad.mul(ad.reshape(l[0], (2, 6)), l[1])), [x, x.reshape(2, 6).copy()]),
+            "add_bias": (lambda l: ad.sum_all(ad.mul(ad.add_bias(l[0], l[1]), l[0])), [x, rng.uniform(-2, 2, 4)]),
             "bmm": (
-                lambda l: sum_all(ad.matmul(ad.reshape(l[0], (2, 2, 3)), l[1])),
+                lambda l: ad.sum_all(ad.matmul(ad.reshape(l[0], (2, 2, 3)), l[1])),
                 [rng.uniform(-2, 2, (2, 6)), rng.uniform(-2, 2, (3, 2))],
             ),
         }
@@ -245,11 +245,14 @@ class TestGradientsAgainstFiniteDifferences:
                 raise AssertionError(f"{name}: {exc}") from exc
 
 
-def _autodiff_names_used_in_src():
+def _autodiff_names_used_outside():
     """Every ``autodiff`` name that a ``src/mesocast`` module other than
-    ``autodiff`` imports from it or reads as an attribute of it."""
+    ``autodiff``, or a module under ``bench/``, imports from it or reads as an
+    attribute of it."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths = [*Path(ad.__file__).parent.glob("*.py"), *bench.glob("*.py")]
     used = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
+    for path in paths:
         if path.stem == "autodiff":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -268,6 +271,7 @@ def _autodiff_names_used_in_src():
 
 
 def test_every_exported_op_is_used_by_src():
-    # an op that training stops recording moves to the tests' references
-    unused = sorted(set(ad.__all__) - _autodiff_names_used_in_src())
-    assert unused == [], f"autodiff exports names no src module uses: {unused}"
+    # an op that neither training nor the benchmark records moves to the
+    # tests' references
+    unused = sorted(set(ad.__all__) - _autodiff_names_used_outside())
+    assert unused == [], f"autodiff exports names no src or bench module uses: {unused}"

@@ -8,7 +8,7 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
-from reference_ops import concat, mean_all, mul, sigmoid, state_of, sum_all, tanh
+from reference_ops import concat, mean_all, sigmoid, state_of, tanh
 
 
 # --- the cells as compositions of primitive tape ops (the reference) ---------
@@ -23,8 +23,8 @@ def primitive_lstm_step(p, h, c, x):
     i = sigmoid(_gate(cat, p.w_i, p.b_i))
     c_tilde = tanh(_gate(cat, p.w_c, p.b_c))
     o = sigmoid(_gate(cat, p.w_o, p.b_o))
-    c_new = ad.add(mul(f, c), mul(i, c_tilde))
-    return mul(o, tanh(c_new)), c_new
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, c_tilde))
+    return ad.mul(o, tanh(c_new)), c_new
 
 
 def primitive_sa_lstm_step(p, h, c, x, tokens):
@@ -37,8 +37,8 @@ def primitive_sa_lstm_step(p, h, c, x, tokens):
     grouped = ad.reshape(z_o, (rows // tokens, tokens, hidden))
     mixed = ad.matmul(cells.self_attention(p.attn, grouped), p.out_proj)
     o = sigmoid(ad.add(z_o, ad.reshape(mixed, (rows, hidden))))
-    c_new = ad.add(mul(f, c), mul(i, c_tilde))
-    return mul(o, tanh(c_new)), c_new
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, c_tilde))
+    return ad.mul(o, tanh(c_new)), c_new
 
 
 # --- one unroll, built either way ---------------------------------------------
@@ -91,7 +91,7 @@ def unroll(p, tokens, inputs, fused):
             h, c = primitive_lstm_step(p, h, c, x)
         if t == 1:
             mid = h
-    return ad.add(ad.add(mean_all(mul(h, h)), sum_all(mul(c, mid))), sum_all(c))
+    return ad.add(ad.add(mean_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, mid))), ad.sum_all(c))
 
 
 def gradients(p, tokens, inputs, weights, fused):
@@ -153,6 +153,6 @@ def test_dense_lstm_cell_gradients_match_finite_differences():
         state = cells.zero_state(rows, hidden)
         for x in xs:
             state = cells.lstm_step(p, state, ad.tensor(x))
-        return ad.add(mean_all(mul(state.h, state.h)), mean_all(state.c))
+        return ad.add(mean_all(ad.mul(state.h, state.h)), mean_all(state.c))
 
     assert_grads_close(build, values, h=1e-6, tol=1e-6)

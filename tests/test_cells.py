@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
-from reference_ops import mean_all, mul, sigmoid, state_of
+from reference_ops import mean_all, sigmoid, state_of
 
 
 # --- clean-room oracles -----------------------------------------------------
@@ -267,6 +267,6 @@ class TestBptt:
             state = cells.zero_state(tokens, hidden)
             for t in range(steps):
                 state = cells.sa_lstm_step(p, state, ad.tensor(xs[t]), tokens=tokens)
-            return mean_all(mul(state.h, state.h))
+            return mean_all(ad.mul(state.h, state.h))
 
         assert_grads_close(build, values, h=1e-6, tol=1e-5)

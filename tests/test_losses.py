@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import losses
 from gradcheck import assert_grads_close
-from reference_ops import abs_, mean_all, mul, sub, sum_all
+from reference_ops import abs_, mean_all, sub
 
 
 # --- independent convolution-based oracle ------------------------------------
@@ -70,12 +70,12 @@ def composed_loss(pred, truth, cfg):
     """The combined loss composed from taped ops, the reference its one
     node's value and adjoint must repeat bit for bit."""
     diff = sub(pred, ad.tensor(truth))
-    err = mean_all(mul(diff, diff))
+    err = mean_all(ad.mul(diff, diff))
     if cfg.pyramid_depth == 0 or cfg.lap_weight == 0.0:
         return err
     length = pred.shape[-1]
     m = losses.pyramid_matrix(length, cfg.pyramid_depth, cfg.padding_mode)
-    penalty = sum_all(abs_(ad.matmul(ad.reshape(sub(pred, ad.tensor(truth)), (-1, length)),
+    penalty = ad.sum_all(abs_(ad.matmul(ad.reshape(sub(pred, ad.tensor(truth)), (-1, length)),
                                      ad.tensor(m))))
     rows = int(np.prod(pred.shape[:-1])) if len(pred.shape) > 1 else 1
     norm = cfg.lap_weight / (losses.padded_length(length, cfg.pyramid_depth) * rows)
