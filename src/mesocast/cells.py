@@ -258,10 +258,11 @@ class StepKernel:
             np.dot(b.zo, wk, out=b.k)
             np.dot(b.zo, wv, out=b.v)
             b.mm(b.qg, b.ktg, out=b.scores)
-            np.max(b.scores, axis=-1, keepdims=True, out=b.rowsum)
+            # the ufunc reductions np.max and np.sum wrap, without their dispatch
+            np.maximum.reduce(b.scores, axis=-1, keepdims=True, out=b.rowsum)
             b.scores -= b.rowsum
             np.exp(b.scores, out=b.scores)
-            np.sum(b.scores, axis=-1, keepdims=True, out=b.rowsum)
+            np.add.reduce(b.scores, axis=-1, keepdims=True, out=b.rowsum)
             b.scores /= b.rowsum
             b.mm(b.scores, b.vg, out=b.attg)
             np.dot(b.att, proj, out=b.mixed)

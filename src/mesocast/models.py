@@ -25,23 +25,25 @@ k walks, which it reads as fed predictions, and whether it starts from zero.
 The taped unroll, ``Forecaster.forward_graph_with_states``, serves training
 only and records each cell step as a single tape node (``cells.lstm_step`` /
 ``cells.sa_lstm_step``).  The tape-free ``InferencePlan`` drives the kernel
-on ``(rows, .)`` buffers allocated once, for one window (the latency path)
-and, in ``predict_batch``, for PREDICT_CHUNK windows per pass; it alone
-recurses a one-step kind past its own horizon.  Tests pin the two paths to
-each other at 1e-12.  Both nstep unrolls can start from a ``Prefix``: the
-states that the first layers reach before any prediction is fed back, kept
-by the staged trainer while those layers are frozen.
+on ``(rows, .)`` buffers it allocates and grows itself, for one window (the
+latency path) and, in ``predict_batch``, for PREDICT_CHUNK windows per pass;
+it alone recurses a one-step kind past its own horizon.  Tests pin the two
+paths to each other at 1e-12.  Both nstep unrolls can start from a
+``Prefix``: the states that the first layers reach before any prediction is
+fed back, kept by the staged trainer while those layers are frozen.
 
-A one-step recursion reuses frame states the same way, within one
-``predict_batch`` chunk.  Horizon k of window j walks frames k..s-1 from
-zero before its k fed predictions, and those frames are the first s-k frames
-of window j+k.  So when a chunk's windows are consecutive (each is the
-previous one moved on one frame, bit for bit, as ``eval`` builds them), one
-frame pass from zero over the chunk and the later starts inside its last
-window gives every horizon its start state, and horizon k then walks only
-its k predictions: s + H(H-1)/2 cell steps per chunk instead of s*H for H <=
-s horizons, with the same bits.  A chunk with a seam, a single window (the
-latency path) and horizons past s, which read no frame, walk from zero.
+A one-step recursion reuses frame states the same way, within one pass.
+Horizon k of window j walks frames k..s-1 from zero before its k fed
+predictions, and those frames are the first s-k frames of window j+k.  So
+when a pass's windows are consecutive (each is the previous one moved on one
+frame, bit for bit, as ``eval`` builds them; a single window always is), one
+frame pass from zero over the windows and the later starts inside the last
+one gives every horizon its start state, and horizon k then walks only its k
+predictions: s + H(H-1)/2 cell steps per pass instead of s*H for H <= s
+horizons, with the same bits.  The frame pass drops each later start once
+its horizon's state is saved, so no start steps past the last frame.  A pass
+with a seam, a one-row dense ``lstm`` window and horizons past s, which read
+no frame, walk from zero.
 """
 
 from __future__ import annotations
@@ -311,8 +313,10 @@ class InferencePlan:
     """Tape-free forward for a frozen parameter snapshot, ``groups`` windows
     per pass (one on the latency path, PREDICT_CHUNK in ``predict_batch``).
 
-    Buffers are allocated once and reused, so a plan is not thread-safe;
-    build one plan per thread.  Rebuild after parameters change.
+    Buffers are allocated for ``groups`` windows and reused; the first
+    recursion that runs a frame pass grows them once by the reach-1 later
+    starts it steps.  So a plan is not thread-safe; build one plan per
+    thread.  Rebuild after parameters change.
     """
 
     def __init__(self, model: Forecaster, groups: int = 1):
@@ -322,7 +326,8 @@ class InferencePlan:
         self.head_w = np.ascontiguousarray(model.head_w.data)
         self.head_b = model.head_b.data.copy()
         tokens, in_width = model.layout
-        self._buf = StepBuffers(groups, tokens, model.hidden, in_width, model.attn_width)
+        self._dims = (tokens, model.hidden, in_width, model.attn_width)
+        self._buf = StepBuffers(groups, *self._dims)
         self.cells = [StepKernel(cell, self._buf) for cell in model.layers]
         # one (rows, in_width) input per step: the window's frames, then the
         # predictions fed back; grown when more horizons are asked for
@@ -356,9 +361,16 @@ class InferencePlan:
         s, rows = self.s, groups * self._buf.tokens
         recursive = self.kind in ONE_STEP_KINDS
         reach = min(horizons, s)         # horizons that read a real frame
-        # the frame pass runs reach - 1 more starts than there are windows
-        if (recursive and reach > 1
-                and 1 < groups <= self._buf.capacity - (reach - 1) and _consecutive(windows)):
+        # a one-row walk (one dense lstm window) stays on the zero-start path:
+        # a one-row product takes another BLAS routine than the frame pass's
+        # multi-row ones, so its bits would change
+        if recursive and reach > 1 and rows > 1 and _consecutive(windows):
+            # the frame pass runs reach - 1 more starts than there are windows;
+            # the old buffers go before the new ones come, so that the two
+            # never add up in peak memory (a one-step kind has one cell)
+            if self._buf.capacity < groups + reach - 1:
+                self._buf = self.cells[0].buf = None
+                self._buf = self.cells[0].buf = StepBuffers(groups + reach - 1, *self._dims)
             held = self._frame_starts(windows, reach)
             known = reach
         elif groups != self._buf.groups:
@@ -394,24 +406,26 @@ class InferencePlan:
         window j, the packed state after frames k..s-1 from zero.  Those are
         window j+k's first s-k frames, so one frame pass from zero over the
         G windows and the reach-1 later starts inside the last window gives
-        every entry: entry k is the pass after s-k steps, k groups on."""
-        groups, extra = len(windows), reach - 1
+        every entry: entry k is the pass after s-k steps, k groups on.  Once
+        entry k is saved, start G-1+k is read no more, so the pass drops it:
+        start G-1+k steps over s-k frames and none steps past the last."""
+        groups = len(windows)
         s, tokens = self.s, self._buf.tokens
-        # the series the windows cut, row j+t being frame t of window j; the
-        # extra starts read past its end into zeros after their last use
-        series = np.zeros((groups + extra + s - 1, NUM_SEGMENTS))
-        series[:groups] = windows[:, 0]
-        series[groups:groups + s - 1] = windows[-1, 1:]
+        # the G + s - 1 frames the windows cut, row j+t being frame t of window j
+        series = np.concatenate([windows[:, 0], windows[-1, 1:]])
         states = np.empty((reach, groups * tokens, 2 * self._buf.hidden))
-        self._buf.resize(groups + extra)
+        live = groups + reach - 1
+        self._buf.resize(live)
         cell = self.cells[0]
         cell.reset()
         for t in range(s):
-            cell.step(series[t:t + groups + extra].reshape((groups + extra) * tokens, -1))
             k = s - 1 - t
+            if groups + k < live:         # entry k + 1 was the last to read start live-1
+                live = groups + k
+                self._buf.resize(live)
+            cell.step(series[t:t + live].reshape(live * tokens, -1))
             if k < reach:
                 cell.save(states[k], start=k * tokens)
-        self._buf.resize(groups)
         return list(states)
 
 
@@ -442,10 +456,7 @@ def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
     runs only its first ``horizons`` layers, from the ``prefix`` of the B
     windows where one is given.  Nothing is carried across chunks."""
     x = _check_batch(x, model.s)
-    # room for the starts a one-step frame pass runs past a chunk's last window
-    # (without it every chunk walks from zero)
-    extra = min(horizons, model.s) - 1 if model.kind in ONE_STEP_KINDS else 0
-    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))) + extra)
+    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))))
     out = np.empty((len(x), horizons, NUM_SEGMENTS))
     for start in range(0, len(x), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK

@@ -336,10 +336,11 @@ def one_step_steps(s, horizons):
 
 
 def count_steps(monkeypatch) -> list:
+    """Record the row count of each StepKernel step from here on."""
     steps = []
     step = cells.StepKernel.step
     monkeypatch.setattr(cells.StepKernel, "step",
-                        lambda self, x: (steps.append(1), step(self, x)))
+                        lambda self, x: (steps.append(len(x)), step(self, x)))
     return steps
 
 
@@ -417,8 +418,52 @@ class TestFrameReuse:
             predict_batch(m, X[:batch], horizons)
             assert len(steps) == chunks * one_step_steps(self.S, horizons), batch
         steps = count_steps(monkeypatch)
-        predict_batch(m, X[:1], horizons)           # one window: nothing to share
-        assert len(steps) == self.S * horizons
+        predict_batch(m, X[:1], horizons)
+        # one window's horizons share a frame pass too, but a one-row dense
+        # lstm window walks from zero
+        assert len(steps) == (self.S * horizons if kind == "lstm"
+                              else one_step_steps(self.S, horizons))
+
+    @pytest.mark.parametrize("horizons", (2, 3, S, S + 2))
+    @pytest.mark.parametrize("kind", models.ONE_STEP_KINDS)
+    def test_frame_pass_drops_each_start_once_done(self, monkeypatch, kind, horizons):
+        m = build_model(kind, s=self.S, hidden=5, attn_width=3, seed=46)
+        X = series_windows(self.S, 34, seed=46)
+        tokens, reach = m.layout[0], min(horizons, self.S)
+        per_chunk = one_step_steps(self.S, horizons)
+        for batch in (2, 34) if kind == "lstm" else (1, 2, 34):  # one lstm row walks from zero
+            rows = count_steps(monkeypatch)
+            predict_batch(m, X[:batch], horizons)
+            chunks = [min(models.PREDICT_CHUNK, batch - start)
+                      for start in range(0, batch, models.PREDICT_CHUNK)]
+            assert len(rows) == len(chunks) * per_chunk
+            for c, groups in enumerate(chunks):
+                chunk = rows[c * per_chunk:(c + 1) * per_chunk]
+                frames, rest = chunk[:self.S], chunk[self.S:]
+                # start G-1+k (start G-1 is the last window) steps over s-k frames
+                for k in range(reach):
+                    start_rows = (groups - 1 + k) * tokens
+                    assert sum(n > start_rows for n in frames) == self.S - k, (batch, k)
+                assert frames[0] == (groups + reach - 1) * tokens
+                assert set(rest) == {groups * tokens}
+
+    @pytest.mark.parametrize("dims", [dict(hidden=5, attn_width=3), {}],
+                             ids=["hidden5", "default"])
+    @pytest.mark.parametrize("kind", ["lstm-seg", "sa-lstm"])
+    def test_single_window_matches_zero_start_walk(self, monkeypatch, kind, dims):
+        m = build_model(kind, s=self.S, seed=47, **dims)
+        for horizons in (2, 3, self.S, self.S + 2):
+            for w in series_windows(self.S, 3, seed=47):
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "_consecutive", lambda windows: False)
+                    walk = InferencePlan(m).run(w, horizons)
+                plan = InferencePlan(m)
+                steps = count_steps(monkeypatch)
+                first = plan.run(w, horizons)
+                assert len(steps) == one_step_steps(self.S, horizons)
+                # the second run reuses the buffers the first one grew
+                assert np.array_equal(first, walk), horizons
+                assert np.array_equal(plan.run(w, horizons), walk), horizons
 
     @pytest.mark.parametrize("flip", ["ulp", "signed zero"])
     def test_frames_equal_only_in_value_are_a_seam(self, monkeypatch, flip):
