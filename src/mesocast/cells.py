@@ -7,14 +7,16 @@ All step functions operate on row-stacked states: a state row is one token
 code serves single-window inference and full-batch training.  Weights are
 shared across rows by construction.
 
-The step math is defined once, in ``StepKernel``: tape-free numpy over the
-preallocated ``(rows, .)`` arrays of a ``StepBuffers``.  The inference plans
-in ``models`` drive it on buffers allocated once per plan.  The taped
-``lstm_step`` and ``sa_lstm_step`` run it on fresh buffers per step, keep
-them, and record one tape node whose hand-derived adjoint reads those
-activations; the adjoint computes a parent's gradient only when that parent
-requires one, so frozen weights cost no weight products.  The recurrent state
-is one packed ``[h | c]`` tensor.
+The step math is defined once, in ``StepKernel``: tape-free numpy with one
+cell's prepared weights, acting on the ``(rows, .)`` arrays of the
+``StepBuffers`` it is handed, which own the recurrent state and size
+themselves.  An inference plan in ``models`` hands its one buffer set to
+every layer's kernel.  The taped ``lstm_step`` and ``sa_lstm_step`` step a
+kernel that the unroll prepares once per layer and pass, each step on its
+own buffers, which write into the step's packed ``[h | c]`` output and keep
+the activations that its single tape node's hand-derived adjoint reads; the
+adjoint computes a parent's gradient only when that parent requires one, so
+frozen weights cost no weight products.
 """
 
 from __future__ import annotations
@@ -156,35 +158,58 @@ def init_sa_lstm_params(hidden, proj_width, seed, prefix) -> SaLstmParams:
 
 
 class StepBuffers:
-    """Work arrays for one cell step over up to ``capacity`` groups of
-    ``tokens`` rows, allocated once.  Every layer of a plan shares them, so
-    a layer starts from the state the previous one left.  ``resize`` rebinds
-    them to the leading groups; one group keeps 2-D attention products
-    (cheapest at batch 1), several groups use batched 3-D ones."""
+    """The recurrent state of ``groups`` groups of ``tokens`` rows and the
+    work arrays of one cell step on them; ``resize`` alone sizes them.  A
+    step reads h from the first H columns of ``cat`` = [h, x, 1] and C from
+    ``c``, and writes h' into ``h`` and C' into ``c``.  A plan's buffers keep
+    ``h`` inside ``cat``, so the state carries on in place and a step copies
+    only its input; every layer of a plan shares them, so a layer starts from
+    the state the previous one left.  A taped step's buffers (``out`` given)
+    write h' and C' straight into its packed ``(rows, 2H)`` output and keep
+    ``cat`` intact for the adjoint.  One group takes 2-D attention products
+    (cheapest at batch 1), several groups batched 3-D ones."""
 
-    def __init__(self, groups: int, tokens: int, hidden: int, in_width: int, attn_width: int):
-        rows = groups * tokens
-        self.capacity, self.tokens = groups, tokens
-        self.hidden, self.attn_width = hidden, attn_width
-        self._cat = np.empty((rows, hidden + in_width + 1))
-        self._cat[:, -1] = 1.0
-        self._full = {name: np.empty((rows, hidden))
-                      for name in ("zf", "zi", "zc", "zo", "c", "tmp", "mixed")}
-        self._full.update({name: np.empty((rows, attn_width)) for name in ("q", "k", "v", "att")})
-        self._scores = np.empty((groups, tokens, tokens))
-        self._rowsum = np.empty((groups, tokens, 1))
-        self.resize(groups)
+    def __init__(self, cell, tokens: int, out: np.ndarray | None = None):
+        lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
+        self.tokens, self.hidden, self.in_width = tokens, lstm.hidden, lstm.in_width
+        self.attn_width = cell.attn.proj_width if isinstance(cell, SaLstmParams) else 0
+        self.out = out
+        self.groups = self.capacity = 0
+        if out is not None:
+            self.resize(len(out) // tokens)
 
     def resize(self, groups: int) -> None:
-        rows = groups * self.tokens
+        """Size the buffers to ``groups`` groups.  Within capacity they become
+        views of the leading rows, which keeps those rows' state; past it the
+        old arrays and every view of them go before the new ones come, so
+        that the two sets never add up in peak memory, and the state is
+        lost."""
+        if groups == self.groups:
+            return
+        tokens, H = self.tokens, self.hidden
+        if groups > self.capacity:
+            vars(self).update(dict.fromkeys(_BUFFER_ARRAYS))
+            rows = groups * tokens
+            self._cat = np.empty((rows, H + self.in_width + 1))
+            self._cat[:, -1] = 1.0
+            names = ("zf", "zi", "zc", "zo", "tmp", "mixed") + (("c",) if self.out is None else ())
+            self._full = {name: np.empty((rows, H)) for name in names}
+            self._full.update({name: np.empty((rows, self.attn_width))
+                               for name in ("q", "k", "v", "att")})
+            self._scores = np.empty((groups, tokens, tokens))
+            self._rowsum = np.empty((groups, tokens, 1))
+            self.capacity = groups
+        rows = groups * tokens
         self.groups = groups
         self.cat = self._cat[:rows]
-        # [h, x, 1]: the state lives in cat, so a step copies only its input
-        self.h = self.cat[:, :self.hidden]
-        self.x = self.cat[:, self.hidden:-1]
+        self.x = self.cat[:, H:-1]
         for name, full in self._full.items():
             setattr(self, name, full[:rows])
-        q, k, v, att = (a.reshape(groups, self.tokens, self.attn_width)
+        if self.out is None:
+            self.h = self.cat[:, :H]
+        else:
+            self.h, self.c = self.out[:, :H], self.out[:, H:]
+        q, k, v, att = (a.reshape(groups, tokens, self.attn_width)
                         for a in (self.q, self.k, self.v, self.att))
         views = (q, k.transpose(0, 2, 1), v, att, self._scores[:groups], self._rowsum[:groups])
         if groups == 1:
@@ -192,10 +217,34 @@ class StepBuffers:
         self.qg, self.ktg, self.vg, self.attg, self.scores, self.rowsum = views
         self.mm = np.dot if groups == 1 else np.matmul
 
+    def reset(self) -> None:
+        """Set the state a step reads to zero."""
+        self.cat[:, :self.hidden] = 0.0
+        self.c.fill(0.0)
+
+    def load(self, hc: np.ndarray) -> None:
+        """Set the state a step reads to a packed ``(rows, 2H)`` ``[h | c]``
+        array."""
+        self.cat[:, :self.hidden] = hc[:, :self.hidden]
+        self.c[...] = hc[:, self.hidden:]
+
+    def save(self, hc: np.ndarray, start: int = 0) -> None:
+        """Write the state of rows ``start`` on into a packed ``(rows, 2H)``
+        ``[h | c]`` array."""
+        stop = start + len(hc)
+        hc[:, :self.hidden] = self.h[start:stop]
+        hc[:, self.hidden:] = self.c[start:stop]
+
+
+# every array a StepBuffers holds, its own and the views of them
+_BUFFER_ARRAYS = ("_cat", "_full", "_scores", "_rowsum", "cat", "x", "h", "c", "zf", "zi", "zc",
+                  "zo", "tmp", "mixed", "q", "k", "v", "att", "qg", "ktg", "vg", "attg", "scores",
+                  "rowsum")
+
 
 class StepKernel:
-    """One tape-free LSTM / SA-LSTM step for one cell's weights on a
-    ``StepBuffers``:
+    """One tape-free LSTM / SA-LSTM step with one cell's prepared weights,
+    acting on the ``StepBuffers`` it is handed:
 
         f = sig(W_f[h,x]+b_f); i = sig(W_i[h,x]+b_i); c~ = tanh(W_c[h,x]+b_c);
         z_o = W_o[h,x]+b_o;  o = sig(z_o + softmax(Q K^T/sqrt(d)) V P)  (SA-LSTM)
@@ -206,11 +255,13 @@ class StepKernel:
     of ``cat``; the query projection carries the 1/sqrt(d) scaling.  After a
     step the buffers hold f, i, c~ (zf, zi, zc), z_o (zo), o (mixed),
     tanh(C') (tmp), Q, K, V, the attention weights (scores) and their
-    product with V (att): everything ``adjoint`` reads."""
+    product with V (att): everything ``adjoint`` reads.  ``cell`` is kept for
+    the tape's parents; the weights are copied once, so build the kernel
+    after the last change to them."""
 
-    def __init__(self, cell, buffers: StepBuffers):
+    def __init__(self, cell):
         lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
-        self.buf = buffers
+        self.cell = cell
         self.w_f, self.w_i, self.w_c, self.w_o = (
             np.vstack([getattr(lstm, f"w_{g}").data, getattr(lstm, f"b_{g}").data[None, :]])
             for g in "fico")
@@ -221,29 +272,8 @@ class StepKernel:
                          np.ascontiguousarray(cell.attn.w_v.data),
                          np.ascontiguousarray(cell.out_proj.data))
 
-    @property
-    def h(self) -> np.ndarray:
-        return self.buf.h
-
-    def reset(self) -> None:
-        self.buf.h.fill(0.0)
-        self.buf.c.fill(0.0)
-
-    def load(self, hc: np.ndarray) -> None:
-        """Set the state to a packed ``(rows, 2H)`` ``[h | c]`` array."""
-        self.buf.h[...] = hc[:, :self.buf.hidden]
-        self.buf.c[...] = hc[:, self.buf.hidden:]
-
-    def save(self, hc: np.ndarray, start: int = 0) -> None:
-        """Write the state of rows ``start`` on into a packed ``(rows, 2H)``
-        ``[h | c]`` array."""
-        stop = start + len(hc)
-        hc[:, :self.buf.hidden] = self.buf.h[start:stop]
-        hc[:, self.buf.hidden:] = self.buf.c[start:stop]
-
-    def step(self, x: np.ndarray) -> None:
-        """Advance the buffers' state by one (rows, in_width) input."""
-        b = self.buf
+    def step(self, b: StepBuffers, x: np.ndarray) -> None:
+        """Advance the state in ``b`` by one (rows, in_width) input."""
         b.x[...] = x
         np.dot(b.cat, self.w_f, out=b.zf)
         ad.sigmoid_array(b.zf, out=b.zf)
@@ -276,14 +306,15 @@ class StepKernel:
         np.tanh(b.c, out=b.tmp)
         np.multiply(b.mixed, b.tmp, out=b.h)
 
-    def adjoint(self, g: np.ndarray, c_prev: np.ndarray, need: list[bool]) -> list:
-        """Gradients of the step taken on these buffers, given the gradient
+    def adjoint(self, b: StepBuffers, g: np.ndarray, c_prev: np.ndarray,
+                need: list[bool]) -> list:
+        """Gradients of the step taken on ``b``, given the gradient
         ``g = [dh' | dc']`` of its packed output and the cell state it
         started from.  ``need`` flags the parents that require a gradient, in
         ``_record`` order (state, x, then the cell's blocks: gate weights, gate
         biases, W_q, W_k, W_v, P).  Products that serve only unflagged
         parents are skipped; a gate's weight and bias share one product."""
-        b, H = self.buf, self.buf.hidden
+        H = b.hidden
         dh, dc = g[:, :H], g[:, H:]
         o, tc, f, i, c_tilde = b.mixed, b.tmp, b.zf, b.zi, b.zc
         # in-place chains: one pass per factor, no temporaries
@@ -346,36 +377,33 @@ class StepKernel:
         return [d_state, d_x, *d_w, *d_b, *attn_grads]
 
 
-def _record(cell: LstmParams | SaLstmParams, state: LstmState, x: Tensor,
-            tokens: int) -> LstmState:
-    """Run one step on fresh buffers and record it as a single tape node
-    whose parents are the state, the input and the cell's blocks."""
-    sa = isinstance(cell, SaLstmParams)
-    rows, H = state.hc.shape[0], state.hidden
-    kernel = StepKernel(cell, StepBuffers(rows // tokens, tokens, H, x.shape[1],
-                                          cell.attn.proj_width if sa else 0))
-    b = kernel.buf
+def _record(kernel: StepKernel, state: LstmState, x: Tensor, tokens: int) -> LstmState:
+    """Run one step on fresh buffers that write into its packed output and
+    record it as a single tape node whose parents are the state, the input
+    and the kernel cell's blocks."""
     hc_prev = state.hc.data
-    hc = np.empty((rows, 2 * H))
-    b.cat[:, :H] = hc_prev[:, :H]
-    hc[:, H:] = hc_prev[:, H:]
-    b.h, b.c = hc[:, :H], hc[:, H:]             # keep cat intact for the adjoint
-    kernel.step(x.data)
-    parents = [state.hc, x, *cell.blocks("").values()]
+    hc = np.empty(hc_prev.shape)
+    b = StepBuffers(kernel.cell, tokens, out=hc)
+    b.load(hc_prev)
+    kernel.step(b, x.data)
+    c_prev = hc_prev[:, state.hidden:]
+    parents = [state.hc, x, *kernel.cell.blocks("").values()]
     return LstmState(ad.node(hc, parents, lambda g: kernel.adjoint(
-        g, hc_prev[:, H:], [t.requires_grad for t in parents])))
+        b, g, c_prev, [t.requires_grad for t in parents])))
 
 
-def lstm_step(p: LstmParams, state: LstmState, x: Tensor) -> LstmState:
+def lstm_step(kernel: StepKernel, state: LstmState, x: Tensor) -> LstmState:
     """f=sig(W_f[h,x]+b_f); i, o likewise; c~=tanh(W_c[h,x]+b_c);
-    C' = f*C + i*c~; h' = o*tanh(C')."""
+    C' = f*C + i*c~; h' = o*tanh(C'), with the weights of ``kernel``, an
+    LstmParams' kernel."""
+    p = kernel.cell
     rows = state.hc.shape[0]
     if x.shape != (rows, p.in_width):
         raise ValueError(
             f"lstm_step: input shape {x.shape} does not match "
             f"(rows={rows}, in_width={p.in_width})"
         )
-    return _record(p, state, x, tokens=1)
+    return _record(kernel, state, x, tokens=1)
 
 
 def self_attention(p: AttentionParams, tokens: Tensor) -> Tensor:
@@ -389,13 +417,15 @@ def self_attention(p: AttentionParams, tokens: Tensor) -> Tensor:
     return ad.matmul(ad.softmax_rows(scores), v)
 
 
-def sa_lstm_step(p: SaLstmParams, state: LstmState, x: Tensor, tokens: int) -> LstmState:
+def sa_lstm_step(kernel: StepKernel, state: LstmState, x: Tensor, tokens: int) -> LstmState:
     """LSTM step whose output-gate pre-activation is residually augmented
-    with self-attention across the ``tokens`` segments of each group.
+    with self-attention across the ``tokens`` segments of each group, with
+    the weights of ``kernel``, an SaLstmParams' kernel.
 
     With zero attention weights the residual term is exactly zero, so the
     step reduces bitwise to ``lstm_step`` on the same rows.
     """
+    p = kernel.cell
     rows = state.hc.shape[0]
     if rows % tokens != 0:
         raise ValueError(f"sa_lstm_step: {rows} state rows not divisible by {tokens} tokens")
@@ -404,4 +434,4 @@ def sa_lstm_step(p: SaLstmParams, state: LstmState, x: Tensor, tokens: int) -> L
             f"sa_lstm_step: input shape {x.shape} does not match "
             f"(rows={rows}, in_width={p.lstm.in_width})"
         )
-    return _record(p, state, x, tokens)
+    return _record(kernel, state, x, tokens)

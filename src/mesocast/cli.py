@@ -238,16 +238,18 @@ def cmd_forecast(args) -> int:
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
-    model = load_model(args.checkpoint or (out / cfg.evaluation.checkpoint))
+    horizons = cfg.evaluation.horizons
+    model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
     rng = np.random.default_rng(cfg.training.seed)
     window = rng.uniform(0.1, 1.0, (model.s, D.NUM_SEGMENTS))
-    ms = E.latency_ms(model, window, cfg.evaluation.warmup, cfg.evaluation.iters)
+    ms = E.latency_ms(model, window, cfg.evaluation.warmup, cfg.evaluation.iters, horizons)
     p50, p99 = np.percentile(ms, [50, 99])
     budget = cfg.evaluation.budget_ms
     verdict = "PASS" if p50 < budget else "FAIL"
     print(f"{model.kind}: p50 {p50:.4f} ms  p99 {p99:.4f} ms  mean {ms.mean():.4f} ms  "
-          f"cv {ms.std() / ms.mean():.3f} over {cfg.evaluation.iters} inferences "
-          f"(warmup {cfg.evaluation.warmup}); p50 against budget {budget} ms -> {verdict}")
+          f"cv {ms.std() / ms.mean():.3f} over {cfg.evaluation.iters} {horizons}-minute "
+          f"forecasts (warmup {cfg.evaluation.warmup}); p50 against budget {budget} ms "
+          f"-> {verdict}")
     return 0 if p50 < budget else 1
 
 

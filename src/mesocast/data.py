@@ -84,13 +84,12 @@ class Windows:
 
     inputs: np.ndarray           # (count, s, NUM_SEGMENTS)
     targets: np.ndarray          # (count, horizon, NUM_SEGMENTS)
-    start_minutes: np.ndarray    # (count,)
 
     def __len__(self):
-        return len(self.start_minutes)
+        return len(self.inputs)
 
     def __getitem__(self, index: slice) -> "Windows":
-        return Windows(self.inputs[index], self.targets[index], self.start_minutes[index])
+        return Windows(self.inputs[index], self.targets[index])
 
 
 def _rolling(rows: np.ndarray, count: int, length: int) -> np.ndarray:
@@ -110,9 +109,7 @@ def build_windows(series: Series, s: int, horizon: int) -> Windows:
     if T > 1 and np.any(np.diff(series.minutes) != 1):
         raise ValueError("series minutes are not consecutive")
     count = T - s - horizon + 1
-    return Windows(_rolling(series.speeds, count, s),
-                   _rolling(series.speeds[s:], count, horizon),
-                   series.minutes[:count])
+    return Windows(_rolling(series.speeds, count, s), _rolling(series.speeds[s:], count, horizon))
 
 
 def stack_windows(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +259,6 @@ class CtmConfig:
     noise_std_mph: float = 1.5
     seed: int = 0
     substeps_per_minute: int = 4
-    initial_density: float = 0.0                   # veh/km, uniform
     exit_supply_cap: float | None = None           # veh/min
 
     @property
@@ -304,8 +300,6 @@ class CtmConfig:
                              f"exceeds the cell length {self.cell_length_km:.3f} km")
         if not 0 <= self.noise_std_mph < math.inf:
             raise ValueError(f"noise_std_mph must be finite and >= 0, got {self.noise_std_mph}")
-        if not (0 <= self.initial_density <= self.jam_density):
-            raise ValueError("initial_density must lie in [0, jam_density]")
         starts = [minute for minute, _ in self.demand]
         if starts[:1] != [0] or any(b >= a for a, b in zip(starts[1:], starts)):
             raise ValueError("demand must start at minute 0, its minutes increasing")
@@ -332,8 +326,8 @@ class CtmSim:
     def __init__(self, cfg: CtmConfig, initial_density: np.ndarray | None = None):
         cfg.validate()
         self.cfg = cfg
-        dens = (np.full(NUM_SEGMENTS, cfg.initial_density)
-                if initial_density is None else np.asarray(initial_density, dtype=np.float64))
+        dens = (np.zeros(NUM_SEGMENTS) if initial_density is None
+                else np.asarray(initial_density, dtype=np.float64))
         if dens.shape != (NUM_SEGMENTS,):
             raise ValueError(f"initial density must have {NUM_SEGMENTS} entries")
         if np.any(dens < 0) or np.any(dens > cfg.jam_density):
@@ -347,11 +341,6 @@ class CtmSim:
     @property
     def densities(self) -> np.ndarray:
         return self.counts / (_FP_SCALE * self.cfg.cell_length_km)
-
-    @property
-    def total_fp(self) -> float:
-        """Total vehicles in fixed-point units; an exact integer."""
-        return float(self.counts.sum())
 
     def speeds_mph(self) -> np.ndarray:
         cfg = self.cfg
@@ -388,20 +377,12 @@ class CtmSim:
         self.last_in, self.last_out = float(transfer[0]), float(transfer[-1])
 
 
-def ctm_simulate(cfg: CtmConfig, minutes: int,
-                 initial_density: np.ndarray | None = None,
-                 start_minute: int = 0) -> Series:
-    """Per-minute speed fields over ``minutes``; speeds are sampled at the
-    end of each minute, then measurement noise is added and clamped."""
-    sim = CtmSim(cfg, initial_density)
-    return simulate_into(sim, minutes, block_rng(cfg.seed, "ctm-noise"),
-                         timestamp_start=start_minute, schedule_start=start_minute)
-
-
 def simulate_into(sim: CtmSim, minutes: int, noise_rng: np.random.Generator,
                   timestamp_start: int = 0, schedule_start: int = 0) -> Series:
-    """Advance ``sim`` by ``minutes``; the demand/bottleneck schedule runs on
-    its own clock so recorded timestamps can offset freely (multi-day runs)."""
+    """Advance ``sim`` by ``minutes``, sampling speeds at the end of each
+    minute, then adding measurement noise and clamping; the demand/bottleneck
+    schedule runs on its own clock so recorded timestamps can offset freely
+    (multi-day runs)."""
     cfg = sim.cfg
     speeds = np.empty((minutes, NUM_SEGMENTS))
     for m in range(minutes):
@@ -469,10 +450,6 @@ def has_sustained_congestion(series: Series,
     # hits[t, j]: minutes before t in which segments j..j+span-1 were all slow
     hits = np.cumsum(np.pad(slow.all(axis=2), ((1, 0), (0, 0))), axis=0)
     return bool(np.any(hits[duration:] - hits[:-duration] == duration))
-
-
-def congested_minutes_fraction(series: Series, speed=CONGESTION_SPEED_MPH) -> float:
-    return float(np.mean(np.any(series.speeds < speed, axis=1)))
 
 
 def _daily_demand_anchors(rng, capacity, peak_scale) -> tuple[tuple[int, float], ...]:

@@ -8,8 +8,8 @@ series is cut into stride-1 windows, so a one-step model's recursive
 horizons start from the frame state of the neighbouring window instead of
 re-walking its frames (see ``models``).  Training's validation metrics
 come from the same ``per_horizon_mse``.  The latency benchmark times each
-bare model forward on one fixed window (no normalisation, no I/O) after an
-untimed warmup, single process.
+bare forecast of the requested horizons on one fixed window (no
+normalisation, no I/O) after an untimed warmup, single process.
 """
 
 from __future__ import annotations
@@ -89,19 +89,21 @@ def report_lines(name: str, report: EvalReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def latency_ms(model, window: np.ndarray, warmup: int, iters: int) -> np.ndarray:
-    """Milliseconds of each of ``iters`` timed forwards on one fixed window,
-    after ``warmup`` untimed ones.  Each forward is timed on its own: a clock
-    read costs about 0.1 us against 250-2700 us per forward."""
+def latency_ms(model, window: np.ndarray, warmup: int, iters: int,
+               horizons: int | None = None) -> np.ndarray:
+    """Milliseconds of each of ``iters`` timed forecasts of ``horizons``
+    minutes (default: the model's own) on one fixed window, after ``warmup``
+    untimed ones.  Each forecast is timed on its own: a clock read costs
+    about 0.1 us against 250-2700 us per forecast."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     plan = InferencePlan(model)
     window = np.asarray(window, dtype=np.float64)
     for _ in range(warmup):
-        plan.run(window)
+        plan.run(window, horizons)
     seconds = np.empty(iters)
     for i in range(iters):
         start = time.perf_counter()
-        plan.run(window)
+        plan.run(window, horizons)
         seconds[i] = time.perf_counter() - start
     return seconds * 1e3

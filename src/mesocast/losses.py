@@ -8,8 +8,8 @@ zero-stuffs and blurs with doubled gain.  Details are stored as the exact
 difference between a level and the expansion of the next, so reconstruction
 is exact by construction.
 
-``build_pyramid`` and ``reconstruct`` are untaped numpy functions and the
-reference definition of the pyramid.  Every step of it, padding included, is
+``build_pyramid`` is an untaped numpy function and the reference
+definition of the pyramid.  Every step of it, padding included, is
 linear, so level j of a profile x is x @ A_j for a fixed matrix A_j, and the
 penalty sum_j 4^j |L_j(p) - L_j(t)|_1 is |(p - t) @ M|_1 with one matrix
 M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  So the
@@ -101,15 +101,6 @@ def build_pyramid(x, depth: int, mode: str = "zero") -> PyramidLevels:
         details.append(current - _expand(coarser, mode))
         current = coarser
     return PyramidLevels(details=details, residual=current)
-
-
-def reconstruct(levels: PyramidLevels, mode: str = "zero") -> np.ndarray:
-    """Invert ``build_pyramid``; exact because details store the expansion
-    error verbatim."""
-    g = levels.residual
-    for detail in reversed(levels.details):
-        g = detail + _expand(g, mode)
-    return g
 
 
 @functools.lru_cache(maxsize=32)   # a process uses one or two keys; bounded all the same

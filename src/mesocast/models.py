@@ -19,18 +19,20 @@ counts what one unroll emits, 1 for the one-step kinds.  The names
 ``OneStepModel``, ``AllAtOnceModel`` and ``NStepModel`` are aliases of it
 that the benchmark's tracer still binds.
 
-Every path runs the one cell step kernel, ``cells.StepKernel``, on one step
-schedule, ``_schedule``: which entries of (window frames + predictions) pass
-k walks, which it reads as fed predictions, and whether it starts from zero.
-The taped unroll, ``Forecaster.forward_graph_with_states``, serves training
-only and records each cell step as a single tape node (``cells.lstm_step`` /
-``cells.sa_lstm_step``).  The tape-free ``InferencePlan`` drives the kernel
-on ``(rows, .)`` buffers it allocates and grows itself, for one window (the
-latency path) and, in ``predict_batch``, for PREDICT_CHUNK windows per pass;
-it alone recurses a one-step kind past its own horizon.  Tests pin the two
-paths to each other at 1e-12.  Both nstep unrolls can start from a
-``Prefix``: the states that the first layers reach before any prediction is
-fed back, kept by the staged trainer while those layers are frozen.
+Every path runs the one cell step kernel, ``cells.StepKernel``, one per
+layer per pass, on one step schedule, ``_schedule``: which entries of
+(window frames + predictions) pass k walks, which it reads as fed
+predictions, and whether it starts from zero.  The taped unroll,
+``Forecaster.forward_graph_with_states``, serves training only: it prepares
+each layer's kernel once and records each step of it as a single tape node
+(``cells.lstm_step`` / ``cells.sa_lstm_step``).  The tape-free
+``InferencePlan`` hands its one ``cells.StepBuffers`` to every layer's
+kernel, for one window (the latency path) and, in ``predict_batch``, for
+PREDICT_CHUNK windows per pass; it alone recurses a one-step kind past its
+own horizon.  Tests pin the two paths to each other at 1e-12.  Both nstep
+unrolls can start from a ``Prefix``: the states that the first layers reach
+before any prediction is fed back, kept by the staged trainer while those
+layers are frozen.
 
 A one-step recursion reuses frame states the same way, within one pass.
 Horizon k of window j walks frames k..s-1 from zero before its k fed
@@ -220,6 +222,7 @@ class Forecaster:
         columns = self.head_w.shape[1] // in_width
         states: list[LstmState] = []
         for k, layer in enumerate(layers):
+            kernel = StepKernel(layer)     # the tape keeps this one copy of the weights
             walk, fed, fresh = _schedule(self.kind, s, k)
             if k < known:
                 state = LstmState(ad.tensor(held[k]))
@@ -227,22 +230,22 @@ class Forecaster:
                 if fresh:
                     state = zero_state(rows, self.hidden)
                 for xt in seq[walk]:
-                    state = self._step(layer, state, xt)
+                    state = self._step(kernel, state, xt)
                 if k < len(held):
                     held[k][...] = state.hc.data
             for p in seq[fed]:
-                state = self._step(layer, state, ad.reshape(p, (rows, in_width)))
+                state = self._step(kernel, state, ad.reshape(p, (rows, in_width)))
             out = _head_apply(state.h, self.head_w, self.head_b)
             parts = [out] if columns == 1 else [ad.narrow(out, 1, j, 1) for j in range(columns)]
             seq += [ad.reshape(part, (B, NUM_SEGMENTS)) for part in parts]
             states.append(state)
         return seq[s:], states
 
-    def _step(self, layer, state: LstmState, xt: Tensor) -> LstmState:
+    def _step(self, kernel: StepKernel, state: LstmState, xt: Tensor) -> LstmState:
         # the module-level names, so a wrapper installed there (a tracer) sees each step
         if self.kind in LSTM_KINDS:
-            return lstm_step(layer, state, xt)
-        return sa_lstm_step(layer, state, xt, tokens=NUM_SEGMENTS)
+            return lstm_step(kernel, state, xt)
+        return sa_lstm_step(kernel, state, xt, tokens=NUM_SEGMENTS)
 
 
 # The benchmark's tracer wraps forward_graph under two of these names and
@@ -310,28 +313,21 @@ PREDICT_CHUNK = 32
 
 
 class InferencePlan:
-    """Tape-free forward for a frozen parameter snapshot, ``groups`` windows
-    per pass (one on the latency path, PREDICT_CHUNK in ``predict_batch``).
-
-    Buffers are allocated for ``groups`` windows and reused; the first
-    recursion that runs a frame pass grows them once by the reach-1 later
-    starts it steps.  So a plan is not thread-safe; build one plan per
-    thread.  Rebuild after parameters change.
+    """Tape-free forward for a frozen parameter snapshot: one kernel per
+    layer and one ``StepBuffers`` that every kernel steps, sized by each pass
+    to its windows (one on the latency path, up to PREDICT_CHUNK in
+    ``predict_batch``) and kept for the next.  So a plan is not thread-safe;
+    build one plan per thread.  Rebuild after parameters change.
     """
 
-    def __init__(self, model: Forecaster, groups: int = 1):
+    def __init__(self, model: Forecaster):
         self.kind = model.kind
         self.s = model.s
         self.horizon = model.horizon
         self.head_w = np.ascontiguousarray(model.head_w.data)
         self.head_b = model.head_b.data.copy()
-        tokens, in_width = model.layout
-        self._dims = (tokens, model.hidden, in_width, model.attn_width)
-        self._buf = StepBuffers(groups, *self._dims)
-        self.cells = [StepKernel(cell, self._buf) for cell in model.layers]
-        # one (rows, in_width) input per step: the window's frames, then the
-        # predictions fed back; grown when more horizons are asked for
-        self._seq = np.empty((self.s + self.horizon, groups * tokens, in_width))
+        self.kernels = [StepKernel(cell) for cell in model.layers]
+        self.buf = StepBuffers(model.layers[0], model.layout[0])
 
     def run(self, window: np.ndarray, horizons: int | None = None) -> np.ndarray:
         """(s, 21) normalized -> (horizons, 21) normalized; horizons defaults
@@ -344,7 +340,7 @@ class InferencePlan:
 
     def _forward(self, windows: np.ndarray, out: np.ndarray,
                  prefix: Prefix | None = None) -> None:
-        """(G, s, 21) normalized windows, G <= groups -> out (G, horizons, 21).
+        """(G, s, 21) normalized windows -> out (G, horizons, 21).
         One-step kinds recurse: horizon k reads the last s entries of (window
         + predictions so far) from a zero state, or, when the G windows are
         consecutive, starts after its real frames from the state a frame pass
@@ -358,42 +354,37 @@ class InferencePlan:
         if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
         held, known = _check_prefix(prefix, self.kind, horizons)
-        s, rows = self.s, groups * self._buf.tokens
+        b, s = self.buf, self.s
+        rows = groups * b.tokens
         recursive = self.kind in ONE_STEP_KINDS
         reach = min(horizons, s)         # horizons that read a real frame
         # a one-row walk (one dense lstm window) stays on the zero-start path:
         # a one-row product takes another BLAS routine than the frame pass's
         # multi-row ones, so its bits would change
         if recursive and reach > 1 and rows > 1 and _consecutive(windows):
-            # the frame pass runs reach - 1 more starts than there are windows;
-            # the old buffers go before the new ones come, so that the two
-            # never add up in peak memory (a one-step kind has one cell)
-            if self._buf.capacity < groups + reach - 1:
-                self._buf = self.cells[0].buf = None
-                self._buf = self.cells[0].buf = StepBuffers(groups + reach - 1, *self._dims)
             held = self._frame_starts(windows, reach)
             known = reach
-        elif groups != self._buf.groups:
-            self._buf.resize(groups)
-        if len(self._seq) < s + horizons:
-            self._seq = np.empty((s + horizons,) + self._seq.shape[1:])
-        seq = self._seq[:, :rows]
+        else:
+            b.resize(groups)
+        # one (rows, in_width) input per step: the window's frames, then the
+        # predictions fed back
+        seq = np.empty((s + horizons, rows, b.in_width))
         seq[:s] = windows.transpose(1, 0, 2).reshape(s, rows, -1)
-        for k in range(horizons if recursive else min(horizons, len(self.cells))):
-            cell = self.cells[0 if recursive else k]
+        for k in range(horizons if recursive else min(horizons, len(self.kernels))):
+            kernel = self.kernels[0 if recursive else k]
             walk, fed, fresh = _schedule(self.kind, s, k)
             if k < known:
-                cell.load(held[k])
+                b.load(held[k])
             else:
                 if fresh:
-                    cell.reset()
+                    b.reset()
                 for xt in seq[walk]:
-                    cell.step(xt)
+                    kernel.step(b, xt)
                 if k < len(held):
-                    cell.save(held[k])
+                    b.save(held[k])
             for xt in seq[fed]:
-                cell.step(xt)
-            head = cell.h @ self.head_w + self.head_b
+                kernel.step(b, xt)
+            head = b.h @ self.head_w + self.head_b
             if self.kind == "all-at-once":                     # (rows, horizon)
                 out[...] = head.reshape(groups, NUM_SEGMENTS, -1).transpose(0, 2, 1)[:, :horizons]
             else:
@@ -409,23 +400,22 @@ class InferencePlan:
         every entry: entry k is the pass after s-k steps, k groups on.  Once
         entry k is saved, start G-1+k is read no more, so the pass drops it:
         start G-1+k steps over s-k frames and none steps past the last."""
-        groups = len(windows)
-        s, tokens = self.s, self._buf.tokens
+        groups, b, kernel = len(windows), self.buf, self.kernels[0]
+        s, tokens = self.s, b.tokens
         # the G + s - 1 frames the windows cut, row j+t being frame t of window j
         series = np.concatenate([windows[:, 0], windows[-1, 1:]])
-        states = np.empty((reach, groups * tokens, 2 * self._buf.hidden))
+        states = np.empty((reach, groups * tokens, 2 * b.hidden))
         live = groups + reach - 1
-        self._buf.resize(live)
-        cell = self.cells[0]
-        cell.reset()
+        b.resize(live)
+        b.reset()
         for t in range(s):
             k = s - 1 - t
             if groups + k < live:         # entry k + 1 was the last to read start live-1
                 live = groups + k
-                self._buf.resize(live)
-            cell.step(series[t:t + live].reshape(live * tokens, -1))
+                b.resize(live)
+            kernel.step(b, series[t:t + live].reshape(live * tokens, -1))
             if k < reach:
-                cell.save(states[k], start=k * tokens)
+                b.save(states[k], start=k * tokens)
         return list(states)
 
 
@@ -456,7 +446,7 @@ def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
     runs only its first ``horizons`` layers, from the ``prefix`` of the B
     windows where one is given.  Nothing is carried across chunks."""
     x = _check_batch(x, model.s)
-    plan = InferencePlan(model, groups=max(1, min(PREDICT_CHUNK, len(x))))
+    plan = InferencePlan(model)
     out = np.empty((len(x), horizons, NUM_SEGMENTS))
     for start in range(0, len(x), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK

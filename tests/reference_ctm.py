@@ -3,11 +3,19 @@ the guard-free, whole-array versions: a 21-step loop that capped each
 transfer at what the sending cell held, a linear scan of the demand anchors
 on every substep, and a per-segment-group run-length loop.  Tests run them
 beside ``CtmSim.substep`` and ``has_sustained_congestion`` and require the
-same bits."""
+same bits.  ``ctm_simulate`` runs one simulator config from a fresh state
+for the tests' series."""
 
 import numpy as np
 
-from mesocast.data import _FP_SCALE, NUM_SEGMENTS
+from mesocast.data import _FP_SCALE, NUM_SEGMENTS, CtmSim, simulate_into
+from mesocast.seeding import block_rng
+
+
+def ctm_simulate(cfg, minutes: int, initial_density: np.ndarray | None = None):
+    """Per-minute speed fields over ``minutes`` from ``initial_density``
+    (default empty road), noise drawn from the config's seed."""
+    return simulate_into(CtmSim(cfg, initial_density), minutes, block_rng(cfg.seed, "ctm-noise"))
 
 
 def demand_rate_scan(schedule, minute: int) -> float:

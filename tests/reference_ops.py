@@ -1,12 +1,23 @@
 """Taped ops that training never records, kept as the references the tests
 compose cells and the loss from: the gate functions, ``concat``, ``sub``,
 ``abs_``, ``mean_all``, and a packed recurrent state built from separate
-``h`` and ``c`` tensors."""
+``h`` and ``c`` tensors; and ``reconstruct``, the inverse of
+``losses.build_pyramid``."""
 
 import numpy as np
 
 from mesocast import autodiff as ad
 from mesocast.cells import LstmState
+from mesocast.losses import PyramidLevels, _expand
+
+
+def reconstruct(levels: PyramidLevels, mode: str = "zero") -> np.ndarray:
+    """Invert ``build_pyramid``; exact because details store the expansion
+    error verbatim."""
+    g = levels.residual
+    for detail in reversed(levels.details):
+        g = detail + _expand(g, mode)
+    return g
 
 
 def sigmoid(a: ad.Tensor) -> ad.Tensor:

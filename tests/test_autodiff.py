@@ -275,3 +275,49 @@ def test_every_exported_op_is_used_by_src():
     # tests' references
     unused = sorted(set(ad.__all__) - _autodiff_names_used_outside())
     assert unused == [], f"autodiff exports names no src or bench module uses: {unused}"
+
+
+def _public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names_outside_own_definition(paths) -> set[str]:
+    """Every name that the modules at ``paths`` read, import or spell as a
+    string (the benchmark's tracer binds functions by name), except where a
+    definition names itself or an ``__all__`` lists it."""
+    used = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+                continue
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a function or class that only the tests call is unused API: it goes, or
+    # moves to the tests' references
+    package = Path(ad.__file__).parent
+    repo = package.parents[1]
+    paths = [*package.glob("*.py"), *(repo / "bench").glob("*.py"),
+             *(repo / "scripts").glob("*.py")]
+    used = _names_outside_own_definition(paths)
+    unused = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+              for name in _public_definitions(path) if name not in used]
+    assert unused == [], f"public definitions that no src, bench or script module names: {unused}"

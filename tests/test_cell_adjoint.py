@@ -82,8 +82,8 @@ def unroll(p, tokens, inputs, fused):
     for t in range(STEPS):
         x = inputs[f"x{t}"]
         if fused:
-            state = (cells.sa_lstm_step(p, state, x, tokens) if tokens
-                     else cells.lstm_step(p, state, x))
+            state = (cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens) if tokens
+                     else cells.lstm_step(cells.StepKernel(p), state, x))
             h, c = state.h, state.c
         elif tokens:
             h, c = primitive_sa_lstm_step(p, h, c, x, tokens)
@@ -136,7 +136,7 @@ def test_constant_state_and_weights_record_no_tape():
     for block in p.blocks("layer1").values():
         block.requires_grad = False
     state = cells.zero_state(10, 4)
-    out = cells.sa_lstm_step(p, state, ad.tensor(np.ones((10, 1))), tokens=5)
+    out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((10, 1))), tokens=5)
     assert not out.hc.requires_grad and out.hc._vjp is None
 
 
@@ -152,7 +152,7 @@ def test_dense_lstm_cell_gradients_match_finite_differences():
         p = cells.LstmParams(*leaves)
         state = cells.zero_state(rows, hidden)
         for x in xs:
-            state = cells.lstm_step(p, state, ad.tensor(x))
+            state = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(x))
         return ad.add(mean_all(ad.mul(state.h, state.h)), mean_all(state.c))
 
     assert_grads_close(build, values, h=1e-6, tol=1e-6)

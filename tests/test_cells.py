@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ class TestLstmStep:
         p = params_from_arrays(w, b)
         c0 = np.array([[0.3, -0.7, 1.1], [0.0, 2.0, -0.1]])
         state = state_of(ad.tensor(np.zeros((rows, hidden))), ad.tensor(c0))
-        out = cells.lstm_step(p, state, ad.tensor(np.ones((rows, 1))))
+        out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((rows, 1))))
         np.testing.assert_allclose(out.c.data, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
@@ -73,7 +75,7 @@ class TestLstmStep:
         p = params_from_arrays(w, b)
         c0 = np.array([[0.9, -1.4, 0.2, 3.0]])
         state = state_of(ad.tensor(np.zeros((1, hidden))), ad.tensor(c0))
-        out = cells.lstm_step(p, state, ad.tensor(np.zeros((1, 1))))
+        out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((1, 1))))
         assert np.max(np.abs(out.c.data - c0)) <= 1e-40
 
     @pytest.mark.parametrize("seed", range(5))
@@ -85,7 +87,7 @@ class TestLstmStep:
         c0 = rng.uniform(-1, 1, (rows, hidden))
         x = rng.uniform(-1, 1, (rows, in_width))
         p = params_from_arrays(w, b)
-        out = cells.lstm_step(p, state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
+        out = cells.lstm_step(cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
         h_ref, c_ref = lstm_step_oracle(w, b, h0, c0, x)
         np.testing.assert_allclose(out.h.data, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.c.data, c_ref, rtol=0, atol=1e-12)
@@ -94,7 +96,7 @@ class TestLstmStep:
         p = cells.init_lstm_params(4, 2, seed=0, prefix="layer1")
         state = cells.zero_state(3, 4)
         with pytest.raises(ValueError, match="input shape"):
-            cells.lstm_step(p, state, ad.tensor(np.zeros((3, 5))))
+            cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((3, 5))))
 
 
 class TestSelfAttention:
@@ -158,8 +160,8 @@ class TestSaLstmStep:
         p.attn.w_v.data[:] = 0.0
         p.out_proj.data[:] = 0.0
         state = state_of(ad.tensor(h0), ad.tensor(c0))
-        out_sa = cells.sa_lstm_step(p, state, ad.tensor(x), tokens=4)
-        out_plain = cells.lstm_step(p.lstm, state, ad.tensor(x))
+        out_sa = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=4)
+        out_plain = cells.lstm_step(cells.StepKernel(p.lstm), state, ad.tensor(x))
         assert np.array_equal(out_sa.h.data, out_plain.h.data)
         assert np.array_equal(out_sa.c.data, out_plain.c.data)
 
@@ -173,7 +175,7 @@ class TestSaLstmStep:
             out_proj=ad.tensor(np.zeros((2, hidden))),
         )
         state = cells.zero_state(tokens, hidden)
-        out = cells.sa_lstm_step(p, state, ad.tensor(np.random.default_rng(0).uniform(0, 1, (tokens, 1))), tokens=tokens)
+        out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.random.default_rng(0).uniform(0, 1, (tokens, 1))), tokens=tokens)
         np.testing.assert_array_equal(out.h.data, np.zeros((tokens, hidden)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -182,7 +184,7 @@ class TestSaLstmStep:
         tokens, hidden, d = 4, 3, 2
         p, h0, c0, x = self._random_setup(rng, tokens, hidden, d)
         state = state_of(ad.tensor(h0), ad.tensor(c0))
-        out = cells.sa_lstm_step(p, state, ad.tensor(x), tokens=tokens)
+        out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=tokens)
 
         # explicit recomputation: per-token gates, then attention on Z_o
         w = {g: getattr(p.lstm, f"w_{g}").data for g in "fico"}
@@ -203,11 +205,11 @@ class TestSaLstmStep:
         tokens, hidden = 4, 3
         p, h0, c0, x = self._random_setup(rng, tokens, hidden)
         single = cells.sa_lstm_step(
-            p, state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x), tokens=tokens
+            cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x), tokens=tokens
         )
         h2, c2, x2 = np.vstack([h0, h0]), np.vstack([c0, c0]), np.vstack([x, x])
         batched = cells.sa_lstm_step(
-            p, state_of(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
+            cells.StepKernel(p), state_of(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
         )
         np.testing.assert_allclose(batched.h.data[:tokens], single.h.data, atol=1e-12)
         np.testing.assert_allclose(batched.h.data[tokens:], single.h.data, atol=1e-12)
@@ -216,7 +218,7 @@ class TestSaLstmStep:
         p = cells.init_sa_lstm_params(3, 2, seed=0, prefix="layer1")
         state = cells.zero_state(5, 3)
         with pytest.raises(ValueError, match="tokens"):
-            cells.sa_lstm_step(p, state, ad.tensor(np.zeros((5, 1))), tokens=4)
+            cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((5, 1))), tokens=4)
 
 
 class TestGateBehaviour:
@@ -228,7 +230,7 @@ class TestGateBehaviour:
         state = cells.zero_state(5, 8)
         for step in range(10_000):
             x = ad.tensor(rng.uniform(-1, 1, (5, 1)))
-            state = cells.sa_lstm_step(p, state, x, tokens=5)
+            state = cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens=5)
         assert np.all(np.isfinite(state.c.data))
         assert np.all(np.isfinite(state.h.data))
         assert np.all(np.abs(state.h.data) < 1.0)  # h = o * tanh(c), both bounded
@@ -266,7 +268,57 @@ class TestBptt:
             )
             state = cells.zero_state(tokens, hidden)
             for t in range(steps):
-                state = cells.sa_lstm_step(p, state, ad.tensor(xs[t]), tokens=tokens)
+                state = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(xs[t]), tokens=tokens)
             return mean_all(ad.mul(state.h, state.h))
 
         assert_grads_close(build, values, h=1e-6, tol=1e-5)
+
+
+class TestStepBuffers:
+    """The buffers own the recurrent state and size themselves; a kernel
+    holds only one cell's weights."""
+
+    def test_taped_step_writes_into_its_output_and_owns_no_c(self, monkeypatch):
+        p = cells.init_sa_lstm_params(4, 2, seed=5, prefix="layer1")
+        handed = []
+        step = cells.StepKernel.step
+        monkeypatch.setattr(cells.StepKernel, "step",
+                            lambda self, b, x: (handed.append(b), step(self, b, x)))
+        h0 = np.random.default_rng(5).uniform(-1, 1, (10, 8))
+        out = cells.sa_lstm_step(cells.StepKernel(p), cells.LstmState(ad.tensor(h0)),
+                                 ad.tensor(np.ones((10, 1))), tokens=5)
+        [b] = handed
+        hc = out.hc.data
+        assert b.h.base is hc and b.c.base is hc
+        assert not any(np.shares_memory(b.c, a) for a in b._full.values())
+        assert set(b._full) == {"zf", "zi", "zc", "zo", "tmp", "mixed", "q", "k", "v", "att"}
+        # the step read h_prev from cat, which the adjoint reads again
+        np.testing.assert_array_equal(b.cat[:, :4], h0[:, :4])
+
+    def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
+        b = cells.StepBuffers(cells.init_sa_lstm_params(4, 2, seed=6, prefix="layer1"), 5)
+        b.resize(3)
+        old = [weakref.ref(a) for a in (b._cat, b._scores, b._rowsum, *b._full.values())]
+        alive = []
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kw: (
+            alive.append(sum(ref() is not None for ref in old)), empty(*args, **kw))[1])
+        b.resize(4)
+        monkeypatch.undo()
+        assert alive and max(alive) == 0
+        assert b.capacity == 4 and b.cat.shape == (20, 4 + 1 + 1)
+
+    def test_resize_within_capacity_keeps_the_leading_state(self):
+        p = cells.init_sa_lstm_params(4, 2, seed=7, prefix="layer1")
+        b = cells.StepBuffers(p, 5)
+        b.resize(3)
+        hc = np.random.default_rng(7).uniform(-1, 1, (15, 8))
+        b.load(hc)
+        cat = b.cat
+        b.resize(3)
+        assert b.cat is cat                   # a same-size request rebuilds no views
+        b.resize(2)
+        saved = np.empty((10, 8))
+        b.save(saved)
+        np.testing.assert_array_equal(saved, hc[:10])
+        assert b.capacity == 3 and b.cat.base is cat.base

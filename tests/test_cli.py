@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mesocast import data as D
+from mesocast import models
 from mesocast.cli import _build_model, main
 from mesocast.config import RunConfig, load_config
 from mesocast.train import TrainConfig
@@ -466,3 +467,27 @@ class TestBench:
                        "--iters", 50, "--warmup", 5, "--budget", 1e-9)
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_times_the_configured_horizons(self, trained_dir, monkeypatch, capsys):
+        # the tiny config asks for 2 horizons; the one-step model emits 1 and
+        # recurses, so every timed run must be a 2-minute forecast
+        out, cfg = trained_dir
+        asked = []
+        run = models.InferencePlan.run
+        monkeypatch.setattr(models.InferencePlan, "run", lambda self, window, horizons=None: (
+            asked.append(horizons), run(self, window, horizons))[1])
+        assert run_cli("bench", "--config", cfg, "--out", out, "--iters", 20, "--warmup", 3) == 0
+        assert asked == [2] * 23
+        assert "20 2-minute forecasts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["all-at-once", "nstep"])
+    def test_horizons_past_a_multi_step_model_exit_2(self, trained_dir, tmp_path, capsys, kind):
+        out, _ = trained_dir
+        model_path = tmp_path / "model.bin"
+        save_model(build_model(kind, s=4, hidden=4, attn_width=2, horizon=2), model_path)
+        cfg = tmp_path / "h3.ini"
+        cfg.write_text(TINY_INI.replace("horizons = 2", "horizons = 3"))
+        assert run_cli("bench", "--config", cfg, "--out", out, "--checkpoint", model_path,
+                       "--iters", 5, "--warmup", 1) == 2
+        err = capsys.readouterr().err
+        assert "evaluation.horizons = 3" in err and "the 2 horizons" in err

@@ -6,7 +6,7 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells, models
 from mesocast.data import (MINUTES_PER_DAY, NUM_SEGMENTS, CtmConfig, build_windows,
-                           ctm_simulate, normalize, stack_windows)
+                           normalize, stack_windows)
 from mesocast.models import (
     InferencePlan,
     build_model,
@@ -16,6 +16,7 @@ from mesocast.models import (
     serialize_model,
 )
 from containers import with_header
+from reference_ctm import ctm_simulate
 
 
 def tiny(kind, seed=0, **kw):
@@ -107,7 +108,7 @@ class TestPlanMatchesGraph:
         steps = []
         step = cells.StepKernel.step
         monkeypatch.setattr(cells.StepKernel, "step",
-                            lambda self, x: (steps.append(1), step(self, x)))
+                            lambda self, b, x: (steps.append(1), step(self, b, x)))
         first = predict_batch(m, X, 1)
         assert len(steps) == m.s           # layer 1 over the window, one chunk
         assert np.all(np.isfinite(first))
@@ -182,11 +183,12 @@ class TestAllAtOnce:
         w = rand_window(4, 9)
         out = InferencePlan(m).run(w)                      # (horizon, 21)
         plan = InferencePlan(m)
-        cell = plan.cells[0]
-        cell.reset()
+        b = plan.buf
+        b.resize(1)
+        b.reset()
         for t in range(m.s):
-            cell.step(w[t][:, None])
-        raw = cell.h @ plan.head_w + plan.head_b           # (21, horizon)
+            plan.kernels[0].step(b, w[t][:, None])
+        raw = b.h @ plan.head_w + plan.head_b              # (21, horizon)
         assert np.array_equal(out, raw.T)
 
 
@@ -195,9 +197,9 @@ class TestNStep:
         m = build_model("nstep", s=8, hidden=4, attn_width=2, horizon=3)
         steps = {id(layer): 0 for layer in m.layers}
 
-        def counting_step(layer, *args, **kw):
-            steps[id(layer)] += 1
-            return cells.sa_lstm_step(layer, *args, **kw)
+        def counting_step(kernel, *args, **kw):
+            steps[id(kernel.cell)] += 1
+            return cells.sa_lstm_step(kernel, *args, **kw)
 
         monkeypatch.setattr(models, "sa_lstm_step", counting_step)
         preds, states = m.forward_graph_with_states(rand_window(8, 10)[None])
@@ -223,7 +225,7 @@ class TestNStep:
         rows = NUM_SEGMENTS
         state = C.zero_state(rows, m.hidden)
         for t in range(m.s):
-            state = C.sa_lstm_step(m.layers[0], state, ad.tensor(w[t][:, None]), tokens=rows)
+            state = C.sa_lstm_step(C.StepKernel(m.layers[0]), state, ad.tensor(w[t][:, None]), tokens=rows)
         h1 = state
         pred1 = (h1.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
         np.testing.assert_array_equal(preds[0].data[0], pred1)
@@ -232,7 +234,7 @@ class TestNStep:
         seq = [w[t][:, None] for t in range(m.s)] + [pred1[:, None]]
         state = h1
         for xt in seq:
-            state = C.sa_lstm_step(m.layers[1], state, ad.tensor(xt), tokens=rows)
+            state = C.sa_lstm_step(C.StepKernel(m.layers[1]), state, ad.tensor(xt), tokens=rows)
         pred2 = (state.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
         np.testing.assert_array_equal(preds[1].data[0], pred2)
 
@@ -279,7 +281,7 @@ class TestPrefix:
         steps = []
         step = cells.StepKernel.step
         monkeypatch.setattr(cells.StepKernel, "step",
-                            lambda self, x: (steps.append(1), step(self, x)))
+                            lambda self, b, x: (steps.append(1), step(self, b, x)))
         before = predict_batch(m, self.X, 3, prefix=prefix)
         assert len(steps) == 2 * (1 + m.s + 2)     # two chunks: layer 2 on pred 1, layer 3
         prefix.states[1][:] = 0.0
@@ -340,7 +342,7 @@ def count_steps(monkeypatch) -> list:
     steps = []
     step = cells.StepKernel.step
     monkeypatch.setattr(cells.StepKernel, "step",
-                        lambda self, x: (steps.append(len(x)), step(self, x)))
+                        lambda self, b, x: (steps.append(len(x)), step(self, b, x)))
     return steps
 
 
@@ -479,6 +481,41 @@ class TestFrameReuse:
         out = predict_batch(m, X, 3)
         assert len(steps) == self.S * 3
         assert np.array_equal(out, zero_start_walk(monkeypatch, m, X, 3))
+
+
+class TestOneKernelPerLayer:
+    """A plan hands its one buffer set to every layer's kernel and sizes it
+    per pass; a taped unroll prepares each layer's kernel once."""
+
+    @pytest.mark.parametrize("kind", ["lstm", "sa-lstm", "nstep"])
+    def test_one_plan_serves_every_shape_like_a_fresh_one(self, kind):
+        m = build_model(kind, s=8, hidden=16, attn_width=4, horizon=3, seed=48)
+        X = series_windows(8, 34, seed=48)
+        seam = np.concatenate([X[:10], series_windows(8, 10, seed=49)])
+        plan = InferencePlan(m)
+        for windows in (X[:1], X, X[:2], seam, X[5:6]):
+            out, fresh = np.empty((2, len(windows), 3, NUM_SEGMENTS))
+            plan._forward(windows, out)
+            InferencePlan(m)._forward(windows, fresh)
+            assert np.array_equal(out, fresh), len(windows)
+        assert np.array_equal(plan.run(X[0], 3), InferencePlan(m).run(X[0], 3))
+
+    @pytest.mark.parametrize("upto", [None, 1, 2])
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_taped_unroll_prepares_one_kernel_per_layer(self, monkeypatch, kind, upto):
+        m = tiny(kind, seed=49)
+        made, stepped = [], set()
+        kernel = cells.StepKernel
+        monkeypatch.setattr(models, "StepKernel",
+                            lambda cell: made.append(kernel(cell)) or made[-1])
+        for name in ("lstm_step", "sa_lstm_step"):
+            step = getattr(models, name)
+            monkeypatch.setattr(models, name, lambda k, *args, step=step, **kw: (
+                stepped.add(id(k)), step(k, *args, **kw))[1])
+        m.forward_graph_with_states(np.stack([rand_window(4, 50 + i) for i in range(3)]),
+                                    upto=upto)
+        assert [id(k.cell) for k in made] == [id(layer) for layer in m.layers[:upto]]
+        assert stepped == {id(k) for k in made}
 
 
 class TestSerialization:

@@ -300,8 +300,8 @@ class TestTrainNStep:
         taped = []            # per recorded step: does it take weight products?
         adjoint = cells.StepKernel.adjoint
         monkeypatch.setattr(cells.StepKernel, "adjoint",
-                            lambda self, g, c, need: (taped.append(need[2]),
-                                                      adjoint(self, g, c, need))[1])
+                            lambda self, b, g, c, need: (taped.append(need[2]),
+                                                         adjoint(self, b, g, c, need))[1])
         # layer k unrolls s + k - 1 steps.  Stage 2: layer 1 records nothing.
         # Stage 3: layer 2 records only the step that reads prediction 1,
         # which passes dh back for the head and takes no weight products
@@ -349,9 +349,9 @@ class TestTrainNStep:
             counts["taped"] += 1
             return taped_step(*args, **kwargs)
 
-        def counting_kernel(self, x):
+        def counting_kernel(self, b, x):
             counts["kernel"] += 1
-            return kernel_step(self, x)
+            return kernel_step(self, b, x)
 
         def counting_validation(*args, **kwargs):
             before = counts["kernel"]
