@@ -13,10 +13,16 @@ cell's prepared weights, acting on the ``(rows, .)`` arrays of the
 themselves.  An inference plan in ``models`` hands its one buffer set to
 every layer's kernel.  The taped ``lstm_step`` and ``sa_lstm_step`` step a
 kernel that the unroll prepares once per layer and pass, each step on its
-own buffers, which write into the step's packed ``[h | c]`` output and keep
-the activations that its single tape node's hand-derived adjoint reads; the
-adjoint computes a parent's gradient only when that parent requires one, so
-frozen weights cost no weight products.
+own buffers, which write into the step's packed ``[h | c]`` output.  A step
+keeps only what its single tape node's hand-derived adjoint reads and cannot
+cheaply rebuild: that output, the gate-major block of f, i, c~ and z_o, and
+for attention o and the softmax weights.  The work arrays ([h, x, 1],
+tanh(C'), Q, K, V, the attention product, the softmax row sums) are shared
+by every taped step of one kernel, and the adjoint rebuilds the ones it
+reads from the node's parents with the calls the step made, so the
+gradients are bitwise those of the arrays the step saw.  The adjoint
+computes a parent's gradient only when that parent requires one, so frozen
+weights cost no weight products.
 """
 
 from __future__ import annotations
@@ -157,23 +163,53 @@ def init_sa_lstm_params(hidden, proj_width, seed, prefix) -> SaLstmParams:
 # ---------------------------------------------------------------------------
 
 
+def _cell_dims(cell) -> tuple[int, int, int]:
+    """(hidden, in_width, attn_width) of an LstmParams or SaLstmParams."""
+    if isinstance(cell, SaLstmParams):
+        return cell.lstm.hidden, cell.lstm.in_width, cell.attn.proj_width
+    return cell.hidden, cell.in_width, 0
+
+
+def _work_arrays(hidden: int, in_width: int, d: int, tokens: int,
+                 groups: int) -> dict[str, np.ndarray]:
+    """The arrays a step works in that its adjoint can rebuild from the
+    step's inputs and the arrays it keeps: ``cat`` = [h, x, 1], ``tmp``
+    (i*c~, then tanh(C')) and, with attention, Q, K, V, their softmax
+    product ``att`` and the softmax row sums."""
+    rows = groups * tokens
+    work = {"cat": np.empty((rows, hidden + in_width + 1)), "tmp": np.empty((rows, hidden))}
+    work["cat"][:, -1] = 1.0
+    if d:
+        work.update({name: np.empty((rows, d)) for name in ("q", "k", "v", "att")})
+        work["rowsum"] = np.empty((groups, tokens, 1))
+    return work
+
+
 class StepBuffers:
     """The recurrent state of ``groups`` groups of ``tokens`` rows and the
-    work arrays of one cell step on them; ``resize`` alone sizes them.  A
-    step reads h from the first H columns of ``cat`` = [h, x, 1] and C from
-    ``c``, and writes h' into ``h`` and C' into ``c``.  A plan's buffers keep
-    ``h`` inside ``cat``, so the state carries on in place and a step copies
-    only its input; every layer of a plan shares them, so a layer starts from
-    the state the previous one left.  A taped step's buffers (``out`` given)
-    write h' and C' straight into its packed ``(rows, 2H)`` output and keep
-    ``cat`` intact for the adjoint.  One group takes 2-D attention products
-    (cheapest at batch 1), several groups batched 3-D ones."""
+    arrays of one cell step on them; ``resize`` alone sizes them.  A step
+    reads h from the first H columns of ``cat`` = [h, x, 1] and C from ``c``,
+    and writes h' into ``h`` and C' into ``c``.
 
-    def __init__(self, cell, tokens: int, out: np.ndarray | None = None):
-        lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
-        self.tokens, self.hidden, self.in_width = tokens, lstm.hidden, lstm.in_width
-        self.attn_width = cell.attn.proj_width if isinstance(cell, SaLstmParams) else 0
-        self.out = out
+    The arrays come in two sets.  The kept set is what a taped step's adjoint
+    reads and cannot cheaply rebuild: the gate block ``gates``, one
+    gate-major ``(4, rows, H)`` array holding f, i, c~ and z_o (o, for a
+    plain LSTM, whose adjoint never reads z_o), then o itself and the
+    attention weights ``scores`` (attention only).  The work set
+    (``_work_arrays``) is what the adjoint rebuilds.  A plan's buffers own
+    both sets and keep ``h`` inside ``cat``, so the state carries on in place
+    and a step copies only its input; every layer of a plan shares them, so
+    a layer starts from the state the previous one left.  A taped step's
+    buffers (``out`` given) own only the kept set, write h' and C' straight
+    into the step's packed ``(rows, 2H)`` output and take the ``work`` arrays
+    that every taped step of one kernel shares.  One group takes 2-D
+    attention products (cheapest at batch 1), several groups batched 3-D
+    ones."""
+
+    def __init__(self, cell, tokens: int, out: np.ndarray | None = None,
+                 work: dict[str, np.ndarray] | None = None):
+        self.hidden, self.in_width, self.attn_width = _cell_dims(cell)
+        self.tokens, self.out, self.work = tokens, out, work
         self.groups = self.capacity = 0
         if out is not None:
             self.resize(len(out) // tokens)
@@ -186,35 +222,39 @@ class StepBuffers:
         lost."""
         if groups == self.groups:
             return
-        tokens, H = self.tokens, self.hidden
+        tokens, H, d = self.tokens, self.hidden, self.attn_width
+        rows = groups * tokens
         if groups > self.capacity:
             vars(self).update(dict.fromkeys(_BUFFER_ARRAYS))
-            rows = groups * tokens
-            self._cat = np.empty((rows, H + self.in_width + 1))
-            self._cat[:, -1] = 1.0
-            names = ("zf", "zi", "zc", "zo", "tmp", "mixed") + (("c",) if self.out is None else ())
+            self._gates = np.empty((4, rows, H))
+            names = (("c",) if self.out is None else ()) + (("o",) if d else ())
             self._full = {name: np.empty((rows, H)) for name in names}
-            self._full.update({name: np.empty((rows, self.attn_width))
-                               for name in ("q", "k", "v", "att")})
-            self._scores = np.empty((groups, tokens, tokens))
-            self._rowsum = np.empty((groups, tokens, 1))
+            self._scores = np.empty((groups, tokens, tokens)) if d else None
+            self._work = self.work
+            if self._work is None:
+                self._work = _work_arrays(H, self.in_width, d, tokens, groups)
             self.capacity = groups
-        rows = groups * tokens
         self.groups = groups
-        self.cat = self._cat[:rows]
+        self.gates = self._gates[:, :rows]
+        self.fic, self.fi = self.gates[:3], self.gates[:2]
+        self.zf, self.zi, self.zc, self.zo = self.gates
+        self.o = self._full["o"][:rows] if d else self.zo
+        self.cat = self._work["cat"][:rows]
         self.x = self.cat[:, H:-1]
-        for name, full in self._full.items():
-            setattr(self, name, full[:rows])
+        self.tmp = self._work["tmp"][:rows]
         if self.out is None:
-            self.h = self.cat[:, :H]
+            self.h, self.c = self.cat[:, :H], self._full["c"][:rows]
         else:
             self.h, self.c = self.out[:, :H], self.out[:, H:]
-        q, k, v, att = (a.reshape(groups, tokens, self.attn_width)
-                        for a in (self.q, self.k, self.v, self.att))
-        views = (q, k.transpose(0, 2, 1), v, att, self._scores[:groups], self._rowsum[:groups])
-        if groups == 1:
-            views = [view[0] for view in views]
-        self.qg, self.ktg, self.vg, self.attg, self.scores, self.rowsum = views
+        if d:
+            self.q, self.k, self.v, self.att = (self._work[name][:rows]
+                                                for name in ("q", "k", "v", "att"))
+            q, k, v, att = (a.reshape(groups, tokens, d) for a in (self.q, self.k, self.v, self.att))
+            views = (q, k.transpose(0, 2, 1), v, att, self._scores[:groups],
+                     self._work["rowsum"][:groups])
+            if groups == 1:
+                views = [view[0] for view in views]
+            self.qg, self.ktg, self.vg, self.attg, self.scores, self.rowsum = views
         self.mm = np.dot if groups == 1 else np.matmul
 
     def reset(self) -> None:
@@ -236,10 +276,10 @@ class StepBuffers:
         hc[:, self.hidden:] = self.c[start:stop]
 
 
-# every array a StepBuffers holds, its own and the views of them
-_BUFFER_ARRAYS = ("_cat", "_full", "_scores", "_rowsum", "cat", "x", "h", "c", "zf", "zi", "zc",
-                  "zo", "tmp", "mixed", "q", "k", "v", "att", "qg", "ktg", "vg", "attg", "scores",
-                  "rowsum")
+# every array a StepBuffers holds, its own, the work set and the views of them
+_BUFFER_ARRAYS = ("_gates", "_full", "_scores", "_work", "gates", "fic", "fi", "zf", "zi", "zc",
+                  "zo", "o", "cat", "x", "h", "c", "tmp", "q", "k", "v", "att", "qg", "ktg", "vg",
+                  "attg", "scores", "rowsum")
 
 
 class StepKernel:
@@ -251,42 +291,51 @@ class StepKernel:
         or o = sig(z_o) (LSTM), with Q, K, V = z_o W_q, z_o W_k, z_o W_v per
         group of ``tokens`` rows;  C' = f*C + i*c~;  h' = o*tanh(C').
 
-    Each gate is its own contiguous product; biases ride as the ones column
-    of ``cat``; the query projection carries the 1/sqrt(d) scaling.  After a
-    step the buffers hold f, i, c~ (zf, zi, zc), z_o (zo), o (mixed),
-    tanh(C') (tmp), Q, K, V, the attention weights (scores) and their
-    product with V (att): everything ``adjoint`` reads.  ``cell`` is kept for
-    the tape's parents; the weights are copied once, so build the kernel
-    after the last change to them."""
+    The gate weights are one ``(4, H+in+1, H)`` stack: one ``np.matmul`` of
+    ``cat`` with it writes the gate block, each gate its own product, with
+    the biases riding as the ones column of ``cat``.  sig(z) is
+    0.5*tanh(z/2)+0.5, and the exact x0.5 is folded into the f and i
+    weights, so one tanh covers f, i and c~.  The query projection carries
+    the 1/sqrt(d) scaling.  ``cell`` is kept for the tape's parents; the
+    weights are copied once, so build the kernel after the last change to
+    them.  The taped steps of one kernel share one set of work arrays
+    (``tape_work``), which ``adjoint`` rebuilds with the numpy calls the
+    step made, so its gradients are those of the arrays the step saw."""
 
     def __init__(self, cell):
         lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
         self.cell = cell
-        self.w_f, self.w_i, self.w_c, self.w_o = (
-            np.vstack([getattr(lstm, f"w_{g}").data, getattr(lstm, f"b_{g}").data[None, :]])
-            for g in "fico")
+        self.w = np.empty((4, lstm.hidden + lstm.in_width + 1, lstm.hidden))
+        for gate, name in enumerate("fico"):
+            self.w[gate, :-1] = getattr(lstm, f"w_{name}").data
+            self.w[gate, -1] = getattr(lstm, f"b_{name}").data
+        self.w[:2] *= 0.5
         self.attn = None
         if isinstance(cell, SaLstmParams):
             self.attn = (cell.attn.w_q.data / np.sqrt(cell.attn.proj_width),
                          np.ascontiguousarray(cell.attn.w_k.data),
                          np.ascontiguousarray(cell.attn.w_v.data),
                          np.ascontiguousarray(cell.out_proj.data))
+        self._tape_work = None
+
+    def tape_work(self, tokens: int, groups: int) -> dict[str, np.ndarray]:
+        """The work arrays the taped steps of this kernel share, for steps on
+        ``groups`` groups of ``tokens`` rows; a step of another size replaces
+        them (the steps taken before keep theirs)."""
+        if self._tape_work is None or self._tape_work[0] != (tokens, groups):
+            work = _work_arrays(*_cell_dims(self.cell), tokens, groups)
+            self._tape_work = (tokens, groups), work
+        return self._tape_work[1]
 
     def step(self, b: StepBuffers, x: np.ndarray) -> None:
         """Advance the state in ``b`` by one (rows, in_width) input."""
         b.x[...] = x
-        np.dot(b.cat, self.w_f, out=b.zf)
-        ad.sigmoid_array(b.zf, out=b.zf)
-        np.dot(b.cat, self.w_i, out=b.zi)
-        ad.sigmoid_array(b.zi, out=b.zi)
-        np.dot(b.cat, self.w_c, out=b.zc)
-        np.tanh(b.zc, out=b.zc)
-        np.dot(b.cat, self.w_o, out=b.zo)
+        np.matmul(b.cat, self.w, out=b.gates)
+        np.tanh(b.fic, out=b.fic)               # f and i read z/2 from their halved weights
+        b.fi *= 0.5
+        b.fi += 0.5
         if self.attn is not None:
-            wq, wk, wv, proj = self.attn
-            np.dot(b.zo, wq, out=b.q)
-            np.dot(b.zo, wk, out=b.k)
-            np.dot(b.zo, wv, out=b.v)
+            self._project(b)
             b.mm(b.qg, b.ktg, out=b.scores)
             # the ufunc reductions np.max and np.sum wrap, without their dispatch
             np.maximum.reduce(b.scores, axis=-1, keepdims=True, out=b.rowsum)
@@ -295,28 +344,42 @@ class StepKernel:
             np.add.reduce(b.scores, axis=-1, keepdims=True, out=b.rowsum)
             b.scores /= b.rowsum
             b.mm(b.scores, b.vg, out=b.attg)
-            np.dot(b.att, proj, out=b.mixed)
-            b.mixed += b.zo
-            ad.sigmoid_array(b.mixed, out=b.mixed)
+            np.dot(b.att, self.attn[3], out=b.o)
+            b.o += b.zo
+            ad.sigmoid_array(b.o, out=b.o)
         else:
-            ad.sigmoid_array(b.zo, out=b.mixed)
+            ad.sigmoid_array(b.zo, out=b.o)      # in place: the adjoint never reads z_o
         b.c *= b.zf
         np.multiply(b.zi, b.zc, out=b.tmp)
         b.c += b.tmp
         np.tanh(b.c, out=b.tmp)
-        np.multiply(b.mixed, b.tmp, out=b.h)
+        np.multiply(b.o, b.tmp, out=b.h)
 
-    def adjoint(self, b: StepBuffers, g: np.ndarray, c_prev: np.ndarray,
+    def _project(self, b: StepBuffers) -> None:
+        """Q, K and V of z_o, for the step and again for its adjoint."""
+        wq, wk, wv, _ = self.attn
+        np.dot(b.zo, wq, out=b.q)
+        np.dot(b.zo, wk, out=b.k)
+        np.dot(b.zo, wv, out=b.v)
+
+    def adjoint(self, b: StepBuffers, g: np.ndarray, inputs: tuple[np.ndarray, np.ndarray],
                 need: list[bool]) -> list:
-        """Gradients of the step taken on ``b``, given the gradient
-        ``g = [dh' | dc']`` of its packed output and the cell state it
-        started from.  ``need`` flags the parents that require a gradient, in
-        ``_record`` order (state, x, then the cell's blocks: gate weights, gate
-        biases, W_q, W_k, W_v, P).  Products that serve only unflagged
-        parents are skipped; a gate's weight and bias share one product."""
+        """Gradients of the taped step taken on ``b``, given the gradient
+        ``g = [dh' | dc']`` of its packed output and ``inputs``, the packed
+        state and the input the step read.  First it rebuilds the work
+        arrays it reads: tanh(C') from C', Q, K, V (and their softmax
+        product, for P's gradient) from z_o, and ``cat`` from the inputs
+        when a gate weight needs it.  ``need`` flags the parents that require
+        a gradient, in ``_record`` order (state, x, then the cell's blocks:
+        gate weights, gate biases, W_q, W_k, W_v, P).  Products that serve
+        only unflagged parents are skipped; a gate's weight and bias share
+        one product."""
         H = b.hidden
+        hc_prev, x = inputs
+        c_prev = hc_prev[:, H:]
+        np.tanh(b.c, out=b.tmp)
         dh, dc = g[:, :H], g[:, H:]
-        o, tc, f, i, c_tilde = b.mixed, b.tmp, b.zf, b.zi, b.zc
+        o, tc, f, i, c_tilde = b.o, b.tmp, b.zf, b.zi, b.zc
         # in-place chains: one pass per factor, no temporaries
         dct = np.multiply(tc, tc)               # dC = dc' + dh' o (1 - tanh(C')^2)
         np.subtract(1.0, dct, out=dct)
@@ -342,6 +405,9 @@ class StepKernel:
         attn_grads = []
         if self.attn is not None:
             wq, wk, wv, proj = self.attn
+            self._project(b)
+            if need[13]:
+                b.mm(b.scores, b.vg, out=b.attg)
             rows, d = b.q.shape
             groups = (rows // b.tokens, b.tokens, d) if b.groups > 1 else (b.tokens, d)
             p = b.scores
@@ -359,19 +425,27 @@ class StepKernel:
                 np.dot(zo.T, d_v) if need[12] else None,
                 np.dot(b.att.T, dz_o) if need[13] else None,
             ]
-            dz_o = dz_o + np.dot(d_q, wq.T) + np.dot(d_k, wk.T) + np.dot(d_v, wv.T)
+            dz_o += np.dot(d_q, wq.T)           # the list above has read dz_o already
+            dz_o += np.dot(d_k, wk.T)
+            dz_o += np.dot(d_v, wv.T)
         dz.append(dz_o)
-        weights = (self.w_f, self.w_i, self.w_c, self.w_o)
         d_w, d_b = [None] * 4, [None] * 4
-        for gate, (w, dzg) in enumerate(zip(weights, dz)):
-            if need[2 + gate] or need[6 + gate]:
-                dwb = np.dot(b.cat.T, dzg)      # the ones column gives the bias row
-                d_w[gate], d_b[gate] = dwb[:-1], dwb[-1]
+        if any(need[2:10]):
+            b.cat[:, :H] = hc_prev[:, :H]
+            b.x[...] = x
+            for gate, dzg in enumerate(dz):
+                if need[2 + gate] or need[6 + gate]:
+                    dwb = np.dot(b.cat.T, dzg)  # the ones column gives the bias row
+                    d_w[gate], d_b[gate] = dwb[:-1], dwb[-1]
         d_state = d_x = None
         if need[0] or need[1]:
+            # the f and i weights unhalved, exactly
+            weights = (*(self.w[:2] * 2.0), self.w[2], self.w[3])
             d_cat = sum(np.dot(dzg, w[:-1].T) for w, dzg in zip(weights, dz))
             if need[0]:
-                d_state = np.concatenate([d_cat[:, :H], dct * f], axis=1)
+                d_state = np.empty((len(f), 2 * H))
+                d_state[:, :H] = d_cat[:, :H]
+                np.multiply(dct, f, out=d_state[:, H:])
             if need[1]:
                 d_x = d_cat[:, H:]
         return [d_state, d_x, *d_w, *d_b, *attn_grads]
@@ -380,16 +454,19 @@ class StepKernel:
 def _record(kernel: StepKernel, state: LstmState, x: Tensor, tokens: int) -> LstmState:
     """Run one step on fresh buffers that write into its packed output and
     record it as a single tape node whose parents are the state, the input
-    and the kernel cell's blocks."""
+    and the kernel cell's blocks.  The node keeps the output and the kept
+    set of its buffers; the work arrays are the kernel's ``tape_work``,
+    which every step of it overwrites and each adjoint rebuilds."""
     hc_prev = state.hc.data
     hc = np.empty(hc_prev.shape)
-    b = StepBuffers(kernel.cell, tokens, out=hc)
+    work = kernel.tape_work(tokens, len(hc) // tokens)
+    b = StepBuffers(kernel.cell, tokens, out=hc, work=work)
     b.load(hc_prev)
     kernel.step(b, x.data)
-    c_prev = hc_prev[:, state.hidden:]
+    inputs = hc_prev, x.data
     parents = [state.hc, x, *kernel.cell.blocks("").values()]
     return LstmState(ad.node(hc, parents, lambda g: kernel.adjoint(
-        b, g, c_prev, [t.requires_grad for t in parents])))
+        b, g, inputs, [t.requires_grad for t in parents])))
 
 
 def lstm_step(kernel: StepKernel, state: LstmState, x: Tensor) -> LstmState:

@@ -274,6 +274,42 @@ class TestBptt:
         assert_grads_close(build, values, h=1e-6, tol=1e-5)
 
 
+def _arrays(value) -> list:
+    """The arrays a StepBuffers attribute holds: itself, or a dict's values."""
+    values = value.values() if isinstance(value, dict) else [value]
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _kept_alive(t: ad.Tensor) -> dict:
+    """The arrays a tape node's adjoint keeps alive, one per base array by
+    id: what its closure reaches through objects, containers and the data of
+    tensors (not through their own tapes)."""
+    found, seen = {}, set()
+    todo = [cell.cell_contents for cell in t._vjp.__closure__]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[id(_base(obj))] = _base(obj)
+        elif isinstance(obj, ad.Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
 class TestStepBuffers:
     """The buffers own the recurrent state and size themselves; a kernel
     holds only one cell's weights."""
@@ -291,14 +327,14 @@ class TestStepBuffers:
         hc = out.hc.data
         assert b.h.base is hc and b.c.base is hc
         assert not any(np.shares_memory(b.c, a) for a in b._full.values())
-        assert set(b._full) == {"zf", "zi", "zc", "zo", "tmp", "mixed", "q", "k", "v", "att"}
+        assert set(b._full) == {"o"}
         # the step read h_prev from cat, which the adjoint reads again
         np.testing.assert_array_equal(b.cat[:, :4], h0[:, :4])
 
     def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
         b = cells.StepBuffers(cells.init_sa_lstm_params(4, 2, seed=6, prefix="layer1"), 5)
         b.resize(3)
-        old = [weakref.ref(a) for a in (b._cat, b._scores, b._rowsum, *b._full.values())]
+        old = [weakref.ref(a) for name in cells._BUFFER_ARRAYS for a in _arrays(getattr(b, name))]
         alive = []
         empty = np.empty
         monkeypatch.setattr(np, "empty", lambda *args, **kw: (
@@ -307,6 +343,43 @@ class TestStepBuffers:
         monkeypatch.undo()
         assert alive and max(alive) == 0
         assert b.capacity == 4 and b.cat.shape == (20, 4 + 1 + 1)
+
+    @pytest.mark.parametrize("kind, kept", [
+        ("sa-lstm", 688_128 + 1_376_256 + 344_064 + 112_896),    # [h | c], gates, o, scores
+        ("lstm-seg", 688_128 + 1_376_256),                       # [h | c], gates (o in place)
+    ])
+    def test_taped_step_keeps_only_what_the_adjoint_cannot_rebuild(self, kind, kept):
+        # 32 windows x 21 segment rows at default dims (hidden 64, attn 16)
+        rows, tokens = 672, 21 if kind == "sa-lstm" else 1
+        if kind == "sa-lstm":
+            kernel = cells.StepKernel(cells.init_sa_lstm_params(64, 16, seed=8, prefix="layer1"))
+            step = lambda state, x: cells.sa_lstm_step(kernel, state, x, tokens=tokens)
+        else:
+            kernel = cells.StepKernel(cells.init_lstm_params(64, 1, seed=8, prefix="layer1"))
+            step = lambda state, x: cells.lstm_step(kernel, state, x)
+        rng = np.random.default_rng(8)
+        first = step(cells.LstmState(ad.tensor(rng.uniform(-1, 1, (rows, 128)))),
+                     ad.tensor(rng.uniform(-1, 1, (rows, 1))))
+        second = step(first, ad.tensor(rng.uniform(-1, 1, (rows, 1))))
+        alive = _kept_alive(second.hc)
+        # the kernel's weights and work arrays are alive for every step
+        shared = _kept_alive(first.hc).keys() & alive.keys()
+        parents = {id(_base(t.data)) for t in second.hc._parents}
+        own = [a for key, a in alive.items() if key not in shared | parents]
+        assert sum(a.nbytes for a in own) == kept
+        work = kernel.tape_work(tokens, rows // tokens)
+        assert {id(_base(a)) for a in work.values()} <= shared
+        assert sorted(work) == (["att", "cat", "k", "q", "rowsum", "tmp", "v"]
+                                if kind == "sa-lstm" else ["cat", "tmp"])
+
+    @pytest.mark.parametrize("kind", ["lstm", "lstm-seg"])
+    def test_plain_lstm_buffers_own_no_attention_arrays(self, kind):
+        p = cells.init_lstm_params(4, 21 if kind == "lstm" else 1, seed=9, prefix="layer1")
+        b = cells.StepBuffers(p, 1)
+        b.resize(32)
+        assert b._scores is None and b.scores is None and b.q is None
+        assert set(b._work) == {"cat", "tmp"} and set(b._full) == {"c"}
+        assert b.o is b.zo                    # o is computed in place of z_o
 
     def test_resize_within_capacity_keeps_the_leading_state(self):
         p = cells.init_sa_lstm_params(4, 2, seed=7, prefix="layer1")

@@ -518,6 +518,29 @@ class TestOneKernelPerLayer:
         assert stepped == {id(k) for k in made}
 
 
+class TestInferencePinned:
+    """The tape-free kernel's bits at default dims (hidden 64, attn 16, s 8)
+    and the row counts the benchmark runs: 40 consecutive windows (a frame
+    pass over 34 groups, chunks of 32 and 8) and one window (21 and 63 rows;
+    one row for the dense lstm)."""
+
+    @pytest.mark.parametrize("kind, batch_sha, window_sha", [
+        ("lstm", "64f4f62353b24a56", "40e4f5090bc6bdd7"),
+        ("lstm-seg", "9c6a34a5b530f4f4", "c7cf0a2e591da161"),
+        ("sa-lstm", "9615129a4e4ddd53", "b8c99ad7b05e1e8f"),
+        ("all-at-once", "c6f23c14a6fa1a28", "4d921681eefff3ca"),
+        ("nstep", "6dd06b9699ac345e", "0b27b5d6b6b7fd92"),
+    ])
+    def test_default_dims_forecast_bits(self, kind, batch_sha, window_sha):
+        series = np.random.default_rng(60).uniform(-1.0, 1.0, (47, NUM_SEGMENTS))
+        X = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(series, 8, axis=0).transpose(0, 2, 1))
+        m = build_model(kind, seed=61)
+        digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]
+        assert digest(predict_batch(m, X, 3)) == batch_sha
+        assert digest(InferencePlan(m).run(X[0], 3)) == window_sha
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["lstm", "lstm-seg", "sa-lstm", "all-at-once", "nstep"])
     def test_round_trip_bitwise(self, kind):
