@@ -11,6 +11,10 @@ the last horizon of the stage, then the combined loss of each of the
 stage's horizons, summed in horizon order.  The tape serves only
 these passes, validation runs the tape-free ``models.predict_batch``.
 Model selection and the plateau schedule read the easy validation metric.
+In-run validation scores every ``val_stride``-th window of the easy series
+and of each hard window.  The hard metric is only recorded (``metrics.csv``
+and the checkpoint history), and ``evaluate``, which ``mesocast eval`` and
+the post-train report run, scores every hard window.
 
 Every kind trains by ``train_model`` walking the ``Stage`` list of
 ``schedule``.  Most kinds have one stage over every block and horizon.  The
@@ -84,7 +88,7 @@ class TrainConfig:
     validate_every: int = 4
     loss: LossConfig = field(default_factory=LossConfig)
     train_stride: int = 24            # keep every k-th training window
-    val_stride: int = 8               # easy-window subsampling for in-run validation
+    val_stride: int = 8               # in-run validation subsampling of easy and each hard set
     grad_chunk: int = 32              # windows per taped chunk (cache locality)
     finetune_lr_scale: float = 0.1    # base lr multiplier for the unfrozen stage
 
@@ -202,11 +206,14 @@ class StagedData:
 
 
 def stage_corpus(corpus: Corpus, s: int, horizon: int, cfg: TrainConfig) -> StagedData:
+    """Normalized windows: every ``train_stride``-th training window, and
+    every ``val_stride``-th window of the easy series and of each hard
+    window for in-run validation (``evaluate`` scores all of them)."""
     x, y = stack_windows(build_windows(corpus.train, s, horizon)[::cfg.train_stride])
     ex, ey = stack_windows(build_windows(corpus.easy, s, horizon)[::cfg.val_stride])
     hard = []
     for series in corpus.hard:
-        hx, hy = stack_windows(build_windows(series, s, horizon))
+        hx, hy = stack_windows(build_windows(series, s, horizon)[::cfg.val_stride])
         hard.append((normalize(hx), normalize(hy)))
     return StagedData(x=normalize(x), y=normalize(y),
                       easy=(normalize(ex), normalize(ey)), hard=hard)

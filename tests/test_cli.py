@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from mesocast import data as D
 from mesocast import models
 from mesocast.cli import _build_model, main
 from mesocast.config import RunConfig, load_config
+from mesocast.evaluate import evaluate
 from mesocast.train import TrainConfig
 from mesocast.models import build_model, load_model, save_model
 from containers import with_header
@@ -362,6 +364,38 @@ class TestEval:
                                     lambda h: h.pop("blocks")))
         assert run_cli("eval", "--config", cfg, "--out", out, "--checkpoint", bad) == 2
         assert "'blocks'" in capsys.readouterr().err
+
+
+class TestFinalScoring:
+    def test_every_hard_window_is_scored(self, tmp_path, capsys):
+        # in-run validation scores every val_stride-th hard window, while the
+        # post-train report, eval and evaluate score all of them; the digests
+        # were taken when validation still scored every hard window
+        digest = lambda b: hashlib.sha256(b).hexdigest()[:16]
+        out, cfg = tmp_path / "run", tmp_path / "run.ini"
+        cfg.write_text(TINY_INI.replace("hard_windows = 1", "hard_windows = 2")
+                       .replace("val_stride = 100", "val_stride = 8"))
+        assert run_cli("generate", "--config", cfg, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--out", out) == 0
+        train_report = capsys.readouterr().out
+        assert run_cli("eval", "--config", cfg, "--out", out) == 0
+        corpus = D.Corpus(train=None, easy=D.read_csv(out / "easy.csv"),
+                          hard=[D.read_csv(out / f"hard{i}.csv") for i in range(2)])
+        report = evaluate(load_model(out / "model.bin"), corpus, horizons=2)
+        per_window = " ".join(w[h].hex() for w in report.hard_per_window for h in (1, 2))
+        assert [sorted(w) for w in report.hard_per_window] == [[1, 2], [1, 2]]
+        assert {
+            "model.bin": digest((out / "model.bin").read_bytes()),
+            "train report": digest(train_report.encode()),
+            "report.csv": digest((out / "report.csv").read_bytes()),
+            "hard_per_window": digest(per_window.encode()),
+        } == {
+            "model.bin": "60270c2160078c74",
+            "train report": "15b7e25c34045968",
+            "report.csv": "17d50b0d0453b09c",
+            "hard_per_window": "ff70fd386a076974",
+        }
 
 
 class TestForecast:

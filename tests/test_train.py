@@ -6,7 +6,8 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells, models
 from mesocast import train as T
-from mesocast.data import NUM_SEGMENTS, Corpus, Series
+from mesocast.data import NUM_SEGMENTS, Corpus, Series, build_windows, normalize, stack_windows
+from mesocast.evaluate import per_horizon_mse
 from mesocast.losses import LossConfig
 from mesocast.models import InferencePlan, build_model
 from mesocast.train import (
@@ -36,10 +37,10 @@ def constant_corpus(c=70.0, T=40):
     return Corpus(train=make(), easy=make(), hard=[make()])
 
 
-def run_digest(run) -> str:
+def run_digest(run, hard=True) -> str:
     """crc32 over the hex bytes of everything a run carries forward: final
     blocks, AdamW moments and step counts, best parameters and metric, and
-    the metric history."""
+    the metric history (without its hard metric when ``hard`` is false)."""
     arr = lambda a: np.ascontiguousarray(a, dtype="<f8").tobytes().hex()
     opt = run.optimizer
     parts = [part for name, t in run.model.blocks().items() for part in (name, arr(t.data))]
@@ -49,8 +50,9 @@ def run_digest(run) -> str:
               for part in (name, arr(run.best_params[name]))]
     parts.append(float(run.best_metric).hex())
     for r in run.history:
-        parts += [str(r.epoch), r.lr.hex(), r.train_loss.hex(),
-                  str(r.easy and r.easy.hex()), str(r.hard and r.hard.hex())]
+        parts += [str(r.epoch), r.lr.hex(), r.train_loss.hex(), str(r.easy and r.easy.hex())]
+        if hard:
+            parts.append(str(r.hard and r.hard.hex()))
     crc = 0
     for part in parts:
         crc = zlib.crc32(part.encode(), crc)
@@ -613,3 +615,56 @@ class TestPinnedResults:
                                    tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 2
         assert run_digest(run) == digest
+
+
+def strided_hard(model, corpus, horizons, stride):
+    """Mean over the hard sets of the mean over ``horizons`` of
+    ``per_horizon_mse`` on every ``stride``-th window, without a prefix."""
+    per_set = []
+    for series in corpus.hard:
+        x, y = stack_windows(build_windows(series, model.s, model.horizon)[::stride])
+        mse = per_horizon_mse(model, normalize(x), normalize(y), max(horizons))
+        per_set.append(float(np.mean([mse[h - 1] for h in horizons])))
+    return float(np.mean(per_set))
+
+
+class TestHardValidationStride:
+    @pytest.mark.parametrize("kind, digest", [("sa-lstm", "07673055"), ("nstep", "2083ef20")])
+    def test_trajectory_does_not_read_hard(self, monkeypatch, kind, digest):
+        # the digests leave out the hard metric and were taken while in-run
+        # validation still scored every hard window, so they pin that what
+        # training reads does not depend on how the hard sets are sampled
+        cfg = tiny_cfg(epochs_per_stage=2, validate_every=1, val_stride=8, grad_chunk=16)
+        corpus = wavy_corpus(seed=6)
+        assert len(corpus.hard) == 2
+        real, expected = T.validation_metrics, []
+
+        def recording(model, staged, horizons, prefixes=None, depth=0):
+            result = real(model, staged, horizons, prefixes, depth)
+            expected.append(strided_hard(model, corpus, horizons, cfg.val_stride))
+            return result
+
+        monkeypatch.setattr(T, "validation_metrics", recording)
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=23)
+        run = train_model(model, corpus, cfg)
+        assert run_digest(run, hard=False) == digest
+        hard = [r.hard for r in run.history if r.hard is not None]
+        assert len(hard) == run.epoch and hard == expected
+
+    def test_resume_inside_stage3_at_val_stride(self, tmp_path, monkeypatch):
+        # epoch 8 is inside stage 3 (epochs 7..9), whose validations hold the
+        # hard sets' prefixes; the resumed run starts without them
+        corpus = wavy_corpus(seed=7)
+        cfg = tiny_cfg(epochs_per_stage=3, validate_every=1, val_stride=4, grad_chunk=16)
+        make = lambda: build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=24)
+        straight = train_model(make(), corpus, cfg)
+        diverge_at(monkeypatch, 9)
+        with pytest.raises(DivergenceError, match="epoch 9") as info:
+            train_model(make(), corpus, cfg)
+        monkeypatch.undo()
+        assert info.value.run.epoch == 8
+        path = tmp_path / "stage3.ckpt"
+        save_checkpoint(info.value.run, cfg, path)
+        resumed = train_model(None, corpus, cfg, resume=load_checkpoint(path, cfg))
+        assert resumed.epoch == straight.epoch == 12
+        assert run_digest(resumed) == run_digest(straight)
