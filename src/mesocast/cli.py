@@ -209,6 +209,8 @@ def cmd_forecast(args) -> int:
     idx = np.nonzero(series.minutes == at)[0]
     if len(idx) == 0:
         raise ValueError(f"minute {at} not present in input")
+    if at > np.iinfo(np.int64).max - horizons:
+        raise ValueError(f"minute {at}: a {horizons}-minute forecast passes the int64 limit")
     end = int(idx[0]) + 1
     if end < model.s:
         raise ValueError(f"only {end} frames end at minute {at}, model needs {model.s}")
@@ -224,7 +226,7 @@ def cmd_forecast(args) -> int:
     # clamp only at the export boundary
     preds = np.clip(preds, 0.0, 1.0)
     forecast_series = D.Series(
-        minutes=np.arange(at + 1, at + 1 + preds.shape[0]),
+        minutes=at + np.arange(1, 1 + preds.shape[0]),
         speeds=D.denormalize(preds),
     )
     out_path = Path(args.output) if args.output else out / "forecast.csv"

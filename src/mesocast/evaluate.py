@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus, Series, build_windows, normalize, stack_windows
-from .models import InferencePlan, Prefix, predict_batch
+from .models import InferencePlan, predict_batch
 from .runtime import tune_allocator
 
 MSE_DISPLAY_SCALE = 1000.0
@@ -35,7 +35,7 @@ class EvalReport:
 
 
 def per_horizon_mse(model, x: np.ndarray, y: np.ndarray, horizons: int,
-                    prefix: Prefix | None = None) -> list[float]:
+                    prefix: list[np.ndarray] | None = None) -> list[float]:
     """Normalized MSE of each of the first ``horizons`` horizons of the
     tape-free ``predict_batch`` on windows ``x`` against targets ``y``."""
     preds = predict_batch(model, x, horizons, prefix=prefix)

@@ -30,9 +30,8 @@ each layer's kernel once and records each step of it as a single tape node
 kernel, for one window (the latency path) and, in ``predict_batch``, for
 PREDICT_CHUNK windows per pass; it alone recurses a one-step kind past its
 own horizon.  Tests pin the two paths to each other at 1e-12.  Both nstep
-unrolls can start from a ``Prefix``: the states that the first layers reach
-before any prediction is fed back, kept by the staged trainer while those
-layers are frozen.
+unrolls can start from a prefix, the states that frozen first layers reach
+before any prediction is fed back; they only read it, ``fill_prefix`` writes.
 
 A one-step recursion reuses frame states the same way, within one pass.
 Horizon k of window j walks frames k..s-1 from zero before its k fed
@@ -111,38 +110,22 @@ def _head_apply(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_bias(ad.matmul(h, w), b)
 
 
-# Layers 1 and 2 walk the input frames before they read any prediction (layer
-# 2 starts from layer 1's terminal state); layer 3 starts from layer 2's
-# terminal state, which has read prediction 1.  So a prefix has at most two
-# entries.
+# Entry k of an nstep prefix is layer k+1's packed (windows * 21, 2H) [h | c]
+# state after the s frames, where an unroll starts layer k+1.  Layer 3 starts
+# from layer 2's terminal state, which has read prediction 1: two entries at most.
 MAX_PREFIX = 2
 
 
-@dataclass
-class Prefix:
-    """States of an nstep window set that the leading layers reach before any
-    prediction is fed back: entry i is layer i+1's packed ``(windows * 21,
-    2H)`` ``[h | c]`` state after the s input frames (entry 0 is layer 1's
-    terminal state).  An unroll starts layer i+1 from entry i for i <
-    ``known`` and writes the later entries as it walks them."""
-
-    states: list[np.ndarray]
-    known: int = 0
-
-    def rows(self, start: int, stop: int) -> "Prefix":
-        return Prefix([hc[start:stop] for hc in self.states], self.known)
-
-
-def _check_prefix(prefix: Prefix | None, kind: str, layers: int) -> tuple[list[np.ndarray], int]:
+def _check_prefix(prefix: list[np.ndarray] | None, kind: str, layers: int) -> list[np.ndarray]:
     if prefix is None:
-        return [], 0
+        return []
     if kind != "nstep":
         raise ValueError(f"only nstep unrolls start from a prefix, not {kind}")
     limit = min(layers, MAX_PREFIX)
-    if len(prefix.states) > limit:
+    if len(prefix) > limit:
         raise ValueError(f"a prefix for a pass over {layers} nstep layers holds at most "
-                         f"{limit} states, got {len(prefix.states)}")
-    return prefix.states, prefix.known
+                         f"{limit} states, got {len(prefix)}")
+    return prefix
 
 
 def _schedule(kind: str, s: int, k: int) -> tuple[slice, slice, bool]:
@@ -204,7 +187,7 @@ class Forecaster:
         return preds
 
     def forward_graph_with_states(self, x, upto: int | None = None,
-                                  prefix: Prefix | None = None):
+                                  prefix: list[np.ndarray] | None = None):
         """Taped unroll of the first ``upto`` layers on the ``_schedule`` the
         plan runs: predictions in horizon order and each layer's terminal
         state.  A layer started from a ``prefix`` entry records nothing for
@@ -214,7 +197,7 @@ class Forecaster:
         tokens, in_width = self.layout
         rows = B * tokens
         layers = self.layers[:upto]
-        held, known = _check_prefix(prefix, self.kind, len(layers))
+        held = _check_prefix(prefix, self.kind, len(layers))
         # the (rows, in_width) frames, then the (B, 21) predictions
         seq = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
                for t in range(s)]
@@ -224,15 +207,13 @@ class Forecaster:
         for k, layer in enumerate(layers):
             kernel = StepKernel(layer)     # the tape keeps this one copy of the weights
             walk, fed, fresh = _schedule(self.kind, s, k)
-            if k < known:
+            if k < len(held):
                 state = LstmState(ad.tensor(held[k]))
             else:
                 if fresh:
                     state = zero_state(rows, self.hidden)
                 for xt in seq[walk]:
                     state = self._step(kernel, state, xt)
-                if k < len(held):
-                    held[k][...] = state.hc.data
             for p in seq[fed]:
                 state = self._step(kernel, state, ad.reshape(p, (rows, in_width)))
             out = _head_apply(state.h, self.head_w, self.head_b)
@@ -339,7 +320,7 @@ class InferencePlan:
         return out[0]
 
     def _forward(self, windows: np.ndarray, out: np.ndarray,
-                 prefix: Prefix | None = None) -> None:
+                 prefix: list[np.ndarray] | None = None) -> None:
         """(G, s, 21) normalized windows -> out (G, horizons, 21).
         One-step kinds recurse: horizon k reads the last s entries of (window
         + predictions so far) from a zero state, or, when the G windows are
@@ -353,7 +334,7 @@ class InferencePlan:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
         if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
-        held, known = _check_prefix(prefix, self.kind, horizons)
+        held = _check_prefix(prefix, self.kind, horizons)
         b, s = self.buf, self.s
         rows = groups * b.tokens
         recursive = self.kind in ONE_STEP_KINDS
@@ -363,7 +344,6 @@ class InferencePlan:
         # multi-row ones, so its bits would change
         if recursive and reach > 1 and rows > 1 and _consecutive(windows):
             held = self._frame_starts(windows, reach)
-            known = reach
         else:
             b.resize(groups)
         # one (rows, in_width) input per step: the window's frames, then the
@@ -373,15 +353,13 @@ class InferencePlan:
         for k in range(horizons if recursive else min(horizons, len(self.kernels))):
             kernel = self.kernels[0 if recursive else k]
             walk, fed, fresh = _schedule(self.kind, s, k)
-            if k < known:
+            if k < len(held):
                 b.load(held[k])
             else:
                 if fresh:
                     b.reset()
                 for xt in seq[walk]:
                     kernel.step(b, xt)
-                if k < len(held):
-                    b.save(held[k])
             for xt in seq[fed]:
                 kernel.step(b, xt)
             head = b.h @ self.head_w + self.head_b
@@ -439,7 +417,7 @@ def forecast_recursive(model: Forecaster, window: np.ndarray, horizons: int,
 
 
 def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
-                  prefix: Prefix | None = None) -> np.ndarray:
+                  prefix: list[np.ndarray] | None = None) -> np.ndarray:
     """(B, s, 21) -> (B, horizons, 21) on the tape-free kernel, PREDICT_CHUNK
     windows per pass; one-step models cover extra horizons recursively (from
     a frame pass over each chunk whose windows are consecutive) and nstep
@@ -450,9 +428,35 @@ def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
     out = np.empty((len(x), horizons, NUM_SEGMENTS))
     for start in range(0, len(x), PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK
-        part = prefix and prefix.rows(start * NUM_SEGMENTS, stop * NUM_SEGMENTS)
-        plan._forward(x[start:stop], out[start:stop], part)
+        plan._forward(x[start:stop], out[start:stop], prefix_rows(prefix, start, stop))
     return out
+
+
+def prefix_rows(prefix: list[np.ndarray] | None, start: int, stop: int):
+    """The rows of windows start..stop-1 of each prefix entry (None stays None)."""
+    return prefix and [hc[start * NUM_SEGMENTS:stop * NUM_SEGMENTS] for hc in prefix]
+
+
+def fill_prefix(model: Forecaster, x: np.ndarray, states: list[np.ndarray], known: int) -> None:
+    """Write entries ``known..`` of the prefix ``states`` of windows ``x``:
+    entry k is layer k+1 after the s frames, from entry k-1 (entry 0 from
+    zero), on a plan's kernels and buffer, PREDICT_CHUNK windows per pass."""
+    x = _check_batch(x, model.s)
+    _check_prefix(states, model.kind, len(model.layers))
+    plan = InferencePlan(model)
+    b = plan.buf
+    for start in range(0, len(x), PREDICT_CHUNK):
+        windows = x[start:start + PREDICT_CHUNK]
+        held = prefix_rows(states, start, start + len(windows))
+        b.resize(len(windows))
+        b.reset()
+        if known:
+            b.load(held[known - 1])
+        frames = windows.transpose(1, 0, 2).reshape(model.s, len(windows) * b.tokens, -1)
+        for k in range(known, len(states)):
+            for xt in frames:
+                plan.kernels[k].step(b, xt)
+            b.save(held[k])
 
 
 # ---------------------------------------------------------------------------

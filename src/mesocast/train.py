@@ -26,13 +26,13 @@ layer whose inputs are all frozen (layer 1 in stages 2..n) records no tape;
 the trainable gradients are bitwise those of the all-trainable graph.
 
 What the frozen layers compute without the head is computed once per
-schedule (a ``PrefixStore`` of ``models.Prefix`` states, per taped chunk of
-the training windows, for the easy set and for each hard set): from stage 2
-on, layer 1's terminal state; from stage 3 on, also layer 2's state after the
-input frames.  Later layers read the head's predictions before their frames
-end, so they are never held.  The training chunks fill their prefix in a
-stage's first epoch; a stage's last validation runs on the parameters the
-next stage freezes and so leaves that stage's validation prefix.  Entries are
+schedule, in a ``PrefixStore`` of one ``models`` prefix per window set
+(training, easy, each hard set): from stage 2 on, layer 1's terminal state;
+from stage 3 on, also layer 2's state after the input frames.  The store
+fills an entry tape-free (``models.fill_prefix``) when a set first asks for
+it: the training set in a stage's first epoch, a validation set in the
+previous stage's last validation, which runs on the parameters this stage
+freezes.  Unrolls only read entries, a taped chunk its rows.  Entries are
 keyed by digests of the frozen layers' bytes, and the store is dropped
 before the first stage that trains every block; a resumed run starts with it
 empty.  Results are bitwise those of walking every step.
@@ -59,9 +59,9 @@ from .autodiff import Tensor
 from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
 from .evaluate import per_horizon_mse
 from .losses import LossConfig, combined_loss
-from .models import (MAX_PREFIX, Forecaster, Prefix, check_fields, deserialize_model, is_count,
-                     is_name, is_shape, pack_container, rows_of, serialize_model,
-                     unpack_container)
+from .models import (MAX_PREFIX, Forecaster, check_fields, deserialize_model, fill_prefix,
+                     is_count, is_name, is_shape, pack_container, prefix_rows, rows_of,
+                     serialize_model, unpack_container)
 from .runtime import tune_allocator
 
 
@@ -223,13 +223,13 @@ def validation_metrics(model, staged: StagedData, horizons: Sequence[int],
                        prefixes: PrefixStore | None = None,
                        depth: int = 0) -> tuple[float, float]:
     """Easy and mean hard metric, each the mean over ``horizons`` of the
-    normalized MSE; an nstep model's window sets start from, and fill, the
-    first ``depth`` entries of their ``prefixes``."""
+    normalized MSE; an nstep model's window sets start from the first
+    ``depth`` entries of their ``prefixes``."""
     sets = [("easy", staged.easy)] + [(f"hard{i}", h) for i, h in enumerate(staged.hard)]
     mse = []
     for name, (x, y) in sets:
-        with _prefix_of(prefixes, name, len(x), depth) as prefix:
-            per_horizon = per_horizon_mse(model, x, y, max(horizons), prefix)
+        prefix = prefixes and prefixes.states(name, x, depth)
+        per_horizon = per_horizon_mse(model, x, y, max(horizons), prefix)
         mse.append(float(np.mean([per_horizon[h - 1] for h in horizons])))
     return mse[0], float(np.mean(mse[1:]))
 
@@ -240,48 +240,34 @@ def validation_metrics(model, staged: StagedData, horizons: Sequence[int],
 
 
 class PrefixStore:
-    """Frozen prefixes (``models.Prefix``) of the nstep window sets, so that a
-    stage walks each frozen layer's input frames once rather than every epoch.
-    Entry i of a set is held with a digest of the bytes of layer i+1 and is
-    read only while layers 1..i+1 all match their digests."""
+    """Frozen nstep prefixes, one per window set (``train``, ``easy``,
+    ``hard{i}``), so that a stage walks each frozen layer's frames once, not
+    every epoch.  Entry i of a set is held with a digest of the bytes of layer
+    i+1 and is read only while layers 1..i+1 all match their digests."""
 
     def __init__(self, model: Forecaster):
         self.model = model
         self._sets: dict[str, list[tuple[bytes, np.ndarray]]] = {}
 
-    def _digests(self, depth: int) -> list[bytes]:
-        return [hashlib.blake2b(b"".join(t.data.tobytes() for t in layer.blocks("").values()))
-                .digest() for layer in self.model.layers[:depth]]
-
-    def prefix(self, name: str, windows: int, depth: int) -> Prefix:
-        """The first ``depth`` entries for ``windows`` windows: the held ones
-        that are still valid, then fresh arrays for the unroll to fill."""
+    def states(self, name: str, x: np.ndarray, depth: int) -> list[np.ndarray]:
+        """The first ``depth`` prefix entries of window set ``name``, whose
+        windows are ``x``: the held ones that are still valid, then the rest,
+        filled by ``models.fill_prefix`` and held.  The arrays are read-only."""
+        digests = [hashlib.blake2b(b"".join(t.data.tobytes() for t in layer.blocks("").values()))
+                   .digest() for layer in self.model.layers[:depth]]
         held = self._sets.get(name, [])
         known = 0
-        for (digest, _), current in zip(held, self._digests(depth)):
-            if digest != current:
-                break
+        while known < min(len(held), depth) and held[known][0] == digests[known]:
             known += 1
-        fresh = [np.empty((windows * NUM_SEGMENTS, 2 * self.model.hidden))
-                 for _ in range(known, depth)]
-        return Prefix([hc for _, hc in held[:known]] + fresh, known)
-
-    def keep(self, name: str, prefix: Prefix) -> None:
-        """Hold the entries an unroll filled in ``prefix``."""
-        if len(prefix.states) > prefix.known:
-            self._sets[name] = list(zip(self._digests(len(prefix.states)), prefix.states))
-
-
-@contextlib.contextmanager
-def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int):
-    """The first ``depth`` prefix entries of window set ``name`` for one
-    unroll (None without a store or at depth 0), kept when it returns."""
-    if prefixes is None or depth == 0:
-        yield None
-        return
-    prefix = prefixes.prefix(name, windows, depth)
-    yield prefix
-    prefixes.keep(name, prefix)
+        states = [hc for _, hc in held[:known]]
+        if known < depth:
+            states += [np.empty((len(x) * NUM_SEGMENTS, 2 * self.model.hidden))
+                       for _ in range(known, depth)]
+            fill_prefix(self.model, x, states, known)
+            for hc in states:
+                hc.flags.writeable = False
+            self._sets[name] = list(zip(digests, states))
+        return states
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,7 @@ def _prefix_of(prefixes: PrefixStore | None, name: str, windows: int, depth: int
 
 
 def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequence[int],
-                prefix: Prefix | None = None):
+                prefix: list[np.ndarray] | None = None):
     """Summed per-horizon combined loss over one taped chunk, unrolled up to
     the last of ``horizons`` (an nstep chunk from ``prefix``).  It calls
     ``forward_graph_with_states`` itself, the one taped unroll, so a tracer
@@ -306,19 +292,21 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequenc
 def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Sequence[int],
                           prefixes: PrefixStore | None = None, depth: int = 0):
     """Loss value and per-block gradients over the given windows, evaluated
-    in fixed chunks; exact full-set mean via chunk-size weighting.  An nstep
-    chunk starts from, and fills, the first ``depth`` entries of its prefix."""
+    in fixed chunks; exact full-set mean via chunk-size weighting.  The
+    ``prefixes`` store hands over the first ``depth`` entries of the training
+    windows' prefix once, and an nstep chunk starts from its rows."""
     total = x.shape[0]
     grads: dict[str, np.ndarray] = {}
     loss_value = 0.0
+    held = prefixes and prefixes.states("train", x, depth)
     for start in range(0, total, cfg.grad_chunk):
-        xc = x[start:start + cfg.grad_chunk]
-        yc = y[start:start + cfg.grad_chunk]
+        stop = start + cfg.grad_chunk
+        xc, yc = x[start:stop], y[start:stop]
         weight = xc.shape[0] / total
         for t in blocks.values():
             t.grad = None
-        with _prefix_of(prefixes, f"train{start}", xc.shape[0], depth) as prefix:
-            loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons, prefix), weight)
+        prefix = prefix_rows(held, start, stop)
+        loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons, prefix), weight)
         ad.backward(loss)
         loss_value += loss.item()
         del loss            # free this chunk's tape before the next one is built
@@ -429,6 +417,12 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
     if header["config"] != config_fingerprint(cfg):
         raise ValueError("checkpoint was produced under a different training config")
     model = deserialize_model(payload[:header["model_len"]])
+    shapes = {name: t.data.shape for name, t in model.blocks().items()}
+    for key in ("opt", "best"):
+        rows = {row[0]: tuple(row[1]) for row in header[key]}
+        # moments cover the blocks that have stepped, a best snapshot every block
+        if not rows.items() <= shapes.items() or key == "best" and 0 < len(rows) < len(shapes):
+            raise ValueError(f"checkpoint header: field {key!r} does not match the model's blocks")
     offset = header["model_len"]
 
     def take(shape):
@@ -478,10 +472,10 @@ def _tape_constants(tensors: list[Tensor]):
 class Stage:
     """Epochs (first, last] of a schedule: the loss sums ``horizons``, the
     optimizer touches ``trainable`` (None = every block) from ``base_lr``,
-    and the plateau replay reads this stage's validations only.  An unroll
-    reads and fills ``depths[0]`` prefix entries of its window set, the
-    stage's last validation ``depths[1]``, which covers what the next stage
-    reuses."""
+    and the plateau replay reads this stage's validations only.  Its unrolls
+    start from the first ``depths[0]`` prefix entries of their window set,
+    and its last validation from ``depths[1]``, which covers what the next
+    stage reuses."""
 
     first: int
     last: int

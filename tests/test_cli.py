@@ -423,6 +423,25 @@ class TestForecast:
         assert list(fc.minutes) == [10, 11]
         assert "ms" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("back, code", [(0, 2), (1, 2), (2, 0)])
+    def test_forecast_minutes_past_int64_exit_2(self, tiny_config, tmp_path, capsys,
+                                                back, code):
+        # the last minute of the input is 2^63 - 1 - back, and the config asks for 2 horizons
+        out = tmp_path / "out"
+        out.mkdir()
+        model_path = out / "model.bin"
+        self._fixed_point_model(model_path)
+        last = np.iinfo(np.int64).max - back
+        series = D.Series(minutes=last + np.arange(-9, 1),
+                          speeds=np.full((10, D.NUM_SEGMENTS), 70.0))
+        D.write_csv(series, out / "input.csv")
+        assert run_cli("forecast", "--config", tiny_config, "--out", out,
+                       "--input", out / "input.csv", "--checkpoint", model_path) == code
+        if code:
+            assert f"minute {last}: a 2-minute forecast" in capsys.readouterr().err
+        else:
+            assert list(D.read_csv(out / "forecast.csv").minutes) == [last + 1, last + 2]
+
     def test_too_short_input_exits_2(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -254,37 +254,50 @@ class TestNStep:
 
 
 def empty_prefix(m, windows, depth):
-    return models.Prefix([np.empty((windows * NUM_SEGMENTS, 2 * m.hidden))
-                          for _ in range(depth)])
+    return [np.empty((windows * NUM_SEGMENTS, 2 * m.hidden)) for _ in range(depth)]
+
+
+def filled_prefix(m, X, depth):
+    states = empty_prefix(m, len(X), depth)
+    models.fill_prefix(m, X, states, 0)
+    return states
+
+
+def taped_stack(m, X, prefix=None):
+    preds, _ = m.forward_graph_with_states(X, prefix=prefix)
+    return np.stack([p.data for p in preds], axis=1)
 
 
 class TestPrefix:
-    """Both nstep unrolls fill a prefix as they walk it and start from it
-    bitwise as if they had walked it."""
+    """``fill_prefix`` writes a prefix tape-free, and both nstep unrolls
+    start from it bitwise as if they had walked it."""
 
     X = np.stack([rand_window(4, 300 + i) for i in range(35)])   # a chunk plus 3
 
     def test_plan_filled_then_read_is_bitwise(self):
         m = tiny("nstep", seed=19)
         plain = predict_batch(m, self.X, 3)
-        prefix = empty_prefix(m, len(self.X), 2)
-        assert np.array_equal(predict_batch(m, self.X, 3, prefix=prefix), plain)
-        for known in (1, 2):
-            prefix.known = known
-            assert np.array_equal(predict_batch(m, self.X, 3, prefix=prefix), plain)
+        prefix = filled_prefix(m, self.X, 2)
+        for depth in (0, 1, 2):
+            assert np.array_equal(predict_batch(m, self.X, 3, prefix=prefix[:depth]), plain)
+
+    def test_fill_from_known_entries_matches_a_full_fill(self):
+        m = tiny("nstep", seed=18)
+        full = filled_prefix(m, self.X, 2)
+        part = [full[0].copy(), np.empty_like(full[1])]
+        models.fill_prefix(m, self.X, part, 1)
+        assert np.array_equal(part[1], full[1])
 
     def test_plan_reads_the_prefix_it_is_given(self, monkeypatch):
         m = tiny("nstep", seed=20)
-        prefix = empty_prefix(m, len(self.X), 2)
-        predict_batch(m, self.X, 3, prefix=prefix)
-        prefix.known = 2
+        prefix = filled_prefix(m, self.X, 2)
         steps = []
         step = cells.StepKernel.step
         monkeypatch.setattr(cells.StepKernel, "step",
                             lambda self, b, x: (steps.append(1), step(self, b, x)))
         before = predict_batch(m, self.X, 3, prefix=prefix)
         assert len(steps) == 2 * (1 + m.s + 2)     # two chunks: layer 2 on pred 1, layer 3
-        prefix.states[1][:] = 0.0
+        prefix[1][:] = 0.0
         after = predict_batch(m, self.X, 3, prefix=prefix)
         assert np.array_equal(after[:, 0], before[:, 0])
         assert not np.array_equal(after[:, 1], before[:, 1])
@@ -292,20 +305,24 @@ class TestPrefix:
     def test_taped_filled_then_read_is_bitwise(self):
         m = tiny("nstep", seed=21)
         plain = taped_predictions(m, self.X, 3)
-        prefix = empty_prefix(m, len(self.X), 2)
-        preds, _ = m.forward_graph_with_states(self.X, prefix=prefix)
-        assert np.array_equal(np.stack([p.data for p in preds], axis=1), plain)
-        prefix.known = 2
-        preds, _ = m.forward_graph_with_states(self.X, prefix=prefix)
-        assert np.array_equal(np.stack([p.data for p in preds], axis=1), plain)
+        prefix = filled_prefix(m, self.X, 2)
+        for depth in (1, 2):
+            assert np.array_equal(taped_stack(m, self.X, prefix[:depth]), plain)
 
-    def test_taped_and_plan_prefixes_agree(self):
-        m = tiny("nstep", seed=22)
-        taped, plan = empty_prefix(m, len(self.X), 2), empty_prefix(m, len(self.X), 2)
-        m.forward_graph_with_states(self.X, prefix=taped)
-        predict_batch(m, self.X, 2, prefix=plan)
-        for a, b in zip(taped.states, plan.states):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("seed", [61, 62])
+    def test_default_dims_prefix_is_bitwise(self, seed):
+        # training starts its taped chunks from these states, so they must
+        # be exactly what the chunk would walk, whatever its window count
+        m = build_model("nstep", seed=seed)
+        X = np.stack([rand_window(m.s, seed * 100 + i) for i in range(40)])
+        prefix = filled_prefix(m, X, 2)
+        for size in (16, 7, 1):
+            for start in range(0, len(X), size):
+                rows = models.prefix_rows(prefix, start, start + size)
+                chunk = X[start:start + size]
+                assert np.array_equal(taped_stack(m, chunk, rows), taped_stack(m, chunk)), \
+                    (size, start)
+        assert np.array_equal(predict_batch(m, X, 3, prefix=prefix), predict_batch(m, X, 3))
 
     def test_prefix_deeper_than_the_pass_rejected(self):
         m = tiny("nstep", seed=23)
@@ -316,11 +333,16 @@ class TestPrefix:
         with pytest.raises(ValueError, match="prefix"):
             predict_batch(tiny("nstep", horizon=4), self.X, 4,
                           prefix=empty_prefix(m, len(self.X), 3))
+        with pytest.raises(ValueError, match="prefix"):
+            models.fill_prefix(tiny("nstep", horizon=4), self.X,
+                               empty_prefix(m, len(self.X), 3), 0)
 
     def test_prefix_of_one_step_kind_rejected(self):
         m = tiny("sa-lstm", seed=24)
         with pytest.raises(ValueError, match="only nstep"):
             predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 1))
+        with pytest.raises(ValueError, match="only nstep"):
+            models.fill_prefix(m, self.X, empty_prefix(m, len(self.X), 1), 0)
 
 
 def series_windows(s, count, seed):

@@ -338,11 +338,12 @@ class TestTrainNStep:
         assert all(t.requires_grad for t in model.blocks().values())
 
     def test_frozen_prefix_is_walked_once_per_stage(self, monkeypatch):
-        # s = 4, 54 training windows in 4 chunks, 3 validation sets of 2
-        # passes each; 2 epochs per stage, each validated.  A stage walks its
-        # frozen layers' frames in its first epoch only, and validation
-        # starts from what the previous stage's last validation left
-        counts = {"taped": 0, "kernel": 0}
+        # s = 4, 54 training windows in 4 taped chunks (2 tape-free passes),
+        # 3 validation sets of 2 passes each; 2 epochs per stage, each
+        # validated.  A stage walks its newly frozen layer's frames once,
+        # tape-free, before its first taped chunk, and validation starts from
+        # what the previous stage's last validation left
+        counts = {"taped": 0, "kernel": 0, "epoch": 0}
         per_epoch = []
         taped_step, kernel_step, validate = (models.sa_lstm_step, cells.StepKernel.step,
                                              T.validation_metrics)
@@ -358,8 +359,10 @@ class TestTrainNStep:
         def counting_validation(*args, **kwargs):
             before = counts["kernel"]
             out = validate(*args, **kwargs)
-            per_epoch.append((counts["taped"], counts["kernel"] - before))
-            counts["taped"] = 0
+            # a taped step runs the kernel once, so the rest were tape-free
+            walked = before - counts["epoch"] - counts["taped"]
+            per_epoch.append((counts["taped"], walked, counts["kernel"] - before))
+            counts.update(taped=0, epoch=counts["kernel"])
             return out
 
         monkeypatch.setattr(models, "sa_lstm_step", counting_taped)
@@ -368,23 +371,46 @@ class TestTrainNStep:
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=23)
         train_model(model, wavy_corpus(), tiny_cfg(epochs_per_stage=2, validate_every=1,
                                                    grad_chunk=16))
-        taped = [4 * steps for steps in (4, 4, 4 + 5, 5, 4 + 1 + 6, 1 + 6, 15, 15)]
+        taped = [4 * steps for steps in (4, 4, 5, 5, 1 + 6, 1 + 6, 15, 15)]
+        walked = [2 * 4 * frozen for frozen in (0, 0, 1, 0, 1, 0, 0, 0)]
         validated = [6 * steps for steps in (4, 4, 5, 5, 1 + 6, 1 + 6, 15, 15)]
-        assert per_epoch == list(zip(taped, validated))
+        assert per_epoch == list(zip(taped, walked, validated))
 
-    def test_stale_prefix_entry_is_not_read(self):
+    def test_stale_prefix_entry_is_not_read(self, monkeypatch):
         model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=24)
+        x = np.random.default_rng(24).uniform(0.2, 1.0, (5, 4, NUM_SEGMENTS))
         store = T.PrefixStore(model)
-        prefix = store.prefix("easy", 5, 2)
-        assert prefix.known == 0 and len(prefix.states) == 2
-        store.keep("easy", prefix)
-        assert store.prefix("easy", 5, 2).known == 2
-        assert store.prefix("easy", 5, 1).known == 1
+        fills, fill = [], T.fill_prefix
+        monkeypatch.setattr(T, "fill_prefix",
+                            lambda m, x, states, known: (fills.append(known),
+                                                         fill(m, x, states, known)))
+        first = store.states("easy", x, 2)
+        assert fills == [0] and len(first) == 2
+        assert all(a is b for a, b in zip(store.states("easy", x, 2), first))
+        assert store.states("easy", x, 1)[0] is first[0] and fills == [0]
         one_ulp = lambda a: np.nextafter(a, np.inf)      # the least change a block can see
         model.layers[1].attn.w_q.data[0, 0] = one_ulp(model.layers[1].attn.w_q.data[0, 0])
-        assert store.prefix("easy", 5, 2).known == 1
+        again = store.states("easy", x, 2)
+        assert fills == [0, 1] and again[0] is first[0] and again[1] is not first[1]
         model.layers[0].lstm.b_f.data[0] = one_ulp(model.layers[0].lstm.b_f.data[0])
-        assert store.prefix("easy", 5, 2).known == 0
+        store.states("easy", x, 2)
+        assert fills == [0, 1, 0]
+
+    def test_both_unrolls_read_read_only_states(self):
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=26)
+        x = np.random.default_rng(26).uniform(0.2, 1.0, (40, 4, NUM_SEGMENTS))
+        states = T.PrefixStore(model).states("train", x, 2)
+        assert not any(hc.flags.writeable for hc in states)
+        with pytest.raises(ValueError, match="read-only"):
+            states[0][0, 0] = 0.0
+        rows = models.prefix_rows(states, 8, 24)
+        preds, _ = model.forward_graph_with_states(x[8:24], prefix=rows)
+        plain, _ = model.forward_graph_with_states(x[8:24])
+        for a, b in zip(preds, plain):
+            assert np.array_equal(a.data, b.data)
+        ad.backward(ad.sum_all(preds[2]))
+        assert np.array_equal(models.predict_batch(model, x, 3, prefix=states),
+                              models.predict_batch(model, x, 3))
 
     def test_best_model_is_chosen_in_the_finetune_stage(self):
         # a layer stage's metric covers its own horizon only, so it must not
@@ -496,6 +522,26 @@ class TestCheckpoints:
         save_checkpoint(run, cfg, path)
         path.write_bytes(with_header(path.read_bytes(), edit))
         with pytest.raises(ValueError, match=field):
+            load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("field", ["opt", "best"])
+    @pytest.mark.parametrize("edit", ["rename", "transpose"])
+    def test_entry_that_is_not_a_model_block_rejected(self, tmp_path, field, edit):
+        cfg = tiny_cfg(epochs_per_stage=2)
+        run = train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=14),
+                          wavy_corpus(), cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+
+        def change(header):
+            if edit == "rename":
+                header[field][-1][0] = "layer9/w_o"
+            else:       # the same number of values, so the payload still adds up
+                row = next(r for r in header[field] if len(set(r[1])) == 2)
+                row[1].reverse()
+
+        path.write_bytes(with_header(path.read_bytes(), change))
+        with pytest.raises(ValueError, match=f"field '{field}' does not match"):
             load_checkpoint(path, cfg)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
