@@ -11,9 +11,10 @@ The step math is defined once, in ``StepKernel``: tape-free numpy with one
 cell's prepared weights, acting on the ``(rows, .)`` arrays of the
 ``StepBuffers`` it is handed, which own the recurrent state and size
 themselves.  An inference plan in ``models`` hands its one buffer set to
-every layer's kernel.  The taped ``lstm_step`` and ``sa_lstm_step`` step a
-kernel that the unroll prepares once per layer and pass, each step on its
-own buffers, which write into the step's packed ``[h | c]`` output.  A step
+every layer's kernel.  The taped ``lstm_step`` and ``sa_lstm_step`` take
+and return the recurrent state as one packed ``(rows, 2H)`` ``[h | c]``
+tensor.  They step a kernel that the unroll prepares once per layer and
+pass, each step on its own buffers, which write into that output.  A step
 keeps only what its single tape node's hand-derived adjoint reads and cannot
 cheaply rebuild: that output, the gate-major block of f, i, c~ and z_o, and
 for attention o and the softmax weights.  The work arrays ([h, x, 1],
@@ -105,30 +106,6 @@ class SaLstmParams:
         out.update(self.attn.blocks(f"{prefix}/attn"))
         out[f"{prefix}/out_proj"] = self.out_proj
         return out
-
-
-@dataclass
-class LstmState:
-    """Recurrent state of a batch of rows, carried as one packed (rows, 2H)
-    tensor ``hc = [h | c]``; ``h`` and ``c`` are taped views of it."""
-
-    hc: Tensor
-
-    @property
-    def hidden(self) -> int:
-        return self.hc.shape[1] // 2
-
-    @property
-    def h(self) -> Tensor:
-        return ad.narrow(self.hc, 1, 0, self.hidden)
-
-    @property
-    def c(self) -> Tensor:
-        return ad.narrow(self.hc, 1, self.hidden, self.hidden)
-
-
-def zero_state(rows: int, hidden: int) -> LstmState:
-    return LstmState(ad.tensor(np.zeros((rows, 2 * hidden))))
 
 
 def init_lstm_params(hidden, in_width, seed, prefix) -> LstmParams:
@@ -225,7 +202,9 @@ class StepBuffers:
         tokens, H, d = self.tokens, self.hidden, self.attn_width
         rows = groups * tokens
         if groups > self.capacity:
-            vars(self).update(dict.fromkeys(_BUFFER_ARRAYS))
+            settings = {name: vars(self)[name] for name in _BUFFER_SETTINGS}
+            vars(self).clear()                  # every array and view, whatever its name
+            vars(self).update(settings)
             self._gates = np.empty((4, rows, H))
             names = (("c",) if self.out is None else ()) + (("o",) if d else ())
             self._full = {name: np.empty((rows, H)) for name in names}
@@ -276,10 +255,8 @@ class StepBuffers:
         hc[:, self.hidden:] = self.c[start:stop]
 
 
-# every array a StepBuffers holds, its own, the work set and the views of them
-_BUFFER_ARRAYS = ("_gates", "_full", "_scores", "_work", "gates", "fic", "fi", "zf", "zi", "zc",
-                  "zo", "o", "cat", "x", "h", "c", "tmp", "q", "k", "v", "att", "qg", "ktg", "vg",
-                  "attg", "scores", "rowsum")
+# what a StepBuffers keeps when it grows; everything else it holds goes
+_BUFFER_SETTINGS = ("hidden", "in_width", "attn_width", "tokens", "out", "work")
 
 
 class StepKernel:
@@ -451,35 +428,34 @@ class StepKernel:
         return [d_state, d_x, *d_w, *d_b, *attn_grads]
 
 
-def _record(kernel: StepKernel, state: LstmState, x: Tensor, tokens: int) -> LstmState:
-    """Run one step on fresh buffers that write into its packed output and
-    record it as a single tape node whose parents are the state, the input
-    and the kernel cell's blocks.  The node keeps the output and the kept
-    set of its buffers; the work arrays are the kernel's ``tape_work``,
-    which every step of it overwrites and each adjoint rebuilds."""
-    hc_prev = state.hc.data
+def _record(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor:
+    """Check the shapes, run one step on fresh buffers that write into its
+    packed ``(rows, 2H)`` ``[h | c]`` output and record it as a single tape
+    node whose parents are the packed state, the input and the kernel cell's
+    blocks.  The node keeps the output and the kept set of its buffers; the
+    work arrays are the kernel's ``tape_work``, which every step of it
+    overwrites and each adjoint rebuilds."""
+    hc_prev = state.data
+    rows, in_width = len(hc_prev), _cell_dims(kernel.cell)[1]
+    if rows % tokens != 0:
+        raise ValueError(f"cell step: {rows} state rows not divisible by {tokens} tokens")
+    if x.shape != (rows, in_width):
+        raise ValueError(f"cell step: input shape {x.shape} does not match "
+                         f"(rows={rows}, in_width={in_width})")
     hc = np.empty(hc_prev.shape)
-    work = kernel.tape_work(tokens, len(hc) // tokens)
-    b = StepBuffers(kernel.cell, tokens, out=hc, work=work)
+    b = StepBuffers(kernel.cell, tokens, out=hc, work=kernel.tape_work(tokens, rows // tokens))
     b.load(hc_prev)
     kernel.step(b, x.data)
     inputs = hc_prev, x.data
-    parents = [state.hc, x, *kernel.cell.blocks("").values()]
-    return LstmState(ad.node(hc, parents, lambda g: kernel.adjoint(
-        b, g, inputs, [t.requires_grad for t in parents])))
+    parents = [state, x, *kernel.cell.blocks("").values()]
+    return ad.node(hc, parents, lambda g: kernel.adjoint(
+        b, g, inputs, [t.requires_grad for t in parents]))
 
 
-def lstm_step(kernel: StepKernel, state: LstmState, x: Tensor) -> LstmState:
+def lstm_step(kernel: StepKernel, state: Tensor, x: Tensor) -> Tensor:
     """f=sig(W_f[h,x]+b_f); i, o likewise; c~=tanh(W_c[h,x]+b_c);
     C' = f*C + i*c~; h' = o*tanh(C'), with the weights of ``kernel``, an
-    LstmParams' kernel."""
-    p = kernel.cell
-    rows = state.hc.shape[0]
-    if x.shape != (rows, p.in_width):
-        raise ValueError(
-            f"lstm_step: input shape {x.shape} does not match "
-            f"(rows={rows}, in_width={p.in_width})"
-        )
+    LstmParams' kernel, on a packed ``[h | c]`` state."""
     return _record(kernel, state, x, tokens=1)
 
 
@@ -494,21 +470,13 @@ def self_attention(p: AttentionParams, tokens: Tensor) -> Tensor:
     return ad.matmul(ad.softmax_rows(scores), v)
 
 
-def sa_lstm_step(kernel: StepKernel, state: LstmState, x: Tensor, tokens: int) -> LstmState:
+def sa_lstm_step(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor:
     """LSTM step whose output-gate pre-activation is residually augmented
     with self-attention across the ``tokens`` segments of each group, with
-    the weights of ``kernel``, an SaLstmParams' kernel.
+    the weights of ``kernel``, an SaLstmParams' kernel, on a packed
+    ``[h | c]`` state.
 
     With zero attention weights the residual term is exactly zero, so the
     step reduces bitwise to ``lstm_step`` on the same rows.
     """
-    p = kernel.cell
-    rows = state.hc.shape[0]
-    if rows % tokens != 0:
-        raise ValueError(f"sa_lstm_step: {rows} state rows not divisible by {tokens} tokens")
-    if x.shape != (rows, p.lstm.in_width):
-        raise ValueError(
-            f"sa_lstm_step: input shape {x.shape} does not match "
-            f"(rows={rows}, in_width={p.lstm.in_width})"
-        )
     return _record(kernel, state, x, tokens)

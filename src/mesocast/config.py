@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .data import MAX_ARRAY_VALUES, CorpusSizes, CtmConfig
+from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, CorpusSizes, CtmConfig
 from .losses import LossConfig
 from .models import check_dims
 from .train import TrainConfig
@@ -79,9 +79,10 @@ class EvaluationSection:
     iters: int = 50000
 
     def validate(self) -> None:
-        # eval and forecast would write a table or a forecast with no rows
-        if self.horizons < 1:
-            raise ValueError(f"horizons must be >= 1, got {self.horizons}")
+        # at 0 eval and forecast would write no rows; a day of minutes bounds
+        # the (horizons, 21) rows a forecast allocates
+        if not 1 <= self.horizons <= MINUTES_PER_DAY:
+            raise ValueError(f"horizons must be in 1..{MINUTES_PER_DAY}, got {self.horizons}")
         if not 0 < self.budget_ms < math.inf:
             raise ValueError(f"budget_ms must be positive and finite, got {self.budget_ms}")
         if self.warmup < 0:

@@ -25,13 +25,15 @@ layer per pass, on one step schedule, ``_schedule``: which entries of
 predictions, and whether it starts from zero.  The taped unroll,
 ``Forecaster.forward_graph_with_states``, serves training only: it prepares
 each layer's kernel once and records each step of it as a single tape node
-(``cells.lstm_step`` / ``cells.sa_lstm_step``).  The tape-free
+(``cells.lstm_step`` / ``cells.sa_lstm_step``) on the packed ``[h | c]``
+state tensor, whose first H columns the head reads.  The tape-free
 ``InferencePlan`` hands its one ``cells.StepBuffers`` to every layer's
 kernel, for one window (the latency path) and, in ``predict_batch``, for
 PREDICT_CHUNK windows per pass; it alone recurses a one-step kind past its
 own horizon.  Tests pin the two paths to each other at 1e-12.  Both nstep
 unrolls can start from a prefix, the states that frozen first layers reach
-before any prediction is fed back; they only read it, ``fill_prefix`` writes.
+before any prediction is fed back; they only read it, ``fill_prefix``
+allocates and writes it, and only this module spells its layout.
 
 A one-step recursion reuses frame states the same way, within one pass.
 Horizon k of window j walks frames k..s-1 from zero before its k fed
@@ -60,7 +62,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cells import (
     LstmParams,
-    LstmState,
     SaLstmParams,
     StepBuffers,
     StepKernel,
@@ -68,7 +69,6 @@ from .cells import (
     init_sa_lstm_params,
     lstm_step,
     sa_lstm_step,
-    zero_state,
 )
 from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, NUM_SEGMENTS
 from .seeding import block_rng
@@ -116,16 +116,14 @@ def _head_apply(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 MAX_PREFIX = 2
 
 
-def _check_prefix(prefix: list[np.ndarray] | None, kind: str, layers: int) -> list[np.ndarray]:
-    if prefix is None:
-        return []
-    if kind != "nstep":
+def _check_prefix(depth: int, kind: str, layers: int) -> None:
+    """Reject a prefix of ``depth`` entries for a pass over ``layers`` layers."""
+    if depth and kind != "nstep":
         raise ValueError(f"only nstep unrolls start from a prefix, not {kind}")
     limit = min(layers, MAX_PREFIX)
-    if len(prefix) > limit:
+    if depth > limit:
         raise ValueError(f"a prefix for a pass over {layers} nstep layers holds at most "
-                         f"{limit} states, got {len(prefix)}")
-    return prefix
+                         f"{limit} states, got {depth}")
 
 
 def _schedule(kind: str, s: int, k: int) -> tuple[slice, slice, bool]:
@@ -197,32 +195,33 @@ class Forecaster:
         tokens, in_width = self.layout
         rows = B * tokens
         layers = self.layers[:upto]
-        held = _check_prefix(prefix, self.kind, len(layers))
+        held = prefix or []
+        _check_prefix(len(held), self.kind, len(layers))
         # the (rows, in_width) frames, then the (B, 21) predictions
         seq = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
                for t in range(s)]
         # horizons per head application: all-at-once emits one per head column
         columns = self.head_w.shape[1] // in_width
-        states: list[LstmState] = []
+        states: list[Tensor] = []        # packed (rows, 2H) [h | c]
         for k, layer in enumerate(layers):
             kernel = StepKernel(layer)     # the tape keeps this one copy of the weights
             walk, fed, fresh = _schedule(self.kind, s, k)
             if k < len(held):
-                state = LstmState(ad.tensor(held[k]))
+                state = ad.tensor(held[k])
             else:
                 if fresh:
-                    state = zero_state(rows, self.hidden)
+                    state = ad.tensor(np.zeros((rows, 2 * self.hidden)))
                 for xt in seq[walk]:
                     state = self._step(kernel, state, xt)
             for p in seq[fed]:
                 state = self._step(kernel, state, ad.reshape(p, (rows, in_width)))
-            out = _head_apply(state.h, self.head_w, self.head_b)
+            out = _head_apply(ad.narrow(state, 1, 0, self.hidden), self.head_w, self.head_b)
             parts = [out] if columns == 1 else [ad.narrow(out, 1, j, 1) for j in range(columns)]
             seq += [ad.reshape(part, (B, NUM_SEGMENTS)) for part in parts]
             states.append(state)
         return seq[s:], states
 
-    def _step(self, kernel: StepKernel, state: LstmState, xt: Tensor) -> LstmState:
+    def _step(self, kernel: StepKernel, state: Tensor, xt: Tensor) -> Tensor:
         # the module-level names, so a wrapper installed there (a tracer) sees each step
         if self.kind in LSTM_KINDS:
             return lstm_step(kernel, state, xt)
@@ -334,7 +333,8 @@ class InferencePlan:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
         if self.kind not in ONE_STEP_KINDS and horizons > self.horizon:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
-        held = _check_prefix(prefix, self.kind, horizons)
+        held = prefix or []
+        _check_prefix(len(held), self.kind, horizons)
         b, s = self.buf, self.s
         rows = groups * b.tokens
         recursive = self.kind in ONE_STEP_KINDS
@@ -437,26 +437,32 @@ def prefix_rows(prefix: list[np.ndarray] | None, start: int, stop: int):
     return prefix and [hc[start * NUM_SEGMENTS:stop * NUM_SEGMENTS] for hc in prefix]
 
 
-def fill_prefix(model: Forecaster, x: np.ndarray, states: list[np.ndarray], known: int) -> None:
-    """Write entries ``known..`` of the prefix ``states`` of windows ``x``:
-    entry k is layer k+1 after the s frames, from entry k-1 (entry 0 from
-    zero), on a plan's kernels and buffer, PREDICT_CHUNK windows per pass."""
+def fill_prefix(model: Forecaster, x: np.ndarray, held: list[np.ndarray],
+                depth: int) -> list[np.ndarray]:
+    """The first ``depth`` prefix entries of windows ``x``: the ``held``
+    ones, then the rest, allocated and written here.  Entry k is layer k+1
+    after the s frames, from entry k-1 (entry 0 from zero), on a plan's
+    kernels and buffer, PREDICT_CHUNK windows per pass."""
     x = _check_batch(x, model.s)
-    _check_prefix(states, model.kind, len(model.layers))
+    _check_prefix(depth, model.kind, len(model.layers))
+    known = len(held)
+    states = [*held, *(np.empty((len(x) * NUM_SEGMENTS, 2 * model.hidden))
+                       for _ in range(known, depth))]
     plan = InferencePlan(model)
     b = plan.buf
     for start in range(0, len(x), PREDICT_CHUNK):
         windows = x[start:start + PREDICT_CHUNK]
-        held = prefix_rows(states, start, start + len(windows))
+        rows = prefix_rows(states, start, start + len(windows))
         b.resize(len(windows))
         b.reset()
         if known:
-            b.load(held[known - 1])
+            b.load(rows[known - 1])
         frames = windows.transpose(1, 0, 2).reshape(model.s, len(windows) * b.tokens, -1)
-        for k in range(known, len(states)):
+        for k in range(known, depth):
             for xt in frames:
                 plan.kernels[k].step(b, xt)
-            b.save(held[k])
+            b.save(rows[k])
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ What the frozen layers compute without the head is computed once per
 schedule, in a ``PrefixStore`` of one ``models`` prefix per window set
 (training, easy, each hard set): from stage 2 on, layer 1's terminal state;
 from stage 3 on, also layer 2's state after the input frames.  The store
-fills an entry tape-free (``models.fill_prefix``) when a set first asks for
-it: the training set in a stage's first epoch, a validation set in the
-previous stage's last validation, which runs on the parameters this stage
-freezes.  Unrolls only read entries, a taped chunk its rows.  Entries are
+holds entries and never sizes one: ``models.fill_prefix`` allocates and
+fills the missing ones tape-free, from the held ones, when a set first asks
+for them: the training set in a stage's first epoch, a validation set in
+the previous stage's last validation, which runs on the parameters this
+stage freezes.  Unrolls only read entries, a taped chunk its rows.  Entries are
 keyed by digests of the frozen layers' bytes, and the store is dropped
 before the first stage that trains every block; a resumed run starts with it
 empty.  Results are bitwise those of walking every step.
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Corpus, NUM_SEGMENTS, build_windows, normalize, stack_windows
+from .data import Corpus, build_windows, normalize, stack_windows
 from .evaluate import per_horizon_mse
 from .losses import LossConfig, combined_loss
 from .models import (MAX_PREFIX, Forecaster, check_fields, deserialize_model, fill_prefix,
@@ -78,9 +79,6 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     lr: float = 0.01
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     plateau_patience: int = 3
     lr_decay_factor: float = 10.0
     epochs_per_stage: int = 48
@@ -131,10 +129,12 @@ class MetricRecord:
 
 class AdamW:
     """Decoupled weight decay: param *= (1 - lr*wd) independently of the
-    bias-corrected moment update."""
+    bias-corrected moment update, with the usual fixed moment rates and
+    epsilon."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, cfg: TrainConfig):
-        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.weight_decay = cfg.weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -157,14 +157,14 @@ class AdamW:
             self.t[name] += 1
             t = self.t[name]
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            m_hat = m / (1.0 - self.BETA1 ** t)
+            v_hat = v / (1.0 - self.BETA2 ** t)
             param.data *= 1.0 - lr * self.weight_decay
-            param.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +261,7 @@ class PrefixStore:
             known += 1
         states = [hc for _, hc in held[:known]]
         if known < depth:
-            states += [np.empty((len(x) * NUM_SEGMENTS, 2 * self.model.hidden))
-                       for _ in range(known, depth)]
-            fill_prefix(self.model, x, states, known)
+            states = fill_prefix(self.model, x, states, depth)
             for hc in states:
                 hc.flags.writeable = False
             self._sets[name] = list(zip(digests, states))
@@ -358,7 +356,8 @@ def config_fingerprint(cfg: TrainConfig) -> str:
     }
     # retired options, hashed at the only values they still have, so that
     # checkpoints written while they were settable keep resuming
-    payload.update(full_batch=True, batch_size=256, monitor="easy")
+    payload.update(full_batch=True, batch_size=256, monitor="easy", beta1=AdamW.BETA1.hex(),
+                   beta2=AdamW.BETA2.hex(), eps=AdamW.EPS.hex())
     payload["loss"] = [cfg.loss.pyramid_depth, float(cfg.loss.lap_weight).hex(),
                        cfg.loss.padding_mode]
     return f"{zlib.crc32(json.dumps(payload, sort_keys=True).encode()):08x}"

@@ -1,13 +1,12 @@
 """Taped ops that training never records, kept as the references the tests
 compose cells and the loss from: the gate functions, ``concat``, ``sub``,
-``abs_``, ``mean_all``, and a packed recurrent state built from separate
-``h`` and ``c`` tensors; and ``reconstruct``, the inverse of
-``losses.build_pyramid``."""
+``abs_``, ``mean_all``; the packed ``[h | c]`` recurrent state built from
+separate ``h`` and ``c`` tensors or zeros, and its ``h`` and ``c`` halves;
+and ``reconstruct``, the inverse of ``losses.build_pyramid``."""
 
 import numpy as np
 
 from mesocast import autodiff as ad
-from mesocast.cells import LstmState
 from mesocast.losses import PyramidLevels, _expand
 
 
@@ -66,6 +65,22 @@ def concat(parts, axis: int = 0) -> ad.Tensor:
     return ad.node(out, parts, vjp)
 
 
-def state_of(h: ad.Tensor, c: ad.Tensor) -> LstmState:
+def state_of(h: ad.Tensor, c: ad.Tensor) -> ad.Tensor:
     """The packed ``[h | c]`` state of separate ``h`` and ``c`` tensors."""
-    return LstmState(concat([h, c], axis=1))
+    return concat([h, c], axis=1)
+
+
+def zero_state(rows: int, hidden: int) -> ad.Tensor:
+    """An all-zero packed ``(rows, 2 * hidden)`` state."""
+    return ad.tensor(np.zeros((rows, 2 * hidden)))
+
+
+def h_of(state: ad.Tensor) -> ad.Tensor:
+    """The taped ``h`` half of a packed state."""
+    return ad.narrow(state, 1, 0, state.shape[1] // 2)
+
+
+def c_of(state: ad.Tensor) -> ad.Tensor:
+    """The taped ``c`` half of a packed state."""
+    half = state.shape[1] // 2
+    return ad.narrow(state, 1, half, half)

@@ -277,10 +277,21 @@ def test_every_exported_op_is_used_by_src():
     assert unused == [], f"autodiff exports names no src or bench module uses: {unused}"
 
 
+def _defined_names(top: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's,
+    or every target of an alias ``a = b = name``."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign) and isinstance(top.value, ast.Name):
+        return [t.id for t in top.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _public_definitions(path: Path) -> list[str]:
+    """The public functions, classes and module-level aliases of a module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    return [name for top in tree.body for name in _defined_names(top)
+            if not name.startswith("_")]
 
 
 def _names_outside_own_definition(paths) -> set[str]:
@@ -293,7 +304,7 @@ def _names_outside_own_definition(paths) -> set[str]:
             if isinstance(top, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
                 continue
-            own = getattr(top, "name", None)
+            own = _defined_names(top)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -305,19 +316,42 @@ def _names_outside_own_definition(paths) -> set[str]:
                     name = node.value
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     used.add(name)
     return used
 
 
+PACKAGE = Path(ad.__file__).parent
+REPO = PACKAGE.parents[1]
+
+
 def test_every_public_definition_is_used_outside_the_tests():
-    # a function or class that only the tests call is unused API: it goes, or
-    # moves to the tests' references
-    package = Path(ad.__file__).parent
-    repo = package.parents[1]
-    paths = [*package.glob("*.py"), *(repo / "bench").glob("*.py"),
-             *(repo / "scripts").glob("*.py")]
+    # a function, class or alias that only the tests name is unused API: it
+    # goes, or moves to the tests' references
+    paths = [*PACKAGE.glob("*.py"), *(REPO / "bench").glob("*.py"),
+             *(REPO / "scripts").glob("*.py")]
     used = _names_outside_own_definition(paths)
-    unused = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+    unused = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
               for name in _public_definitions(path) if name not in used]
     assert unused == [], f"public definitions that no src, bench or script module names: {unused}"
+
+
+# What src keeps only for the benchmark: its next version binds names that
+# last, and then these leave src (ROADMAP item 1).
+BENCHMARK_ONLY = {
+    "autodiff.mul", "autodiff.sum_all", "cells.self_attention", "models.forecast_recursive",
+    "train.load_checkpoint", "models.OneStepModel", "models.AllAtOnceModel",
+    "models.NStepModel", "train.train_one_step_model", "train.train_nstep",
+}
+
+
+def test_benchmark_only_api_is_pinned():
+    # a public name that bench/ names and no src or scripts module does is
+    # API kept for the benchmark alone; the set may only shrink
+    src = _names_outside_own_definition([*PACKAGE.glob("*.py"), *(REPO / "scripts").glob("*.py")])
+    bench = _names_outside_own_definition((REPO / "bench").glob("*.py"))
+    kept = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+            for name in _public_definitions(path) if name in bench - src}
+    assert kept == BENCHMARK_ONLY, (
+        f"src API that only bench/ names moved: {sorted(kept ^ BENCHMARK_ONLY)}; ROADMAP item 1 "
+        "binds names that last and deletes the rest, so update this set with it")

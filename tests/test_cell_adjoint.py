@@ -8,7 +8,7 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
-from reference_ops import concat, mean_all, sigmoid, state_of, tanh
+from reference_ops import c_of, concat, h_of, mean_all, sigmoid, state_of, tanh, zero_state
 
 
 # --- the cells as compositions of primitive tape ops (the reference) ---------
@@ -84,7 +84,7 @@ def unroll(p, tokens, inputs, fused):
         if fused:
             state = (cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens) if tokens
                      else cells.lstm_step(cells.StepKernel(p), state, x))
-            h, c = state.h, state.c
+            h, c = h_of(state), c_of(state)
         elif tokens:
             h, c = primitive_sa_lstm_step(p, h, c, x, tokens)
         else:
@@ -135,9 +135,9 @@ def test_constant_state_and_weights_record_no_tape():
     p = cells.init_sa_lstm_params(4, 2, seed=3, prefix="layer1")
     for block in p.blocks("layer1").values():
         block.requires_grad = False
-    state = cells.zero_state(10, 4)
+    state = zero_state(10, 4)
     out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((10, 1))), tokens=5)
-    assert not out.hc.requires_grad and out.hc._vjp is None
+    assert not out.requires_grad and out._vjp is None
 
 
 def test_dense_lstm_cell_gradients_match_finite_differences():
@@ -150,9 +150,9 @@ def test_dense_lstm_cell_gradients_match_finite_differences():
 
     def build(leaves):
         p = cells.LstmParams(*leaves)
-        state = cells.zero_state(rows, hidden)
+        state = zero_state(rows, hidden)
         for x in xs:
             state = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(x))
-        return ad.add(mean_all(ad.mul(state.h, state.h)), mean_all(state.c))
+        return ad.add(mean_all(ad.mul(h_of(state), h_of(state))), mean_all(c_of(state)))
 
     assert_grads_close(build, values, h=1e-6, tol=1e-6)

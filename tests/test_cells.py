@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
-from reference_ops import mean_all, sigmoid, state_of
+from reference_ops import c_of, h_of, mean_all, sigmoid, state_of, zero_state
 
 
 # --- clean-room oracles -----------------------------------------------------
@@ -64,8 +64,8 @@ class TestLstmStep:
         c0 = np.array([[0.3, -0.7, 1.1], [0.0, 2.0, -0.1]])
         state = state_of(ad.tensor(np.zeros((rows, hidden))), ad.tensor(c0))
         out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((rows, 1))))
-        np.testing.assert_allclose(out.c.data, 0.5 * c0, atol=1e-15)
-        np.testing.assert_allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
+        np.testing.assert_allclose(c_of(out).data, 0.5 * c0, atol=1e-15)
+        np.testing.assert_allclose(h_of(out).data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_saturated_forget_gate_preserves_cell_state(self):
         hidden = 4
@@ -76,7 +76,7 @@ class TestLstmStep:
         c0 = np.array([[0.9, -1.4, 0.2, 3.0]])
         state = state_of(ad.tensor(np.zeros((1, hidden))), ad.tensor(c0))
         out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((1, 1))))
-        assert np.max(np.abs(out.c.data - c0)) <= 1e-40
+        assert np.max(np.abs(c_of(out).data - c0)) <= 1e-40
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_clean_room_oracle(self, seed):
@@ -89,12 +89,12 @@ class TestLstmStep:
         p = params_from_arrays(w, b)
         out = cells.lstm_step(cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
         h_ref, c_ref = lstm_step_oracle(w, b, h0, c0, x)
-        np.testing.assert_allclose(out.h.data, h_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.c.data, c_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_of(out).data, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c_of(out).data, c_ref, rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         p = cells.init_lstm_params(4, 2, seed=0, prefix="layer1")
-        state = cells.zero_state(3, 4)
+        state = zero_state(3, 4)
         with pytest.raises(ValueError, match="input shape"):
             cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((3, 5))))
 
@@ -162,8 +162,8 @@ class TestSaLstmStep:
         state = state_of(ad.tensor(h0), ad.tensor(c0))
         out_sa = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=4)
         out_plain = cells.lstm_step(cells.StepKernel(p.lstm), state, ad.tensor(x))
-        assert np.array_equal(out_sa.h.data, out_plain.h.data)
-        assert np.array_equal(out_sa.c.data, out_plain.c.data)
+        assert np.array_equal(h_of(out_sa).data, h_of(out_plain).data)
+        assert np.array_equal(c_of(out_sa).data, c_of(out_plain).data)
 
     def test_all_zero_params_give_zero_hidden(self):
         hidden, tokens = 3, 5
@@ -174,9 +174,9 @@ class TestSaLstmStep:
             attn=cells.AttentionParams(*(ad.tensor(np.zeros((hidden, 2))) for _ in range(3))),
             out_proj=ad.tensor(np.zeros((2, hidden))),
         )
-        state = cells.zero_state(tokens, hidden)
+        state = zero_state(tokens, hidden)
         out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.random.default_rng(0).uniform(0, 1, (tokens, 1))), tokens=tokens)
-        np.testing.assert_array_equal(out.h.data, np.zeros((tokens, hidden)))
+        np.testing.assert_array_equal(h_of(out).data, np.zeros((tokens, hidden)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_composition_oracle(self, seed):
@@ -197,8 +197,8 @@ class TestSaLstmStep:
         o = sig(z_o + mixed @ p.out_proj.data)
         c_ref = f * c0 + i * c_tilde
         h_ref = o * np.tanh(c_ref)
-        np.testing.assert_allclose(out.h.data, h_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.c.data, c_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_of(out).data, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c_of(out).data, c_ref, rtol=0, atol=1e-12)
 
     def test_batched_groups_match_single_group(self):
         rng = np.random.default_rng(9)
@@ -211,12 +211,12 @@ class TestSaLstmStep:
         batched = cells.sa_lstm_step(
             cells.StepKernel(p), state_of(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
         )
-        np.testing.assert_allclose(batched.h.data[:tokens], single.h.data, atol=1e-12)
-        np.testing.assert_allclose(batched.h.data[tokens:], single.h.data, atol=1e-12)
+        np.testing.assert_allclose(h_of(batched).data[:tokens], h_of(single).data, atol=1e-12)
+        np.testing.assert_allclose(h_of(batched).data[tokens:], h_of(single).data, atol=1e-12)
 
     def test_token_count_mismatch_rejected(self):
         p = cells.init_sa_lstm_params(3, 2, seed=0, prefix="layer1")
-        state = cells.zero_state(5, 3)
+        state = zero_state(5, 3)
         with pytest.raises(ValueError, match="tokens"):
             cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((5, 1))), tokens=4)
 
@@ -227,13 +227,13 @@ class TestGateBehaviour:
         p = cells.init_sa_lstm_params(8, 4, seed=77, prefix="layer1")
         for block in p.blocks("layer1").values():
             block.requires_grad = False
-        state = cells.zero_state(5, 8)
+        state = zero_state(5, 8)
         for step in range(10_000):
             x = ad.tensor(rng.uniform(-1, 1, (5, 1)))
             state = cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens=5)
-        assert np.all(np.isfinite(state.c.data))
-        assert np.all(np.isfinite(state.h.data))
-        assert np.all(np.abs(state.h.data) < 1.0)  # h = o * tanh(c), both bounded
+        assert np.all(np.isfinite(c_of(state).data))
+        assert np.all(np.isfinite(h_of(state).data))
+        assert np.all(np.abs(h_of(state).data) < 1.0)  # h = o * tanh(c), both bounded
 
     def test_gate_activations_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -266,10 +266,10 @@ class TestBptt:
                 attn=cells.AttentionParams(tensors["w_q"], tensors["w_k"], tensors["w_v"]),
                 out_proj=tensors["out_proj"],
             )
-            state = cells.zero_state(tokens, hidden)
+            state = zero_state(tokens, hidden)
             for t in range(steps):
                 state = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(xs[t]), tokens=tokens)
-            return mean_all(ad.mul(state.h, state.h))
+            return mean_all(ad.mul(h_of(state), h_of(state)))
 
         assert_grads_close(build, values, h=1e-6, tol=1e-5)
 
@@ -321,10 +321,10 @@ class TestStepBuffers:
         monkeypatch.setattr(cells.StepKernel, "step",
                             lambda self, b, x: (handed.append(b), step(self, b, x)))
         h0 = np.random.default_rng(5).uniform(-1, 1, (10, 8))
-        out = cells.sa_lstm_step(cells.StepKernel(p), cells.LstmState(ad.tensor(h0)),
+        out = cells.sa_lstm_step(cells.StepKernel(p), ad.tensor(h0),
                                  ad.tensor(np.ones((10, 1))), tokens=5)
         [b] = handed
-        hc = out.hc.data
+        hc = out.data
         assert b.h.base is hc and b.c.base is hc
         assert not any(np.shares_memory(b.c, a) for a in b._full.values())
         assert set(b._full) == {"o"}
@@ -334,7 +334,7 @@ class TestStepBuffers:
     def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
         b = cells.StepBuffers(cells.init_sa_lstm_params(4, 2, seed=6, prefix="layer1"), 5)
         b.resize(3)
-        old = [weakref.ref(a) for name in cells._BUFFER_ARRAYS for a in _arrays(getattr(b, name))]
+        old = [weakref.ref(a) for value in vars(b).values() for a in _arrays(value)]
         alive = []
         empty = np.empty
         monkeypatch.setattr(np, "empty", lambda *args, **kw: (
@@ -358,13 +358,13 @@ class TestStepBuffers:
             kernel = cells.StepKernel(cells.init_lstm_params(64, 1, seed=8, prefix="layer1"))
             step = lambda state, x: cells.lstm_step(kernel, state, x)
         rng = np.random.default_rng(8)
-        first = step(cells.LstmState(ad.tensor(rng.uniform(-1, 1, (rows, 128)))),
+        first = step(ad.tensor(rng.uniform(-1, 1, (rows, 128))),
                      ad.tensor(rng.uniform(-1, 1, (rows, 1))))
         second = step(first, ad.tensor(rng.uniform(-1, 1, (rows, 1))))
-        alive = _kept_alive(second.hc)
+        alive = _kept_alive(second)
         # the kernel's weights and work arrays are alive for every step
-        shared = _kept_alive(first.hc).keys() & alive.keys()
-        parents = {id(_base(t.data)) for t in second.hc._parents}
+        shared = _kept_alive(first).keys() & alive.keys()
+        parents = {id(_base(t.data)) for t in second._parents}
         own = [a for key, a in alive.items() if key not in shared | parents]
         assert sum(a.nbytes for a in own) == kept
         work = kernel.tape_work(tokens, rows // tokens)
@@ -377,7 +377,7 @@ class TestStepBuffers:
         p = cells.init_lstm_params(4, 21 if kind == "lstm" else 1, seed=9, prefix="layer1")
         b = cells.StepBuffers(p, 1)
         b.resize(32)
-        assert b._scores is None and b.scores is None and b.q is None
+        assert b._scores is None and not {"scores", "q"} & vars(b).keys()
         assert set(b._work) == {"cat", "tmp"} and set(b._full) == {"c"}
         assert b.o is b.zo                    # o is computed in place of z_o
 

@@ -454,19 +454,21 @@ class TestForecast:
                        "--input", out / "short.csv", "--checkpoint", model_path) == 2
 
 
+@pytest.mark.parametrize("horizons", [0, 10 ** 9])
 @pytest.mark.parametrize("kind", ["sa-lstm", "nstep"])
-@pytest.mark.parametrize("command", ["eval", "forecast"])
-def test_zero_horizons_exits_2(corpus_dir, tmp_path, capsys, command, kind):
+@pytest.mark.parametrize("command", ["eval", "forecast", "bench"])
+def test_zero_horizons_exits_2(corpus_dir, tmp_path, capsys, command, kind, horizons):
+    # 0 would write no rows; 10**9 would allocate (1, 10**9, 21) before any step
     out, _ = corpus_dir
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(TINY_INI.replace("horizons = 2", "horizons = 0"))
+    cfg.write_text(TINY_INI.replace("horizons = 2", f"horizons = {horizons}"))
     model_path = tmp_path / "model.bin"
     save_model(build_model(kind, s=4, hidden=4, attn_width=2, horizon=2), model_path)
     written = tmp_path / f"{command}.csv"
+    argv = []
     if command == "eval":
-        argv = []
         cfg.write_text(cfg.read_text() + f"report_csv = {written}\n")
-    else:
+    elif command == "forecast":
         argv = ["--input", out / "hard0.csv", "--output", written]
     assert run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
                    *argv) == 2

@@ -17,6 +17,7 @@ from mesocast.models import (
 )
 from containers import with_header
 from reference_ctm import ctm_simulate
+from reference_ops import h_of, zero_state
 
 
 def tiny(kind, seed=0, **kw):
@@ -223,19 +224,19 @@ class TestNStep:
         # manual: layer1 over the window, then layer2 over window + pred1
         # starting from layer1's terminal state
         rows = NUM_SEGMENTS
-        state = C.zero_state(rows, m.hidden)
+        state = zero_state(rows, m.hidden)
         for t in range(m.s):
             state = C.sa_lstm_step(C.StepKernel(m.layers[0]), state, ad.tensor(w[t][:, None]), tokens=rows)
         h1 = state
-        pred1 = (h1.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
+        pred1 = (h_of(h1).data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
         np.testing.assert_array_equal(preds[0].data[0], pred1)
-        np.testing.assert_array_equal(states[0].h.data, h1.h.data)
+        np.testing.assert_array_equal(h_of(states[0]).data, h_of(h1).data)
 
         seq = [w[t][:, None] for t in range(m.s)] + [pred1[:, None]]
         state = h1
         for xt in seq:
             state = C.sa_lstm_step(C.StepKernel(m.layers[1]), state, ad.tensor(xt), tokens=rows)
-        pred2 = (state.h.data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
+        pred2 = (h_of(state).data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
         np.testing.assert_array_equal(preds[1].data[0], pred2)
 
     def test_shared_head_mutation_moves_every_horizon(self):
@@ -258,9 +259,7 @@ def empty_prefix(m, windows, depth):
 
 
 def filled_prefix(m, X, depth):
-    states = empty_prefix(m, len(X), depth)
-    models.fill_prefix(m, X, states, 0)
-    return states
+    return models.fill_prefix(m, X, [], depth)
 
 
 def taped_stack(m, X, prefix=None):
@@ -284,8 +283,7 @@ class TestPrefix:
     def test_fill_from_known_entries_matches_a_full_fill(self):
         m = tiny("nstep", seed=18)
         full = filled_prefix(m, self.X, 2)
-        part = [full[0].copy(), np.empty_like(full[1])]
-        models.fill_prefix(m, self.X, part, 1)
+        part = models.fill_prefix(m, self.X, [full[0].copy()], 2)
         assert np.array_equal(part[1], full[1])
 
     def test_plan_reads_the_prefix_it_is_given(self, monkeypatch):
@@ -334,15 +332,14 @@ class TestPrefix:
             predict_batch(tiny("nstep", horizon=4), self.X, 4,
                           prefix=empty_prefix(m, len(self.X), 3))
         with pytest.raises(ValueError, match="prefix"):
-            models.fill_prefix(tiny("nstep", horizon=4), self.X,
-                               empty_prefix(m, len(self.X), 3), 0)
+            models.fill_prefix(tiny("nstep", horizon=4), self.X, [], 3)
 
     def test_prefix_of_one_step_kind_rejected(self):
         m = tiny("sa-lstm", seed=24)
         with pytest.raises(ValueError, match="only nstep"):
             predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 1))
         with pytest.raises(ValueError, match="only nstep"):
-            models.fill_prefix(m, self.X, empty_prefix(m, len(self.X), 1), 0)
+            models.fill_prefix(m, self.X, [], 1)
 
 
 def series_windows(s, count, seed):

@@ -96,7 +96,7 @@ class TestAdamW:
         g = np.array([0.3, -0.1, 0.8])
         before = p.data.copy()
         opt.step({"p": p}, {"p": g}, lr=0.01)
-        expected = before - 0.01 * g / (np.abs(g) + cfg.eps)
+        expected = before - 0.01 * g / (np.abs(g) + AdamW.EPS)
         np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-12)
 
     def test_zero_gradient_pure_decay(self):
@@ -114,7 +114,7 @@ class TestAdamW:
         x0 = rng.uniform(-1, 1, 5)
         lr, wd, b1, b2, eps = 0.05, 0.02, 0.9, 0.999, 1e-8
 
-        cfg = TrainConfig(lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+        cfg = TrainConfig(lr=lr, weight_decay=wd)
         opt = AdamW(cfg)
         p = ad.parameter(x0.copy())
         for _ in range(10):
@@ -382,8 +382,8 @@ class TestTrainNStep:
         store = T.PrefixStore(model)
         fills, fill = [], T.fill_prefix
         monkeypatch.setattr(T, "fill_prefix",
-                            lambda m, x, states, known: (fills.append(known),
-                                                         fill(m, x, states, known)))
+                            lambda m, x, held, depth: (fills.append(len(held)),
+                                                       fill(m, x, held, depth))[1])
         first = store.states("easy", x, 2)
         assert fills == [0] and len(first) == 2
         assert all(a is b for a, b in zip(store.states("easy", x, 2), first))
