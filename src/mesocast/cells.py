@@ -1,6 +1,7 @@
-"""Recurrent cells: plain LSTM, spatial self-attention, and the
-attention-augmented LSTM whose output gate mixes information across road
-segments.
+"""One recurrent cell type, ``CellParams``: an LSTM cell whose output gate,
+when the cell has attention blocks, also reads spatial self-attention across
+the road segments (the SA-LSTM).  A plain LSTM cell has none of them, and
+``init_cell`` builds either from one call.
 
 All step functions operate on row-stacked states: a state row is one token
 (one road segment, or one batch entry for the dense variant), so the same
@@ -43,8 +44,12 @@ def _uniform_fan_in(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
 
 
 @dataclass
-class LstmParams:
-    """Four-gate weights mapping [h, x] (width hidden+in_width) to width hidden."""
+class CellParams:
+    """One recurrent cell: four gate weights mapping [h, x] (width
+    hidden+in_width) to width hidden and their biases, then, for a cell with
+    output-gate attention, the query/key/value projections from width hidden
+    down to attn_width and the projection back.  A plain LSTM cell has no
+    attention blocks."""
 
     w_f: Tensor
     w_i: Tensor
@@ -54,6 +59,10 @@ class LstmParams:
     b_i: Tensor
     b_c: Tensor
     b_o: Tensor
+    w_q: Tensor | None = None
+    w_k: Tensor | None = None
+    w_v: Tensor | None = None
+    out_proj: Tensor | None = None
 
     @property
     def hidden(self) -> int:
@@ -63,76 +72,34 @@ class LstmParams:
     def in_width(self) -> int:
         return self.w_f.shape[0] - self.w_f.shape[1]
 
-    def blocks(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}/w_f": self.w_f, f"{prefix}/w_i": self.w_i,
-            f"{prefix}/w_c": self.w_c, f"{prefix}/w_o": self.w_o,
-            f"{prefix}/b_f": self.b_f, f"{prefix}/b_i": self.b_i,
-            f"{prefix}/b_c": self.b_c, f"{prefix}/b_o": self.b_o,
-        }
-
-
-@dataclass
-class AttentionParams:
-    """Query/key/value projections from feature width H down to width d."""
-
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-
     @property
-    def proj_width(self) -> int:
-        return self.w_q.shape[1]
+    def attn_width(self) -> int:
+        """0 for a plain LSTM cell."""
+        return 0 if self.w_q is None else self.w_q.shape[1]
 
     def blocks(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}/w_q": self.w_q, f"{prefix}/w_k": self.w_k, f"{prefix}/w_v": self.w_v}
+        names = [f"{kind}_{gate}" for kind in "wb" for gate in "fico"]
+        if self.attn_width:
+            names += ["attn/w_q", "attn/w_k", "attn/w_v", "out_proj"]
+        return {f"{prefix}/{name}": getattr(self, name.removeprefix("attn/")) for name in names}
 
 
-@dataclass
-class SaLstmParams:
-    """One shared LstmParams for every segment token plus the output-gate
-    attention block and its projection back to width H."""
+def init_cell(hidden, in_width, attn_width, seed, prefix) -> CellParams:
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, each block from the
+    stream its name keys; the forget bias starts at +1 so early cell state is
+    retained.  ``attn_width`` 0 gives a plain LSTM cell."""
+    def draw(name, rows, cols):
+        return ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/{name}"), rows, cols))
 
-    lstm: LstmParams
-    attn: AttentionParams
-    out_proj: Tensor
-
-    @property
-    def hidden(self) -> int:
-        return self.lstm.hidden
-
-    def blocks(self, prefix: str) -> dict[str, Tensor]:
-        out = self.lstm.blocks(prefix)
-        out.update(self.attn.blocks(f"{prefix}/attn"))
-        out[f"{prefix}/out_proj"] = self.out_proj
-        return out
-
-
-def init_lstm_params(hidden, in_width, seed, prefix) -> LstmParams:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights; forget bias starts
-    at +1 so early cell state is retained."""
-    rows = hidden + in_width
-    w = {g: ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{g}"), rows, hidden))
-         for g in "fico"}
+    w = [draw(f"w_{g}", hidden + in_width, hidden) for g in "fico"]
+    # b_f last: this order places later arrays on the heap (eval ran 4 % slower with b_f first)
     b = {g: ad.parameter(np.zeros(hidden)) for g in "ico"}
     b["f"] = ad.parameter(np.ones(hidden))
-    return LstmParams(w["f"], w["i"], w["c"], w["o"], b["f"], b["i"], b["c"], b["o"])
-
-
-def init_attention_params(hidden, proj_width, seed, prefix) -> AttentionParams:
-    return AttentionParams(
-        *(ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/w_{n}"), hidden, proj_width))
-          for n in "qkv")
-    )
-
-
-def init_sa_lstm_params(hidden, proj_width, seed, prefix) -> SaLstmParams:
-    return SaLstmParams(
-        lstm=init_lstm_params(hidden, 1, seed, prefix),
-        attn=init_attention_params(hidden, proj_width, seed, f"{prefix}/attn"),
-        out_proj=ad.parameter(
-            _uniform_fan_in(block_rng(seed, f"{prefix}/out_proj"), proj_width, hidden)),
-    )
+    attn = []
+    if attn_width:
+        attn = [draw(f"attn/w_{n}", hidden, attn_width) for n in "qkv"]
+        attn.append(draw("out_proj", attn_width, hidden))
+    return CellParams(*w, *(b[g] for g in "fico"), *attn)
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +107,14 @@ def init_sa_lstm_params(hidden, proj_width, seed, prefix) -> SaLstmParams:
 # ---------------------------------------------------------------------------
 
 
-def _cell_dims(cell) -> tuple[int, int, int]:
-    """(hidden, in_width, attn_width) of an LstmParams or SaLstmParams."""
-    if isinstance(cell, SaLstmParams):
-        return cell.lstm.hidden, cell.lstm.in_width, cell.attn.proj_width
-    return cell.hidden, cell.in_width, 0
-
-
-def _work_arrays(hidden: int, in_width: int, d: int, tokens: int,
-                 groups: int) -> dict[str, np.ndarray]:
-    """The arrays a step works in that its adjoint can rebuild from the
-    step's inputs and the arrays it keeps: ``cat`` = [h, x, 1], ``tmp``
-    (i*c~, then tanh(C')) and, with attention, Q, K, V, their softmax
-    product ``att`` and the softmax row sums."""
-    rows = groups * tokens
-    work = {"cat": np.empty((rows, hidden + in_width + 1)), "tmp": np.empty((rows, hidden))}
+def _work_arrays(cell, tokens: int, groups: int) -> dict[str, np.ndarray]:
+    """The arrays a step of ``cell`` (or of buffers sized like it) works in
+    that its adjoint can rebuild from the step's inputs and the arrays it
+    keeps: ``cat`` = [h, x, 1], ``tmp`` (i*c~, then tanh(C')) and, with
+    attention, Q, K, V, their softmax product ``att`` and the softmax row
+    sums."""
+    rows, hidden, d = groups * tokens, cell.hidden, cell.attn_width
+    work = {"cat": np.empty((rows, hidden + cell.in_width + 1)), "tmp": np.empty((rows, hidden))}
     work["cat"][:, -1] = 1.0
     if d:
         work.update({name: np.empty((rows, d)) for name in ("q", "k", "v", "att")})
@@ -183,9 +143,9 @@ class StepBuffers:
     attention products (cheapest at batch 1), several groups batched 3-D
     ones."""
 
-    def __init__(self, cell, tokens: int, out: np.ndarray | None = None,
+    def __init__(self, cell: CellParams, tokens: int, out: np.ndarray | None = None,
                  work: dict[str, np.ndarray] | None = None):
-        self.hidden, self.in_width, self.attn_width = _cell_dims(cell)
+        self.hidden, self.in_width, self.attn_width = cell.hidden, cell.in_width, cell.attn_width
         self.tokens, self.out, self.work = tokens, out, work
         self.groups = self.capacity = 0
         if out is not None:
@@ -211,7 +171,7 @@ class StepBuffers:
             self._scores = np.empty((groups, tokens, tokens)) if d else None
             self._work = self.work
             if self._work is None:
-                self._work = _work_arrays(H, self.in_width, d, tokens, groups)
+                self._work = _work_arrays(self, tokens, groups)
             self.capacity = groups
         self.groups = groups
         self.gates = self._gates[:, :rows]
@@ -279,19 +239,18 @@ class StepKernel:
     (``tape_work``), which ``adjoint`` rebuilds with the numpy calls the
     step made, so its gradients are those of the arrays the step saw."""
 
-    def __init__(self, cell):
-        lstm = cell.lstm if isinstance(cell, SaLstmParams) else cell
+    def __init__(self, cell: CellParams):
         self.cell = cell
-        self.w = np.empty((4, lstm.hidden + lstm.in_width + 1, lstm.hidden))
+        self.w = np.empty((4, cell.hidden + cell.in_width + 1, cell.hidden))
         for gate, name in enumerate("fico"):
-            self.w[gate, :-1] = getattr(lstm, f"w_{name}").data
-            self.w[gate, -1] = getattr(lstm, f"b_{name}").data
+            self.w[gate, :-1] = getattr(cell, f"w_{name}").data
+            self.w[gate, -1] = getattr(cell, f"b_{name}").data
         self.w[:2] *= 0.5
         self.attn = None
-        if isinstance(cell, SaLstmParams):
-            self.attn = (cell.attn.w_q.data / np.sqrt(cell.attn.proj_width),
-                         np.ascontiguousarray(cell.attn.w_k.data),
-                         np.ascontiguousarray(cell.attn.w_v.data),
+        if cell.attn_width:
+            self.attn = (cell.w_q.data / np.sqrt(cell.attn_width),
+                         np.ascontiguousarray(cell.w_k.data),
+                         np.ascontiguousarray(cell.w_v.data),
                          np.ascontiguousarray(cell.out_proj.data))
         self._tape_work = None
 
@@ -300,7 +259,7 @@ class StepKernel:
         ``groups`` groups of ``tokens`` rows; a step of another size replaces
         them (the steps taken before keep theirs)."""
         if self._tape_work is None or self._tape_work[0] != (tokens, groups):
-            work = _work_arrays(*_cell_dims(self.cell), tokens, groups)
+            work = _work_arrays(self.cell, tokens, groups)
             self._tape_work = (tokens, groups), work
         return self._tape_work[1]
 
@@ -436,7 +395,7 @@ def _record(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor
     work arrays are the kernel's ``tape_work``, which every step of it
     overwrites and each adjoint rebuilds."""
     hc_prev = state.data
-    rows, in_width = len(hc_prev), _cell_dims(kernel.cell)[1]
+    rows, in_width = len(hc_prev), kernel.cell.in_width
     if rows % tokens != 0:
         raise ValueError(f"cell step: {rows} state rows not divisible by {tokens} tokens")
     if x.shape != (rows, in_width):
@@ -454,26 +413,27 @@ def _record(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor
 
 def lstm_step(kernel: StepKernel, state: Tensor, x: Tensor) -> Tensor:
     """f=sig(W_f[h,x]+b_f); i, o likewise; c~=tanh(W_c[h,x]+b_c);
-    C' = f*C + i*c~; h' = o*tanh(C'), with the weights of ``kernel``, an
-    LstmParams' kernel, on a packed ``[h | c]`` state."""
+    C' = f*C + i*c~; h' = o*tanh(C'), with the weights of ``kernel``, a
+    plain cell's kernel, on a packed ``[h | c]`` state."""
     return _record(kernel, state, x, tokens=1)
 
 
-def self_attention(p: AttentionParams, tokens: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) V over the token axis; accepts (S, H) or a
-    batch of token groups (B, S, H).  Composed from taped primitives: the
-    reference the fused step's attention is tested against."""
-    q = ad.matmul(tokens, p.w_q)
-    k = ad.matmul(tokens, p.w_k)
-    v = ad.matmul(tokens, p.w_v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(p.proj_width))
+def self_attention(tokens: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
+    """softmax(Q K^T / sqrt(d)) V over the token axis, with Q = tokens W_q
+    and likewise K and V; accepts (S, H) or a batch of token groups
+    (B, S, H).  Composed from taped primitives: the reference the fused
+    step's attention is tested against."""
+    q = ad.matmul(tokens, w_q)
+    k = ad.matmul(tokens, w_k)
+    v = ad.matmul(tokens, w_v)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(w_q.shape[1]))
     return ad.matmul(ad.softmax_rows(scores), v)
 
 
 def sa_lstm_step(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor:
     """LSTM step whose output-gate pre-activation is residually augmented
     with self-attention across the ``tokens`` segments of each group, with
-    the weights of ``kernel``, an SaLstmParams' kernel, on a packed
+    the weights of ``kernel``, an attention cell's kernel, on a packed
     ``[h | c]`` state.
 
     With zero attention weights the residual term is exactly zero, so the

@@ -32,6 +32,7 @@ from . import evaluate as E
 from .config import RunConfig, config_hash, load_config
 from .runtime import tune_allocator
 from .models import MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model, load_model, save_model
+from .seeding import block_rng
 from .train import DivergenceError, best_model, save_checkpoint, train_model
 
 OUT_ENV = "MESOCAST_OUT"
@@ -85,17 +86,22 @@ def _hard_paths(cfg: RunConfig, out: Path) -> list[Path]:
     return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows)]
 
 
-def _load_held_out(cfg: RunConfig, out: Path) -> D.Corpus:
-    """The easy series and the hard windows: all that evaluation reads."""
-    return D.Corpus(train=None, easy=D.read_csv(out / cfg.data.easy_csv),
+def _load_corpus(cfg: RunConfig, out: Path, train: bool) -> D.Corpus:
+    """The easy series and the hard windows, all that evaluation reads, and
+    first, with ``train``, the train series."""
+    return D.Corpus(train=D.read_csv(out / cfg.data.train_csv) if train else None,
+                    easy=D.read_csv(out / cfg.data.easy_csv),
                     hard=[D.read_csv(p) for p in _hard_paths(cfg, out)])
 
 
-def _load_corpus(cfg: RunConfig, out: Path) -> D.Corpus:
-    train = D.read_csv(out / cfg.data.train_csv)
-    corpus = _load_held_out(cfg, out)
-    corpus.train = train
-    return corpus
+def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need: str) -> None:
+    """Reject a series of ``corpus`` with fewer than the ``frames`` frames of
+    one window and its targets, which ``need`` names, naming its CSV."""
+    paths = [out / cfg.data.train_csv, out / cfg.data.easy_csv, *_hard_paths(cfg, out)]
+    for path, series in zip(paths, [corpus.train, corpus.easy, *corpus.hard]):
+        if series is not None and len(series) < frames:
+            raise ValueError(f"{path} holds {len(series)} frames, fewer than the {frames} "
+                             f"that {need} need")
 
 
 def _build_model(cfg: RunConfig):
@@ -151,8 +157,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
     train_cfg = cfg.train_config()
-    corpus = _load_corpus(cfg, out)
+    corpus = _load_corpus(cfg, out, train=True)
     model = _build_model(cfg)
+    _check_frames(cfg, out, corpus, model.s + model.horizon,
+                  f"model.s = {model.s} plus {model.horizon} horizon(s)")
     ckpt_path = out / cfg.training.checkpoint_out
     try:
         run = train_model(model, corpus, train_cfg)
@@ -176,10 +184,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     cfg = _load_run_config(args)
-    corpus = _load_held_out(cfg, out)
+    corpus = _load_corpus(cfg, out, train=False)
     checkpoints = args.checkpoint or [str(out / cfg.evaluation.checkpoint)]
     horizons = cfg.evaluation.horizons
     loaded = [(path, _load_for_horizons(path, horizons)) for path in checkpoints]
+    s = max(model.s for _, model in loaded)
+    _check_frames(cfg, out, corpus, s + horizons,
+                  f"the model's s = {s} plus evaluation.horizons = {horizons}")
     rows = []
     for path, model in loaded:
         report = E.evaluate(model, corpus, horizons=horizons)
@@ -242,7 +253,7 @@ def cmd_bench(args) -> int:
     cfg = _load_run_config(args)
     horizons = cfg.evaluation.horizons
     model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
-    rng = np.random.default_rng(cfg.training.seed)
+    rng = block_rng(cfg.training.seed, "bench/window")
     window = rng.uniform(0.1, 1.0, (model.s, D.NUM_SEGMENTS))
     ms = E.latency_ms(model, window, cfg.evaluation.warmup, cfg.evaluation.iters, horizons)
     p50, p99 = np.percentile(ms, [50, 99])

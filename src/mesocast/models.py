@@ -12,12 +12,16 @@ normalized 21-wide predictions:
   terminal state, all layers sharing one affine head.
 
 One class, ``Forecaster(kind, layers, head_w, head_b, s, horizon)``, holds
-every kind.  The kinds differ only in their data: ``layers`` has one cell
-(``nstep``: one per horizon), the head has one column per segment token
-(``all-at-once``: one per horizon, split with ``narrow``), and ``horizon``
-counts what one unroll emits, 1 for the one-step kinds.  The names
-``OneStepModel``, ``AllAtOnceModel`` and ``NStepModel`` are aliases of it
-that the benchmark's tracer still binds.
+every kind.  The kinds differ only in their data: ``layers`` has one
+``cells.CellParams`` (``nstep``: one per horizon), with attention blocks
+except in the two plain LSTM kinds, the head has one column per segment
+token (``all-at-once``: one per horizon, split with ``narrow``), and
+``horizon`` counts what one unroll emits, 1 for the one-step kinds.
+``_shape`` spells a kind's widths and parameter count once, for
+``check_dims``, ``build_model`` and the container reader, which demands
+that the header's dims describe the payload exactly before anything is
+allocated.  The names ``OneStepModel``, ``AllAtOnceModel`` and
+``NStepModel`` are aliases of it that the benchmark's tracer still binds.
 
 Every path runs the one cell step kernel, ``cells.StepKernel``, one per
 layer per pass, on one step schedule, ``_schedule``: which entries of
@@ -52,7 +56,6 @@ no frame, walk from zero.
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -60,16 +63,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cells import (
-    LstmParams,
-    SaLstmParams,
-    StepBuffers,
-    StepKernel,
-    init_lstm_params,
-    init_sa_lstm_params,
-    lstm_step,
-    sa_lstm_step,
-)
+from .cells import CellParams, StepBuffers, StepKernel, init_cell, lstm_step, sa_lstm_step
 from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, NUM_SEGMENTS
 from .seeding import block_rng
 
@@ -145,7 +139,7 @@ class Forecaster:
     one-step kinds, which recurse for more)."""
 
     kind: str
-    layers: list[LstmParams | SaLstmParams]
+    layers: list[CellParams]
     head_w: Tensor
     head_b: Tensor
     s: int
@@ -157,13 +151,14 @@ class Forecaster:
 
     @property
     def attn_width(self) -> int:
-        return 0 if self.kind in LSTM_KINDS else self.layers[0].attn.proj_width
+        return self.layers[0].attn_width
 
     @property
     def layout(self) -> tuple[int, int]:
         """(tokens, in_width) of one window: the dense lstm reads a whole field
         as one token, the others one token per segment."""
-        return (1, NUM_SEGMENTS) if self.kind == "lstm" else (NUM_SEGMENTS, 1)
+        in_width = self.layers[0].in_width
+        return NUM_SEGMENTS // in_width, in_width
 
     def blocks(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -239,6 +234,18 @@ OneStepModel = AllAtOnceModel = NStepModel = Forecaster
 MAX_PARAMETERS = MAX_ARRAY_VALUES
 
 
+def _shape(kind: str, hidden: int, attn_width: int, horizon: int) -> tuple[int, ...]:
+    """(layers, in_width, attention width, head width, parameter count) of a
+    ``kind`` model: each layer one cell of 4 gates over [h, x, 1] and, with
+    attention, W_q, W_k, W_v and the output projection, then the head."""
+    layers = horizon if kind == "nstep" else 1
+    in_width = NUM_SEGMENTS if kind == "lstm" else 1
+    attn = 0 if kind in LSTM_KINDS else attn_width
+    width = {"lstm": NUM_SEGMENTS, "all-at-once": horizon}.get(kind, 1)
+    count = layers * 4 * hidden * (hidden + in_width + 1 + attn) + (hidden + 1) * width
+    return layers, in_width, attn, width, count
+
+
 def check_dims(kind: str, s: int, hidden: int, attn_width: int, horizon: int) -> None:
     """Raise a ValueError reading "<dim> must ..." for dims that ``build_model``
     rejects, without allocating anything."""
@@ -252,13 +259,7 @@ def check_dims(kind: str, s: int, hidden: int, attn_width: int, horizon: int) ->
     for name, value in sized.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    in_width = NUM_SEGMENTS if kind == "lstm" else 1
-    layer = 4 * hidden * (hidden + in_width + 1)
-    if kind not in LSTM_KINDS:
-        layer += 4 * hidden * attn_width                # q, k, v and the output projection
-    layers = horizon if kind == "nstep" else 1
-    width = {"lstm": NUM_SEGMENTS, "all-at-once": horizon}.get(kind, 1)
-    count = layers * layer + (hidden + 1) * width
+    count = _shape(kind, hidden, attn_width, horizon)[-1]
     if count > MAX_PARAMETERS:
         names = [name for name in ("hidden", "attn_width") if name in sized]
         names += ["horizon"] if kind in ("nstep", "all-at-once") else []
@@ -271,15 +272,10 @@ def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
     """Construct a freshly initialised model of the given kind; parameter
     blocks draw name-keyed streams so shared block names agree across kinds."""
     check_dims(kind, s, hidden, attn_width, horizon)
-    names = [f"layer{i + 1}" for i in range(horizon if kind == "nstep" else 1)]
-    if kind in LSTM_KINDS:
-        in_width = NUM_SEGMENTS if kind == "lstm" else 1
-        layers = [init_lstm_params(hidden, in_width, seed, name) for name in names]
-    else:
-        layers = [init_sa_lstm_params(hidden, attn_width, seed, name) for name in names]
-    width = {"lstm": NUM_SEGMENTS, "all-at-once": horizon}.get(kind, 1)
+    layers, in_width, attn, width, _ = _shape(kind, hidden, attn_width, horizon)
+    cells = [init_cell(hidden, in_width, attn, seed, f"layer{i + 1}") for i in range(layers)]
     w, b = _init_head(hidden, width, seed)
-    return Forecaster(kind, layers, w, b, s, 1 if kind in ONE_STEP_KINDS else horizon)
+    return Forecaster(kind, cells, w, b, s, 1 if kind in ONE_STEP_KINDS else horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +503,8 @@ def unpack_container(blob: bytes, magic: bytes, what: str):
     return json.loads(blob[8:8 + head_len].decode()), body[8 + head_len:]
 
 
-def deserialize_model(blob: bytes, expect_kind: str | None = None):
-    header, dims, payload = _read_container(blob, expect_kind)
+def deserialize_model(blob: bytes):
+    header, dims, payload = _read_container(blob)
     model = build_model(header["kind"], seed=0, **dims)
     _fill_blocks(model, header["blocks"], payload)
     return model
@@ -543,7 +539,7 @@ def check_fields(header, where: str, **tests) -> None:
             raise ValueError(f"{where}: field {key!r} is missing or malformed: {value!r:.60}")
 
 
-def _read_container(blob: bytes, expect_kind: str | None):
+def _read_container(blob: bytes):
     """Header, the build_model dims it names, and payload, all checked."""
     header, payload = unpack_container(blob, _MAGIC, "model container")
     check_fields(header, "model header",
@@ -551,8 +547,6 @@ def _read_container(blob: bytes, expect_kind: str | None):
                  kind=lambda v: v in MODEL_KINDS, dims=lambda v: isinstance(v, dict),
                  blocks=rows_of(is_name, is_shape))
     kind, dims = header["kind"], header["dims"]
-    if expect_kind is not None and kind != expect_kind:
-        raise ValueError(f"model kind mismatch: container holds {kind!r}, expected {expect_kind!r}")
     positive = lambda v: is_count(v) and v >= 1
     # s sizes the plan's (s + horizon, rows, .) buffers and no block, so bound it here
     tests = dict(s=lambda v: positive(v) and v <= MINUTES_PER_DAY, hidden=positive,
@@ -560,20 +554,11 @@ def _read_container(blob: bytes, expect_kind: str | None):
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive
     check_fields(dims, "model header dims", **tests)
-    expected = sum(math.prod(shape) for _, shape in header["blocks"]) * 8
-    if len(payload) != expected:
-        raise ValueError(f"payload truncated: {len(payload)} bytes, expected {expected}")
-    # build_model allocates from the dims, so bound them by the payload first:
-    # each layer holds 4 gates of at least (hidden x hidden) and 4 attention
-    # projections of (hidden x attn_width), the head (hidden x head columns)
-    hidden = dims["hidden"]
-    attn = dims["attn_width"] if kind not in LSTM_KINDS else 0
-    layers = dims["horizon"] if kind == "nstep" else 1
-    head = dims["horizon"] if kind == "all-at-once" else 1
-    floor = max(4 * hidden * hidden * layers, 4 * hidden * attn * layers, hidden * head)
-    if floor * 8 > len(payload):
-        raise ValueError(f"model header: field 'dims' needs at least {floor} parameters, "
-                         f"the payload holds {len(payload) // 8}")
+    # build_model allocates from the dims, so they must describe the payload first
+    count = _shape(kind, dims["hidden"], dims["attn_width"], dims.get("horizon", 1))[-1]
+    if count * 8 != len(payload):
+        raise ValueError(f"model header: field 'dims' gives {count} parameters, but the "
+                         f"payload's blocks take {len(payload)} bytes")
     return header, {key: dims[key] for key in tests}, payload
 
 
@@ -586,6 +571,8 @@ def _fill_blocks(model, block_table, payload: bytes) -> None:
     for name, shape in block_table:
         n = int(np.prod(shape)) * 8
         arr = np.frombuffer(payload[offset:offset + n], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"model block {name!r} holds a non-finite value")
         blocks[name].data[...] = arr
         offset += n
 
@@ -595,6 +582,6 @@ def save_model(model, path) -> None:
         fh.write(serialize_model(model))
 
 
-def load_model(path, expect_kind: str | None = None):
+def load_model(path):
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read(), expect_kind)
+        return deserialize_model(fh.read())

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -50,7 +51,7 @@ def random_lstm_arrays(rng, hidden, in_width):
 
 
 def params_from_arrays(w, b):
-    return cells.LstmParams(
+    return cells.CellParams(
         *(ad.parameter(w[g]) for g in "fico"), *(ad.parameter(b[g]) for g in "fico")
     )
 
@@ -93,7 +94,7 @@ class TestLstmStep:
         np.testing.assert_allclose(c_of(out).data, c_ref, rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
-        p = cells.init_lstm_params(4, 2, seed=0, prefix="layer1")
+        p = cells.init_cell(4, 2, 0, seed=0, prefix="layer1")
         state = zero_state(3, 4)
         with pytest.raises(ValueError, match="input shape"):
             cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((3, 5))))
@@ -102,22 +103,18 @@ class TestLstmStep:
 class TestSelfAttention:
     def test_uniform_attention_averages_tokens(self):
         hidden = 4
-        p = cells.AttentionParams(
-            ad.tensor(np.zeros((hidden, hidden))),
-            ad.tensor(np.zeros((hidden, hidden))),
-            ad.tensor(np.eye(hidden)),
-        )
         tokens = np.random.default_rng(1).uniform(-1, 1, (6, hidden))
-        out = cells.self_attention(p, ad.tensor(tokens))
+        out = cells.self_attention(ad.tensor(tokens), ad.tensor(np.zeros((hidden, hidden))),
+                                   ad.tensor(np.zeros((hidden, hidden))), ad.tensor(np.eye(hidden)))
         np.testing.assert_allclose(
             out.data, np.tile(tokens.mean(axis=0), (6, 1)), rtol=0, atol=1e-12
         )
 
     def test_single_token(self):
         rng = np.random.default_rng(2)
-        p = cells.init_attention_params(5, 3, seed=1, prefix="attn")
+        p = cells.init_cell(5, 1, 3, seed=1, prefix="layer1")
         tok = rng.uniform(-1, 1, (1, 5))
-        out = cells.self_attention(p, ad.tensor(tok))
+        out = cells.self_attention(ad.tensor(tok), p.w_q, p.w_k, p.w_v)
         np.testing.assert_allclose(out.data, tok @ p.w_v.data, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -126,8 +123,7 @@ class TestSelfAttention:
         S, hidden, d = rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 5)
         wq, wk, wv = (rng.uniform(-1, 1, (hidden, d)) for _ in range(3))
         tokens = rng.uniform(-1, 1, (S, hidden))
-        p = cells.AttentionParams(ad.tensor(wq), ad.tensor(wk), ad.tensor(wv))
-        out = cells.self_attention(p, ad.tensor(tokens))
+        out = cells.self_attention(ad.tensor(tokens), ad.tensor(wq), ad.tensor(wk), ad.tensor(wv))
         np.testing.assert_allclose(
             out.data, attention_oracle(wq, wk, wv, tokens), rtol=0, atol=1e-12
         )
@@ -145,7 +141,7 @@ class TestSelfAttention:
 
 class TestSaLstmStep:
     def _random_setup(self, rng, tokens=4, hidden=3, d=2):
-        p = cells.init_sa_lstm_params(hidden, d, seed=int(rng.integers(1 << 30)), prefix="layer1")
+        p = cells.init_cell(hidden, 1, d, seed=int(rng.integers(1 << 30)), prefix="layer1")
         h0 = rng.uniform(-1, 1, (tokens, hidden))
         c0 = rng.uniform(-1, 1, (tokens, hidden))
         x = rng.uniform(-1, 1, (tokens, 1))
@@ -155,13 +151,14 @@ class TestSaLstmStep:
     def test_zero_attention_reduces_to_lstm_bitwise(self, seed):
         rng = np.random.default_rng(400 + seed)
         p, h0, c0, x = self._random_setup(rng)
-        p.attn.w_q.data[:] = 0.0
-        p.attn.w_k.data[:] = 0.0
-        p.attn.w_v.data[:] = 0.0
+        p.w_q.data[:] = 0.0
+        p.w_k.data[:] = 0.0
+        p.w_v.data[:] = 0.0
         p.out_proj.data[:] = 0.0
+        plain = dataclasses.replace(p, w_q=None, w_k=None, w_v=None, out_proj=None)
         state = state_of(ad.tensor(h0), ad.tensor(c0))
         out_sa = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=4)
-        out_plain = cells.lstm_step(cells.StepKernel(p.lstm), state, ad.tensor(x))
+        out_plain = cells.lstm_step(cells.StepKernel(plain), state, ad.tensor(x))
         assert np.array_equal(h_of(out_sa).data, h_of(out_plain).data)
         assert np.array_equal(c_of(out_sa).data, c_of(out_plain).data)
 
@@ -169,9 +166,9 @@ class TestSaLstmStep:
         hidden, tokens = 3, 5
         w = {g: np.zeros((hidden + 1, hidden)) for g in "fico"}
         b = {g: np.zeros(hidden) for g in "fico"}
-        p = cells.SaLstmParams(
-            lstm=params_from_arrays(w, b),
-            attn=cells.AttentionParams(*(ad.tensor(np.zeros((hidden, 2))) for _ in range(3))),
+        p = dataclasses.replace(
+            params_from_arrays(w, b),
+            **{name: ad.tensor(np.zeros((hidden, 2))) for name in ("w_q", "w_k", "w_v")},
             out_proj=ad.tensor(np.zeros((2, hidden))),
         )
         state = zero_state(tokens, hidden)
@@ -187,13 +184,13 @@ class TestSaLstmStep:
         out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=tokens)
 
         # explicit recomputation: per-token gates, then attention on Z_o
-        w = {g: getattr(p.lstm, f"w_{g}").data for g in "fico"}
-        b = {g: getattr(p.lstm, f"b_{g}").data for g in "fico"}
+        w = {g: getattr(p, f"w_{g}").data for g in "fico"}
+        b = {g: getattr(p, f"b_{g}").data for g in "fico"}
         cat = np.concatenate([h0, x], axis=1)
         f, i = sig(cat @ w["f"] + b["f"]), sig(cat @ w["i"] + b["i"])
         c_tilde = np.tanh(cat @ w["c"] + b["c"])
         z_o = cat @ w["o"] + b["o"]
-        mixed = attention_oracle(p.attn.w_q.data, p.attn.w_k.data, p.attn.w_v.data, z_o)
+        mixed = attention_oracle(p.w_q.data, p.w_k.data, p.w_v.data, z_o)
         o = sig(z_o + mixed @ p.out_proj.data)
         c_ref = f * c0 + i * c_tilde
         h_ref = o * np.tanh(c_ref)
@@ -215,7 +212,7 @@ class TestSaLstmStep:
         np.testing.assert_allclose(h_of(batched).data[tokens:], h_of(single).data, atol=1e-12)
 
     def test_token_count_mismatch_rejected(self):
-        p = cells.init_sa_lstm_params(3, 2, seed=0, prefix="layer1")
+        p = cells.init_cell(3, 1, 2, seed=0, prefix="layer1")
         state = zero_state(5, 3)
         with pytest.raises(ValueError, match="tokens"):
             cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((5, 1))), tokens=4)
@@ -224,7 +221,7 @@ class TestSaLstmStep:
 class TestGateBehaviour:
     def test_gates_bounded_and_state_finite_over_long_run(self):
         rng = np.random.default_rng(123)
-        p = cells.init_sa_lstm_params(8, 4, seed=77, prefix="layer1")
+        p = cells.init_cell(8, 1, 4, seed=77, prefix="layer1")
         for block in p.blocks("layer1").values():
             block.requires_grad = False
         state = zero_state(5, 8)
@@ -259,13 +256,7 @@ class TestBptt:
         values = [rng.uniform(-0.8, 0.8, shapes[n]) for n in names]
 
         def build(leaves):
-            tensors = dict(zip(names, leaves))
-            p = cells.SaLstmParams(
-                lstm=cells.LstmParams(*(tensors[f"w_{g}"] for g in "fico"),
-                                      *(tensors[f"b_{g}"] for g in "fico")),
-                attn=cells.AttentionParams(tensors["w_q"], tensors["w_k"], tensors["w_v"]),
-                out_proj=tensors["out_proj"],
-            )
+            p = cells.CellParams(**dict(zip(names, leaves)))
             state = zero_state(tokens, hidden)
             for t in range(steps):
                 state = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(xs[t]), tokens=tokens)
@@ -315,7 +306,7 @@ class TestStepBuffers:
     holds only one cell's weights."""
 
     def test_taped_step_writes_into_its_output_and_owns_no_c(self, monkeypatch):
-        p = cells.init_sa_lstm_params(4, 2, seed=5, prefix="layer1")
+        p = cells.init_cell(4, 1, 2, seed=5, prefix="layer1")
         handed = []
         step = cells.StepKernel.step
         monkeypatch.setattr(cells.StepKernel, "step",
@@ -332,7 +323,7 @@ class TestStepBuffers:
         np.testing.assert_array_equal(b.cat[:, :4], h0[:, :4])
 
     def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
-        b = cells.StepBuffers(cells.init_sa_lstm_params(4, 2, seed=6, prefix="layer1"), 5)
+        b = cells.StepBuffers(cells.init_cell(4, 1, 2, seed=6, prefix="layer1"), 5)
         b.resize(3)
         old = [weakref.ref(a) for value in vars(b).values() for a in _arrays(value)]
         alive = []
@@ -352,10 +343,10 @@ class TestStepBuffers:
         # 32 windows x 21 segment rows at default dims (hidden 64, attn 16)
         rows, tokens = 672, 21 if kind == "sa-lstm" else 1
         if kind == "sa-lstm":
-            kernel = cells.StepKernel(cells.init_sa_lstm_params(64, 16, seed=8, prefix="layer1"))
+            kernel = cells.StepKernel(cells.init_cell(64, 1, 16, seed=8, prefix="layer1"))
             step = lambda state, x: cells.sa_lstm_step(kernel, state, x, tokens=tokens)
         else:
-            kernel = cells.StepKernel(cells.init_lstm_params(64, 1, seed=8, prefix="layer1"))
+            kernel = cells.StepKernel(cells.init_cell(64, 1, 0, seed=8, prefix="layer1"))
             step = lambda state, x: cells.lstm_step(kernel, state, x)
         rng = np.random.default_rng(8)
         first = step(ad.tensor(rng.uniform(-1, 1, (rows, 128))),
@@ -374,7 +365,7 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("kind", ["lstm", "lstm-seg"])
     def test_plain_lstm_buffers_own_no_attention_arrays(self, kind):
-        p = cells.init_lstm_params(4, 21 if kind == "lstm" else 1, seed=9, prefix="layer1")
+        p = cells.init_cell(4, 21 if kind == "lstm" else 1, 0, seed=9, prefix="layer1")
         b = cells.StepBuffers(p, 1)
         b.resize(32)
         assert b._scores is None and not {"scores", "q"} & vars(b).keys()
@@ -382,7 +373,7 @@ class TestStepBuffers:
         assert b.o is b.zo                    # o is computed in place of z_o
 
     def test_resize_within_capacity_keeps_the_leading_state(self):
-        p = cells.init_sa_lstm_params(4, 2, seed=7, prefix="layer1")
+        p = cells.init_cell(4, 1, 2, seed=7, prefix="layer1")
         b = cells.StepBuffers(p, 5)
         b.resize(3)
         hc = np.random.default_rng(7).uniform(-1, 1, (15, 8))

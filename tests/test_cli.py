@@ -476,6 +476,44 @@ def test_zero_horizons_exits_2(corpus_dir, tmp_path, capsys, command, kind, hori
     assert not written.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "forecast", "bench"])
+def test_non_finite_weights_exit_2_naming_the_block(corpus_dir, tmp_path, capsys, command):
+    # the checksum holds, so only a look at the values can tell
+    out, _ = corpus_dir
+    model = build_model("sa-lstm", s=4, hidden=4, attn_width=2)
+    model.head_b.data[0] = np.nan
+    model_path = tmp_path / "model.bin"
+    save_model(model, model_path)
+    written = tmp_path / f"{command}.csv"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_INI + (f"report_csv = {written}\n" if command == "eval" else ""))
+    argv = ["--input", out / "hard0.csv", "--output", written] if command == "forecast" else []
+    assert run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
+                   *argv) == 2
+    assert "'head/b'" in capsys.readouterr().err
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("command, edit, need", [
+    ("eval", ("horizons = 2", "horizons = 500"), "the 504 that the model's s = 4 plus"),
+    ("train", ("\ns = 4\n", "\ns = 500\n"), "the 501 that model.s = 500 plus 1 horizon"),
+])
+def test_series_too_short_for_a_window_exits_2_naming_the_csv(corpus_dir, tmp_path, capsys,
+                                                              command, edit, need):
+    # the 440-minute hard window holds no window of s frames plus the horizons
+    out, _ = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / name).write_bytes((out / name).read_bytes())
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), run_dir / "model.bin")
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(TINY_INI.replace(*edit))
+    assert run_cli(command, "--config", cfg, "--out", run_dir) == 2
+    err = capsys.readouterr().err
+    assert f"{run_dir / 'hard0.csv'} holds 440 frames, fewer than {need}" in err
+
+
 @pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])
 @pytest.mark.parametrize("command", ["eval", "forecast"])
 def test_horizons_past_a_multi_step_model_exit_2(corpus_dir, tmp_path, capsys, command, kind):
@@ -534,6 +572,13 @@ class TestBench:
         assert run_cli("bench", "--config", cfg, "--out", out, "--iters", 20, "--warmup", 3) == 0
         assert asked == [2] * 23
         assert "20 2-minute forecasts" in capsys.readouterr().out
+
+    def test_negative_seed_is_accepted(self, trained_dir, capsys):
+        # generate and train take any int seed, and so does the timing window
+        out, cfg = trained_dir
+        assert run_cli("bench", "--config", cfg, "--out", out, "--seed", -1,
+                       "--iters", 5, "--warmup", 1) == 0
+        assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", ["all-at-once", "nstep"])
     def test_horizons_past_a_multi_step_model_exit_2(self, trained_dir, tmp_path, capsys, kind):

@@ -58,7 +58,7 @@ class TestForecastOne:
     def test_zeroed_attention_equals_per_segment_lstm(self):
         sa = tiny("sa-lstm", seed=3)
         for name in ("w_q", "w_k", "w_v"):
-            getattr(sa.layers[0].attn, name).data[:] = 0.0
+            getattr(sa.layers[0], name).data[:] = 0.0
         sa.layers[0].out_proj.data[:] = 0.0
         seg = tiny("lstm-seg", seed=3)  # same block names, same init streams
         w = rand_window(4, 3)
@@ -586,10 +586,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_model(blob[:len(blob) // 2])
 
-    def test_cross_kind_rejected_naming_both(self):
-        blob = serialize_model(tiny("nstep"))
-        with pytest.raises(ValueError, match="nstep.*sa-lstm"):
-            deserialize_model(blob, expect_kind="sa-lstm")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_naming_the_block(self, value):
+        m = tiny("sa-lstm")
+        m.layers[0].w_q.data[1, 0] = value
+        with pytest.raises(ValueError, match="'layer1/attn/w_q' holds a non-finite value"):
+            deserialize_model(serialize_model(m))
 
     def test_corrupt_payload_rejected(self):
         blob = bytearray(serialize_model(tiny("lstm")))
@@ -625,9 +627,12 @@ class TestSerialization:
         ("nstep", {"horizon": 10 ** 4}),
         ("sa-lstm", {"s": 10 ** 12}),
         ("nstep", {"s": MINUTES_PER_DAY + 1}),
+        ("sa-lstm", {"attn_width": 3}),        # one past what the blocks were built at
+        ("sa-lstm", {"hidden": 5}),
     ])
     def test_oversized_dims_rejected_before_allocation(self, monkeypatch, kind, dims):
-        blob = with_header(serialize_model(tiny(kind)), lambda h: h["dims"].update(dims))
+        blob = with_header(serialize_model(tiny(kind, hidden=4, attn_width=2)),
+                           lambda h: h["dims"].update(dims))
         monkeypatch.setattr(models, "build_model",
                             lambda *a, **k: pytest.fail("build_model called"))
         with pytest.raises(ValueError, match="dims"):
@@ -664,7 +669,7 @@ class TestSerialization:
         ("sa-lstm", dict(attn_width=0), "attn_width"), ("nstep", dict(horizon=0), "horizon"),
     ])
     def test_bad_dims_rejected_before_allocation(self, monkeypatch, kind, dims, names):
-        for name in ("init_lstm_params", "init_sa_lstm_params", "_init_head"):
+        for name in ("init_cell", "_init_head"):
             monkeypatch.setattr(models, name, lambda *a, **k: pytest.fail("allocated"))
         with pytest.raises(ValueError, match=f"^{names} must "):
             build_model(kind, **dims)
@@ -673,6 +678,6 @@ class TestSerialization:
         m = tiny("all-at-once", seed=31)
         path = tmp_path / "model.bin"
         models.save_model(m, path)
-        back = models.load_model(path, expect_kind="all-at-once")
+        back = models.load_model(path)
         w = rand_window(4, 31)
         assert np.array_equal(InferencePlan(m).run(w), InferencePlan(back).run(w))

@@ -389,10 +389,10 @@ class TestTrainNStep:
         assert all(a is b for a, b in zip(store.states("easy", x, 2), first))
         assert store.states("easy", x, 1)[0] is first[0] and fills == [0]
         one_ulp = lambda a: np.nextafter(a, np.inf)      # the least change a block can see
-        model.layers[1].attn.w_q.data[0, 0] = one_ulp(model.layers[1].attn.w_q.data[0, 0])
+        model.layers[1].w_q.data[0, 0] = one_ulp(model.layers[1].w_q.data[0, 0])
         again = store.states("easy", x, 2)
         assert fills == [0, 1] and again[0] is first[0] and again[1] is not first[1]
-        model.layers[0].lstm.b_f.data[0] = one_ulp(model.layers[0].lstm.b_f.data[0])
+        model.layers[0].b_f.data[0] = one_ulp(model.layers[0].b_f.data[0])
         store.states("easy", x, 2)
         assert fills == [0, 1, 0]
 
@@ -635,6 +635,16 @@ class TestCheckpoints:
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
+            load_checkpoint(path, cfg)
+
+    def test_non_finite_model_weight_rejected_naming_the_block(self, tmp_path):
+        cfg = tiny_cfg(epochs_per_stage=1)
+        run = train_model(
+            build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=18), constant_corpus(), cfg)
+        run.model.head_b.data[0] = np.nan
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        with pytest.raises(ValueError, match="'head/b' holds a non-finite value"):
             load_checkpoint(path, cfg)
 
 
