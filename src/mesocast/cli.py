@@ -7,9 +7,11 @@ prediction from an input CSV), ``bench`` (latency protocol with a budget
 gate).
 
 Every command is driven by an INI config (see ``config.py``) with a handful
-of flag overrides, resolves file paths against ``--out`` (or the
-``MESOCAST_OUT`` environment variable), and drops a manifest recording the
-seed and the resolved-config hash next to its outputs.
+of flag overrides (``_FLAG_KEYS``), resolves file paths against ``--out``
+(or the ``MESOCAST_OUT`` environment variable), and drops a manifest
+recording the seed and the resolved-config hash next to its outputs.
+``main`` makes the output directory and loads the config, flags applied,
+before it hands both to the command.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure (training
 divergence); ``bench`` additionally exits 1 when the median latency exceeds
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,27 +48,22 @@ def _out_dir(args) -> Path:
     return path
 
 
+# flag (argparse dest) -> the <section>.<key> settings it overrides
+_FLAG_KEYS = {"days": ["data.train_days"], "seed": ["data.seed", "training.seed"],
+              "model": ["model.kind"], "n": ["model.horizon"],
+              "epochs": ["training.epochs_per_stage"], "lap_depth": ["training.lap_depth"],
+              "iters": ["evaluation.iters"], "warmup": ["evaluation.warmup"],
+              "budget": ["evaluation.budget_ms"]}
+
+
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "days", None) is not None:
-        cfg.data.train_days = args.days
-    if getattr(args, "seed", None) is not None:
-        cfg.data.seed = args.seed
-        cfg.training.seed = args.seed
-    if getattr(args, "model", None) is not None:
-        cfg.model.kind = args.model
-    if getattr(args, "n", None) is not None:
-        cfg.model.horizon = args.n
-    if getattr(args, "epochs", None) is not None:
-        cfg.training.epochs_per_stage = args.epochs
-    if getattr(args, "lap_depth", None) is not None:
-        cfg.training.lap_depth = args.lap_depth
-    if getattr(args, "iters", None) is not None:
-        cfg.evaluation.iters = args.iters
-    if getattr(args, "warmup", None) is not None:
-        cfg.evaluation.warmup = args.warmup
-    if getattr(args, "budget", None) is not None:
-        cfg.evaluation.budget_ms = args.budget
+    for flag, keys in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            for key in keys:
+                section, name = key.split(".")
+                setattr(getattr(cfg, section), name, value)
     cfg.validate()          # the flags too, before any file is read
     return cfg
 
@@ -86,12 +84,20 @@ def _hard_paths(cfg: RunConfig, out: Path) -> list[Path]:
     return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows)]
 
 
+def _read_csv(path) -> D.Series:
+    """``D.read_csv(path)``, with a rejection that names ``path``."""
+    try:
+        return D.read_csv(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_corpus(cfg: RunConfig, out: Path, train: bool) -> D.Corpus:
     """The easy series and the hard windows, all that evaluation reads, and
     first, with ``train``, the train series."""
-    return D.Corpus(train=D.read_csv(out / cfg.data.train_csv) if train else None,
-                    easy=D.read_csv(out / cfg.data.easy_csv),
-                    hard=[D.read_csv(p) for p in _hard_paths(cfg, out)])
+    return D.Corpus(train=_read_csv(out / cfg.data.train_csv) if train else None,
+                    easy=_read_csv(out / cfg.data.easy_csv),
+                    hard=[_read_csv(p) for p in _hard_paths(cfg, out)])
 
 
 def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need: str) -> None:
@@ -105,11 +111,7 @@ def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need
 
 
 def _build_model(cfg: RunConfig):
-    return build_model(
-        cfg.model.kind, s=cfg.model.s, hidden=cfg.model.hidden,
-        attn_width=cfg.model.attn_width, horizon=cfg.model.horizon,
-        seed=cfg.training.seed,
-    )
+    return build_model(**asdict(cfg.model), seed=cfg.training.seed)
 
 
 def _load_for_horizons(path, horizons: int):
@@ -127,9 +129,7 @@ def _load_for_horizons(path, horizons: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_run_config(args)
+def cmd_generate(args, out: Path, cfg: RunConfig) -> int:
     corpus = D.make_corpus(cfg.ctm_config(), cfg.corpus_sizes())
     outputs = [cfg.data.train_csv, cfg.data.easy_csv]
     D.write_csv(corpus.train, out / cfg.data.train_csv)
@@ -153,9 +153,7 @@ def _write_metrics_csv(history, path) -> None:
                      f"{format(rec.train_loss, '.9g')},{easy},{hard}\n")
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_run_config(args)
+def cmd_train(args, out: Path, cfg: RunConfig) -> int:
     train_cfg = cfg.train_config()
     corpus = _load_corpus(cfg, out, train=True)
     model = _build_model(cfg)
@@ -181,9 +179,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_run_config(args)
+def cmd_eval(args, out: Path, cfg: RunConfig) -> int:
     corpus = _load_corpus(cfg, out, train=False)
     checkpoints = args.checkpoint or [str(out / cfg.evaluation.checkpoint)]
     horizons = cfg.evaluation.horizons
@@ -208,12 +204,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_forecast(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_run_config(args)
+def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     horizons = cfg.evaluation.horizons
     model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
-    series = D.read_csv(args.input)
+    series = _read_csv(args.input)
     if len(series) < model.s:
         raise ValueError(f"input has {len(series)} frames, model needs {model.s}")
     at = args.at if args.at is not None else int(series.minutes[-1])
@@ -248,9 +242,7 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    out = _out_dir(args)
-    cfg = _load_run_config(args)
+def cmd_bench(args, out: Path, cfg: RunConfig) -> int:
     horizons = cfg.evaluation.horizons
     model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
     rng = block_rng(cfg.training.seed, "bench/window")
@@ -326,7 +318,7 @@ def main(argv=None) -> int:
     tune_allocator()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _out_dir(args), _load_run_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,33 +1,39 @@
 """Run configuration: an INI file with sections mirroring the command
 surfaces (data / model / training / evaluation), every field defaulted,
-unknown keys rejected so config drift fails loudly."""
+unknown keys rejected so config drift fails loudly.  A section's defaults
+are those of the library type it configures (``CtmConfig`` and
+``CorpusSizes``, ``build_model``, ``TrainConfig``), so each is spelled once."""
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, CorpusSizes, CtmConfig
 from .losses import LossConfig
-from .models import check_dims
+from .models import build_model, check_dims
 from .train import TrainConfig
+
+_CTM, _SIZES, _TRAIN = CtmConfig(), CorpusSizes(), TrainConfig()
+_DIMS = inspect.signature(build_model).parameters
 
 
 @dataclass
 class DataSection:
-    seed: int = 0
-    free_flow_mph: float = 70.0
-    wave_speed_mph: float = 15.0
-    jam_density: float = 110.0
-    noise_std_mph: float = 1.5
-    substeps_per_minute: int = 4
-    train_days: int = 35
-    easy_days: int = 6
-    hard_windows: int = 4
-    hard_minutes: int = 440
+    seed: int = _CTM.seed
+    free_flow_mph: float = _CTM.free_flow_mph
+    wave_speed_mph: float = _CTM.wave_speed_mph
+    jam_density: float = _CTM.jam_density
+    noise_std_mph: float = _CTM.noise_std_mph
+    substeps_per_minute: int = _CTM.substeps_per_minute
+    train_days: int = _SIZES.train_days
+    easy_days: int = _SIZES.easy_days
+    hard_windows: int = _SIZES.hard_windows
+    hard_minutes: int = _SIZES.hard_minutes
     train_csv: str = "train.csv"
     easy_csv: str = "easy.csv"
     hard_csv_prefix: str = "hard"
@@ -36,13 +42,10 @@ class DataSection:
 @dataclass
 class ModelSection:
     kind: str = "sa-lstm"            # lstm | lstm-seg | sa-lstm | all-at-once | nstep
-    s: int = 8
-    hidden: int = 64
-    attn_width: int = 16
-    horizon: int = 3
-
-
-_TRAIN = TrainConfig()
+    s: int = _DIMS["s"].default
+    hidden: int = _DIMS["hidden"].default
+    attn_width: int = _DIMS["attn_width"].default
+    horizon: int = _DIMS["horizon"].default
 
 
 @dataclass
@@ -99,30 +102,17 @@ class RunConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
     def ctm_config(self) -> CtmConfig:
-        return CtmConfig(
-            free_flow_mph=self.data.free_flow_mph,
-            wave_speed_mph=self.data.wave_speed_mph,
-            jam_density=self.data.jam_density,
-            noise_std_mph=self.data.noise_std_mph,
-            substeps_per_minute=self.data.substeps_per_minute,
-            seed=self.data.seed,
-        )
+        return CtmConfig(**_declared(CtmConfig, asdict(self.data)))
 
     def corpus_sizes(self) -> CorpusSizes:
-        return CorpusSizes(
-            train_days=self.data.train_days,
-            easy_days=self.data.easy_days,
-            hard_windows=self.data.hard_windows,
-            hard_minutes=self.data.hard_minutes,
-        )
+        return CorpusSizes(**_declared(CorpusSizes, asdict(self.data)))
 
     def train_config(self) -> TrainConfig:
         """The [training] section as a TrainConfig; a value it rejects raises
         a ValueError naming ``training.<key>``."""
         values = asdict(self.training)
-        for name in ("model_out", "checkpoint_out", "metrics_csv"):
-            del values[name]
         loss = {name: values.pop(key) for name, key in _LOSS_KEYS.items()}
+        values = _declared(TrainConfig, values)
         return _naming_keys("training", lambda: TrainConfig(loss=LossConfig(**loss), **values),
                             _LOSS_KEYS)
 
@@ -135,13 +125,11 @@ class RunConfig:
         self.train_config()
         _naming_keys("evaluation", self.evaluation.validate)
 
-    def resolved(self) -> dict:
-        return {
-            "data": asdict(self.data),
-            "model": asdict(self.model),
-            "training": asdict(self.training),
-            "evaluation": asdict(self.evaluation),
-        }
+
+def _declared(cls, values: dict) -> dict:
+    """The entries of ``values`` that name a field of the dataclass ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in values.items() if key in names}
 
 
 # LossConfig field -> [training] key
@@ -161,28 +149,27 @@ def _naming_keys(section: str, check, keys: dict | None = None):
         raise ValueError(f"bad value for {named}: {exc}") from None
 
 
-_SECTIONS = {
-    "data": DataSection,
-    "model": ModelSection,
-    "training": TrainingSection,
-    "evaluation": EvaluationSection,
-}
-
-
 def load_config(path) -> RunConfig:
     """Parse an INI run config; unknown sections or keys are errors.  Values
     are taken literally (no ``%`` interpolation)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:        # a byte that is not UTF-8 was read as a lone surrogate, which does not encode
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValueError(f"config {path}: line {line} is not UTF-8") from None
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ValueError(f"malformed config: {exc}") from None
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from None
     cfg = RunConfig()
+    sections = [f.name for f in fields(cfg)]
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}], "
-                             f"expected one of {sorted(_SECTIONS)}")
+                             f"expected one of {sorted(sections)}")
         target = getattr(cfg, section)
         types = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in parser.items(section):
@@ -198,5 +185,5 @@ def load_config(path) -> RunConfig:
 
 def config_hash(cfg: RunConfig) -> str:
     """Hash of the fully resolved configuration, recorded in manifests."""
-    canonical = json.dumps(cfg.resolved(), sort_keys=True)
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -197,9 +197,11 @@ def read_csv(source) -> Series:
     """Strict inverse of ``write_csv``, parsed in one vectorized pass;
     malformed rows and speeds that are not finite and non-negative are
     rejected with their line number.  Lines end in LF, CRLF or CR, and cells
-    are unquoted ASCII numerals."""
+    are unquoted ASCII numerals, so a byte that is not UTF-8, read as a lone
+    surrogate, fails its row or the header like any other stray character."""
     own = not hasattr(source, "read")
-    stream = open(source, "r", encoding="utf-8", newline="") if own else source
+    stream = open(source, "r", encoding="utf-8", errors="surrogateescape",
+                  newline="") if own else source
     try:
         text = stream.read()
     finally:

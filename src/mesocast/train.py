@@ -424,15 +424,19 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
             raise ValueError(f"checkpoint header: field {key!r} does not match the model's blocks")
     offset = header["model_len"]
 
-    def take(shape):
+    def take(key, name, shape):
         nonlocal offset
         start, offset = offset, offset + math.prod(shape) * 8
-        return np.frombuffer(payload[start:offset], dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(payload[start:offset], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint field {key!r}: block {name!r} holds a non-finite value")
+        return arr.copy()
 
     opt = AdamW(cfg)
     for name, shape, t in header["opt"]:
-        opt.m[name], opt.v[name], opt.t[name] = take(shape), take(shape), t
-    best = {name: take(shape) for name, shape in header["best"]}
+        opt.m[name], opt.v[name] = take("opt", name, shape), take("opt", name, shape)
+        opt.t[name] = t
+    best = {name: take("best", name, shape) for name, shape in header["best"]}
     if offset != len(payload):
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, header describes {offset}")
     history = [

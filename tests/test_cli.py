@@ -514,6 +514,41 @@ def test_series_too_short_for_a_window_exits_2_naming_the_csv(corpus_dir, tmp_pa
     assert f"{run_dir / 'hard0.csv'} holds 440 frames, fewer than {need}" in err
 
 
+@pytest.mark.parametrize("command, name", [("eval", "easy.csv"), ("eval", "hard0.csv"),
+                                           ("train", "train.csv"), ("train", "easy.csv")])
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines.__setitem__(0, b"minute,seg00"), 1),
+    (lambda lines: lines.__setitem__(2, lines[2] + b"\xff"), 3),
+], ids=["bad-header", "not-utf8"])
+def test_corpus_csv_rejection_exits_2_naming_the_csv(corpus_dir, tmp_path, capsys, command,
+                                                     name, edit, line):
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for csv in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / csv).write_bytes((out / csv).read_bytes())
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), run_dir / "model.bin")
+    lines = (run_dir / name).read_bytes().split(b"\n")
+    edit(lines)
+    (run_dir / name).write_bytes(b"\n".join(lines))
+    assert run_cli(command, "--config", cfg, "--out", run_dir) == 2
+    assert f"error: {run_dir / name}: line {line}: " in capsys.readouterr().err
+
+
+def test_forecast_input_rejection_exits_2_naming_the_file_and_line(corpus_dir, tmp_path,
+                                                                    capsys):
+    out, cfg = corpus_dir
+    model_path = tmp_path / "model.bin"
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), model_path)
+    lines = (out / "hard0.csv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b",", b",\xff", 1)
+    bad = tmp_path / "input.csv"
+    bad.write_bytes(b"\n".join(lines))
+    assert run_cli("forecast", "--config", cfg, "--out", tmp_path, "--input", bad,
+                   "--checkpoint", model_path) == 2
+    assert f"error: {bad}: line 5: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])
 @pytest.mark.parametrize("command", ["eval", "forecast"])
 def test_horizons_past_a_multi_step_model_exit_2(corpus_dir, tmp_path, capsys, command, kind):

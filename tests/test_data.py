@@ -192,6 +192,16 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 4: speed .* at seg06"):
             read_csv(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, ending, row):
+        lines = [line.encode() for line in csv_lines(toy_series(4))]
+        lines[row] += b"\xff"
+        path = tmp_path / "series.csv"
+        path.write_bytes(ending.encode().join(lines) + ending.encode())
+        with pytest.raises(ValueError, match=f"^line {row + 1}: "):
+            read_csv(path)
+
     def test_minutes_far_apart_read_back(self):
         series = Series(minutes=[-9 * 10**18, 9 * 10**18], speeds=np.ones((2, data.NUM_SEGMENTS)))
         buf = io.StringIO()

@@ -648,6 +648,22 @@ class TestCheckpoints:
             load_checkpoint(path, cfg)
 
 
+    @pytest.mark.parametrize("field, arrays", [
+        ("opt", lambda run: run.optimizer.m), ("opt", lambda run: run.optimizer.v),
+        ("best", lambda run: run.best_params),
+    ], ids=["m", "v", "best"])
+    def test_non_finite_moment_or_best_block_rejected_naming_it(self, tmp_path, field, arrays):
+        # the checksum holds, so only a look at the values can tell
+        cfg = tiny_cfg(epochs_per_stage=2)
+        run = train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=18),
+                          wavy_corpus(), cfg)
+        arrays(run)["head/b"][0] = np.nan
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        with pytest.raises(ValueError, match=f"field '{field}': block 'head/b' holds a non-finite"):
+            load_checkpoint(path, cfg)
+
+
 class TestPinnedResults:
     def test_nstep_horizon3_schedule_digest(self):
         # first taken before the frozen nstep prefix was cached, so the cache
