@@ -25,10 +25,19 @@ reads from the node's parents with the calls the step made, so the
 gradients are bitwise those of the arrays the step saw.  The adjoint
 computes a parent's gradient only when that parent requires one, so frozen
 weights cost no weight products.
+
+The layout suits the host.  OpenBLAS takes its small-matrix kernel only
+while M*N*K <= 1e6 (``BLAS_SMALL_BOUND``), so the gate product and the
+adjoint's d_cat run in row blocks under it, d_cat adding its terms in the
+order one product did.  ``cat.T @ dz`` stays whole: its inner dimension is
+the rows, so blocks would reorder its sums.  The k-th array of a buffer's
+kept set and of its work set starts k * 512 bytes past a 4 KiB boundary,
+so no elementwise op writes just past an input modulo 4 KiB (4K aliasing).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,19 +101,38 @@ def init_cell(hidden, in_width, attn_width, seed, prefix) -> CellParams:
         return ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/{name}"), rows, cols))
 
     w = [draw(f"w_{g}", hidden + in_width, hidden) for g in "fico"]
-    # b_f last: this order places later arrays on the heap (eval ran 4 % slower with b_f first)
-    b = {g: ad.parameter(np.zeros(hidden)) for g in "ico"}
-    b["f"] = ad.parameter(np.ones(hidden))
+    b = [ad.parameter(np.ones(hidden) if g == "f" else np.zeros(hidden)) for g in "fico"]
     attn = []
     if attn_width:
         attn = [draw(f"attn/w_{n}", hidden, attn_width) for n in "qkv"]
         attn.append(draw("out_proj", attn_width, hidden))
-    return CellParams(*w, *(b[g] for g in "fico"), *attn)
+    return CellParams(*w, *b, *attn)
 
 
 # ---------------------------------------------------------------------------
 # the step kernel
 # ---------------------------------------------------------------------------
+
+# The gate product (M, 66) @ (66, 64) ran 107-116 ns a row per gate up to
+# M = 236 and 142-160 ns from M = 237 (x86, one OpenBLAS 0.3.31 thread).
+BLAS_SMALL_BOUND = 1_000_000
+# An elementwise op writing 8-32 bytes past or before an input modulo 4 KiB
+# ran twice as long at 672 x 64; heap arrays a whole number of pages long
+# land 16 bytes apart modulo 4 KiB.
+_PAGE, _STAGGER = 4096, 512
+
+
+def _staggered(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Float arrays of the given shapes, the k-th starting k * _STAGGER bytes
+    past a 4 KiB boundary, each in its own allocation one page longer (one
+    for the set would need a contiguous block where these fit heap holes)."""
+    arrays = {}
+    for k, (name, shape) in enumerate(shapes.items()):
+        size = math.prod(shape)
+        raw = np.empty(size + _PAGE // 8)
+        start = (k * _STAGGER - raw.ctypes.data) % _PAGE // 8
+        arrays[name] = raw[start:start + size].reshape(shape)
+    return arrays
 
 
 def _work_arrays(cell, tokens: int, groups: int) -> dict[str, np.ndarray]:
@@ -114,11 +142,12 @@ def _work_arrays(cell, tokens: int, groups: int) -> dict[str, np.ndarray]:
     attention, Q, K, V, their softmax product ``att`` and the softmax row
     sums."""
     rows, hidden, d = groups * tokens, cell.hidden, cell.attn_width
-    work = {"cat": np.empty((rows, hidden + cell.in_width + 1)), "tmp": np.empty((rows, hidden))}
-    work["cat"][:, -1] = 1.0
+    shapes = {"cat": (rows, hidden + cell.in_width + 1), "tmp": (rows, hidden)}
     if d:
-        work.update({name: np.empty((rows, d)) for name in ("q", "k", "v", "att")})
-        work["rowsum"] = np.empty((groups, tokens, 1))
+        shapes.update({name: (rows, d) for name in ("q", "k", "v", "att")})
+        shapes["rowsum"] = (groups, tokens, 1)
+    work = _staggered(shapes)
+    work["cat"][:, -1] = 1.0
     return work
 
 
@@ -141,7 +170,7 @@ class StepBuffers:
     into the step's packed ``(rows, 2H)`` output and take the ``work`` arrays
     that every taped step of one kernel shares.  One group takes 2-D
     attention products (cheapest at batch 1), several groups batched 3-D
-    ones."""
+    ones.  ``blocks`` slices the rows into the gate product's row blocks."""
 
     def __init__(self, cell: CellParams, tokens: int, out: np.ndarray | None = None,
                  work: dict[str, np.ndarray] | None = None):
@@ -165,16 +194,19 @@ class StepBuffers:
             settings = {name: vars(self)[name] for name in _BUFFER_SETTINGS}
             vars(self).clear()                  # every array and view, whatever its name
             vars(self).update(settings)
-            self._gates = np.empty((4, rows, H))
-            names = (("c",) if self.out is None else ()) + (("o",) if d else ())
-            self._full = {name: np.empty((rows, H)) for name in names}
-            self._scores = np.empty((groups, tokens, tokens)) if d else None
+            names = (("o",) if d else ()) + (("c",) if self.out is None else ())
+            kept = _staggered({"gates": (4, rows, H), **{name: (rows, H) for name in names},
+                               **({"scores": (groups, tokens, tokens)} if d else {})})
+            self._gates, self._scores = kept.pop("gates"), kept.pop("scores", None)
+            self._full = kept
             self._work = self.work
             if self._work is None:
                 self._work = _work_arrays(self, tokens, groups)
             self.capacity = groups
         self.groups = groups
         self.gates = self._gates[:, :rows]
+        step = max(1, BLAS_SMALL_BOUND // ((H + self.in_width + 1) * H))
+        self.blocks = [slice(start, start + step) for start in range(0, rows, step)]
         self.fic, self.fi = self.gates[:3], self.gates[:2]
         self.zf, self.zi, self.zc, self.zo = self.gates
         self.o = self._full["o"][:rows] if d else self.zo
@@ -266,7 +298,8 @@ class StepKernel:
     def step(self, b: StepBuffers, x: np.ndarray) -> None:
         """Advance the state in ``b`` by one (rows, in_width) input."""
         b.x[...] = x
-        np.matmul(b.cat, self.w, out=b.gates)
+        for rows in b.blocks:
+            np.matmul(b.cat[rows], self.w, out=b.gates[:, rows])
         np.tanh(b.fic, out=b.fic)               # f and i read z/2 from their halved weights
         b.fi *= 0.5
         b.fi += 0.5
@@ -377,7 +410,10 @@ class StepKernel:
         if need[0] or need[1]:
             # the f and i weights unhalved, exactly
             weights = (*(self.w[:2] * 2.0), self.w[2], self.w[3])
-            d_cat = sum(np.dot(dzg, w[:-1].T) for w, dzg in zip(weights, dz))
+            d_cat = np.zeros((len(f), H + b.in_width))
+            for rows in b.blocks:           # each row block adds as sum() would
+                for w, dzg in zip(weights, dz):
+                    d_cat[rows] += np.dot(dzg[rows], w[:-1].T)
             if need[0]:
                 d_state = np.empty((len(f), 2 * H))
                 d_state[:, :H] = d_cat[:, :H]

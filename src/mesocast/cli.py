@@ -32,7 +32,7 @@ import numpy as np
 
 from . import data as D
 from . import evaluate as E
-from .config import RunConfig, config_hash, load_config
+from .config import EvaluationSection, RunConfig, config_hash, load_config
 from .runtime import tune_allocator
 from .models import MODEL_KINDS, ONE_STEP_KINDS, InferencePlan, build_model, load_model, save_model
 from .seeding import block_rng
@@ -80,8 +80,10 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, outputs: list[str])
         fh.write("\n")
 
 
-def _hard_paths(cfg: RunConfig, out: Path) -> list[Path]:
-    return [out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows)]
+def _corpus_paths(cfg: RunConfig, out: Path) -> list[Path]:
+    """The corpus CSVs in ``Corpus`` order: train, easy, each hard window."""
+    return [out / cfg.data.train_csv, out / cfg.data.easy_csv,
+            *(out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows))]
 
 
 def _read_csv(path) -> D.Series:
@@ -95,16 +97,15 @@ def _read_csv(path) -> D.Series:
 def _load_corpus(cfg: RunConfig, out: Path, train: bool) -> D.Corpus:
     """The easy series and the hard windows, all that evaluation reads, and
     first, with ``train``, the train series."""
-    return D.Corpus(train=_read_csv(out / cfg.data.train_csv) if train else None,
-                    easy=_read_csv(out / cfg.data.easy_csv),
-                    hard=[_read_csv(p) for p in _hard_paths(cfg, out)])
+    train_csv, easy_csv, *hard_csvs = _corpus_paths(cfg, out)
+    return D.Corpus(train=_read_csv(train_csv) if train else None, easy=_read_csv(easy_csv),
+                    hard=[_read_csv(path) for path in hard_csvs])
 
 
 def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need: str) -> None:
     """Reject a series of ``corpus`` with fewer than the ``frames`` frames of
     one window and its targets, which ``need`` names, naming its CSV."""
-    paths = [out / cfg.data.train_csv, out / cfg.data.easy_csv, *_hard_paths(cfg, out)]
-    for path, series in zip(paths, [corpus.train, corpus.easy, *corpus.hard]):
+    for path, series in zip(_corpus_paths(cfg, out), [corpus.train, corpus.easy, *corpus.hard]):
         if series is not None and len(series) < frames:
             raise ValueError(f"{path} holds {len(series)} frames, fewer than the {frames} "
                              f"that {need} need")
@@ -131,12 +132,11 @@ def _load_for_horizons(path, horizons: int):
 
 def cmd_generate(args, out: Path, cfg: RunConfig) -> int:
     corpus = D.make_corpus(cfg.ctm_config(), cfg.corpus_sizes())
-    outputs = [cfg.data.train_csv, cfg.data.easy_csv]
-    D.write_csv(corpus.train, out / cfg.data.train_csv)
-    D.write_csv(corpus.easy, out / cfg.data.easy_csv)
-    for path, series in zip(_hard_paths(cfg, out), corpus.hard):
+    paths = _corpus_paths(cfg, out)
+    for path, series in zip(paths, [corpus.train, corpus.easy, *corpus.hard]):
         D.write_csv(series, path)
-        outputs.append(path.name)
+    # the manifest names train and easy as configured, the hard windows by file name
+    outputs = [cfg.data.train_csv, cfg.data.easy_csv, *(path.name for path in paths[2:])]
     _write_manifest(out, "generate", cfg, outputs)
     print(f"wrote {len(corpus.train)} train, {len(corpus.easy)} easy frames and "
           f"{len(corpus.hard)} hard windows to {out}")
@@ -307,9 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency distribution with a p50 budget gate")
     common(p)
     p.add_argument("--checkpoint", help="model file (default from config)")
-    p.add_argument("--iters", type=int, help="timed inferences (default 50000)")
-    p.add_argument("--warmup", type=int, help="untimed inferences (default 1000)")
-    p.add_argument("--budget", type=float, help="p50 pass/fail threshold in ms (default 1.0)")
+    defaults = EvaluationSection()
+    p.add_argument("--iters", type=int, help=f"timed inferences (default {defaults.iters})")
+    p.add_argument("--warmup", type=int, help=f"untimed inferences (default {defaults.warmup})")
+    p.add_argument("--budget", type=float,
+                   help=f"p50 pass/fail threshold in ms (default {defaults.budget_ms})")
     p.set_defaults(func=cmd_bench)
     return parser
 

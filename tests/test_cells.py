@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mesocast import autodiff as ad
 from mesocast import cells
+from mesocast.data import NUM_SEGMENTS
 from gradcheck import assert_grads_close
 from reference_ops import c_of, h_of, mean_all, sigmoid, state_of, zero_state
 
@@ -356,12 +357,27 @@ class TestStepBuffers:
         # the kernel's weights and work arrays are alive for every step
         shared = _kept_alive(first).keys() & alive.keys()
         parents = {id(_base(t.data)) for t in second._parents}
-        own = [a for key, a in alive.items() if key not in shared | parents]
-        assert sum(a.nbytes for a in own) == kept
+        own = {key for key in alive if key not in shared | parents}
+        # what the step owns is its output and the kept set, each kept array
+        # placed in an allocation of its own one page longer than it
+        [b] = [c.cell_contents for c in second._vjp.__closure__
+               if isinstance(c.cell_contents, cells.StepBuffers)]
+        views = [b._gates, *b._full.values(), *([b._scores] if kind == "sa-lstm" else [])]
+        assert own == {id(second.data), *(id(_base(a)) for a in views)}
+        assert second.data.nbytes + sum(a.nbytes for a in views) == kept
+        assert all(_base(a).nbytes - a.nbytes == cells._PAGE for a in views)
         work = kernel.tape_work(tokens, rows // tokens)
         assert {id(_base(a)) for a in work.values()} <= shared
         assert sorted(work) == (["att", "cat", "k", "q", "rowsum", "tmp", "v"]
                                 if kind == "sa-lstm" else ["cat", "tmp"])
+
+    def test_each_set_starts_its_kth_array_k_staggers_past_a_4k_boundary(self):
+        b = cells.StepBuffers(cells.init_cell(64, 1, 16, seed=10, prefix="layer1"), 21)
+        b.resize(32)
+        kept = [b._gates, *b._full.values(), b._scores]
+        for arrays in (kept, list(b._work.values())):
+            assert [a.ctypes.data % 4096 for a in arrays] == \
+                [k * cells._STAGGER % 4096 for k in range(len(arrays))]
 
     @pytest.mark.parametrize("kind", ["lstm", "lstm-seg"])
     def test_plain_lstm_buffers_own_no_attention_arrays(self, kind):
@@ -386,3 +402,48 @@ class TestStepBuffers:
         b.save(saved)
         np.testing.assert_array_equal(saved, hc[:10])
         assert b.capacity == 3 and b.cat.base is cat.base
+
+
+def _step_and_adjoint(kernel, tokens, hc_prev, x, g):
+    """hc, d_state and d_x of one step of ``kernel`` and its adjoint, every
+    parent flagged."""
+    hc = np.empty(hc_prev.shape)
+    b = cells.StepBuffers(kernel.cell, tokens, out=hc,
+                          work=kernel.tape_work(tokens, len(hc) // tokens))
+    b.load(hc_prev)
+    kernel.step(b, x)
+    need = [True] * (2 + len(kernel.cell.blocks("")))
+    d_state, d_x = kernel.adjoint(b, g, (hc_prev, x), need)[:2]
+    return hc, d_state, d_x
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("in_width", [1, NUM_SEGMENTS])
+    def test_each_row_holds_the_bits_of_its_block_alone(self, in_width):
+        # 714 rows (34 groups of 21) at hidden 64, with one input (a segment
+        # cell) or 21 (the dense lstm's), are past the bound, so the gate
+        # product and d_cat run in row blocks, the last one partial.  A plain
+        # cell, because BLAS tiles the rows of the products that stay whole
+        # (an attention cell's) by their position in the call
+        kernel = cells.StepKernel(cells.init_cell(64, in_width, 0, seed=12, prefix="layer1"))
+        rows = 34 * 21
+        rng = np.random.default_rng(12)
+        hc_prev, x, g = (rng.uniform(-1, 1, (rows, w)) for w in (128, in_width, 128))
+        whole = _step_and_adjoint(kernel, 1, hc_prev, x, g)
+        size = cells.BLAS_SMALL_BOUND // ((64 + in_width + 1) * 64)
+        assert size < rows and rows % size
+        for start in range(0, rows, size):
+            block = slice(start, start + size)
+            alone = _step_and_adjoint(kernel, 1, hc_prev[block], x[block], g[block])
+            for name, a, b in zip(("hc", "d_state", "d_x"), whole, alone):
+                assert np.array_equal(a[block], b), (name, start)
+
+    def test_gate_products_stay_under_the_bound(self, monkeypatch):
+        kernel = cells.StepKernel(cells.init_cell(64, 1, 16, seed=13, prefix="layer1"))
+        b = cells.StepBuffers(kernel.cell, 21)
+        b.resize(34)
+        b.reset()
+        rows, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, w, **kw: (rows.append(len(a)), matmul(a, w, **kw))[1])
+        kernel.step(b, np.ones((34 * 21, 1)))
+        assert sum(rows) == 34 * 21 and max(rows) * 66 * 64 <= cells.BLAS_SMALL_BOUND

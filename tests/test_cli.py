@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mesocast import data as D
-from mesocast import models
+from mesocast import cli, models
 from mesocast.cli import _build_model, main
-from mesocast.config import RunConfig, load_config
+from mesocast.config import EvaluationSection, RunConfig, load_config
 from mesocast.evaluate import evaluate
 from mesocast.train import TrainConfig
 from mesocast.models import build_model, load_model, save_model
@@ -614,6 +614,16 @@ class TestBench:
         assert run_cli("bench", "--config", cfg, "--out", out, "--seed", -1,
                        "--iters", 5, "--warmup", 1) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_help_states_the_evaluation_section_defaults(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "EvaluationSection",
+                            lambda: EvaluationSection(iters=7, warmup=3, budget_ms=2.5))
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        printed = " ".join(capsys.readouterr().out.split())
+        for text in ("timed inferences (default 7)", "untimed inferences (default 3)",
+                     "threshold in ms (default 2.5)"):
+            assert text in printed
 
     @pytest.mark.parametrize("kind", ["all-at-once", "nstep"])
     def test_horizons_past_a_multi_step_model_exit_2(self, trained_dir, tmp_path, capsys, kind):

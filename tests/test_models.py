@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +562,18 @@ class TestInferencePinned:
         digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]
         assert digest(predict_batch(m, X, 3)) == batch_sha
         assert digest(InferencePlan(m).run(X[0], 3)) == window_sha
+
+    def test_default_dims_forecast_bits_at_two_blas_threads(self):
+        # OpenBLAS splits a product across threads by its shape, so run the
+        # pins above in a child that starts with two BLAS threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(models.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestInferencePinned::test_default_dims_forecast_bits"],
+            env=env, cwd=Path(__file__).parent, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout[-3000:]
+        assert "5 passed" in done.stdout
 
 
 class TestSerialization:

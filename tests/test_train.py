@@ -688,6 +688,24 @@ class TestPinnedResults:
         assert run.epoch == 2
         assert run_digest(run) == digest
 
+    @pytest.mark.parametrize("kind, digest", [("sa-lstm", "10a4e56a"), ("nstep", "7420ff80")])
+    def test_default_dims_chunk_gradients_digest(self, kind, digest):
+        # default dims (hidden 64, attn 16) and grad_chunk: the first chunk's
+        # taped steps have 32 x 21 = 672 rows, so their gate products and
+        # d_cat run in row blocks, and the last chunk's 8 x 21 in one.  For
+        # nstep, the fine-tune stage: every block on every horizon
+        model = build_model(kind, seed=25)
+        cfg = TrainConfig()
+        stage = T.schedule(model, cfg)[-1]
+        rng = np.random.default_rng(25)
+        x = rng.uniform(-1.0, 1.0, (40, model.s, NUM_SEGMENTS))
+        y = rng.uniform(-1.0, 1.0, (40, model.horizon, NUM_SEGMENTS))
+        loss, grads = T._accumulate_gradients(model, model.blocks(), x, y, cfg, stage.horizons)
+        crc = zlib.crc32(float(loss).hex().encode())
+        for name in sorted(grads):
+            crc = zlib.crc32(name.encode() + grads[name].astype("<f8").tobytes(), crc)
+        assert f"{crc:08x}" == digest
+
 
 def strided_hard(model, corpus, horizons, stride):
     """Mean over the hard sets of the mean over ``horizons`` of
