@@ -5,14 +5,13 @@ output tensor; ``backward`` replays the recorded graph once in reverse
 topological order.  All arithmetic is 64-bit and evaluation order is fixed,
 so repeated passes over the same graph are bitwise identical.
 
-The op set is what training records: each cell step and each horizon's
-loss is one ``node`` with a hand-derived adjoint (see ``cells`` and
-``losses``); the head is ``matmul`` plus ``add_bias``; ``narrow`` and
-``reshape`` view the packed cell state and the head's columns; ``add`` and
-``scale`` sum and weight the loss terms.  Row softmax, ``transpose`` and the
-batched 3-D ``matmul`` serve only ``cells.self_attention``, the taped
-reference the fused attention is tested against; ``mul`` and ``sum_all``
-serve the tests' scalarizers and ``bench/test_bench.py``.
+The op set is what training records: the whole model unroll is one
+``node`` whose adjoint walks its schedule backwards (``models``), each
+horizon's prediction and loss is one ``node`` on it (``losses``), and ``add``
+and ``scale`` sum and weight the loss terms.  Row softmax, ``transpose`` and
+``matmul`` serve only ``cells.self_attention``, the taped reference the
+fused attention is tested against; ``mul`` and ``sum_all`` serve the tests'
+scalarizers and ``bench/test_bench.py``.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ __all__ = [
     "scale",
     "matmul",
     "softmax_rows",
-    "add_bias",
-    "narrow",
     "transpose",
-    "reshape",
     "sum_all",
     "sigmoid_array",
 ]
@@ -120,7 +116,7 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matrix products and softmax
+# matrix products, softmax, transpose and sum
 # ---------------------------------------------------------------------------
 
 
@@ -177,53 +173,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     return node(y, (a,), vjp)
 
 
-# ---------------------------------------------------------------------------
-# structural ops
-# ---------------------------------------------------------------------------
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    extent = a.data.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ValueError(
-            f"narrow: slice [{start}:{start + length}) out of range for extent {extent}"
-        )
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    shape = a.data.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[idx] = g
-        return (full,)
-
-    return node(a.data[idx].copy(), (a,), vjp)
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ValueError(f"transpose: needs ndim >= 2, got shape {a.data.shape}")
     return node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    return node(a.data.reshape(shape), (a,), lambda g: (np.ascontiguousarray(g).reshape(orig),))
-
-
-def add_bias(mat: Tensor, vec: Tensor) -> Tensor:
-    """mat + row-broadcast vec without materialising the tiled rows; the
-    hot path for per-gate bias terms."""
-    if mat.data.ndim != 2 or vec.data.ndim != 1 or mat.data.shape[1] != vec.data.shape[0]:
-        raise ValueError(f"add_bias: shape mismatch {mat.data.shape} vs {vec.data.shape}")
-
-    def vjp(g):
-        return g, g.sum(axis=0)
-
-    return node(mat.data + vec.data, (mat, vec), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

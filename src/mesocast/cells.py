@@ -12,19 +12,16 @@ The step math is defined once, in ``StepKernel``: tape-free numpy with one
 cell's prepared weights, acting on the ``(rows, .)`` arrays of the
 ``StepBuffers`` it is handed, which own the recurrent state and size
 themselves.  An inference plan in ``models`` hands its one buffer set to
-every layer's kernel.  The taped ``lstm_step`` and ``sa_lstm_step`` take
-and return the recurrent state as one packed ``(rows, 2H)`` ``[h | c]``
-tensor.  They step a kernel that the unroll prepares once per layer and
-pass, each step on its own buffers, which write into that output.  A step
-keeps only what its single tape node's hand-derived adjoint reads and cannot
-cheaply rebuild: that output, the gate-major block of f, i, c~ and z_o, and
-for attention o and the softmax weights.  The work arrays ([h, x, 1],
-tanh(C'), Q, K, V, the attention product, the softmax row sums) are shared
-by every taped step of one kernel, and the adjoint rebuilds the ones it
-reads from the node's parents with the calls the step made, so the
-gradients are bitwise those of the arrays the step saw.  The adjoint
-computes a parent's gradient only when that parent requires one, so frozen
-weights cost no weight products.
+every layer's kernel; its taped unroll gives each step (``lstm_step``,
+``sa_lstm_step``) fresh buffers, which write a packed ``(rows, 2H)``
+``[h | c]`` output and keep only what ``StepKernel.adjoint`` reads and
+cannot cheaply rebuild: the gate-major block of f, i, c~ and z_o, and for
+attention o and the softmax weights.  The work arrays ([h, x, 1], tanh(C'),
+Q, K, V, the attention product, the softmax row sums) are shared by every
+taped step of one kernel, and the adjoint rebuilds the ones it reads from
+the step's inputs with the calls the step made, so its gradients are
+bitwise those of the arrays the step saw.  It computes a parent's gradient
+only when that parent requires one, so frozen weights cost no products.
 
 The layout suits the host.  OpenBLAS takes its small-matrix kernel only
 while M*N*K <= 1e6 (``BLAS_SMALL_BOUND``), so the gate product and the
@@ -265,7 +262,7 @@ class StepKernel:
     the biases riding as the ones column of ``cat``.  sig(z) is
     0.5*tanh(z/2)+0.5, and the exact x0.5 is folded into the f and i
     weights, so one tanh covers f, i and c~.  The query projection carries
-    the 1/sqrt(d) scaling.  ``cell`` is kept for the tape's parents; the
+    the 1/sqrt(d) scaling.  ``cell`` is kept for its blocks' flags; the
     weights are copied once, so build the kernel after the last change to
     them.  The taped steps of one kernel share one set of work arrays
     (``tape_work``), which ``adjoint`` rebuilds with the numpy calls the
@@ -339,8 +336,8 @@ class StepKernel:
         arrays it reads: tanh(C') from C', Q, K, V (and their softmax
         product, for P's gradient) from z_o, and ``cat`` from the inputs
         when a gate weight needs it.  ``need`` flags the parents that require
-        a gradient, in ``_record`` order (state, x, then the cell's blocks:
-        gate weights, gate biases, W_q, W_k, W_v, P).  Products that serve
+        a gradient: the state, x, then the cell's blocks in ``blocks`` order
+        (gate weights, gate biases, W_q, W_k, W_v, P).  Products that serve
         only unflagged parents are skipped; a gate's weight and bias share
         one product."""
         H = b.hidden
@@ -423,35 +420,12 @@ class StepKernel:
         return [d_state, d_x, *d_w, *d_b, *attn_grads]
 
 
-def _record(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor:
-    """Check the shapes, run one step on fresh buffers that write into its
-    packed ``(rows, 2H)`` ``[h | c]`` output and record it as a single tape
-    node whose parents are the packed state, the input and the kernel cell's
-    blocks.  The node keeps the output and the kept set of its buffers; the
-    work arrays are the kernel's ``tape_work``, which every step of it
-    overwrites and each adjoint rebuilds."""
-    hc_prev = state.data
-    rows, in_width = len(hc_prev), kernel.cell.in_width
-    if rows % tokens != 0:
-        raise ValueError(f"cell step: {rows} state rows not divisible by {tokens} tokens")
-    if x.shape != (rows, in_width):
-        raise ValueError(f"cell step: input shape {x.shape} does not match "
-                         f"(rows={rows}, in_width={in_width})")
-    hc = np.empty(hc_prev.shape)
-    b = StepBuffers(kernel.cell, tokens, out=hc, work=kernel.tape_work(tokens, rows // tokens))
-    b.load(hc_prev)
-    kernel.step(b, x.data)
-    inputs = hc_prev, x.data
-    parents = [state, x, *kernel.cell.blocks("").values()]
-    return ad.node(hc, parents, lambda g: kernel.adjoint(
-        b, g, inputs, [t.requires_grad for t in parents]))
-
-
-def lstm_step(kernel: StepKernel, state: Tensor, x: Tensor) -> Tensor:
+def lstm_step(kernel: StepKernel, b: StepBuffers, x: np.ndarray) -> None:
     """f=sig(W_f[h,x]+b_f); i, o likewise; c~=tanh(W_c[h,x]+b_c);
-    C' = f*C + i*c~; h' = o*tanh(C'), with the weights of ``kernel``, a
-    plain cell's kernel, on a packed ``[h | c]`` state."""
-    return _record(kernel, state, x, tokens=1)
+    C' = f*C + i*c~; h' = o*tanh(C'): one step of ``kernel``, a plain cell's,
+    on the state in ``b``.  The taped unroll steps by this name, so a tracer
+    wrapping it sees each taped step."""
+    kernel.step(b, x)
 
 
 def self_attention(tokens: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
@@ -466,13 +440,9 @@ def self_attention(tokens: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Ten
     return ad.matmul(ad.softmax_rows(scores), v)
 
 
-def sa_lstm_step(kernel: StepKernel, state: Tensor, x: Tensor, tokens: int) -> Tensor:
-    """LSTM step whose output-gate pre-activation is residually augmented
-    with self-attention across the ``tokens`` segments of each group, with
-    the weights of ``kernel``, an attention cell's kernel, on a packed
-    ``[h | c]`` state.
-
-    With zero attention weights the residual term is exactly zero, so the
-    step reduces bitwise to ``lstm_step`` on the same rows.
-    """
-    return _record(kernel, state, x, tokens)
+def sa_lstm_step(kernel: StepKernel, b: StepBuffers, x: np.ndarray) -> None:
+    """``lstm_step`` for an attention cell's ``kernel``, whose output-gate
+    pre-activation also reads self-attention across each group's segments
+    (exactly zero with zero attention weights, so the step is then bitwise
+    a plain cell's)."""
+    kernel.step(b, x)

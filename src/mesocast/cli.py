@@ -14,8 +14,8 @@ recording the seed and the resolved-config hash next to its outputs.
 before it hands both to the command.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure (training
-divergence); ``bench`` additionally exits 1 when the median latency exceeds
-the budget.
+divergence, or a model whose ``eval`` or ``forecast`` output is not finite);
+``bench`` additionally exits 1 when the median latency exceeds the budget.
 """
 
 from __future__ import annotations
@@ -125,6 +125,13 @@ def _load_for_horizons(path, horizons: int):
     return model
 
 
+def _finite(path, values):
+    """``values`` if finite (finite weights can still overflow), else an error naming ``path``."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"model {path} computed a non-finite value; nothing written")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -189,7 +196,9 @@ def cmd_eval(args, out: Path, cfg: RunConfig) -> int:
                   f"the model's s = {s} plus evaluation.horizons = {horizons}")
     rows = []
     for path, model in loaded:
-        report = E.evaluate(model, corpus, horizons=horizons)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = E.evaluate(model, corpus, horizons=horizons)
+        _finite(path, [v for vals in report.per_horizon.values() for v in vals.values()])
         rows.append((Path(path).stem, model.kind, report))
         for line in E.report_lines(f"{Path(path).stem} [{model.kind}]", report):
             print(line)
@@ -206,7 +215,8 @@ def cmd_eval(args, out: Path, cfg: RunConfig) -> int:
 
 def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     horizons = cfg.evaluation.horizons
-    model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
+    path = args.checkpoint or (out / cfg.evaluation.checkpoint)
+    model = _load_for_horizons(path, horizons)
     series = _read_csv(args.input)
     if len(series) < model.s:
         raise ValueError(f"input has {len(series)} frames, model needs {model.s}")
@@ -226,10 +236,11 @@ def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     window = D.normalize(window_mph)
     plan = InferencePlan(model)
     start = time.perf_counter()
-    preds = plan.run(window, horizons)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = plan.run(window, horizons)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     # clamp only at the export boundary
-    preds = np.clip(preds, 0.0, 1.0)
+    preds = np.clip(_finite(path, preds), 0.0, 1.0)
     forecast_series = D.Series(
         minutes=at + np.arange(1, 1 + preds.shape[0]),
         speeds=D.denormalize(preds),
@@ -321,9 +332,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, _out_dir(args), _load_run_config(args))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, FloatingPointError) else 2
 
 
 if __name__ == "__main__":

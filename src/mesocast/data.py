@@ -39,6 +39,7 @@ NUM_SEGMENTS = 21
 ROAD_KM = 11.4
 V_REF_MPH = 80.0               # normalisation reference
 MAX_SPEED_MPH = 90.0
+SPEED_CEILING_MPH = 200.0      # read_csv's limit: past any highway mean, far from overflow
 MPH_TO_KM_PER_MIN = 1.609344 / 60.0
 # a count that sizes an array (a split's speeds, all hard windows together,
 # the latency benchmark's timings, a model's parameters) keeps it within
@@ -195,8 +196,8 @@ def _malformed(row: str, lineno: int) -> ValueError:
 
 def read_csv(source) -> Series:
     """Strict inverse of ``write_csv``, parsed in one vectorized pass;
-    malformed rows and speeds that are not finite and non-negative are
-    rejected with their line number.  Lines end in LF, CRLF or CR, and cells
+    malformed rows and speeds outside 0..``SPEED_CEILING_MPH`` are rejected
+    with their line number.  Lines end in LF, CRLF or CR, and cells
     are unquoted ASCII numerals, so a byte that is not UTF-8, read as a lone
     surrogate, fails its row or the header like any other stray character."""
     own = not hasattr(source, "read")
@@ -230,11 +231,11 @@ def read_csv(source) -> Series:
     if stop < len(rows):
         raise _malformed(rows[stop], stop + 2)
     speeds = table["speeds"].copy()
-    bad = ~np.isfinite(speeds) | (speeds < 0.0)
+    bad = ~((speeds >= 0.0) & (speeds <= SPEED_CEILING_MPH))      # NaN fails both
     if bad.any():
         row, seg = np.argwhere(bad)[0]
         raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
-                         "is not a finite non-negative number")
+                         f"is not a finite non-negative number up to {SPEED_CEILING_MPH:g} mph")
     return Series(minutes=minutes, speeds=speeds)
 
 

@@ -15,29 +15,27 @@ One class, ``Forecaster(kind, layers, head_w, head_b, s, horizon)``, holds
 every kind.  The kinds differ only in their data: ``layers`` has one
 ``cells.CellParams`` (``nstep``: one per horizon), with attention blocks
 except in the two plain LSTM kinds, the head has one column per segment
-token (``all-at-once``: one per horizon, split with ``narrow``), and
-``horizon`` counts what one unroll emits, 1 for the one-step kinds.
-``_shape`` spells a kind's widths and parameter count once, for
-``check_dims``, ``build_model`` and the container reader, which demands
-that the header's dims describe the payload exactly before anything is
-allocated.  The names ``OneStepModel``, ``AllAtOnceModel`` and
-``NStepModel`` are aliases of it that the benchmark's tracer still binds.
+token (``all-at-once``: one per horizon), and ``horizon`` counts what one
+unroll emits, 1 for the one-step kinds.  ``_shape`` spells a kind's widths
+and parameter count once, for ``check_dims``, ``build_model`` and the
+container reader, which demands that the header's dims describe the
+payload exactly before anything is allocated.  The names ``OneStepModel``,
+``AllAtOnceModel`` and ``NStepModel`` are aliases of it that the
+benchmark's tracer still binds.
 
-Every path runs the one cell step kernel, ``cells.StepKernel``, one per
-layer per pass, on one step schedule, ``_schedule``: which entries of
-(window frames + predictions) pass k walks, which it reads as fed
-predictions, and whether it starts from zero.  The taped unroll,
-``Forecaster.forward_graph_with_states``, serves training only: it prepares
-each layer's kernel once and records each step of it as a single tape node
-(``cells.lstm_step`` / ``cells.sa_lstm_step``) on the packed ``[h | c]``
-state tensor, whose first H columns the head reads.  The tape-free
-``InferencePlan`` hands its one ``cells.StepBuffers`` to every layer's
-kernel, for one window (the latency path) and, in ``predict_batch``, for
-PREDICT_CHUNK windows per pass; it alone recurses a one-step kind past its
-own horizon.  Tests pin the two paths to each other at 1e-12.  Both nstep
-unrolls can start from a prefix, the states that frozen first layers reach
-before any prediction is fed back; they only read it, ``fill_prefix``
-allocates and writes it, and only this module spells its layout.
+Every forward is one unroll, ``InferencePlan._forward``: a
+``cells.StepKernel`` per layer walks the step schedule ``_schedule`` (which
+entries of window frames + predictions pass k walks, which it reads as fed
+predictions, and whether it starts from zero), and the head reads h after
+each pass.  The plan hands its one ``cells.StepBuffers`` to every kernel,
+for one window (the latency path) and, in ``predict_batch``, PREDICT_CHUNK
+windows per pass.  Training runs the same unroll taped (``_Unroll``, through
+``Forecaster.forward_graph_with_states``): each step keeps its own buffers,
+and the unroll is one tape node whose adjoint walks the schedule backwards.
+An nstep unroll can start from a prefix, the states that frozen first
+layers reach before any prediction is fed back; it only reads it,
+``fill_prefix`` allocates and writes it, and only this module spells its
+layout.
 
 A one-step recursion reuses frame states the same way, within one pass.
 Horizon k of window j walks frames k..s-1 from zero before its k fed
@@ -100,10 +98,6 @@ def _check_batch(x: np.ndarray, s: int) -> np.ndarray:
     return x
 
 
-def _head_apply(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(h, w), b)
-
-
 # Entry k of an nstep prefix is layer k+1's packed (windows * 21, 2H) [h | c]
 # state after the s frames, where an unroll starts layer k+1.  Layer 3 starts
 # from layer 2's terminal state, which has read prediction 1: two entries at most.
@@ -120,7 +114,7 @@ def _check_prefix(depth: int, kind: str, layers: int) -> None:
                          f"{limit} states, got {depth}")
 
 
-def _schedule(kind: str, s: int, k: int) -> tuple[slice, slice, bool]:
+def _schedule(kind: str, s: int, k: int) -> tuple[range, range, bool]:
     """Pass k of an unroll over ``seq`` = the s window frames, then the
     predictions in order: the entries it walks from its start state, the fed
     predictions it then reads, and whether it starts from zero.  nstep layer
@@ -128,8 +122,8 @@ def _schedule(kind: str, s: int, k: int) -> tuple[slice, slice, bool]:
     state; pass k of a one-step recursion reads the last s entries from
     zero."""
     if kind == "nstep":
-        return slice(0, s), slice(s, s + k), k == 0
-    return slice(k, s), slice(max(s, k), s + k), True
+        return range(0, s), range(s, s + k), k == 0
+    return range(k, s), range(max(s, k), s + k), True
 
 
 @dataclass
@@ -181,46 +175,24 @@ class Forecaster:
 
     def forward_graph_with_states(self, x, upto: int | None = None,
                                   prefix: list[np.ndarray] | None = None):
-        """Taped unroll of the first ``upto`` layers on the ``_schedule`` the
-        plan runs: predictions in horizon order and each layer's terminal
-        state.  A layer started from a ``prefix`` entry records nothing for
-        its input frames: the entry is a tape constant."""
+        """The plan's unroll of the first ``upto`` layers, taped
+        (``_Unroll``): one prediction tensor per horizon, each read from the
+        single tape node that records the whole unroll on the model's
+        blocks, and each layer's terminal packed ``[h | c]`` state.  A layer
+        started from a ``prefix`` entry walks none of its input frames."""
         x = _check_batch(x, self.s)
-        B, s = x.shape[0], self.s
-        tokens, in_width = self.layout
-        rows = B * tokens
-        layers = self.layers[:upto]
-        held = prefix or []
-        _check_prefix(len(held), self.kind, len(layers))
-        # the (rows, in_width) frames, then the (B, 21) predictions
-        seq = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
-               for t in range(s)]
-        # horizons per head application: all-at-once emits one per head column
-        columns = self.head_w.shape[1] // in_width
-        states: list[Tensor] = []        # packed (rows, 2H) [h | c]
-        for k, layer in enumerate(layers):
-            kernel = StepKernel(layer)     # the tape keeps this one copy of the weights
-            walk, fed, fresh = _schedule(self.kind, s, k)
-            if k < len(held):
-                state = ad.tensor(held[k])
-            else:
-                if fresh:
-                    state = ad.tensor(np.zeros((rows, 2 * self.hidden)))
-                for xt in seq[walk]:
-                    state = self._step(kernel, state, xt)
-            for p in seq[fed]:
-                state = self._step(kernel, state, ad.reshape(p, (rows, in_width)))
-            out = _head_apply(ad.narrow(state, 1, 0, self.hidden), self.head_w, self.head_b)
-            parts = [out] if columns == 1 else [ad.narrow(out, 1, j, 1) for j in range(columns)]
-            seq += [ad.reshape(part, (B, NUM_SEGMENTS)) for part in parts]
-            states.append(state)
-        return seq[s:], states
+        unroll = _Unroll(self, upto)
+        horizons = len(unroll.kernels) if self.kind == "nstep" else self.horizon
+        out = np.empty((len(x), horizons, NUM_SEGMENTS))
+        unroll._forward(x, out, prefix, tape=unroll)
+        blocks = list(self.blocks().values())
+        node = ad.node(out, blocks, lambda g: unroll.backward(g, blocks))
 
-    def _step(self, kernel: StepKernel, state: Tensor, xt: Tensor) -> Tensor:
-        # the module-level names, so a wrapper installed there (a tracer) sees each step
-        if self.kind in LSTM_KINDS:
-            return lstm_step(kernel, state, xt)
-        return sa_lstm_step(kernel, state, xt, tokens=NUM_SEGMENTS)
+        def horizon(k):           # horizon k's (B, 21) slice of the unroll's output
+            return ad.node(out[:, k], (node,), lambda g: (np.stack(
+                [g if j == k else np.zeros(g.shape) for j in range(horizons)], axis=1),))
+
+        return [horizon(k) for k in range(horizons)], [hc for _, hc, _ in unroll.passes]
 
 
 # The benchmark's tracer wraps forward_graph under two of these names and
@@ -315,7 +287,7 @@ class InferencePlan:
         return out[0]
 
     def _forward(self, windows: np.ndarray, out: np.ndarray,
-                 prefix: list[np.ndarray] | None = None) -> None:
+                 prefix: list[np.ndarray] | None = None, tape: _Unroll | None = None) -> None:
         """(G, s, 21) normalized windows -> out (G, horizons, 21).
         One-step kinds recurse: horizon k reads the last s entries of (window
         + predictions so far) from a zero state, or, when the G windows are
@@ -323,7 +295,12 @@ class InferencePlan:
         left (``_frame_starts``) and walks only its k fed predictions.  nstep
         layer k re-reads the window plus the earlier predictions from layer
         k-1's terminal state, or starts after the window from an nstep
-        ``prefix`` entry."""
+        ``prefix`` entry.  Training hands a ``tape``: it holds the state in
+        place of the plan's buffers, of which this loop uses only the
+        ``tokens``, ``in_width``, ``resize``, ``reset``, ``load`` and ``h``
+        that the tape has too, and it records each step (``tape.step``) and
+        each pass's head read (``tape.end_pass``).  A taped one-step kind
+        always walks from zero, never from ``_frame_starts``."""
         groups, horizons = out.shape[:2]
         if horizons < 1:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
@@ -331,14 +308,14 @@ class InferencePlan:
             raise ValueError(f"model emits {self.horizon} horizons, {horizons} requested")
         held = prefix or []
         _check_prefix(len(held), self.kind, horizons)
-        b, s = self.buf, self.s
+        b, s = self.buf if tape is None else tape, self.s
         rows = groups * b.tokens
         recursive = self.kind in ONE_STEP_KINDS
         reach = min(horizons, s)         # horizons that read a real frame
         # a one-row walk (one dense lstm window) stays on the zero-start path:
         # a one-row product takes another BLAS routine than the frame pass's
         # multi-row ones, so its bits would change
-        if recursive and reach > 1 and rows > 1 and _consecutive(windows):
+        if tape is None and recursive and reach > 1 and rows > 1 and _consecutive(windows):
             held = self._frame_starts(windows, reach)
         else:
             b.resize(groups)
@@ -351,14 +328,17 @@ class InferencePlan:
             walk, fed, fresh = _schedule(self.kind, s, k)
             if k < len(held):
                 b.load(held[k])
-            else:
-                if fresh:
-                    b.reset()
-                for xt in seq[walk]:
-                    kernel.step(b, xt)
-            for xt in seq[fed]:
-                kernel.step(b, xt)
+                walk = ()
+            elif fresh:
+                b.reset()
+            for i in (*walk, *fed):
+                if tape is None:
+                    kernel.step(b, seq[i])
+                else:
+                    tape.step(kernel, seq, i)
             head = b.h @ self.head_w + self.head_b
+            if tape is not None:
+                tape.end_pass()
             if self.kind == "all-at-once":                     # (rows, horizon)
                 out[...] = head.reshape(groups, NUM_SEGMENTS, -1).transpose(0, 2, 1)[:, :horizons]
             else:
@@ -391,6 +371,87 @@ class InferencePlan:
             if k < reach:
                 b.save(states[k], start=k * tokens)
         return list(states)
+
+
+class _Unroll(InferencePlan):
+    """A plan over the first ``upto`` layers that is its own ``_forward``
+    tape, for training.  Each step runs through the module-level
+    ``lstm_step`` / ``sa_lstm_step`` (so a tracer sees it) on its own kept
+    ``StepBuffers``, sharing the kernel's ``tape_work``.  The tape holds the
+    state the next step reads and whether that requires a gradient (a zero
+    or prefix start does not).  ``backward`` walks the recorded passes in
+    reverse (backpropagation through time): each tensor sums its gradient
+    terms in the reverse of the order the forward made them, and only where
+    a gradient is required."""
+
+    def __init__(self, model: Forecaster, upto: int | None):
+        # not InferencePlan.__init__, which sizes the one StepBuffers that a
+        # plan's steps share (a tracer times it as a plan build)
+        self.kind, self.s, self.horizon = model.kind, model.s, model.horizon
+        self.head = model.head_w, model.head_b
+        self.head_w, self.head_b = model.head_w.data, model.head_b.data
+        self.kernels = [StepKernel(cell) for cell in model.layers[:upto]]
+        (self.tokens, self.in_width), self.hidden = model.layout, model.hidden
+        self.steps, self.passes, self.emitted = [], [], []
+
+    def resize(self, groups: int) -> None:
+        self.rows = groups * self.tokens
+
+    def reset(self) -> None:
+        self.load(np.zeros((self.rows, 2 * self.hidden)))
+
+    def load(self, hc: np.ndarray) -> None:
+        self.hc, self.grad = hc, False
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.hc[:, :self.hidden]
+
+    def step(self, kernel: StepKernel, seq: np.ndarray, i: int) -> None:
+        need = [self.grad, i >= self.s and self.emitted[i - self.s],
+                *(t.requires_grad for t in kernel.cell.blocks("").values())]
+        step = StepBuffers(kernel.cell, self.tokens, np.empty(self.hc.shape),
+                           kernel.tape_work(self.tokens, self.rows // self.tokens))
+        step.load(self.hc)
+        (lstm_step if self.kind in LSTM_KINDS else sa_lstm_step)(kernel, step, seq[i])
+        self.steps.append((kernel, step, self.hc, seq[i], i, need))
+        self.hc, self.grad = step.out, any(need)
+
+    def end_pass(self) -> None:
+        self.passes.append((self.steps, self.hc, self.grad))
+        self.steps = []
+        self.emitted.append(self.grad or any(t.requires_grad for t in self.head))
+
+    def backward(self, g: np.ndarray, blocks: list[Tensor]) -> list:
+        """``blocks``' gradients (None where not required) given ``g``, the predictions'."""
+        H, (w, bias) = self.hidden, self.head
+        if self.kind == "all-at-once":                         # one (rows, horizon) head
+            d_heads = [np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(self.rows, -1)]
+        else:
+            d_heads = [g[:, k].reshape(self.rows, -1) for k in range(g.shape[1])]
+        grads: dict[int, np.ndarray] = {}
+
+        def add(t, d):
+            if d is not None:
+                grads[id(t)] = grads[id(t)] + d if id(t) in grads else d
+
+        d = None                  # the gradient of the state the later pass started from
+        for steps, hc, grad in reversed(self.passes):
+            d_head = d_heads.pop()
+            add(w, hc[:, :H].T @ d_head if w.requires_grad else None)
+            add(bias, d_head.sum(axis=0) if bias.requires_grad else None)
+            if grad:
+                d = np.zeros(hc.shape) if d is None else d
+                d[:, :H] += d_head @ self.head_w.T
+            for kernel, step, hc_prev, x, i, need in reversed(steps):
+                if not any(need):             # nor does any earlier step of the pass
+                    break
+                d, d_x, *d_cell = kernel.adjoint(step, d, (hc_prev, x), need)
+                if d_x is not None:
+                    d_heads[i - self.s] = d_heads[i - self.s] + d_x
+                for t, dt in zip(kernel.cell.blocks("").values(), d_cell):
+                    add(t, dt)
+        return [grads.get(id(t)) for t in blocks]
 
 
 def _consecutive(windows: np.ndarray) -> bool:

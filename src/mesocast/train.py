@@ -1,29 +1,31 @@
 """Optimization harness.
 
 Training is full-batch: one AdamW update per epoch over every training
-window, bitwise reproducible from (seed, corpus, config).
-Gradients are evaluated in fixed-size taped chunks (``grad_chunk`` windows,
-32 by default so a chunk's per-step arrays stay cache-sized) and accumulated
-in a fixed order, so chunking bounds memory without breaking determinism;
-each chunk's tape is freed before the next is built.  A chunk's loss
-(``_stage_loss``) is the same for every model kind: one taped unroll up to
-the last horizon of the stage, then the combined loss of each of the
-stage's horizons, summed in horizon order.  The tape serves only
-these passes, validation runs the tape-free ``models.predict_batch``.
-Model selection and the plateau schedule read the easy validation metric.
-In-run validation scores every ``val_stride``-th window of the easy series
-and of each hard window.  The hard metric is only recorded (``metrics.csv``
-and the checkpoint history), and ``evaluate``, which ``mesocast eval`` and
-the post-train report run, scores every hard window.
+window, bitwise reproducible from (seed, corpus, config).  Gradients are
+evaluated in chunks of ``grad_chunk`` windows (32 by default, so a chunk's
+per-step arrays stay cache-sized) and accumulated in a fixed order, so
+chunking bounds memory without breaking determinism; each chunk's tape is
+freed before the next is built.  A chunk's loss (``_stage_loss``) is the
+same for every model kind: the model's one unroll, taped up to the last
+horizon of the stage as one node whose adjoint walks its schedule backwards
+(``models``), then the combined loss of each of the stage's horizons,
+summed in horizon order.  Validation runs the unroll tape-free
+(``models.predict_batch``).  Model selection and the plateau schedule read
+the easy validation metric.  In-run validation scores every
+``val_stride``-th window of the easy series and of each hard window.  The
+hard metric is only recorded (``metrics.csv`` and the checkpoint history),
+and ``evaluate``, which ``mesocast eval`` and the post-train report run,
+scores every hard window.
 
 Every kind trains by ``train_model`` walking the ``Stage`` list of
 ``schedule``.  Most kinds have one stage over every block and horizon.  The
 stacked model has one per layer, where stage i updates layer i plus the
 shared head against horizon i only and every other layer stays bitwise
-frozen, then a stage that unfreezes everything under the summed loss.  Frozen blocks are
-tape constants for their whole stage, so they cost no weight products and a
-layer whose inputs are all frozen (layer 1 in stages 2..n) records no tape;
-the trainable gradients are bitwise those of the all-trainable graph.
+frozen, then a stage that unfreezes everything under the summed loss.
+Frozen blocks require no gradient for their whole stage, so the walk takes
+no weight products for them and skips a layer whose inputs are all frozen
+(layer 1 in stages 2..n); the trainable gradients are bitwise those of the
+all-trainable unroll.
 
 What the frozen layers compute without the head is computed once per
 schedule, in a ``PrefixStore`` of one ``models`` prefix per window set
@@ -33,8 +35,8 @@ holds entries and never sizes one: ``models.fill_prefix`` allocates and
 fills the missing ones tape-free, from the held ones, when a set first asks
 for them: the training set in a stage's first epoch, a validation set in
 the previous stage's last validation, which runs on the parameters this
-stage freezes.  Unrolls only read entries, a taped chunk its rows.  Entries are
-keyed by digests of the frozen layers' bytes, and the store is dropped
+stage freezes.  Unrolls only read entries, a taped chunk its rows.  Entries
+are keyed by digests of the frozen layers' bytes, and the store is dropped
 before the first stage that trains every block; a resumed run starts with it
 empty.  Results are bitwise those of walking every step.
 
@@ -277,8 +279,8 @@ def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequenc
                 prefix: list[np.ndarray] | None = None):
     """Summed per-horizon combined loss over one taped chunk, unrolled up to
     the last of ``horizons`` (an nstep chunk from ``prefix``).  It calls
-    ``forward_graph_with_states`` itself, the one taped unroll, so a tracer
-    wrapping ``forward_graph`` as well sees one forward per chunk."""
+    ``forward_graph_with_states`` itself, so a tracer wrapping
+    ``forward_graph`` as well sees one forward per chunk."""
     preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
     total = None
     for h in horizons:
@@ -457,10 +459,10 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
 
 @contextlib.contextmanager
 def _tape_constants(tensors: list[Tensor]):
-    """Make ``tensors`` tape constants for the duration of the block and
-    restore their flags on the way out, also when it raises.  A frozen block
-    then costs no weight products, and a layer whose inputs are all frozen
-    records no tape at all."""
+    """Make ``tensors`` require no gradient for the duration of the block
+    and restore their flags on the way out, also when it raises.  The
+    unroll's walk reads the flags: a frozen block then costs no weight
+    products, and a layer whose inputs are all frozen is not walked."""
     flags = [t.requires_grad for t in tensors]
     for t in tensors:
         t.requires_grad = False

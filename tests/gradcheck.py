@@ -48,3 +48,31 @@ def max_rel_error(build, values, h=1e-6):
 def assert_grads_close(build, values, h=1e-6, tol=1e-6):
     err = max_rel_error(build, values, h=h)
     assert err <= tol, f"gradient mismatch: max relative error {err:.3e} > {tol:.0e}"
+
+
+def assert_block_grads_close(loss, blocks, h=1e-6, tol=1e-6):
+    """Check the gradient ``ad.backward`` leaves on each tensor of ``blocks``
+    (a model's ``blocks()``) of the scalar ``loss()`` against central
+    differences, perturbing each entry of each block in place.  A block that
+    requires no gradient must receive none."""
+    for t in blocks.values():
+        t.grad = None
+    ad.backward(loss())
+    ana = {name: t.grad for name, t in blocks.items()}
+    for name, t in blocks.items():
+        if not t.requires_grad:
+            assert ana[name] is None, f"{name}: a frozen block received a gradient"
+            continue
+        num = np.zeros_like(t.data)
+        for j in range(t.data.size):
+            base = t.data.reshape(-1)[j]
+            t.data.reshape(-1)[j] = base + h
+            hi = loss().item()
+            t.data.reshape(-1)[j] = base - h
+            lo = loss().item()
+            t.data.reshape(-1)[j] = base
+            num.reshape(-1)[j] = (hi - lo) / (2.0 * h)
+        a = np.zeros_like(num) if ana[name] is None else ana[name]
+        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(num)))
+        err = float(np.max(np.abs(a - num) / denom))
+        assert err <= tol, f"{name}: max relative error {err:.3e} > {tol:.0e}"

@@ -2,13 +2,13 @@
 ones: the csv module and one ``int``/``float``/``format`` call per cell.
 Tests run both readers on the same input and require the same series or the
 same rejection, and both writers on the same series and require the same
-bytes."""
+bytes.  The reference reader also applies ``data.SPEED_CEILING_MPH``."""
 
 import csv
 
 import numpy as np
 
-from mesocast.data import CSV_HEADER, NUM_SEGMENTS, Series
+from mesocast.data import CSV_HEADER, NUM_SEGMENTS, SPEED_CEILING_MPH, Series
 
 
 def read_csv_reference(source) -> Series:
@@ -43,11 +43,11 @@ def read_csv_reference(source) -> Series:
         if own:
             stream.close()
     speeds = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_SEGMENTS)
-    bad = ~np.isfinite(speeds) | (speeds < 0.0)
+    bad = ~np.isfinite(speeds) | (speeds < 0.0) | (speeds > SPEED_CEILING_MPH)
     if bad.any():
         row, seg = np.argwhere(bad)[0]
         raise ValueError(f"line {row + 2}: speed {float(speeds[row, seg])} at seg{seg:02d} "
-                         "is not a finite non-negative number")
+                         f"is not a finite non-negative number up to {SPEED_CEILING_MPH:g} mph")
     return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
 
 

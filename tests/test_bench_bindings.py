@@ -143,11 +143,14 @@ def test_workload_set_up_shapes(workload):
          for n in (len(range(0, len(s) - S - H + 1, 3)) for s in hard)]
 
 
-@pytest.mark.parametrize("kind", models.MODEL_KINDS)
-def test_traced_chunk_opens_one_forward_span(kind):
+@pytest.mark.parametrize("kind, frozen", [(kind, 0) for kind in models.MODEL_KINDS]
+                         + [("nstep", 2)], ids=[*models.MODEL_KINDS, "nstep-stage3-prefix"])
+def test_traced_chunk_opens_one_forward_span(kind, frozen):
     # the tracer wraps forward_graph twice through the model-class aliases and
     # forward_graph_with_states once; a taped training chunk must still read
-    # as one forward holding every cell step of the unroll
+    # as one forward holding every cell step of the unroll.  An nstep stage-3
+    # chunk starts layers 1 and 2 from a depth-2 prefix with their blocks
+    # frozen: it steps layer 2 once, on prediction 1, then all of layer 3
     tracing = _load_tracing()
     bindings = lambda: [(owner, attr, owner.__dict__.get(attr))
                         for _, attr, owners, *_ in tracing._patch_table() for owner in owners]
@@ -157,14 +160,23 @@ def test_traced_chunk_opens_one_forward_span(kind):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.2, 1.0, (5, s, data.NUM_SEGMENTS))
     y = rng.uniform(0.2, 1.0, (5, 3, data.NUM_SEGMENTS))
+    horizons, prefix = list(range(1, model.horizon + 1)), None
+    if frozen:
+        horizons, prefix = [3], models.fill_prefix(model, x, [], frozen)
+    still = [t for name, t in model.blocks().items()
+             if name.startswith(tuple(f"layer{i + 1}/" for i in range(frozen)))]
     tracer = tracing.Tracer()
-    with tracing.installed(tracer):
-        train._stage_loss(model, x, y, LossConfig(), list(range(1, model.horizon + 1)))
+    with tracing.installed(tracer), train._tape_constants(still):
+        train._stage_loss(model, x, y, LossConfig(), horizons, prefix)
     names = [span.name for span in tracer.spans]
     assert names.count("models.forward_graph") == 1
     forward = names.index("models.forward_graph")
     steps = [span for span in tracer.spans
              if span.name in ("cells.lstm_step", "cells.sa_lstm_step")]
-    assert len(steps) == (s + (s + 1) + (s + 2) if kind == "nstep" else s)
+    if frozen:
+        assert len(steps) == 1 + (s + 2)
+        assert [span for span in tracer.spans if span.parent == forward] == steps
+    else:
+        assert len(steps) == (s + (s + 1) + (s + 2) if kind == "nstep" else s)
     assert all(span.parent == forward for span in steps)
     assert all(after is original for (_, _, original), (_, _, after) in zip(before, bindings()))

@@ -8,13 +8,14 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells
 from gradcheck import assert_grads_close
-from reference_ops import c_of, concat, h_of, mean_all, sigmoid, state_of, tanh, zero_state
+from reference_ops import (add_bias, c_of, concat, h_of, lstm_step, mean_all, reshape,
+                           sa_lstm_step, sigmoid, state_of, tanh, zero_state)
 
 
 # --- the cells as compositions of primitive tape ops (the reference) ---------
 
 def _gate(cat, w, b):
-    return ad.add_bias(ad.matmul(cat, w), b)
+    return add_bias(ad.matmul(cat, w), b)
 
 
 def primitive_lstm_step(p, h, c, x):
@@ -34,9 +35,9 @@ def primitive_sa_lstm_step(p, h, c, x, tokens):
     i = sigmoid(_gate(cat, p.w_i, p.b_i))
     c_tilde = tanh(_gate(cat, p.w_c, p.b_c))
     z_o = _gate(cat, p.w_o, p.b_o)
-    grouped = ad.reshape(z_o, (rows // tokens, tokens, hidden))
+    grouped = reshape(z_o, (rows // tokens, tokens, hidden))
     mixed = ad.matmul(cells.self_attention(grouped, p.w_q, p.w_k, p.w_v), p.out_proj)
-    o = sigmoid(ad.add(z_o, ad.reshape(mixed, (rows, hidden))))
+    o = sigmoid(ad.add(z_o, reshape(mixed, (rows, hidden))))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, c_tilde))
     return ad.mul(o, tanh(c_new)), c_new
 
@@ -79,8 +80,8 @@ def unroll(p, tokens, inputs, fused):
     for t in range(STEPS):
         x = inputs[f"x{t}"]
         if fused:
-            state = (cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens) if tokens
-                     else cells.lstm_step(cells.StepKernel(p), state, x))
+            state = (sa_lstm_step(cells.StepKernel(p), state, x, tokens) if tokens
+                     else lstm_step(cells.StepKernel(p), state, x))
             h, c = h_of(state), c_of(state)
         elif tokens:
             h, c = primitive_sa_lstm_step(p, h, c, x, tokens)
@@ -133,7 +134,7 @@ def test_constant_state_and_weights_record_no_tape():
     for block in p.blocks("layer1").values():
         block.requires_grad = False
     state = zero_state(10, 4)
-    out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((10, 1))), tokens=5)
+    out = sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((10, 1))), tokens=5)
     assert not out.requires_grad and out._vjp is None
 
 
@@ -149,7 +150,7 @@ def test_dense_lstm_cell_gradients_match_finite_differences():
         p = cells.CellParams(*leaves)
         state = zero_state(rows, hidden)
         for x in xs:
-            state = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(x))
+            state = lstm_step(cells.StepKernel(p), state, ad.tensor(x))
         return ad.add(mean_all(ad.mul(h_of(state), h_of(state))), mean_all(c_of(state)))
 
     assert_grads_close(build, values, h=1e-6, tol=1e-6)

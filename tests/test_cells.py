@@ -10,7 +10,8 @@ from mesocast import autodiff as ad
 from mesocast import cells
 from mesocast.data import NUM_SEGMENTS
 from gradcheck import assert_grads_close
-from reference_ops import c_of, h_of, mean_all, sigmoid, state_of, zero_state
+from reference_ops import (c_of, h_of, lstm_step, mean_all, sa_lstm_step, sigmoid, state_of,
+                           zero_state)
 
 
 # --- clean-room oracles -----------------------------------------------------
@@ -65,7 +66,7 @@ class TestLstmStep:
         p = params_from_arrays(w, b)
         c0 = np.array([[0.3, -0.7, 1.1], [0.0, 2.0, -0.1]])
         state = state_of(ad.tensor(np.zeros((rows, hidden))), ad.tensor(c0))
-        out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((rows, 1))))
+        out = lstm_step(cells.StepKernel(p), state, ad.tensor(np.ones((rows, 1))))
         np.testing.assert_allclose(c_of(out).data, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(h_of(out).data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
@@ -77,7 +78,7 @@ class TestLstmStep:
         p = params_from_arrays(w, b)
         c0 = np.array([[0.9, -1.4, 0.2, 3.0]])
         state = state_of(ad.tensor(np.zeros((1, hidden))), ad.tensor(c0))
-        out = cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((1, 1))))
+        out = lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((1, 1))))
         assert np.max(np.abs(c_of(out).data - c0)) <= 1e-40
 
     @pytest.mark.parametrize("seed", range(5))
@@ -89,7 +90,7 @@ class TestLstmStep:
         c0 = rng.uniform(-1, 1, (rows, hidden))
         x = rng.uniform(-1, 1, (rows, in_width))
         p = params_from_arrays(w, b)
-        out = cells.lstm_step(cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
+        out = lstm_step(cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x))
         h_ref, c_ref = lstm_step_oracle(w, b, h0, c0, x)
         np.testing.assert_allclose(h_of(out).data, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c_of(out).data, c_ref, rtol=0, atol=1e-12)
@@ -98,7 +99,7 @@ class TestLstmStep:
         p = cells.init_cell(4, 2, 0, seed=0, prefix="layer1")
         state = zero_state(3, 4)
         with pytest.raises(ValueError, match="input shape"):
-            cells.lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((3, 5))))
+            lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((3, 5))))
 
 
 class TestSelfAttention:
@@ -158,8 +159,8 @@ class TestSaLstmStep:
         p.out_proj.data[:] = 0.0
         plain = dataclasses.replace(p, w_q=None, w_k=None, w_v=None, out_proj=None)
         state = state_of(ad.tensor(h0), ad.tensor(c0))
-        out_sa = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=4)
-        out_plain = cells.lstm_step(cells.StepKernel(plain), state, ad.tensor(x))
+        out_sa = sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=4)
+        out_plain = lstm_step(cells.StepKernel(plain), state, ad.tensor(x))
         assert np.array_equal(h_of(out_sa).data, h_of(out_plain).data)
         assert np.array_equal(c_of(out_sa).data, c_of(out_plain).data)
 
@@ -173,7 +174,7 @@ class TestSaLstmStep:
             out_proj=ad.tensor(np.zeros((2, hidden))),
         )
         state = zero_state(tokens, hidden)
-        out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.random.default_rng(0).uniform(0, 1, (tokens, 1))), tokens=tokens)
+        out = sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.random.default_rng(0).uniform(0, 1, (tokens, 1))), tokens=tokens)
         np.testing.assert_array_equal(h_of(out).data, np.zeros((tokens, hidden)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -182,7 +183,7 @@ class TestSaLstmStep:
         tokens, hidden, d = 4, 3, 2
         p, h0, c0, x = self._random_setup(rng, tokens, hidden, d)
         state = state_of(ad.tensor(h0), ad.tensor(c0))
-        out = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=tokens)
+        out = sa_lstm_step(cells.StepKernel(p), state, ad.tensor(x), tokens=tokens)
 
         # explicit recomputation: per-token gates, then attention on Z_o
         w = {g: getattr(p, f"w_{g}").data for g in "fico"}
@@ -202,11 +203,11 @@ class TestSaLstmStep:
         rng = np.random.default_rng(9)
         tokens, hidden = 4, 3
         p, h0, c0, x = self._random_setup(rng, tokens, hidden)
-        single = cells.sa_lstm_step(
+        single = sa_lstm_step(
             cells.StepKernel(p), state_of(ad.tensor(h0), ad.tensor(c0)), ad.tensor(x), tokens=tokens
         )
         h2, c2, x2 = np.vstack([h0, h0]), np.vstack([c0, c0]), np.vstack([x, x])
-        batched = cells.sa_lstm_step(
+        batched = sa_lstm_step(
             cells.StepKernel(p), state_of(ad.tensor(h2), ad.tensor(c2)), ad.tensor(x2), tokens=tokens
         )
         np.testing.assert_allclose(h_of(batched).data[:tokens], h_of(single).data, atol=1e-12)
@@ -216,7 +217,7 @@ class TestSaLstmStep:
         p = cells.init_cell(3, 1, 2, seed=0, prefix="layer1")
         state = zero_state(5, 3)
         with pytest.raises(ValueError, match="tokens"):
-            cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((5, 1))), tokens=4)
+            sa_lstm_step(cells.StepKernel(p), state, ad.tensor(np.zeros((5, 1))), tokens=4)
 
 
 class TestGateBehaviour:
@@ -228,7 +229,7 @@ class TestGateBehaviour:
         state = zero_state(5, 8)
         for step in range(10_000):
             x = ad.tensor(rng.uniform(-1, 1, (5, 1)))
-            state = cells.sa_lstm_step(cells.StepKernel(p), state, x, tokens=5)
+            state = sa_lstm_step(cells.StepKernel(p), state, x, tokens=5)
         assert np.all(np.isfinite(c_of(state).data))
         assert np.all(np.isfinite(h_of(state).data))
         assert np.all(np.abs(h_of(state).data) < 1.0)  # h = o * tanh(c), both bounded
@@ -260,7 +261,7 @@ class TestBptt:
             p = cells.CellParams(**dict(zip(names, leaves)))
             state = zero_state(tokens, hidden)
             for t in range(steps):
-                state = cells.sa_lstm_step(cells.StepKernel(p), state, ad.tensor(xs[t]), tokens=tokens)
+                state = sa_lstm_step(cells.StepKernel(p), state, ad.tensor(xs[t]), tokens=tokens)
             return mean_all(ad.mul(h_of(state), h_of(state)))
 
         assert_grads_close(build, values, h=1e-6, tol=1e-5)
@@ -313,8 +314,8 @@ class TestStepBuffers:
         monkeypatch.setattr(cells.StepKernel, "step",
                             lambda self, b, x: (handed.append(b), step(self, b, x)))
         h0 = np.random.default_rng(5).uniform(-1, 1, (10, 8))
-        out = cells.sa_lstm_step(cells.StepKernel(p), ad.tensor(h0),
-                                 ad.tensor(np.ones((10, 1))), tokens=5)
+        out = sa_lstm_step(cells.StepKernel(p), ad.tensor(h0),
+                           ad.tensor(np.ones((10, 1))), tokens=5)
         [b] = handed
         hc = out.data
         assert b.h.base is hc and b.c.base is hc
@@ -345,10 +346,10 @@ class TestStepBuffers:
         rows, tokens = 672, 21 if kind == "sa-lstm" else 1
         if kind == "sa-lstm":
             kernel = cells.StepKernel(cells.init_cell(64, 1, 16, seed=8, prefix="layer1"))
-            step = lambda state, x: cells.sa_lstm_step(kernel, state, x, tokens=tokens)
+            step = lambda state, x: sa_lstm_step(kernel, state, x, tokens=tokens)
         else:
             kernel = cells.StepKernel(cells.init_cell(64, 1, 0, seed=8, prefix="layer1"))
-            step = lambda state, x: cells.lstm_step(kernel, state, x)
+            step = lambda state, x: lstm_step(kernel, state, x)
         rng = np.random.default_rng(8)
         first = step(ad.tensor(rng.uniform(-1, 1, (rows, 128))),
                      ad.tensor(rng.uniform(-1, 1, (rows, 1))))

@@ -549,6 +549,55 @@ def test_forecast_input_rejection_exits_2_naming_the_file_and_line(corpus_dir, t
     assert f"error: {bad}: line 5: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("speed", ["200.5", "1e300"])
+@pytest.mark.parametrize("command, name", [("train", "train.csv"), ("eval", "easy.csv"),
+                                           ("forecast", "input.csv")])
+def test_speed_over_the_ceiling_exits_2_naming_line_and_segment(corpus_dir, tmp_path, capsys,
+                                                                command, name, speed):
+    # a finite speed of 1e300 mph would overflow the forward into NaN rows
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for csv in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / csv).write_bytes((out / csv).read_bytes())
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), run_dir / "model.bin")
+    lines = (run_dir / ("hard0.csv" if command == "forecast" else name)).read_text().split("\n")
+    cells = lines[3].split(",")
+    cells[8] = speed
+    lines[3] = ",".join(cells)
+    (run_dir / name).write_text("\n".join(lines))
+    written = run_dir / "written.csv"
+    argv = ["--input", run_dir / name, "--output", written] if command == "forecast" else []
+    if command == "eval":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(TINY_INI + f"report_csv = {written}\n")
+    assert run_cli(command, "--config", cfg, "--out", run_dir, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {run_dir / name}: line 4: speed {float(speed)} at seg07 is not a finite " \
+           "non-negative number up to 200 mph" in err
+    assert not written.exists() and not (run_dir / "run.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_model_whose_forward_overflows_exits_3_naming_it(corpus_dir, tmp_path, capsys, command):
+    # every weight is finite, so the model reader accepts the file, but the
+    # attention scores overflow and the forecast comes out NaN
+    out, _ = corpus_dir
+    model = build_model("sa-lstm", s=4, hidden=4, attn_width=2)
+    model.layers[0].w_q.data *= 1e160
+    model.layers[0].w_k.data *= 1e160
+    model_path = tmp_path / "model.bin"
+    save_model(model, model_path)
+    written = tmp_path / f"{command}.csv"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_INI + (f"report_csv = {written}\n" if command == "eval" else ""))
+    argv = ["--input", out / "hard0.csv", "--output", written] if command == "forecast" else []
+    assert run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
+                   *argv) == 3
+    assert f"error: model {model_path} computed a non-finite value" in capsys.readouterr().err
+    assert not written.exists()
+
+
 @pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])
 @pytest.mark.parametrize("command", ["eval", "forecast"])
 def test_horizons_past_a_multi_step_model_exit_2(corpus_dir, tmp_path, capsys, command, kind):

@@ -183,7 +183,7 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 1"):
             read_csv(io.StringIO("time,a,b\n"))
 
-    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-5"])
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-5", "200.5", "1e300"])
     def test_non_finite_or_negative_speed_names_line(self, speed):
         lines = csv_lines(toy_series(4))
         parts = lines[3].split(",")
@@ -217,11 +217,11 @@ class TestCsv:
         assert read_csv(io.StringIO("\n".join(lines) + "\n")).speeds[0, 0] == 0.0
 
 
-# speeds write_csv can meet: finite and non-negative, with the extremes of
-# the float64 grid and a negative zero
-csv_speeds = st.one_of(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+# speeds read_csv accepts: finite, non-negative and at most the ceiling, with
+# the small extremes of the float64 grid, a negative zero and the ceiling
+csv_speeds = st.one_of(st.floats(0.0, data.SPEED_CEILING_MPH, allow_nan=False),
                        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
-                                        89.99999999999, 1e300]))
+                                        89.99999999999, data.SPEED_CEILING_MPH]))
 
 
 @st.composite
@@ -291,7 +291,8 @@ REJECTIONS = {
         st.sampled_from(["abc", "1.2.3", "0x10", "1;5", "--1", "nan(1)"])))],
     "minute not increasing": [_repeat_minute],
     "speed out of range": [_set_cell(speed_column, lambda c, pick: pick.draw(
-        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-5", "-1e-300"])))],
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-5", "-1e-300",
+                         "200.00000000001", "1e300"])))],
 }
 
 

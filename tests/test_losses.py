@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mesocast import autodiff as ad
 from mesocast import losses
 from gradcheck import assert_grads_close
-from reference_ops import abs_, mean_all, reconstruct, sub
+from reference_ops import abs_, mean_all, reconstruct, reshape, sub
 
 
 # --- independent convolution-based oracle ------------------------------------
@@ -75,7 +75,7 @@ def composed_loss(pred, truth, cfg):
         return err
     length = pred.shape[-1]
     m = losses.pyramid_matrix(length, cfg.pyramid_depth, cfg.padding_mode)
-    penalty = ad.sum_all(abs_(ad.matmul(ad.reshape(sub(pred, ad.tensor(truth)), (-1, length)),
+    penalty = ad.sum_all(abs_(ad.matmul(reshape(sub(pred, ad.tensor(truth)), (-1, length)),
                                      ad.tensor(m))))
     rows = int(np.prod(pred.shape[:-1])) if len(pred.shape) > 1 else 1
     norm = cfg.lap_weight / (losses.padded_length(length, cfg.pyramid_depth) * rows)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -8,7 +10,7 @@ from mesocast import cells, models
 from mesocast import train as T
 from mesocast.data import NUM_SEGMENTS, Corpus, Series, build_windows, normalize, stack_windows
 from mesocast.evaluate import per_horizon_mse
-from mesocast.losses import LossConfig
+from mesocast.losses import LossConfig, combined_loss
 from mesocast.models import InferencePlan, build_model
 from mesocast.train import (
     AdamW,
@@ -20,6 +22,8 @@ from mesocast.train import (
     train_model,
 )
 from containers import with_header
+from gradcheck import assert_block_grads_close
+from reference_ops import taped_unroll
 
 
 def tiny_cfg(**kw):
@@ -433,6 +437,112 @@ class TestTrainNStep:
         for a, b in zip(run_one.history, run_n.history[:len(run_one.history)]):
             assert a.train_loss == b.train_loss
             assert a.easy == b.easy
+
+
+def reference_stage_loss(model, x, y, loss_cfg, horizons, prefix=None):
+    """``T._stage_loss`` on the tests' per-step taped unroll."""
+    preds, _ = taped_unroll(model, x, upto=max(horizons), prefix=prefix)
+    total = None
+    for h in horizons:
+        term = combined_loss(preds[h - 1], y[:, h - 1, :], loss_cfg)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def chunk_gradients(model, loss):
+    """The value of ``loss()`` and the gradient ``ad.backward`` leaves on
+    each block of ``model`` that receives one."""
+    blocks = model.blocks()
+    for t in blocks.values():
+        t.grad = None
+    value = loss()
+    ad.backward(value)
+    return value.item(), {name: t.grad for name, t in blocks.items() if t.grad is not None}
+
+
+class TestUnrollWalk:
+    """A chunk's unroll is one tape node whose adjoint walks the plan's
+    schedule backwards.  Its gradients are those of the per-step taped
+    unroll it replaced, bit for bit, and agree with finite differences."""
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_walk_equals_the_per_step_tape_bitwise(self, kind):
+        # default dims: a 16-window chunk's gate products run in row blocks
+        model = build_model(kind, seed=31)
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.0, 1.0, (16, model.s, NUM_SEGMENTS))
+        y = rng.uniform(-1.0, 1.0, (16, model.horizon, NUM_SEGMENTS))
+        blocks = model.blocks()
+        for stage in T.schedule(model, TrainConfig()):
+            depth = stage.depths[0]
+            prefix = models.fill_prefix(model, x, [], depth) if depth else None
+            trainable = stage.trainable or set(blocks)
+            frozen = [t for name, t in blocks.items() if name not in trainable]
+            for pyramid_depth in (0, 3):
+                for size in (16, 7, 1):
+                    args = (model, x[:size], y[:size], LossConfig(pyramid_depth=pyramid_depth),
+                            stage.horizons, models.prefix_rows(prefix, 0, size))
+                    with T._tape_constants(frozen):
+                        walked = chunk_gradients(model, lambda: T._stage_loss(*args))
+                        taped = chunk_gradients(model, lambda: reference_stage_loss(*args))
+                    where = (stage.horizons, pyramid_depth, size)
+                    assert walked[0] == taped[0], where
+                    assert walked[1].keys() == taped[1].keys() == set(trainable), where
+                    for name, grad in walked[1].items():
+                        assert np.array_equal(grad, taped[1][name]), (name, *where)
+
+    def test_a_chunk_tape_is_freed_by_reference_counting(self, monkeypatch):
+        # the tape holds every step's buffers; a reference cycle in it would
+        # keep them until the cycle collector ran, and peak memory would climb
+        # with each chunk
+        refs, real = [], models.StepBuffers
+
+        def recording(*args, **kwargs):
+            b = real(*args, **kwargs)
+            refs.append(weakref.ref(b))
+            return b
+
+        monkeypatch.setattr(models, "StepBuffers", recording)
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=34)
+        rng = np.random.default_rng(34)
+        x = rng.uniform(0.2, 1.0, (3, 4, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (3, 3, NUM_SEGMENTS))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = T._stage_loss(model, x, y, LossConfig(), (1, 2, 3))
+            ad.backward(loss)
+            assert len(refs) == 4 + 5 + 6 and all(ref() is not None for ref in refs)
+            del loss
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_stage_loss_gradients_match_finite_differences(self, kind):
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=32)
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.2, 1.0, (3, 4, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (3, 3, NUM_SEGMENTS))
+        horizons = T.schedule(model, TrainConfig())[-1].horizons      # every horizon
+        assert_block_grads_close(lambda: T._stage_loss(model, x, y, LossConfig(), horizons),
+                                 model.blocks())
+
+    def test_nstep_stage3_gradients_match_finite_differences(self):
+        # layers 1 and 2 frozen and started from a depth-2 prefix: only
+        # layer 2's step on prediction 1 carries a gradient through them
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=33)
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.2, 1.0, (2, 4, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (2, 3, NUM_SEGMENTS))
+        stage = T.schedule(model, TrainConfig())[2]
+        assert stage.horizons == (3,) and stage.depths[0] == 2
+        prefix = models.fill_prefix(model, x, [], 2)
+        blocks = model.blocks()
+        with T._tape_constants([t for name, t in blocks.items() if name not in stage.trainable]):
+            assert_block_grads_close(
+                lambda: T._stage_loss(model, x, y, LossConfig(), stage.horizons, prefix), blocks)
 
 
 class TestSchedule:
