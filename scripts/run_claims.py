@@ -34,7 +34,6 @@ import numpy as np
 
 from mesocast.data import CorpusSizes, CtmConfig, build_windows, make_corpus, normalize
 from mesocast.evaluate import MSE_DISPLAY_SCALE, evaluate
-from mesocast.losses import LossConfig
 from mesocast.models import build_model
 from mesocast.train import TrainConfig, best_model, train_model
 
@@ -91,8 +90,8 @@ def persistence(corpus) -> dict:
 
 def train_and_score(name: str, corpus, seed: int) -> dict:
     kind, horizon, depth = MODELS[name]
-    cfg = TrainConfig(epochs_per_stage=EPOCHS_PER_STAGE, seed=seed,
-                      loss=LossConfig(pyramid_depth=depth), **TRAINING)
+    cfg = TrainConfig(epochs_per_stage=EPOCHS_PER_STAGE, seed=seed, lap_depth=depth,
+                      **TRAINING)
     model = build_model(kind, horizon=horizon, seed=seed, **ARCH)
     report = evaluate(best_model(train_model(model, corpus, cfg)), corpus, HORIZONS)
     return {split: [report.per_horizon[h][split] for h in range(1, HORIZONS + 1)]

@@ -14,8 +14,9 @@ recording the seed and the resolved-config hash next to its outputs.
 before it hands both to the command.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure (training
-divergence, or a model whose ``eval`` or ``forecast`` output is not finite);
-``bench`` additionally exits 1 when the median latency exceeds the budget.
+divergence, or a model whose output in ``train``'s report, ``eval``,
+``forecast`` or ``bench`` is not finite); ``bench`` additionally exits 1
+when the median latency exceeds the budget.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _load_for_horizons(path, horizons: int):
 def _finite(path, values):
     """``values`` if finite (finite weights can still overflow), else an error naming ``path``."""
     if not np.isfinite(values).all():
-        raise FloatingPointError(f"model {path} computed a non-finite value; nothing written")
+        raise FloatingPointError(f"model {path} computed a non-finite value")
     return values
 
 
@@ -174,10 +175,13 @@ def cmd_train(args, out: Path, cfg: RunConfig) -> int:
         print(f"training diverged: {exc}; last checkpoint at {ckpt_path}", file=sys.stderr)
         return 3
     best = best_model(run)
-    save_model(best, out / cfg.training.model_out)
+    model_path = out / cfg.training.model_out
+    save_model(best, model_path)
     save_checkpoint(run, train_cfg, ckpt_path)
     _write_metrics_csv(run.history, out / cfg.training.metrics_csv)
-    report = E.evaluate(best, corpus, horizons=best.horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = E.evaluate(best, corpus, horizons=best.horizon)
+    _finite(model_path, [report.easy_mse_scaled, report.hard_mse_scaled])  # means keep a NaN
     for line in E.report_lines(best.kind, report):
         print(line)
     _write_manifest(out, "train", cfg, [cfg.training.model_out,
@@ -255,9 +259,12 @@ def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
 
 def cmd_bench(args, out: Path, cfg: RunConfig) -> int:
     horizons = cfg.evaluation.horizons
-    model = _load_for_horizons(args.checkpoint or (out / cfg.evaluation.checkpoint), horizons)
+    path = args.checkpoint or (out / cfg.evaluation.checkpoint)
+    model = _load_for_horizons(path, horizons)
     rng = block_rng(cfg.training.seed, "bench/window")
     window = rng.uniform(0.1, 1.0, (model.s, D.NUM_SEGMENTS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _finite(path, InferencePlan(model).run(window, horizons))
     ms = E.latency_ms(model, window, cfg.evaluation.warmup, cfg.evaluation.iters, horizons)
     p50, p99 = np.percentile(ms, [50, 99])
     budget = cfg.evaluation.budget_ms

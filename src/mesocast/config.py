@@ -2,7 +2,8 @@
 surfaces (data / model / training / evaluation), every field defaulted,
 unknown keys rejected so config drift fails loudly.  A section's defaults
 are those of the library type it configures (``CtmConfig`` and
-``CorpusSizes``, ``build_model``, ``TrainConfig``), so each is spelled once."""
+``CorpusSizes``, ``build_model``, ``TrainConfig``), and a key is named as
+the field it sets, so each setting is spelled once."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, CorpusSizes, CtmConfig
-from .losses import LossConfig
 from .models import build_model, check_dims
 from .train import TrainConfig
 
@@ -50,8 +50,8 @@ class ModelSection:
 
 @dataclass
 class TrainingSection:
-    """TrainConfig's fields (defaults taken from it) with the loss settings
-    flattened to lap_*, plus the output file names."""
+    """TrainConfig's fields (defaults taken from it), plus the output file
+    names."""
 
     lr: float = _TRAIN.lr
     weight_decay: float = _TRAIN.weight_decay
@@ -60,9 +60,7 @@ class TrainingSection:
     epochs_per_stage: int = _TRAIN.epochs_per_stage
     seed: int = _TRAIN.seed
     validate_every: int = _TRAIN.validate_every
-    lap_depth: int = _TRAIN.loss.pyramid_depth
-    lap_weight: float = _TRAIN.loss.lap_weight
-    lap_padding: str = _TRAIN.loss.padding_mode
+    lap_depth: int = _TRAIN.lap_depth
     train_stride: int = _TRAIN.train_stride
     val_stride: int = _TRAIN.val_stride
     grad_chunk: int = _TRAIN.grad_chunk
@@ -110,11 +108,8 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         """The [training] section as a TrainConfig; a value it rejects raises
         a ValueError naming ``training.<key>``."""
-        values = asdict(self.training)
-        loss = {name: values.pop(key) for name, key in _LOSS_KEYS.items()}
-        values = _declared(TrainConfig, values)
-        return _naming_keys("training", lambda: TrainConfig(loss=LossConfig(**loss), **values),
-                            _LOSS_KEYS)
+        values = _declared(TrainConfig, asdict(self.training))
+        return _naming_keys("training", lambda: TrainConfig(**values))
 
     def validate(self) -> None:
         """Check every section the way the commands use it, without simulating
@@ -132,20 +127,14 @@ def _declared(cls, values: dict) -> dict:
     return {key: value for key, value in values.items() if key in names}
 
 
-# LossConfig field -> [training] key
-_LOSS_KEYS = {"pyramid_depth": "lap_depth", "lap_weight": "lap_weight",
-              "padding_mode": "lap_padding"}
-
-
-def _naming_keys(section: str, check, keys: dict | None = None):
+def _naming_keys(section: str, check):
     """``check()``, with its ValueError, which reads "<field> [and <field>]
-    must ...", raised again naming each field as ``<section>.<key>``; a field
-    is its own key unless ``keys`` maps it."""
+    must ...", raised again naming each field as ``<section>.<field>``."""
     try:
         return check()
     except ValueError as exc:
         names = str(exc).split(" must ", 1)[0].split(" and ")
-        named = " and ".join(f"{section}.{(keys or {}).get(n, n)}" for n in names)
+        named = " and ".join(f"{section}.{name}" for name in names)
         raise ValueError(f"bad value for {named}: {exc}") from None
 
 
@@ -184,6 +173,10 @@ def load_config(path) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of the fully resolved configuration, recorded in manifests."""
-    canonical = json.dumps(asdict(cfg), sort_keys=True)
+    """Hash of the fully resolved configuration, recorded in manifests; the
+    retired [training] keys are hashed at the only values they still have,
+    so a manifest's hash does not move with them."""
+    resolved = asdict(cfg)
+    resolved["training"].update(lap_weight=1.0, lap_padding="zero")
+    canonical = json.dumps(resolved, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -136,19 +136,14 @@ def denormalize(values):
 _ROW_FORMAT = "%d" + ",%.12g" * NUM_SEGMENTS + "\n"
 
 
-def write_csv(series: Series, destination) -> None:
+def write_csv(series: Series, path) -> None:
     """Header ``minute,seg00..seg20``, one row per minute, 12 significant
     digits, newline-terminated UTF-8 rows; one ``%``-format per row."""
     text = "".join([_ROW_FORMAT % (minute, *row) for minute, row
                     in zip(series.minutes.tolist(), series.speeds.tolist())])
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        stream.write(",".join(CSV_HEADER) + "\n")
-        stream.write(text)
-    finally:
-        if own:
-            stream.close()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.write(text)
 
 
 # one data row: the minute, then the 21 speeds
@@ -194,20 +189,14 @@ def _malformed(row: str, lineno: int) -> ValueError:
     return ValueError(f"line {lineno}: unparseable value")
 
 
-def read_csv(source) -> Series:
+def read_csv(path) -> Series:
     """Strict inverse of ``write_csv``, parsed in one vectorized pass;
     malformed rows and speeds outside 0..``SPEED_CEILING_MPH`` are rejected
     with their line number.  Lines end in LF, CRLF or CR, and cells
     are unquoted ASCII numerals, so a byte that is not UTF-8, read as a lone
     surrogate, fails its row or the header like any other stray character."""
-    own = not hasattr(source, "read")
-    stream = open(source, "r", encoding="utf-8", errors="surrogateescape",
-                  newline="") if own else source
-    try:
-        text = stream.read()
-    finally:
-        if own:
-            stream.close()
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        text = fh.read()
     if not text:
         raise ValueError("empty file: missing header")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -262,7 +251,6 @@ class CtmConfig:
     noise_std_mph: float = 1.5
     seed: int = 0
     substeps_per_minute: int = 4
-    exit_supply_cap: float | None = None           # veh/min
 
     @property
     def free_flow_kpm(self) -> float:
@@ -308,8 +296,6 @@ class CtmConfig:
             raise ValueError("demand must start at minute 0, its minutes increasing")
         if not all(rate >= 0 for _, rate in self.demand):
             raise ValueError("demand rates must be >= 0")
-        if self.exit_supply_cap is not None and not self.exit_supply_cap >= 0:
-            raise ValueError(f"exit_supply_cap must be >= 0, got {self.exit_supply_cap}")
         b = self.bottleneck
         if b is not None and not 0 <= b.segment < NUM_SEGMENTS:
             raise ValueError(f"bottleneck segment must be in 0..{NUM_SEGMENTS - 1}, "
@@ -367,8 +353,7 @@ class CtmSim:
         flux = np.empty(NUM_SEGMENTS + 1)
         flux[0] = min(_demand_rate(cfg.demand, minute), room[0])
         flux[1:NUM_SEGMENTS] = np.minimum(send[:-1], room[1:])
-        cap_out = cfg.exit_supply_cap
-        flux[NUM_SEGMENTS] = send[-1] if cap_out is None else min(send[-1], cap_out)
+        flux[NUM_SEGMENTS] = send[-1]
         b = cfg.bottleneck
         if b is not None and b.start_minute <= minute < b.end_minute:
             flux[b.segment] = min(flux[b.segment], b.capacity_factor * cap)

@@ -8,14 +8,14 @@ chunking bounds memory without breaking determinism; each chunk's tape is
 freed before the next is built.  A chunk's loss (``_stage_loss``) is the
 same for every model kind: the model's one unroll, taped up to the last
 horizon of the stage as one node whose adjoint walks its schedule backwards
-(``models``), then the combined loss of each of the stage's horizons,
-summed in horizon order.  Validation runs the unroll tape-free
-(``models.predict_batch``).  Model selection and the plateau schedule read
-the easy validation metric.  In-run validation scores every
-``val_stride``-th window of the easy series and of each hard window.  The
-hard metric is only recorded (``metrics.csv`` and the checkpoint history),
-and ``evaluate``, which ``mesocast eval`` and the post-train report run,
-scores every hard window.
+(``models``), then the combined loss of each of the stage's horizons at
+pyramid depth ``lap_depth``, summed in horizon order.  Validation runs the
+unroll tape-free (``models.predict_batch``).  Model selection and the
+plateau schedule read the easy validation metric.  In-run validation scores
+every ``val_stride``-th window of the easy series and of each hard window.
+The hard metric is only recorded (``metrics.csv`` and the checkpoint
+history), and ``evaluate``, which ``mesocast eval`` and the post-train
+report run, scores every hard window.
 
 Every kind trains by ``train_model`` walking the ``Stage`` list of
 ``schedule``.  Most kinds have one stage over every block and horizon.  The
@@ -53,7 +53,7 @@ import json
 import math
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Corpus, build_windows, normalize, stack_windows
 from .evaluate import per_horizon_mse
-from .losses import LossConfig, combined_loss
+from .losses import combined_loss
 from .models import (MAX_PREFIX, Forecaster, check_fields, deserialize_model, fill_prefix,
                      is_count, is_name, is_shape, pack_container, prefix_rows, rows_of,
                      serialize_model, unpack_container)
@@ -86,7 +86,7 @@ class TrainConfig:
     epochs_per_stage: int = 48
     seed: int = 0
     validate_every: int = 4
-    loss: LossConfig = field(default_factory=LossConfig)
+    lap_depth: int = 3                # pyramid loss depth; 0 trains on the mse alone
     train_stride: int = 24            # keep every k-th training window
     val_stride: int = 8               # in-run validation subsampling of easy and each hard set
     grad_chunk: int = 32              # windows per taped chunk (cache locality)
@@ -102,8 +102,9 @@ class TrainConfig:
             raise ValueError("plateau_patience must be >= 1")
         if not 1 < self.lr_decay_factor < math.inf:
             raise ValueError(f"lr_decay_factor must be finite and > 1, got {self.lr_decay_factor}")
-        if self.epochs_per_stage < 0:
-            raise ValueError("epochs_per_stage must be >= 0")
+        for name in ("epochs_per_stage", "lap_depth"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("validate_every", "grad_chunk", "train_stride", "val_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -275,16 +276,16 @@ class PrefixStore:
 # ---------------------------------------------------------------------------
 
 
-def _stage_loss(model, x_chunk, y_chunk, loss_cfg: LossConfig, horizons: Sequence[int],
+def _stage_loss(model, x_chunk, y_chunk, depth: int, horizons: Sequence[int],
                 prefix: list[np.ndarray] | None = None):
-    """Summed per-horizon combined loss over one taped chunk, unrolled up to
-    the last of ``horizons`` (an nstep chunk from ``prefix``).  It calls
-    ``forward_graph_with_states`` itself, so a tracer wrapping
-    ``forward_graph`` as well sees one forward per chunk."""
+    """Summed per-horizon combined loss at pyramid depth ``depth`` over one
+    taped chunk, unrolled up to the last of ``horizons`` (an nstep chunk from
+    ``prefix``).  It calls ``forward_graph_with_states`` itself, so a tracer
+    wrapping ``forward_graph`` as well sees one forward per chunk."""
     preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
     total = None
     for h in horizons:
-        term = combined_loss(preds[h - 1], y_chunk[:, h - 1, :], loss_cfg)
+        term = combined_loss(preds[h - 1], y_chunk[:, h - 1, :], depth)
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -306,7 +307,7 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Seque
         for t in blocks.values():
             t.grad = None
         prefix = prefix_rows(held, start, stop)
-        loss = ad.scale(_stage_loss(model, xc, yc, cfg.loss, horizons, prefix), weight)
+        loss = ad.scale(_stage_loss(model, xc, yc, cfg.lap_depth, horizons, prefix), weight)
         ad.backward(loss)
         loss_value += loss.item()
         del loss            # free this chunk's tape before the next one is built
@@ -354,14 +355,14 @@ def _restore(blocks: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
 def config_fingerprint(cfg: TrainConfig) -> str:
     payload = {
         k: (v.hex() if isinstance(v, float) else v)
-        for k, v in vars(cfg).items() if k != "loss"
+        for k, v in vars(cfg).items() if k != "lap_depth"
     }
     # retired options, hashed at the only values they still have, so that
-    # checkpoints written while they were settable keep resuming
+    # checkpoints written while they were settable keep resuming; the loss
+    # was [depth, lap_weight, padding]
     payload.update(full_batch=True, batch_size=256, monitor="easy", beta1=AdamW.BETA1.hex(),
-                   beta2=AdamW.BETA2.hex(), eps=AdamW.EPS.hex())
-    payload["loss"] = [cfg.loss.pyramid_depth, float(cfg.loss.lap_weight).hex(),
-                       cfg.loss.padding_mode]
+                   beta2=AdamW.BETA2.hex(), eps=AdamW.EPS.hex(),
+                   loss=[cfg.lap_depth, (1.0).hex(), "zero"])
     return f"{zlib.crc32(json.dumps(payload, sort_keys=True).encode()):08x}"
 
 

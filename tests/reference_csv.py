@@ -11,10 +11,8 @@ import numpy as np
 from mesocast.data import CSV_HEADER, NUM_SEGMENTS, SPEED_CEILING_MPH, Series
 
 
-def read_csv_reference(source) -> Series:
-    own = not hasattr(source, "read")
-    stream = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+def read_csv_reference(path) -> Series:
+    with open(path, encoding="utf-8", newline="") as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -39,9 +37,6 @@ def read_csv_reference(source) -> Series:
             previous = minute
             minutes.append(minute)
             rows.append(speeds)
-    finally:
-        if own:
-            stream.close()
     speeds = np.array(rows, dtype=np.float64).reshape(len(rows), NUM_SEGMENTS)
     bad = ~np.isfinite(speeds) | (speeds < 0.0) | (speeds > SPEED_CEILING_MPH)
     if bad.any():
@@ -51,14 +46,9 @@ def read_csv_reference(source) -> Series:
     return Series(minutes=np.array(minutes, dtype=np.int64), speeds=speeds)
 
 
-def write_csv_reference(series: Series, destination) -> None:
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+def write_csv_reference(series: Series, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for minute, row in zip(series.minutes, series.speeds):
             writer.writerow([int(minute)] + [format(v, ".12g") for v in row])
-    finally:
-        if own:
-            stream.close()

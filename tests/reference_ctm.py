@@ -40,8 +40,6 @@ def guarded_substep(sim, minute: int) -> None:
     flux[0] = min(demand_rate_scan(cfg.demand, minute), room[0])
     flux[1:NUM_SEGMENTS] = np.minimum(send[:-1], room[1:])
     flux[NUM_SEGMENTS] = send[-1]
-    if cfg.exit_supply_cap is not None:
-        flux[NUM_SEGMENTS] = min(flux[NUM_SEGMENTS], cfg.exit_supply_cap)
     b = cfg.bottleneck
     if b is not None and b.start_minute <= minute < b.end_minute:
         flux[b.segment] = min(flux[b.segment], b.capacity_factor * cap)

@@ -18,12 +18,12 @@ from mesocast.losses import PyramidLevels, _expand
 from mesocast.models import LSTM_KINDS, _check_batch, _check_prefix, _schedule
 
 
-def reconstruct(levels: PyramidLevels, mode: str = "zero") -> np.ndarray:
+def reconstruct(levels: PyramidLevels) -> np.ndarray:
     """Invert ``build_pyramid``; exact because details store the expansion
     error verbatim."""
     g = levels.residual
     for detail in reversed(levels.details):
-        g = detail + _expand(g, mode)
+        g = detail + _expand(g)
     return g
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from mesocast import data, models, train
 from mesocast.config import load_config
-from mesocast.losses import LossConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -167,7 +166,7 @@ def test_traced_chunk_opens_one_forward_span(kind, frozen):
              if name.startswith(tuple(f"layer{i + 1}/" for i in range(frozen)))]
     tracer = tracing.Tracer()
     with tracing.installed(tracer), train._tape_constants(still):
-        train._stage_loss(model, x, y, LossConfig(), horizons, prefix)
+        train._stage_loss(model, x, y, 3, horizons, prefix)
     names = [span.name for span in tracer.spans]
     assert names.count("models.forward_graph") == 1
     forward = names.index("models.forward_graph")

@@ -78,6 +78,7 @@ class TestConfig:
         bad = tmp_path / "bad.ini"
         for line in ("[training]\nlearning_rate = 0.1", "[training]\nfull_batch = false",
                      "[training]\nbatch_size = 16", "[training]\nmonitor = hard",
+                     "[training]\nlap_weight = 1.0", "[training]\nlap_padding = zero",
                      "[model]\nper_segment = true"):
             bad.write_text(line + "\n")
             with pytest.raises(ValueError, match="unknown key"):
@@ -93,8 +94,7 @@ class TestConfig:
         ("weight_decay", "nan"), ("lr_decay_factor", "nan"), ("lr_decay_factor", "inf"),
         ("finetune_lr_scale", "0"), ("finetune_lr_scale", "-1"),
         ("finetune_lr_scale", "nan"), ("finetune_lr_scale", "1e-400"),
-        ("lap_weight", "nan"), ("lap_weight", "-1"), ("lap_depth", "-1"),
-        ("lap_padding", "mirror"),
+        ("lap_depth", "-1"),
     ])
     def test_bad_training_value_exits_2_before_reading_csvs(self, tmp_path, capsys,
                                                              key, value):
@@ -105,6 +105,16 @@ class TestConfig:
         assert run_cli("train", "--config", path, "--out", tmp_path / "empty") == 2
         err = capsys.readouterr().err
         assert f"training.{key}" in err and "train.csv" not in err
+
+    @pytest.mark.parametrize("key", ["lap_weight", "lap_padding"])
+    def test_retired_loss_key_exits_2_before_reading_csvs(self, tmp_path, capsys, key):
+        # the pyramid is set by lap_depth alone: a config that still sets the
+        # retired weight or padding is rejected as naming an unknown key
+        path = tmp_path / "old.ini"
+        path.write_text(f"[training]\n{key} = 1.0\n")
+        assert run_cli("train", "--config", path, "--out", tmp_path / "empty") == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in section [training]" in err and "train.csv" not in err
 
     @pytest.mark.parametrize("section, key, value", [
         ("data", "noise_std_mph", "nan"), ("data", "noise_std_mph", "-3"),
@@ -578,24 +588,48 @@ def test_speed_over_the_ceiling_exits_2_naming_line_and_segment(corpus_dir, tmp_
     assert not written.exists() and not (run_dir / "run.ckpt").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "forecast"])
-def test_model_whose_forward_overflows_exits_3_naming_it(corpus_dir, tmp_path, capsys, command):
-    # every weight is finite, so the model reader accepts the file, but the
-    # attention scores overflow and the forecast comes out NaN
-    out, _ = corpus_dir
-    model = build_model("sa-lstm", s=4, hidden=4, attn_width=2)
+def overflowing(model):
+    """``model`` with its attention scores scaled to overflow: every weight
+    is finite, so the model reader accepts the file, but the forecast comes
+    out NaN."""
     model.layers[0].w_q.data *= 1e160
     model.layers[0].w_k.data *= 1e160
+    return model
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast", "bench"])
+def test_model_whose_forward_overflows_exits_3_naming_it(corpus_dir, tmp_path, capsys, command):
+    out, _ = corpus_dir
     model_path = tmp_path / "model.bin"
-    save_model(model, model_path)
+    save_model(overflowing(build_model("sa-lstm", s=4, hidden=4, attn_width=2)), model_path)
     written = tmp_path / f"{command}.csv"
     cfg = tmp_path / "run.ini"
     cfg.write_text(TINY_INI + (f"report_csv = {written}\n" if command == "eval" else ""))
-    argv = ["--input", out / "hard0.csv", "--output", written] if command == "forecast" else []
+    argv = {"forecast": ["--input", out / "hard0.csv", "--output", written],
+            "bench": ["--iters", 20, "--warmup", 0, "--budget", 100]}.get(command, [])
     assert run_cli(command, "--config", cfg, "--out", out, "--checkpoint", model_path,
                    *argv) == 3
+    captured = capsys.readouterr()
+    assert f"error: model {model_path} computed a non-finite value" in captured.err
+    assert not written.exists() and "PASS" not in captured.out
+
+
+def test_train_whose_best_model_overflows_exits_3_naming_it(corpus_dir, tmp_path, monkeypatch,
+                                                             capsys):
+    # the end-of-run report is checked after the model and checkpoint are
+    # written, and no manifest records the run
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / name).write_bytes((out / name).read_bytes())
+    best = cli.best_model
+    monkeypatch.setattr(cli, "best_model", lambda run: overflowing(best(run)))
+    assert run_cli("train", "--config", cfg, "--out", run_dir) == 3
+    model_path = run_dir / "model.bin"
     assert f"error: model {model_path} computed a non-finite value" in capsys.readouterr().err
-    assert not written.exists()
+    assert model_path.exists() and (run_dir / "run.ckpt").exists()
+    assert not (run_dir / "train_manifest.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])
@@ -654,7 +688,7 @@ class TestBench:
         monkeypatch.setattr(models.InferencePlan, "run", lambda self, window, horizons=None: (
             asked.append(horizons), run(self, window, horizons))[1])
         assert run_cli("bench", "--config", cfg, "--out", out, "--iters", 20, "--warmup", 3) == 0
-        assert asked == [2] * 23
+        assert asked == [2] * 24            # the finiteness check, 3 warmup, 20 timed
         assert "20 2-minute forecasts" in capsys.readouterr().out
 
     def test_negative_seed_is_accepted(self, trained_dir, capsys):

@@ -11,6 +11,7 @@ from mesocast.cli import _FLAG_KEYS, _build_model, _build_parser, _load_run_conf
 from mesocast.config import RunConfig, config_hash
 from mesocast.data import CorpusSizes, CtmConfig
 from mesocast.models import build_model
+from mesocast.train import TrainConfig
 
 # parser options that name files or print help, not a config key
 NOT_OVERRIDES = {"help", "config", "out", "checkpoint", "input", "at", "output"}
@@ -25,6 +26,14 @@ def test_data_defaults_are_the_simulator_and_corpus_defaults():
 def test_model_defaults_are_build_model_defaults():
     shape = lambda m: (m.kind, m.s, m.horizon, {n: t.shape for n, t in m.blocks().items()})
     assert shape(_build_model(RunConfig())) == shape(build_model("sa-lstm"))
+
+
+def test_training_keys_are_the_train_config_fields():
+    # the [training] section sets TrainConfig's fields under their own names;
+    # the other keys name the files a run writes
+    keys = {f.name for f in fields(RunConfig().training)}
+    assert keys - {"model_out", "checkpoint_out", "metrics_csv"} == \
+        {f.name for f in fields(TrainConfig)}
 
 
 def test_default_config_hash_is_pinned():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mesocast import models
 from mesocast.data import NUM_SEGMENTS, Corpus, Series
-from mesocast.losses import LossConfig
 from mesocast.models import build_model, deserialize_model, serialize_model
 from mesocast.train import TrainConfig, load_checkpoint, save_checkpoint, train_model
 from containers import with_header
@@ -72,7 +71,7 @@ def checkpoint(tmp_path_factory):
     speeds = 60 + 10 * np.sin(np.arange(T)[:, None] / 5.0 + np.arange(NUM_SEGMENTS)[None, :])
     make = lambda: Series(minutes=np.arange(T), speeds=speeds.copy())
     cfg = TrainConfig(epochs_per_stage=2, validate_every=1, train_stride=1, val_stride=1,
-                      loss=LossConfig(pyramid_depth=0))
+                      lap_depth=0)
     run = train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=4),
                                Corpus(train=make(), easy=make(), hard=[make()]), cfg)
     path = tmp_path_factory.mktemp("fuzz") / "run.ckpt"

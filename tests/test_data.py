@@ -1,4 +1,3 @@
-import io
 import zlib
 from dataclasses import replace
 
@@ -52,7 +51,6 @@ def valid_ctm(draw):
         bottleneck=draw(st.none() | st.builds(
             Bottleneck, st.integers(0, NUM_SEGMENTS - 1),
             st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True), minute, minute)),
-        exit_supply_cap=draw(st.none() | rate),
     )
     cfg.validate()
     level = st.just(0.0) | st.just(jam) | st.floats(0.0, jam)
@@ -67,10 +65,23 @@ def toy_series(T, start=0, seed=0):
     )
 
 
-def csv_lines(series):
-    buf = io.StringIO()
-    write_csv(series, buf)
-    return buf.getvalue().splitlines()
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    """The file the CSV tests write and read back, one per module so that
+    hypothesis examples can share it."""
+    return tmp_path_factory.mktemp("csv") / "series.csv"
+
+
+def csv_lines(series, path):
+    """The lines ``write_csv`` writes for ``series``, through ``path``."""
+    write_csv(series, path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def read_text(text, path):
+    """``read_csv`` of a file at ``path`` holding exactly ``text``."""
+    path.write_text(text, encoding="utf-8", newline="")
+    return read_csv(path)
 
 
 class TestWindows:
@@ -135,12 +146,11 @@ class TestNormalization:
 
 
 class TestCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         series = toy_series(40, start=17)
-        buf = io.StringIO()
-        write_csv(series, buf)
-        buf.seek(0)
-        back = read_csv(buf)
+        path = tmp_path / "series.csv"
+        write_csv(series, path)
+        back = read_csv(path)
         np.testing.assert_array_equal(back.minutes, series.minutes)
         assert np.max(np.abs(back.speeds - series.speeds)) <= 1e-9
 
@@ -151,70 +161,73 @@ class TestCsv:
         back = read_csv(path)
         assert np.max(np.abs(back.speeds - series.speeds)) <= 1e-9
 
-    def test_wrong_column_count_names_line(self):
-        series = toy_series(3)
-        lines = csv_lines(series)
+    def test_wrong_column_count_names_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(3), path)
         lines[2] = ",".join(lines[2].split(",")[:-1])  # drop a speed column
         with pytest.raises(ValueError, match="line 3"):
-            read_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_text("\n".join(lines) + "\n", path)
 
-    def test_header_only_is_empty_series(self):
-        back = read_csv(io.StringIO(",".join(data.CSV_HEADER) + "\n"))
+    def test_header_only_is_empty_series(self, tmp_path):
+        back = read_text(",".join(data.CSV_HEADER) + "\n", tmp_path / "series.csv")
         assert len(back) == 0
 
-    def test_blank_cell_rejected(self):
-        lines = csv_lines(toy_series(2))
+    def test_blank_cell_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(2), path)
         parts = lines[1].split(",")
         parts[3] = ""
         lines[1] = ",".join(parts)
         with pytest.raises(ValueError, match="line 2.*blank"):
-            read_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_text("\n".join(lines) + "\n", path)
 
-    def test_non_monotone_minute_rejected(self):
-        lines = csv_lines(toy_series(3, start=5))
+    def test_non_monotone_minute_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(3, start=5), path)
         # rewrite the last row's minute so it goes backwards
         parts = lines[3].split(",")
         parts[0] = "4"
         lines[3] = ",".join(parts)
         with pytest.raises(ValueError, match="line 4"):
-            read_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_text("\n".join(lines) + "\n", path)
 
-    def test_bad_header_rejected(self):
+    def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
-            read_csv(io.StringIO("time,a,b\n"))
+            read_text("time,a,b\n", tmp_path / "series.csv")
 
     @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-5", "200.5", "1e300"])
-    def test_non_finite_or_negative_speed_names_line(self, speed):
-        lines = csv_lines(toy_series(4))
+    def test_non_finite_or_negative_speed_names_line(self, tmp_path, speed):
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(4), path)
         parts = lines[3].split(",")
         parts[7] = speed
         lines[3] = ",".join(parts)
         with pytest.raises(ValueError, match="line 4: speed .* at seg06"):
-            read_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_text("\n".join(lines) + "\n", path)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("row", [0, 2])
     def test_byte_that_is_not_utf8_names_line(self, tmp_path, ending, row):
-        lines = [line.encode() for line in csv_lines(toy_series(4))]
-        lines[row] += b"\xff"
         path = tmp_path / "series.csv"
+        lines = [line.encode() for line in csv_lines(toy_series(4), path)]
+        lines[row] += b"\xff"
         path.write_bytes(ending.encode().join(lines) + ending.encode())
         with pytest.raises(ValueError, match=f"^line {row + 1}: "):
             read_csv(path)
 
-    def test_minutes_far_apart_read_back(self):
+    def test_minutes_far_apart_read_back(self, tmp_path):
         series = Series(minutes=[-9 * 10**18, 9 * 10**18], speeds=np.ones((2, data.NUM_SEGMENTS)))
-        buf = io.StringIO()
-        write_csv(series, buf)
-        buf.seek(0)
-        assert read_csv(buf).minutes.tolist() == [-9 * 10**18, 9 * 10**18]
+        path = tmp_path / "series.csv"
+        write_csv(series, path)
+        assert read_csv(path).minutes.tolist() == [-9 * 10**18, 9 * 10**18]
 
-    def test_zero_speed_accepted(self):
-        lines = csv_lines(toy_series(2))
+    def test_zero_speed_accepted(self, tmp_path):
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(2), path)
         parts = lines[1].split(",")
         parts[1] = "0"
         lines[1] = ",".join(parts)
-        assert read_csv(io.StringIO("\n".join(lines) + "\n")).speeds[0, 0] == 0.0
+        assert read_text("\n".join(lines) + "\n", path).speeds[0, 0] == 0.0
 
 
 # speeds read_csv accepts: finite, non-negative and at most the ceiling, with
@@ -239,13 +252,14 @@ def csv_text(lines, ending, trailing):
     return ending.join(lines) + (ending if trailing else "")
 
 
-def both_readers(text):
+def both_readers(text, path):
     """(new reader's result or error, reference reader's result or error),
-    each reading the text as a file opened with ``newline=""`` is read."""
+    each reading a file at ``path`` holding exactly ``text``."""
+    path.write_text(text, encoding="utf-8", newline="")
     out = []
     for reader in (read_csv, read_csv_reference):
         try:
-            out.append(reader(io.StringIO(text, newline="")))
+            out.append(reader(path))
         except ValueError as exc:
             out.append(exc)
     return out
@@ -315,18 +329,18 @@ def written_series(draw):
                   speeds=np.array(speeds, dtype=np.float64).reshape(rows, data.NUM_SEGMENTS))
 
 
-def written_bytes(writer, series) -> bytes:
-    buf = io.StringIO(newline="")
-    writer(series, buf)
-    return buf.getvalue().encode("utf-8")
+def written_bytes(writer, series, path) -> bytes:
+    writer(series, path)
+    return path.read_bytes()
 
 
 class TestCsvWriterAgainstReference:
     """The one-format-per-row writer against the csv-module writer it replaced."""
 
     @given(written_series())
-    def test_same_bytes(self, series):
-        assert written_bytes(write_csv, series) == written_bytes(write_csv_reference, series)
+    def test_same_bytes(self, csv_path, series):
+        assert written_bytes(write_csv, series, csv_path) == \
+            written_bytes(write_csv_reference, series, csv_path)
 
     def test_same_file_for_a_simulated_series(self, tmp_path):
         series = ctm_simulate(CtmConfig(seed=6), 120)
@@ -339,8 +353,9 @@ class TestCsvAgainstReference:
     """The vectorized reader against the csv-module reader it replaced."""
 
     @given(csv_series(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
-    def test_written_files_read_bitwise_equal(self, series, ending, trailing):
-        new, ref = both_readers(csv_text(csv_lines(series), ending, trailing))
+    def test_written_files_read_bitwise_equal(self, csv_path, series, ending, trailing):
+        new, ref = both_readers(csv_text(csv_lines(series, csv_path), ending, trailing),
+                                csv_path)
         assert isinstance(new, Series) and isinstance(ref, Series)
         for got, want in ((new.minutes, ref.minutes), (new.speeds, ref.speeds)):
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -349,13 +364,14 @@ class TestCsvAgainstReference:
     @settings(max_examples=60)
     @given(st.data(), csv_series(min_rows=2), st.sampled_from(sorted(REJECTIONS)),
            st.sampled_from(["\n", "\r\n"]), st.booleans())
-    def test_each_rejection_names_the_same_line(self, pick, series, kind, ending, trailing):
-        lines = csv_lines(series)
+    def test_each_rejection_names_the_same_line(self, csv_path, pick, series, kind, ending,
+                                                trailing):
+        lines = csv_lines(series, csv_path)
         # row 1 has no earlier minute to repeat
         row = pick.draw(st.integers(2 if kind == "minute not increasing" else 1,
                                     len(lines) - 1))
         pick.draw(st.sampled_from(REJECTIONS[kind]))(lines, row, pick)
-        new, ref = both_readers(csv_text(lines, ending, trailing))
+        new, ref = both_readers(csv_text(lines, ending, trailing), csv_path)
         assert isinstance(ref, ValueError) and isinstance(new, ValueError)
         assert str(ref).startswith(f"line {row + 1}:")
         assert str(new) == str(ref)
@@ -367,8 +383,8 @@ class TestCsvAgainstReference:
         ",".join(data.CSV_HEADER).replace("seg05", "seg5") + "\n",
         "time,a,b\n",
     ], ids=["empty file", "empty header", "short header", "misnamed column", "foreign header"])
-    def test_header_rejections_match(self, text):
-        new, ref = both_readers(text)
+    def test_header_rejections_match(self, tmp_path, text):
+        new, ref = both_readers(text, tmp_path / "series.csv")
         assert isinstance(ref, ValueError) and isinstance(new, ValueError)
         assert str(new) == str(ref)
 
@@ -403,8 +419,10 @@ class TestCtm:
         q_r = cfg.wave_speed_kpm * (cfg.jam_density - rho_r)
         sigma = (q_r - q_l) / (rho_r - rho_l)  # km/min, negative = upstream
         dens0 = np.where(np.arange(21) < 14, rho_l, rho_r)
+        # a bottleneck into the last cell lets out q_r, so the jam upstream of it holds
+        hold = Bottleneck(NUM_SEGMENTS - 1, q_r / cfg.capacity, 0, 61)
         run = ctm_simulate(
-            CtmConfig(demand=((0, q_l),), exit_supply_cap=q_r, noise_std_mph=0.0),
+            CtmConfig(demand=((0, q_l),), bottleneck=hold, noise_std_mph=0.0),
             61, initial_density=dens0,
         )
         v_r = q_r / rho_r / data.MPH_TO_KM_PER_MIN
@@ -438,8 +456,13 @@ class TestCtm:
         (dict(noise_std_mph=float("inf")), "noise_std_mph"),
         (dict(demand=((0, 5.0), (60, -1.0))), "demand rates"),
         (dict(demand=((0, float("nan")),)), "demand rates"),
-        (dict(exit_supply_cap=-0.5), "exit_supply_cap"),
-        (dict(exit_supply_cap=float("nan")), "exit_supply_cap"),
+        (dict(cell_length_km=0.0), "cell_length_km"),
+        (dict(substeps_per_minute=0), "substeps_per_minute"),
+        (dict(demand=((5, 10.0),)), "demand"),
+        (dict(demand=((0, 10.0), (30, 5.0), (30, 8.0))), "demand"),
+        (dict(bottleneck=Bottleneck(NUM_SEGMENTS, 0.5, 0, 60)), "bottleneck segment"),
+        (dict(bottleneck=Bottleneck(3, 0.0, 0, 60)), "bottleneck capacity_factor"),
+        (dict(bottleneck=Bottleneck(3, 1.5, 0, 60)), "bottleneck capacity_factor"),
     ])
     def test_each_bound_names_its_field(self, change, field):
         with pytest.raises(ValueError, match=f"^{field} must"):

@@ -8,9 +8,10 @@ import pytest
 from mesocast import autodiff as ad
 from mesocast import cells, models
 from mesocast import train as T
+from mesocast.config import RunConfig, TrainingSection
 from mesocast.data import NUM_SEGMENTS, Corpus, Series, build_windows, normalize, stack_windows
 from mesocast.evaluate import per_horizon_mse
-from mesocast.losses import LossConfig, combined_loss
+from mesocast.losses import combined_loss
 from mesocast.models import InferencePlan, build_model
 from mesocast.train import (
     AdamW,
@@ -29,7 +30,7 @@ from reference_ops import taped_unroll
 def tiny_cfg(**kw):
     defaults = dict(
         epochs_per_stage=6, validate_every=2, train_stride=1, val_stride=1,
-        loss=LossConfig(pyramid_depth=0), weight_decay=0.0, grad_chunk=64,
+        lap_depth=0, weight_decay=0.0, grad_chunk=64,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -439,12 +440,12 @@ class TestTrainNStep:
             assert a.easy == b.easy
 
 
-def reference_stage_loss(model, x, y, loss_cfg, horizons, prefix=None):
+def reference_stage_loss(model, x, y, depth, horizons, prefix=None):
     """``T._stage_loss`` on the tests' per-step taped unroll."""
     preds, _ = taped_unroll(model, x, upto=max(horizons), prefix=prefix)
     total = None
     for h in horizons:
-        term = combined_loss(preds[h - 1], y[:, h - 1, :], loss_cfg)
+        term = combined_loss(preds[h - 1], y[:, h - 1, :], depth)
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -480,8 +481,8 @@ class TestUnrollWalk:
             frozen = [t for name, t in blocks.items() if name not in trainable]
             for pyramid_depth in (0, 3):
                 for size in (16, 7, 1):
-                    args = (model, x[:size], y[:size], LossConfig(pyramid_depth=pyramid_depth),
-                            stage.horizons, models.prefix_rows(prefix, 0, size))
+                    args = (model, x[:size], y[:size], pyramid_depth, stage.horizons,
+                            models.prefix_rows(prefix, 0, size))
                     with T._tape_constants(frozen):
                         walked = chunk_gradients(model, lambda: T._stage_loss(*args))
                         taped = chunk_gradients(model, lambda: reference_stage_loss(*args))
@@ -510,7 +511,7 @@ class TestUnrollWalk:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            loss = T._stage_loss(model, x, y, LossConfig(), (1, 2, 3))
+            loss = T._stage_loss(model, x, y, 3, (1, 2, 3))
             ad.backward(loss)
             assert len(refs) == 4 + 5 + 6 and all(ref() is not None for ref in refs)
             del loss
@@ -526,7 +527,7 @@ class TestUnrollWalk:
         x = rng.uniform(0.2, 1.0, (3, 4, NUM_SEGMENTS))
         y = rng.uniform(0.2, 1.0, (3, 3, NUM_SEGMENTS))
         horizons = T.schedule(model, TrainConfig())[-1].horizons      # every horizon
-        assert_block_grads_close(lambda: T._stage_loss(model, x, y, LossConfig(), horizons),
+        assert_block_grads_close(lambda: T._stage_loss(model, x, y, 3, horizons),
                                  model.blocks())
 
     def test_nstep_stage3_gradients_match_finite_differences(self):
@@ -542,7 +543,7 @@ class TestUnrollWalk:
         blocks = model.blocks()
         with T._tape_constants([t for name, t in blocks.items() if name not in stage.trainable]):
             assert_block_grads_close(
-                lambda: T._stage_loss(model, x, y, LossConfig(), stage.horizons, prefix), blocks)
+                lambda: T._stage_loss(model, x, y, 3, stage.horizons, prefix), blocks)
 
 
 class TestSchedule:
@@ -715,13 +716,12 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("cfg, fingerprint", [
         (TrainConfig(), "58d12a14"),
-        (TrainConfig(lr=0.003, grad_chunk=64, epochs_per_stage=7,
-                     loss=LossConfig(pyramid_depth=2, lap_weight=0.5, padding_mode="replicate")),
-         "e8460b92"),
+        (TrainConfig(lr=0.003, grad_chunk=64, epochs_per_stage=7, lap_depth=2), "67cf4061"),
     ])
     def test_fingerprint_survives_retired_options(self, cfg, fingerprint):
-        # values taken before full_batch, batch_size and monitor were removed,
-        # so checkpoints written while they were settable still resume
+        # values taken before full_batch, batch_size, monitor, lap_weight and
+        # lap_padding were removed, so checkpoints written while they were
+        # settable still resume
         assert T.config_fingerprint(cfg) == fingerprint
 
     def test_config_mismatch_rejected(self, tmp_path):
@@ -796,6 +796,17 @@ class TestPinnedResults:
         run = train_model(model, wavy_corpus(seed=3),
                                    tiny_cfg(epochs_per_stage=2, validate_every=1, grad_chunk=16))
         assert run.epoch == 2
+        assert run_digest(run) == digest
+
+    @pytest.mark.parametrize("kind, digest", [("sa-lstm", "50d73daa"), ("nstep", "58aa83bb")])
+    def test_pyramid_depth3_digest(self, kind, digest):
+        # the pyramid loss at depth 3, which the benchmark, the claims run and
+        # the CLI default train with, under a config built from the
+        # [training] section as ``mesocast train`` builds it
+        section = TrainingSection(epochs_per_stage=2, validate_every=1, train_stride=1,
+                                  val_stride=1, weight_decay=0.0, grad_chunk=16, lap_depth=3)
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=21)
+        run = train_model(model, wavy_corpus(seed=3), RunConfig(training=section).train_config())
         assert run_digest(run) == digest
 
     @pytest.mark.parametrize("kind, digest", [("sa-lstm", "10a4e56a"), ("nstep", "7420ff80")])
