@@ -44,9 +44,9 @@ from .autodiff import Tensor
 from .seeding import block_rng
 
 
-def _uniform_fan_in(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, (rows, cols))
+# block names within a cell, in ``CellParams`` field order
+_GATE_BLOCKS = [f"{kind}_{gate}" for kind in "wb" for gate in "fico"]
+_ATTN_BLOCKS = ["attn/w_q", "attn/w_k", "attn/w_v", "out_proj"]
 
 
 @dataclass
@@ -84,26 +84,38 @@ class CellParams:
         return 0 if self.w_q is None else self.w_q.shape[1]
 
     def blocks(self, prefix: str) -> dict[str, Tensor]:
-        names = [f"{kind}_{gate}" for kind in "wb" for gate in "fico"]
-        if self.attn_width:
-            names += ["attn/w_q", "attn/w_k", "attn/w_v", "out_proj"]
+        names = _GATE_BLOCKS + (_ATTN_BLOCKS if self.attn_width else [])
         return {f"{prefix}/{name}": getattr(self, name.removeprefix("attn/")) for name in names}
 
 
-def init_cell(hidden, in_width, attn_width, seed, prefix) -> CellParams:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, each block from the
-    stream its name keys; the forget bias starts at +1 so early cell state is
-    retained.  ``attn_width`` 0 gives a plain LSTM cell."""
-    def draw(name, rows, cols):
-        return ad.parameter(_uniform_fan_in(block_rng(seed, f"{prefix}/{name}"), rows, cols))
-
-    w = [draw(f"w_{g}", hidden + in_width, hidden) for g in "fico"]
-    b = [ad.parameter(np.ones(hidden) if g == "f" else np.zeros(hidden)) for g in "fico"]
-    attn = []
+def cell_table(hidden, in_width, attn_width, prefix) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each block of a cell, in ``CellParams`` field order,
+    computed from the dims alone: what ``init_cell`` draws and what the model
+    reader expects a container to hold.  ``attn_width`` 0 gives a plain LSTM
+    cell's eight blocks."""
+    shapes = [(hidden + in_width, hidden)] * 4 + [(hidden,)] * 4
     if attn_width:
-        attn = [draw(f"attn/w_{n}", hidden, attn_width) for n in "qkv"]
-        attn.append(draw("out_proj", attn_width, hidden))
-    return CellParams(*w, *b, *attn)
+        shapes += [(hidden, attn_width)] * 3 + [(attn_width, hidden)]
+    names = _GATE_BLOCKS + _ATTN_BLOCKS          # zip stops at a plain cell's eight
+    return [(f"{prefix}/{name}", shape) for name, shape in zip(names, shapes)]
+
+
+def init_block(seed: int, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The initial values of block ``name``: a weight is uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)], fan_in its first dim, from the stream
+    its name keys; a bias is zero, except the forget bias, which starts at +1
+    so early cell state is retained."""
+    if len(shape) == 1:
+        return np.ones(shape) if name.endswith("/b_f") else np.zeros(shape)
+    bound = 1.0 / np.sqrt(shape[0])
+    return block_rng(seed, name).uniform(-bound, bound, shape)
+
+
+def init_cell(hidden, in_width, attn_width, seed, prefix) -> CellParams:
+    """A fresh cell, each block of ``cell_table`` from ``init_block``;
+    ``attn_width`` 0 gives a plain LSTM cell."""
+    return CellParams(*(ad.parameter(init_block(seed, name, shape))
+                        for name, shape in cell_table(hidden, in_width, attn_width, prefix)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,11 @@ def _corpus_paths(cfg: RunConfig, out: Path) -> list[Path]:
             *(out / f"{cfg.data.hard_csv_prefix}{i}.csv" for i in range(cfg.data.hard_windows))]
 
 
-def _read_csv(path) -> D.Series:
-    """``D.read_csv(path)``, with a rejection that names ``path``."""
+def _read(reader, path):
+    """``reader(path)`` (a CSV or a model file), with a rejection that names
+    ``path``."""
     try:
-        return D.read_csv(path)
+        return reader(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -99,8 +100,9 @@ def _load_corpus(cfg: RunConfig, out: Path, train: bool) -> D.Corpus:
     """The easy series and the hard windows, all that evaluation reads, and
     first, with ``train``, the train series."""
     train_csv, easy_csv, *hard_csvs = _corpus_paths(cfg, out)
-    return D.Corpus(train=_read_csv(train_csv) if train else None, easy=_read_csv(easy_csv),
-                    hard=[_read_csv(path) for path in hard_csvs])
+    return D.Corpus(train=_read(D.read_csv, train_csv) if train else None,
+                    easy=_read(D.read_csv, easy_csv),
+                    hard=[_read(D.read_csv, path) for path in hard_csvs])
 
 
 def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need: str) -> None:
@@ -119,7 +121,7 @@ def _build_model(cfg: RunConfig):
 def _load_for_horizons(path, horizons: int):
     """The model at ``path``, checked to reach ``[evaluation] horizons``: a
     one-step kind recurses to any horizon, a multi-step one emits its own."""
-    model = load_model(path)
+    model = _read(load_model, path)
     if model.kind not in ONE_STEP_KINDS and horizons > model.horizon:
         raise ValueError(f"evaluation.horizons = {horizons} exceeds the {model.horizon} horizons "
                          f"that the {model.kind} model {path} emits")
@@ -221,7 +223,7 @@ def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     horizons = cfg.evaluation.horizons
     path = args.checkpoint or (out / cfg.evaluation.checkpoint)
     model = _load_for_horizons(path, horizons)
-    series = _read_csv(args.input)
+    series = _read(D.read_csv, args.input)
     if len(series) < model.s:
         raise ValueError(f"input has {len(series)} frames, model needs {model.s}")
     at = args.at if args.at is not None else int(series.minutes[-1])

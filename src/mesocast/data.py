@@ -1,9 +1,11 @@
 """Series handling, CSV interchange and the synthetic highway corpus.
 
-Ingest is whole-array work.  ``read_csv`` parses a file in one
-``np.loadtxt`` pass into a (minute, 21 speeds) record array; only a file
-that fails it is bisected, with more loadtxt calls, down to its first bad
-line, so every rejection names a line without a second parser.
+Ingest is whole-array work.  ``read_csv`` reads a file's bytes, decodes
+them once, translates CR and CRLF line ends only when the text holds a CR,
+and parses it in one ``np.loadtxt`` pass into a (minute, 21 speeds) record
+array; only a file that fails it is bisected, with more loadtxt calls, down
+to its first bad line, so every rejection names a line without a second
+parser.
 ``build_windows`` returns ``Windows``, read-only strided views of the
 series that slice (``[::stride]``) into more views; ``stack_windows``
 copies just the rows asked for.
@@ -195,11 +197,13 @@ def read_csv(path) -> Series:
     with their line number.  Lines end in LF, CRLF or CR, and cells
     are unquoted ASCII numerals, so a byte that is not UTF-8, read as a lone
     surrogate, fails its row or the header like any other stray character."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
     if not text:
         raise ValueError("empty file: missing header")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()              # the last line's terminator
     header = lines[0].split(",") if lines[0] else []

@@ -19,7 +19,11 @@ token (``all-at-once``: one per horizon), and ``horizon`` counts what one
 unroll emits, 1 for the one-step kinds.  ``_shape`` spells a kind's widths
 and parameter count once, for ``check_dims``, ``build_model`` and the
 container reader, which demands that the header's dims describe the
-payload exactly before anything is allocated.  The names ``OneStepModel``,
+payload exactly before anything is allocated.  ``_block_table`` lists each
+block's name and shape from the dims alone (``cells.cell_table`` per layer,
+then the head): ``build_model`` draws those blocks, and the reader demands
+that the header's table be this one, then builds the model straight from
+the payload, one copy per block and no init draw.  The names ``OneStepModel``,
 ``AllAtOnceModel`` and ``NStepModel`` are aliases of it that the
 benchmark's tracer still binds.
 
@@ -54,6 +58,7 @@ no frame, walk from zero.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -61,9 +66,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cells import CellParams, StepBuffers, StepKernel, init_cell, lstm_step, sa_lstm_step
+from .cells import (CellParams, StepBuffers, StepKernel, cell_table, init_block, init_cell,
+                    lstm_step, sa_lstm_step)
 from .data import MAX_ARRAY_VALUES, MINUTES_PER_DAY, NUM_SEGMENTS
-from .seeding import block_rng
 
 LSTM_KINDS = ("lstm", "lstm-seg")          # plain LSTM cells, no attention
 ONE_STEP_KINDS = LSTM_KINDS + ("sa-lstm",)
@@ -77,10 +82,13 @@ class Forecast:
     horizons: np.ndarray                     # (n, NUM_SEGMENTS)
 
 
+def _head_table(hidden: int, width: int) -> list[tuple[str, tuple[int, ...]]]:
+    return [("head/w", (hidden, width)), ("head/b", (width,))]
+
+
 def _init_head(hidden: int, width: int, seed: int) -> tuple[Tensor, Tensor]:
-    bound = 1.0 / np.sqrt(hidden)
-    w = ad.parameter(block_rng(seed, "head/w").uniform(-bound, bound, (hidden, width)))
-    b = ad.parameter(np.zeros(width))
+    w, b = (ad.parameter(init_block(seed, name, shape))
+            for name, shape in _head_table(hidden, width))
     return w, b
 
 
@@ -239,10 +247,22 @@ def check_dims(kind: str, s: int, hidden: int, attn_width: int, horizon: int) ->
                          f"parameters, got {count}")
 
 
+def _block_table(kind: str, hidden: int, attn_width: int,
+                 horizon: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each block of a ``kind`` model, in the order of
+    ``Forecaster.blocks`` and of a container's payload."""
+    layers, in_width, attn, width, _ = _shape(kind, hidden, attn_width, horizon)
+    cells = [entry for i in range(layers)
+             for entry in cell_table(hidden, in_width, attn, f"layer{i + 1}")]
+    return cells + _head_table(hidden, width)
+
+
 def build_model(kind: str, s: int = 8, hidden: int = 64, attn_width: int = 16,
                 horizon: int = 3, seed: int = 0) -> Forecaster:
-    """Construct a freshly initialised model of the given kind; parameter
-    blocks draw name-keyed streams so shared block names agree across kinds."""
+    """Construct a freshly initialised model of the given kind, with the
+    blocks that ``_block_table`` lists for the reader, each drawn by
+    ``init_block`` from the stream its name keys, so shared block names
+    agree across kinds."""
     check_dims(kind, s, hidden, attn_width, horizon)
     layers, in_width, attn, width, _ = _shape(kind, hidden, attn_width, horizon)
     cells = [init_cell(hidden, in_width, attn, seed, f"layer{i + 1}") for i in range(layers)]
@@ -552,23 +572,38 @@ def pack_container(magic: bytes, header: dict, payload: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def unpack_container(blob: bytes, magic: bytes, what: str):
+def unpack_container(blob, magic: bytes, what: str):
     """JSON header and payload of a ``pack_container`` blob, after checking
-    its magic and checksum."""
-    if len(blob) < 12 or blob[:4] != magic:
+    its magic and checksum.  The payload is a ``memoryview`` of ``blob``:
+    nothing is copied."""
+    view = memoryview(blob)
+    if len(view) < 12 or view[:4] != magic:
         raise ValueError(f"not a {what} (bad magic)")
-    body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
+    body, crc = view[:-4], int.from_bytes(view[-4:], "little")
     if zlib.crc32(body) != crc:
         raise ValueError(f"{what} corrupt (checksum mismatch)")
-    head_len = int.from_bytes(blob[4:8], "little")
-    return json.loads(blob[8:8 + head_len].decode()), body[8 + head_len:]
+    head_len = int.from_bytes(view[4:8], "little")
+    return json.loads(bytes(view[8:8 + head_len]).decode()), body[8 + head_len:]
 
 
-def deserialize_model(blob: bytes):
-    header, dims, payload = _read_container(blob)
-    model = build_model(header["kind"], seed=0, **dims)
-    _fill_blocks(model, header["blocks"], payload)
-    return model
+def deserialize_model(blob) -> Forecaster:
+    """The model in ``blob``, built straight from its checked payload with
+    no init draw: one finiteness pass over the payload names the first
+    block, in table order, that holds a non-finite value, and then each
+    block is one copy of its slice."""
+    kind, s, horizon, table, payload = _read_container(blob)
+    values = np.frombuffer(payload, dtype="<f8")
+    ends = np.cumsum([math.prod(shape) for _, shape in table])
+    finite = np.isfinite(values)
+    if not finite.all():
+        name = table[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise ValueError(f"model block {name!r} holds a non-finite value")
+    parts: dict[str, list[Tensor]] = {}      # "layer1", ..., "head": blocks in table order
+    for (name, shape), part in zip(table, np.split(values, ends[:-1])):
+        parts.setdefault(name.split("/")[0], []).append(ad.parameter(part.reshape(shape)))
+    head_w, head_b = parts.pop("head")
+    return Forecaster(kind, [CellParams(*cell) for cell in parts.values()], head_w, head_b,
+                      s, horizon)
 
 
 def is_count(value) -> bool:
@@ -600,8 +635,9 @@ def check_fields(header, where: str, **tests) -> None:
             raise ValueError(f"{where}: field {key!r} is missing or malformed: {value!r:.60}")
 
 
-def _read_container(blob: bytes):
-    """Header, the build_model dims it names, and payload, all checked."""
+def _read_container(blob):
+    """Kind, s, horizon (1 for a one-step kind), the block table that the
+    header's dims give, and payload, all checked against each other."""
     header, payload = unpack_container(blob, _MAGIC, "model container")
     check_fields(header, "model header",
                  format_version=lambda v: is_count(v) and v == _FORMAT_VERSION,
@@ -615,27 +651,19 @@ def _read_container(blob: bytes):
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive
     check_fields(dims, "model header dims", **tests)
-    # build_model allocates from the dims, so they must describe the payload first
-    count = _shape(kind, dims["hidden"], dims["attn_width"], dims.get("horizon", 1))[-1]
+    # the block table and the model grow with the dims, so they must
+    # describe the payload first
+    hidden, attn_width, horizon = dims["hidden"], dims["attn_width"], dims.get("horizon", 1)
+    count = _shape(kind, hidden, attn_width, horizon)[-1]
     if count * 8 != len(payload):
         raise ValueError(f"model header: field 'dims' gives {count} parameters, but the "
                          f"payload's blocks take {len(payload)} bytes")
-    return header, {key: dims[key] for key in tests}, payload
-
-
-def _fill_blocks(model, block_table, payload: bytes) -> None:
-    blocks = model.blocks()
-    if [(name, list(shape)) for name, shape in block_table] != \
-            [(name, list(t.shape)) for name, t in blocks.items()]:
+    check_dims(kind, dims["s"], hidden, attn_width, horizon)
+    table = _block_table(kind, hidden, attn_width, horizon)
+    if [(name, list(shape)) for name, shape in table] != \
+            [(name, list(shape)) for name, shape in header["blocks"]]:
         raise ValueError("model header: field 'blocks' does not match the model structure")
-    offset = 0
-    for name, shape in block_table:
-        n = int(np.prod(shape)) * 8
-        arr = np.frombuffer(payload[offset:offset + n], dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"model block {name!r} holds a non-finite value")
-        blocks[name].data[...] = arr
-        offset += n
+    return kind, dims["s"], horizon, table, payload
 
 
 def save_model(model, path) -> None:

@@ -418,19 +418,26 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
                  model_len=is_count)
     if header["config"] != config_fingerprint(cfg):
         raise ValueError("checkpoint was produced under a different training config")
-    model = deserialize_model(payload[:header["model_len"]])
+    model_len = header["model_len"]
+    model = deserialize_model(payload[:model_len])
     shapes = {name: t.data.shape for name, t in model.blocks().items()}
     for key in ("opt", "best"):
         rows = {row[0]: tuple(row[1]) for row in header[key]}
         # moments cover the blocks that have stepped, a best snapshot every block
         if not rows.items() <= shapes.items() or key == "best" and 0 < len(rows) < len(shapes):
             raise ValueError(f"checkpoint header: field {key!r} does not match the model's blocks")
-    offset = header["model_len"]
+    described = model_len + 8 * (sum(2 * math.prod(shape) for _, shape, _ in header["opt"])
+                                 + sum(math.prod(shape) for _, shape in header["best"]))
+    if described != len(payload):
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                         f"header describes {described}")
+    values = np.frombuffer(payload, dtype="<f8", offset=model_len)
+    offset = 0
 
     def take(key, name, shape):
         nonlocal offset
-        start, offset = offset, offset + math.prod(shape) * 8
-        arr = np.frombuffer(payload[start:offset], dtype="<f8").reshape(shape)
+        start, offset = offset, offset + math.prod(shape)
+        arr = values[start:offset].reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint field {key!r}: block {name!r} holds a non-finite value")
         return arr.copy()
@@ -440,8 +447,6 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
         opt.m[name], opt.v[name] = take("opt", name, shape), take("opt", name, shape)
         opt.t[name] = t
     best = {name: take("best", name, shape) for name, shape in header["best"]}
-    if offset != len(payload):
-        raise ValueError(f"checkpoint payload is {len(payload)} bytes, header describes {offset}")
     history = [
         MetricRecord(epoch=e, lr=float.fromhex(lr), train_loss=float.fromhex(tl),
                      easy=None if easy is None else float.fromhex(easy),

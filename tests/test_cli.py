@@ -1,5 +1,6 @@
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -502,6 +503,43 @@ def test_non_finite_weights_exit_2_naming_the_block(corpus_dir, tmp_path, capsys
                    *argv) == 2
     assert "'head/b'" in capsys.readouterr().err
     assert not written.exists()
+
+
+def unreadable(blob, flaw):
+    """``blob``, a model file, with one ``flaw`` that its reader rejects."""
+    if flaw == "magic":
+        return b"MSCK" + blob[4:]
+    if flaw == "checksum":
+        return blob[:-12] + bytes([blob[-12] ^ 0xFF]) + blob[-11:]
+    if flaw == "header":
+        return with_header(blob, lambda h: h["dims"].update(hidden="4"))
+    body = blob[:-12] + np.float64(np.nan).tobytes()    # the last parameter, checksum kept
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("flaw, reason", [
+    ("magic", "not a model container (bad magic)"),
+    ("checksum", "model container corrupt (checksum mismatch)"),
+    ("header", "model header dims: field 'hidden' is missing or malformed: '4'"),
+    ("non-finite", "model block 'head/b' holds a non-finite value"),
+])
+@pytest.mark.parametrize("command", ["eval", "forecast", "bench"])
+def test_unreadable_model_file_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, flaw,
+                                                 reason):
+    # eval reads its --checkpoint files in turn: the second is the bad one
+    out, _ = corpus_dir
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), good)
+    bad.write_bytes(unreadable(good.read_bytes(), flaw))
+    written = tmp_path / f"{command}.csv"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_INI + (f"report_csv = {written}\n" if command == "eval" else ""))
+    argv = {"eval": ["--checkpoint", good],
+            "forecast": ["--input", out / "hard0.csv", "--output", written]}.get(command, [])
+    assert run_cli(command, "--config", cfg, "--out", out, *argv, "--checkpoint", bad) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {reason}\n"
+    assert not written.exists() and "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("command, edit, need", [

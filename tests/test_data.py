@@ -215,6 +215,25 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^line {row + 1}: "):
             read_csv(path)
 
+    @pytest.mark.parametrize("row", [2, 6, 11])
+    def test_mixed_line_ends_read_as_their_lf_twin(self, tmp_path, row):
+        # LF, CRLF and CR in turn within one file, the last line ending in CR;
+        # ``row`` is a line's index, so it is line row + 1
+        path = tmp_path / "series.csv"
+        lines = csv_lines(toy_series(11), path)
+        mixed = lambda lines: "".join(line + ("\n", "\r\n", "\r")[i % 3]
+                                      for i, line in enumerate(lines))
+        assert mixed(lines).endswith("\r") and mixed(lines).count("\r\n") == 4
+        back = read_text(mixed(lines), path)
+        twin = read_text("\n".join(lines) + "\n", tmp_path / "lf.csv")
+        assert back.minutes.tobytes() == twin.minutes.tobytes()
+        assert back.speeds.tobytes() == twin.speeds.tobytes()
+        parts = lines[row].split(",")
+        parts[5] = "5x"
+        lines[row] = ",".join(parts)
+        with pytest.raises(ValueError, match=f"^line {row + 1}: unparseable value$"):
+            read_text(mixed(lines), path)
+
     def test_minutes_far_apart_read_back(self, tmp_path):
         series = Series(minutes=[-9 * 10**18, 9 * 10**18], speeds=np.ones((2, data.NUM_SEGMENTS)))
         path = tmp_path / "series.csv"

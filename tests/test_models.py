@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mesocast import autodiff as ad
-from mesocast import cells, models
+from mesocast import cells, models, train
 from mesocast.data import (MINUTES_PER_DAY, NUM_SEGMENTS, CtmConfig, build_windows,
                            normalize, stack_windows)
 from mesocast.models import (
@@ -583,6 +583,33 @@ class TestSerialization:
             assert name == name2
             assert np.array_equal(a.data, b.data), name
 
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_load_builds_from_the_payload_without_an_init_draw(self, monkeypatch, tmp_path,
+                                                                kind):
+        m = tiny(kind, seed=32)
+        path = tmp_path / "model.bin"
+        models.save_model(m, path)
+
+        def no_draw(*args):
+            raise AssertionError("an init draw")
+
+        monkeypatch.setattr(cells, "block_rng", no_draw)
+        assert not hasattr(models, "block_rng")
+        with pytest.raises(AssertionError, match="an init draw"):
+            tiny(kind)                   # the patch catches a draw
+        back = models.load_model(path)
+        assert list(back.blocks()) == list(m.blocks())
+        for name, t in back.blocks().items():
+            saved = m.blocks()[name].data
+            assert t.data.dtype == np.float64 and t.data.tobytes() == saved.tobytes(), name
+            # a block of its own, not a view of the file's bytes
+            assert t.data.flags.writeable and t.data.flags.owndata and t.data.base is None, name
+        # an optimizer step writes every block in place
+        step = train.AdamW(train.TrainConfig())
+        step.step(back.blocks(), {n: np.ones(t.shape) for n, t in back.blocks().items()}, 0.01)
+        assert all(not np.array_equal(t.data, m.blocks()[n].data)
+                   for n, t in back.blocks().items())
+
     @pytest.mark.parametrize("kind, sha256", [
         ("lstm", "18c99ce3f7c8567334165df29d4fa3b07bfdf7b19748a584cff0f8a0c2cff5a2"),
         ("lstm-seg", "1e0be2af6648aaa1615efd02bde51ef138918fa9b126b9ebdcacbd2f308b5659"),
@@ -606,6 +633,29 @@ class TestSerialization:
         m.layers[0].w_q.data[1, 0] = value
         with pytest.raises(ValueError, match="'layer1/attn/w_q' holds a non-finite value"):
             deserialize_model(serialize_model(m))
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_first_non_finite_block_in_table_order_is_named(self, kind):
+        m = tiny(kind)
+        blocks = list(m.blocks().items())
+        (first, a), (_, b) = blocks[len(blocks) // 2], blocks[-1]
+        b.data.flat[-1] = np.inf
+        a.data.flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"^model block '{first}' holds a non-finite value"):
+            deserialize_model(serialize_model(m))
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("edit", [
+        lambda table: table.insert(0, table.pop(1)),           # w_f and w_i swap
+        lambda table: table.__setitem__(-2, ["head/W", table[-2][1]]),
+        lambda table: table.append(["head/c", [0]]),
+    ], ids=["reordered", "renamed", "extra"])
+    def test_block_table_other_than_the_dims_give_rejected(self, kind, edit):
+        # the payload still holds the parameters the dims count, so only the
+        # table the reader computes from the dims can tell
+        blob = with_header(serialize_model(tiny(kind)), lambda h: edit(h["blocks"]))
+        with pytest.raises(ValueError, match="field 'blocks' does not match"):
+            deserialize_model(blob)
 
     def test_corrupt_payload_rejected(self):
         blob = bytearray(serialize_model(tiny("lstm")))
@@ -647,8 +697,9 @@ class TestSerialization:
     def test_oversized_dims_rejected_before_allocation(self, monkeypatch, kind, dims):
         blob = with_header(serialize_model(tiny(kind, hidden=4, attn_width=2)),
                            lambda h: h["dims"].update(dims))
-        monkeypatch.setattr(models, "build_model",
-                            lambda *a, **k: pytest.fail("build_model called"))
+        # the block table grows with the dims, and the blocks with the table
+        monkeypatch.setattr(models, "_block_table",
+                            lambda *a, **k: pytest.fail("block table computed"))
         with pytest.raises(ValueError, match="dims"):
             deserialize_model(blob)
 
