@@ -21,7 +21,7 @@ Q, K, V, the attention product, the softmax row sums) are shared by every
 taped step of one kernel, and the adjoint rebuilds the ones it reads from
 the step's inputs with the calls the step made, so its gradients are
 bitwise those of the arrays the step saw.  It computes a parent's gradient
-only when that parent requires one, so frozen weights cost no products.
+only when the caller's flags ask for it, so frozen weights cost no products.
 
 The layout suits the host.  OpenBLAS takes its small-matrix kernel only
 while M*N*K <= 1e6 (``BLAS_SMALL_BOUND``), so the gate product and the
@@ -274,11 +274,12 @@ class StepKernel:
     the biases riding as the ones column of ``cat``.  sig(z) is
     0.5*tanh(z/2)+0.5, and the exact x0.5 is folded into the f and i
     weights, so one tanh covers f, i and c~.  The query projection carries
-    the 1/sqrt(d) scaling.  ``cell`` is kept for its blocks' flags; the
-    weights are copied once, so build the kernel after the last change to
-    them.  The taped steps of one kernel share one set of work arrays
-    (``tape_work``), which ``adjoint`` rebuilds with the numpy calls the
-    step made, so its gradients are those of the arrays the step saw."""
+    the 1/sqrt(d) scaling.  ``cell`` is kept for its widths and for the
+    blocks that a taped step's gradients belong to; the weights are copied
+    once, so build the kernel after the last change to them.  The taped
+    steps of one kernel share one set of work arrays (``tape_work``), which
+    ``adjoint`` rebuilds with the numpy calls the step made, so its
+    gradients are those of the arrays the step saw."""
 
     def __init__(self, cell: CellParams):
         self.cell = cell

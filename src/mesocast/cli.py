@@ -96,13 +96,31 @@ def _read(reader, path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _check_consecutive(path, minutes: np.ndarray, first: int = 0) -> None:
+    """Reject a minute gap among ``minutes``, rows ``first``.. of the CSV at
+    ``path``, naming the first line whose minute does not follow the
+    previous row's.  Minutes strictly increase, so adding one cannot wrap."""
+    gaps = np.flatnonzero(minutes[:-1] + 1 != minutes[1:])
+    if len(gaps):
+        row = int(gaps[0]) + 1
+        raise ValueError(f"{path}: line {first + row + 2}: minute {int(minutes[row])} "
+                         f"follows minute {int(minutes[row - 1])}")
+
+
+def _read_series(path) -> D.Series:
+    """The minute-consecutive series in the CSV at ``path``."""
+    series = _read(D.read_csv, path)
+    _check_consecutive(path, series.minutes)
+    return series
+
+
 def _load_corpus(cfg: RunConfig, out: Path, train: bool) -> D.Corpus:
     """The easy series and the hard windows, all that evaluation reads, and
     first, with ``train``, the train series."""
     train_csv, easy_csv, *hard_csvs = _corpus_paths(cfg, out)
-    return D.Corpus(train=_read(D.read_csv, train_csv) if train else None,
-                    easy=_read(D.read_csv, easy_csv),
-                    hard=[_read(D.read_csv, path) for path in hard_csvs])
+    return D.Corpus(train=_read_series(train_csv) if train else None,
+                    easy=_read_series(easy_csv),
+                    hard=[_read_series(path) for path in hard_csvs])
 
 
 def _check_frames(cfg: RunConfig, out: Path, corpus: D.Corpus, frames: int, need: str) -> None:
@@ -236,8 +254,7 @@ def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     if end < model.s:
         raise ValueError(f"only {end} frames end at minute {at}, model needs {model.s}")
     window_mph = series.speeds[end - model.s:end]
-    if np.any(np.diff(series.minutes[end - model.s:end]) != 1):
-        raise ValueError("input frames are not minute-consecutive")
+    _check_consecutive(args.input, series.minutes[end - model.s:end], end - model.s)
 
     window = D.normalize(window_mph)
     plan = InferencePlan(model)

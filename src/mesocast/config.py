@@ -139,8 +139,9 @@ def _naming_keys(section: str, check):
 
 
 def load_config(path) -> RunConfig:
-    """Parse an INI run config; unknown sections or keys are errors.  Values
-    are taken literally (no ``%`` interpolation)."""
+    """Parse an INI run config; unknown sections or keys are errors, and so
+    is ``[DEFAULT]``, which is no section of a run.  Values are taken
+    literally (no ``%`` interpolation)."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
     try:        # a byte that is not UTF-8 was read as a lone surrogate, which does not encode
@@ -148,7 +149,9 @@ def load_config(path) -> RunConfig:
     except UnicodeEncodeError as exc:
         line = text.count("\n", 0, exc.start) + 1
         raise ValueError(f"config {path}: line {line} is not UTF-8") from None
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is read as a section
+    # (and rejected below), not as defaults spread into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -182,14 +182,16 @@ class Forecaster:
         return preds
 
     def forward_graph_with_states(self, x, upto: int | None = None,
-                                  prefix: list[np.ndarray] | None = None):
+                                  prefix: list[np.ndarray] | None = None,
+                                  trainable: frozenset[str] | None = None):
         """The plan's unroll of the first ``upto`` layers, taped
         (``_Unroll``): one prediction tensor per horizon, each read from the
         single tape node that records the whole unroll on the model's
-        blocks, and each layer's terminal packed ``[h | c]`` state.  A layer
-        started from a ``prefix`` entry walks none of its input frames."""
+        blocks, of which only ``trainable`` (None = all) get a gradient, and
+        each layer's terminal packed ``[h | c]`` state.  A layer started
+        from a ``prefix`` entry walks none of its input frames."""
         x = _check_batch(x, self.s)
-        unroll = _Unroll(self, upto)
+        unroll = _Unroll(self, upto, trainable)
         horizons = len(unroll.kernels) if self.kind == "nstep" else self.horizon
         out = np.empty((len(x), horizons, NUM_SEGMENTS))
         unroll._forward(x, out, prefix, tape=unroll)
@@ -397,20 +399,24 @@ class _Unroll(InferencePlan):
     """A plan over the first ``upto`` layers that is its own ``_forward``
     tape, for training.  Each step runs through the module-level
     ``lstm_step`` / ``sa_lstm_step`` (so a tracer sees it) on its own kept
-    ``StepBuffers``, sharing the kernel's ``tape_work``.  The tape holds the
-    state the next step reads and whether that requires a gradient (a zero
-    or prefix start does not).  ``backward`` walks the recorded passes in
-    reverse (backpropagation through time): each tensor sums its gradient
-    terms in the reverse of the order the forward made them, and only where
-    a gradient is required."""
+    ``StepBuffers``, sharing the kernel's ``tape_work``.  The blocks outside
+    ``trainable`` (None = every block) are its constants, flagged once per
+    kernel and for the head.  The tape holds the state the next step reads
+    and whether that requires a gradient (a zero or prefix start does not).
+    ``backward`` walks the recorded passes in reverse (backpropagation
+    through time): each tensor sums its gradient terms in the reverse of the
+    order the forward made them, and only where a gradient is required."""
 
-    def __init__(self, model: Forecaster, upto: int | None):
+    def __init__(self, model: Forecaster, upto: int | None, trainable: frozenset[str] | None):
         # not InferencePlan.__init__, which sizes the one StepBuffers that a
         # plan's steps share (a tracer times it as a plan build)
         self.kind, self.s, self.horizon = model.kind, model.s, model.horizon
         self.head = model.head_w, model.head_b
         self.head_w, self.head_b = model.head_w.data, model.head_b.data
-        self.kernels = [StepKernel(cell) for cell in model.layers[:upto]]
+        trains = lambda name: trainable is None or name in trainable
+        self.need = {StepKernel(cell): [*map(trains, cell.blocks(f"layer{k + 1}"))]
+                     for k, cell in enumerate(model.layers[:upto])}
+        self.kernels, self.head_need = list(self.need), (trains("head/w"), trains("head/b"))
         (self.tokens, self.in_width), self.hidden = model.layout, model.hidden
         self.steps, self.passes, self.emitted = [], [], []
 
@@ -428,8 +434,7 @@ class _Unroll(InferencePlan):
         return self.hc[:, :self.hidden]
 
     def step(self, kernel: StepKernel, seq: np.ndarray, i: int) -> None:
-        need = [self.grad, i >= self.s and self.emitted[i - self.s],
-                *(t.requires_grad for t in kernel.cell.blocks("").values())]
+        need = [self.grad, i >= self.s and self.emitted[i - self.s], *self.need[kernel]]
         step = StepBuffers(kernel.cell, self.tokens, np.empty(self.hc.shape),
                            kernel.tape_work(self.tokens, self.rows // self.tokens))
         step.load(self.hc)
@@ -440,11 +445,11 @@ class _Unroll(InferencePlan):
     def end_pass(self) -> None:
         self.passes.append((self.steps, self.hc, self.grad))
         self.steps = []
-        self.emitted.append(self.grad or any(t.requires_grad for t in self.head))
+        self.emitted.append(self.grad or any(self.head_need))
 
     def backward(self, g: np.ndarray, blocks: list[Tensor]) -> list:
         """``blocks``' gradients (None where not required) given ``g``, the predictions'."""
-        H, (w, bias) = self.hidden, self.head
+        H, (w, bias), (need_w, need_b) = self.hidden, self.head, self.head_need
         if self.kind == "all-at-once":                         # one (rows, horizon) head
             d_heads = [np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(self.rows, -1)]
         else:
@@ -458,8 +463,8 @@ class _Unroll(InferencePlan):
         d = None                  # the gradient of the state the later pass started from
         for steps, hc, grad in reversed(self.passes):
             d_head = d_heads.pop()
-            add(w, hc[:, :H].T @ d_head if w.requires_grad else None)
-            add(bias, d_head.sum(axis=0) if bias.requires_grad else None)
+            add(w, hc[:, :H].T @ d_head if need_w else None)
+            add(bias, d_head.sum(axis=0) if need_b else None)
             if grad:
                 d = np.zeros(hc.shape) if d is None else d
                 d[:, :H] += d_head @ self.head_w.T

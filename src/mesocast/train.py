@@ -22,10 +22,10 @@ Every kind trains by ``train_model`` walking the ``Stage`` list of
 stacked model has one per layer, where stage i updates layer i plus the
 shared head against horizon i only and every other layer stays bitwise
 frozen, then a stage that unfreezes everything under the summed loss.
-Frozen blocks require no gradient for their whole stage, so the walk takes
-no weight products for them and skips a layer whose inputs are all frozen
-(layer 1 in stages 2..n); the trainable gradients are bitwise those of the
-all-trainable unroll.
+A stage hands its ``trainable`` set down to the unroll, which takes no
+weight products for the other blocks and skips a layer whose inputs are all
+frozen (layer 1 in stages 2..n); the trainable gradients are bitwise those
+of the all-trainable unroll, and no block's gradient flag is ever written.
 
 What the frozen layers compute without the head is computed once per
 schedule, in a ``PrefixStore`` of one ``models`` prefix per window set
@@ -47,7 +47,6 @@ loss raises before the optimizer steps, so a diverged run can be resumed.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -277,12 +276,14 @@ class PrefixStore:
 
 
 def _stage_loss(model, x_chunk, y_chunk, depth: int, horizons: Sequence[int],
-                prefix: list[np.ndarray] | None = None):
+                prefix: list[np.ndarray] | None = None, trainable: frozenset[str] | None = None):
     """Summed per-horizon combined loss at pyramid depth ``depth`` over one
     taped chunk, unrolled up to the last of ``horizons`` (an nstep chunk from
-    ``prefix``).  It calls ``forward_graph_with_states`` itself, so a tracer
+    ``prefix``) with gradients for the ``trainable`` blocks (None = every
+    block).  It calls ``forward_graph_with_states`` itself, so a tracer
     wrapping ``forward_graph`` as well sees one forward per chunk."""
-    preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix)
+    preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix,
+                                               trainable=trainable)
     total = None
     for h in horizons:
         term = combined_loss(preds[h - 1], y_chunk[:, h - 1, :], depth)
@@ -291,11 +292,13 @@ def _stage_loss(model, x_chunk, y_chunk, depth: int, horizons: Sequence[int],
 
 
 def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Sequence[int],
-                          prefixes: PrefixStore | None = None, depth: int = 0):
-    """Loss value and per-block gradients over the given windows, evaluated
-    in fixed chunks; exact full-set mean via chunk-size weighting.  The
-    ``prefixes`` store hands over the first ``depth`` entries of the training
-    windows' prefix once, and an nstep chunk starts from its rows."""
+                          prefixes: PrefixStore | None = None, depth: int = 0,
+                          trainable: frozenset[str] | None = None):
+    """Loss value and the gradients of the ``trainable`` blocks (None = every
+    block) over the given windows, evaluated in fixed chunks; exact full-set
+    mean via chunk-size weighting.  The ``prefixes`` store hands over the
+    first ``depth`` entries of the training windows' prefix once, and an
+    nstep chunk starts from its rows."""
     total = x.shape[0]
     grads: dict[str, np.ndarray] = {}
     loss_value = 0.0
@@ -303,11 +306,11 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Seque
     for start in range(0, total, cfg.grad_chunk):
         stop = start + cfg.grad_chunk
         xc, yc = x[start:stop], y[start:stop]
-        weight = xc.shape[0] / total
         for t in blocks.values():
             t.grad = None
         prefix = prefix_rows(held, start, stop)
-        loss = ad.scale(_stage_loss(model, xc, yc, cfg.lap_depth, horizons, prefix), weight)
+        loss = _stage_loss(model, xc, yc, cfg.lap_depth, horizons, prefix, trainable)
+        loss = ad.scale(loss, xc.shape[0] / total)
         ad.backward(loss)
         loss_value += loss.item()
         del loss            # free this chunk's tape before the next one is built
@@ -463,30 +466,14 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _tape_constants(tensors: list[Tensor]):
-    """Make ``tensors`` require no gradient for the duration of the block
-    and restore their flags on the way out, also when it raises.  The
-    unroll's walk reads the flags: a frozen block then costs no weight
-    products, and a layer whose inputs are all frozen is not walked."""
-    flags = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in zip(tensors, flags):
-            t.requires_grad = flag
-
-
 @dataclass(frozen=True)
 class Stage:
-    """Epochs (first, last] of a schedule: the loss sums ``horizons``, the
-    optimizer touches ``trainable`` (None = every block) from ``base_lr``,
-    and the plateau replay reads this stage's validations only.  Its unrolls
-    start from the first ``depths[0]`` prefix entries of their window set,
-    and its last validation from ``depths[1]``, which covers what the next
-    stage reuses."""
+    """Epochs (first, last] of a schedule: the loss sums ``horizons``, only
+    ``trainable`` (None = every block) is differentiated and stepped, from
+    ``base_lr``, and the plateau replay reads this stage's validations only.
+    Its unrolls start from the first ``depths[0]`` prefix entries of their
+    window set, and its last validation from ``depths[1]``, which covers
+    what the next stage reuses."""
 
     first: int
     last: int
@@ -517,37 +504,35 @@ def schedule(model: Forecaster, cfg: TrainConfig) -> list[Stage]:
 
 def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stage,
                 prefixes: PrefixStore | None = None) -> None:
-    """Advance ``run`` through the epochs of ``stage`` it has not run yet;
-    the blocks outside ``stage.trainable`` are tape constants until the call
-    returns or raises.  Only a stage that trains every block on every horizon
+    """Advance ``run`` through the epochs of ``stage`` it has not run yet,
+    taking gradients of ``stage.trainable`` alone and writing no flag of the
+    model's blocks.  Only a stage that trains every block on every horizon
     may set the best model: a layer stage's metric covers one horizon, so it
     is not comparable.  A non-finite loss raises before the optimizer steps,
     so the run keeps the last finite epoch's state and stays resumable."""
     model = run.model
     blocks = model.blocks()
-    frozen = [t for n, t in blocks.items()
-              if stage.trainable is not None and n not in stage.trainable]
-    with _tape_constants(frozen):
-        for epoch in range(max(run.epoch, stage.first) + 1, stage.last + 1):
-            lr = plateau_lr(run.monitored_history(stage.first, stage.last), cfg, stage.base_lr)
-            loss_value, grads = _accumulate_gradients(
-                model, blocks, staged.x, staged.y, cfg, stage.horizons, prefixes, stage.depths[0])
-            if not np.isfinite(loss_value):
-                run.epoch = epoch - 1
-                raise DivergenceError(
-                    f"training loss became non-finite at epoch {epoch}; "
-                    "parameters and optimizer left at the last finite epoch", run)
-            run.optimizer.step(blocks, grads, lr)
-            record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
-            if epoch % cfg.validate_every == 0 or epoch == stage.last:
-                easy, hard = validation_metrics(model, staged, stage.horizons, prefixes,
-                                                stage.depths[epoch == stage.last])
-                record.easy, record.hard = easy, hard
-                if stage.trainable is None and easy < run.best_metric:
-                    run.best_metric = easy
-                    run.best_params = _snapshot(blocks)
-            run.history.append(record)
-            run.epoch = epoch
+    for epoch in range(max(run.epoch, stage.first) + 1, stage.last + 1):
+        lr = plateau_lr(run.monitored_history(stage.first, stage.last), cfg, stage.base_lr)
+        loss_value, grads = _accumulate_gradients(
+            model, blocks, staged.x, staged.y, cfg, stage.horizons, prefixes, stage.depths[0],
+            stage.trainable)
+        if not np.isfinite(loss_value):
+            run.epoch = epoch - 1
+            raise DivergenceError(
+                f"training loss became non-finite at epoch {epoch}; "
+                "parameters and optimizer left at the last finite epoch", run)
+        run.optimizer.step(blocks, grads, lr)
+        record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
+        if epoch % cfg.validate_every == 0 or epoch == stage.last:
+            easy, hard = validation_metrics(model, staged, stage.horizons, prefixes,
+                                            stage.depths[epoch == stage.last])
+            record.easy, record.hard = easy, hard
+            if stage.trainable is None and easy < run.best_metric:
+                run.best_metric = easy
+                run.best_params = _snapshot(blocks)
+        run.history.append(record)
+        run.epoch = epoch
 
 
 def train_model(model: Forecaster, corpus: Corpus, cfg: TrainConfig,

@@ -50,17 +50,17 @@ def assert_grads_close(build, values, h=1e-6, tol=1e-6):
     assert err <= tol, f"gradient mismatch: max relative error {err:.3e} > {tol:.0e}"
 
 
-def assert_block_grads_close(loss, blocks, h=1e-6, tol=1e-6):
+def assert_block_grads_close(loss, blocks, trainable=None, h=1e-6, tol=1e-6):
     """Check the gradient ``ad.backward`` leaves on each tensor of ``blocks``
     (a model's ``blocks()``) of the scalar ``loss()`` against central
-    differences, perturbing each entry of each block in place.  A block that
-    requires no gradient must receive none."""
+    differences, perturbing each entry of each block in place.  A block
+    outside ``trainable`` (None = every block) must receive none."""
     for t in blocks.values():
         t.grad = None
     ad.backward(loss())
     ana = {name: t.grad for name, t in blocks.items()}
     for name, t in blocks.items():
-        if not t.requires_grad:
+        if trainable is not None and name not in trainable:
             assert ana[name] is None, f"{name}: a frozen block received a gradient"
             continue
         num = np.zeros_like(t.data)

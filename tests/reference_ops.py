@@ -12,7 +12,7 @@ and its reverse walk are checked against."""
 import numpy as np
 
 from mesocast import autodiff as ad
-from mesocast.cells import StepBuffers, StepKernel
+from mesocast.cells import CellParams, StepBuffers, StepKernel
 from mesocast.data import NUM_SEGMENTS
 from mesocast.losses import PyramidLevels, _expand
 from mesocast.models import LSTM_KINDS, _check_batch, _check_prefix, _schedule
@@ -166,23 +166,28 @@ def sa_lstm_step(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int
     return _record(kernel, state, x, tokens)
 
 
-def taped_unroll(model, x, upto=None, prefix=None):
+def taped_unroll(model, x, upto=None, prefix=None, trainable=None):
     """The first ``upto`` layers of ``model`` unrolled on ``models._schedule``
     with a tape node per step and per head op: predictions in horizon order
     and each layer's terminal packed state tensor.  A layer started from a
-    ``prefix`` entry records nothing for its input frames."""
+    ``prefix`` entry records nothing for its input frames.  The blocks
+    outside ``trainable`` (None = every block) enter the tape as constants
+    over the same arrays, so they get no gradient."""
     x = _check_batch(x, model.s)
     B, s = x.shape[0], model.s
     tokens, in_width = model.layout
     rows = B * tokens
-    layers = model.layers[:upto]
+    taped = lambda name, t: t if trainable is None or name in trainable else ad.tensor(t.data)
+    layers = [CellParams(*(taped(name, t) for name, t in layer.blocks(f"layer{k + 1}").items()))
+              for k, layer in enumerate(model.layers[:upto])]
+    head_w, head_b = taped("head/w", model.head_w), taped("head/b", model.head_b)
     held = prefix or []
     _check_prefix(len(held), model.kind, len(layers))
     # the (rows, in_width) frames, then the (B, 21) predictions
     seq = [ad.tensor(np.ascontiguousarray(x[:, t, :]).reshape(rows, in_width))
            for t in range(s)]
     # horizons per head application: all-at-once emits one per head column
-    columns = model.head_w.shape[1] // in_width
+    columns = head_w.shape[1] // in_width
     step = (lambda kernel, state, xt: lstm_step(kernel, state, xt)) if model.kind in LSTM_KINDS \
         else (lambda kernel, state, xt: sa_lstm_step(kernel, state, xt, NUM_SEGMENTS))
     states = []
@@ -198,7 +203,7 @@ def taped_unroll(model, x, upto=None, prefix=None):
                 state = step(kernel, state, seq[i])
         for i in fed:
             state = step(kernel, state, reshape(seq[i], (rows, in_width)))
-        out = add_bias(ad.matmul(h_of(state), model.head_w), model.head_b)
+        out = add_bias(ad.matmul(h_of(state), head_w), head_b)
         parts = [out] if columns == 1 else [narrow(out, 1, j, 1) for j in range(columns)]
         seq += [reshape(part, (B, NUM_SEGMENTS)) for part in parts]
         states.append(state)

@@ -184,6 +184,18 @@ class TestConfig:
         path.write_text("[training]\nmetrics_csv = 100%.csv\n")
         assert load_config(path).training.metrics_csv == "100%.csv"
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nlr = 0.5\n",
+        "[DEFAULT]\nseed = 7\n\n[data]\ntrain_days = 1\n\n[training]\nlr = 0.5\n",
+    ], ids=["alone", "beside-sections"])
+    def test_default_section_exits_2(self, tmp_path, capsys, text):
+        # configparser's defaults section would drop a lone key silently, or
+        # spread its seed into [data] and [training]
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert run_cli("train", "--config", path, "--out", tmp_path) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[optimizer]\nlr = 0.1\n")
@@ -581,6 +593,29 @@ def test_corpus_csv_rejection_exits_2_naming_the_csv(corpus_dir, tmp_path, capsy
     (run_dir / name).write_bytes(b"\n".join(lines))
     assert run_cli(command, "--config", cfg, "--out", run_dir) == 2
     assert f"error: {run_dir / name}: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [("train", "train.csv"), ("eval", "easy.csv"),
+                                           ("forecast", "input.csv")])
+def test_minute_gap_exits_2_naming_the_csv_and_line(corpus_dir, tmp_path, capsys, command,
+                                                    name):
+    # minute 99 is deleted, so the row of minute 100 is on line 101; the
+    # forecast window at minute 101 holds minutes 97, 98, 100 and 101
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for csv in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / csv).write_bytes((out / csv).read_bytes())
+    save_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2), run_dir / "model.bin")
+    lines = (run_dir / ("hard0.csv" if command == "forecast" else name)).read_bytes().split(b"\n")
+    assert lines[100].startswith(b"99,")
+    del lines[100]
+    (run_dir / name).write_bytes(b"\n".join(lines))
+    argv = ["--input", run_dir / name, "--at", 101] if command == "forecast" else []
+    assert run_cli(command, "--config", cfg, "--out", run_dir, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {run_dir / name}: line 101: minute 100 follows minute 98" in err
+    assert not (run_dir / "forecast.csv").exists() and not (run_dir / "run.ckpt").exists()
 
 
 def test_forecast_input_rejection_exits_2_naming_the_file_and_line(corpus_dir, tmp_path,

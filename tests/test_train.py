@@ -1,6 +1,7 @@
 import gc
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,9 +319,8 @@ class TestTrainNStep:
             loss_all, grads_all = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(),
                                                           [stage + 1])
             taped.clear()
-            with T._tape_constants([t for n, t in blocks.items() if n not in trainable]):
-                loss, grads = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(),
-                                                      [stage + 1])
+            loss, grads = T._accumulate_gradients(model, blocks, x, y, tiny_cfg(), [stage + 1],
+                                                  trainable=trainable)
             assert sorted(taped) == sorted(steps)
             assert loss == loss_all
             assert set(grads) == trainable
@@ -341,6 +341,39 @@ class TestTrainNStep:
         with pytest.raises(DivergenceError):
             T._run_epochs(staged, cfg, run, stage(1))
         assert all(t.requires_grad for t in model.blocks().values())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_layer_stage_writes_no_block_flag(self, monkeypatch):
+        # the frozen set reaches the unroll as Stage.trainable: while stage 2
+        # walks its tape backwards, layer 1 and the rest keep requires_grad,
+        # and they keep it after the stage raises
+        model = build_model("nstep", s=4, hidden=4, attn_width=2, horizon=2, seed=21)
+        cfg = tiny_cfg(epochs_per_stage=1)
+        staged = T.stage_corpus(wavy_corpus(), 4, 2, cfg)
+        stage = T.schedule(model, cfg)[1]
+        assert stage.trainable == layer_names(model, 1) | {"head/w", "head/b"}
+        seen = []
+        adjoint = cells.StepKernel.adjoint
+        monkeypatch.setattr(cells.StepKernel, "adjoint", lambda self, *args: (
+            seen.append([t.requires_grad for t in model.blocks().values()]),
+            adjoint(self, *args))[1])
+        T._run_epochs(staged, cfg, T.TrainRun(model=model, optimizer=AdamW(cfg), history=[]),
+                      stage)
+        walked = len(seen)
+        model.head_b.data[:] = np.inf
+        with pytest.raises(DivergenceError):
+            T._run_epochs(staged, cfg,
+                          T.TrainRun(model=model, optimizer=AdamW(cfg), history=[]), stage)
+        assert 0 < walked < len(seen)
+        assert all(all(flags) for flags in seen)
+        assert all(t.requires_grad for t in model.blocks().values())
+
+    def test_only_autodiff_names_requires_grad(self):
+        # training states what is frozen once, in Stage.trainable; the flag
+        # belongs to the generic tape alone
+        src = Path(T.__file__).parent
+        assert [p.name for p in sorted(src.glob("*.py"))
+                if "requires_grad" in p.read_text(encoding="utf-8")] == ["autodiff.py"]
 
     def test_frozen_prefix_is_walked_once_per_stage(self, monkeypatch):
         # s = 4, 54 training windows in 4 taped chunks (2 tape-free passes),
@@ -440,9 +473,9 @@ class TestTrainNStep:
             assert a.easy == b.easy
 
 
-def reference_stage_loss(model, x, y, depth, horizons, prefix=None):
+def reference_stage_loss(model, x, y, depth, horizons, prefix=None, trainable=None):
     """``T._stage_loss`` on the tests' per-step taped unroll."""
-    preds, _ = taped_unroll(model, x, upto=max(horizons), prefix=prefix)
+    preds, _ = taped_unroll(model, x, upto=max(horizons), prefix=prefix, trainable=trainable)
     total = None
     for h in horizons:
         term = combined_loss(preds[h - 1], y[:, h - 1, :], depth)
@@ -478,14 +511,12 @@ class TestUnrollWalk:
             depth = stage.depths[0]
             prefix = models.fill_prefix(model, x, [], depth) if depth else None
             trainable = stage.trainable or set(blocks)
-            frozen = [t for name, t in blocks.items() if name not in trainable]
             for pyramid_depth in (0, 3):
                 for size in (16, 7, 1):
                     args = (model, x[:size], y[:size], pyramid_depth, stage.horizons,
-                            models.prefix_rows(prefix, 0, size))
-                    with T._tape_constants(frozen):
-                        walked = chunk_gradients(model, lambda: T._stage_loss(*args))
-                        taped = chunk_gradients(model, lambda: reference_stage_loss(*args))
+                            models.prefix_rows(prefix, 0, size), stage.trainable)
+                    walked = chunk_gradients(model, lambda: T._stage_loss(*args))
+                    taped = chunk_gradients(model, lambda: reference_stage_loss(*args))
                     where = (stage.horizons, pyramid_depth, size)
                     assert walked[0] == taped[0], where
                     assert walked[1].keys() == taped[1].keys() == set(trainable), where
@@ -540,10 +571,9 @@ class TestUnrollWalk:
         stage = T.schedule(model, TrainConfig())[2]
         assert stage.horizons == (3,) and stage.depths[0] == 2
         prefix = models.fill_prefix(model, x, [], 2)
-        blocks = model.blocks()
-        with T._tape_constants([t for name, t in blocks.items() if name not in stage.trainable]):
-            assert_block_grads_close(
-                lambda: T._stage_loss(model, x, y, 3, stage.horizons, prefix), blocks)
+        assert_block_grads_close(
+            lambda: T._stage_loss(model, x, y, 3, stage.horizons, prefix, stage.trainable),
+            model.blocks(), stage.trainable)
 
 
 class TestSchedule:
