@@ -13,10 +13,11 @@ cell's prepared weights, acting on the ``(rows, .)`` arrays of the
 ``StepBuffers`` it is handed, which own the recurrent state and size
 themselves.  An inference plan in ``models`` hands its one buffer set to
 every layer's kernel; its taped unroll gives each step (``lstm_step``,
-``sa_lstm_step``) fresh buffers, which write a packed ``(rows, 2H)``
-``[h | c]`` output and keep only what ``StepKernel.adjoint`` reads and
-cannot cheaply rebuild: the gate-major block of f, i, c~ and z_o, and for
-attention o and the softmax weights.  The work arrays ([h, x, 1], tanh(C'),
+``sa_lstm_step``) fresh buffers, which write a ``(2, rows, H)`` output, h
+over C (each half C-contiguous, so no elementwise op on h, C or their
+gradients walks a strided view), and keep only what ``StepKernel.adjoint``
+reads and cannot cheaply rebuild: the gate-major block of f, i, c~ and z_o,
+and for attention o and the softmax weights.  The work arrays ([h, x, 1], tanh(C'),
 Q, K, V, the attention product, the softmax row sums) are shared by every
 taped step of one kernel, and the adjoint rebuilds the ones it reads from
 the step's inputs with the calls the step made, so its gradients are
@@ -176,10 +177,10 @@ class StepBuffers:
     and a step copies only its input; every layer of a plan shares them, so
     a layer starts from the state the previous one left.  A taped step's
     buffers (``out`` given) own only the kept set, write h' and C' straight
-    into the step's packed ``(rows, 2H)`` output and take the ``work`` arrays
-    that every taped step of one kernel shares.  One group takes 2-D
-    attention products (cheapest at batch 1), several groups batched 3-D
-    ones.  ``blocks`` slices the rows into the gate product's row blocks."""
+    into the two halves of the step's ``(2, rows, H)`` output and take the
+    ``work`` arrays that every taped step of one kernel shares.  One group
+    takes 2-D attention products (cheapest at batch 1), several groups
+    batched 3-D ones.  ``blocks`` slices the rows into the gate product's row blocks."""
 
     def __init__(self, cell: CellParams, tokens: int, out: np.ndarray | None = None,
                  work: dict[str, np.ndarray] | None = None):
@@ -187,7 +188,7 @@ class StepBuffers:
         self.tokens, self.out, self.work = tokens, out, work
         self.groups = self.capacity = 0
         if out is not None:
-            self.resize(len(out) // tokens)
+            self.resize(out.shape[1] // tokens)
 
     def resize(self, groups: int) -> None:
         """Size the buffers to ``groups`` groups.  Within capacity they become
@@ -225,7 +226,7 @@ class StepBuffers:
         if self.out is None:
             self.h, self.c = self.cat[:, :H], self._full["c"][:rows]
         else:
-            self.h, self.c = self.out[:, :H], self.out[:, H:]
+            self.h, self.c = self.out
         if d:
             self.q, self.k, self.v, self.att = (self._work[name][:rows]
                                                 for name in ("q", "k", "v", "att"))
@@ -243,17 +244,16 @@ class StepBuffers:
         self.c.fill(0.0)
 
     def load(self, hc: np.ndarray) -> None:
-        """Set the state a step reads to a packed ``(rows, 2H)`` ``[h | c]``
-        array."""
-        self.cat[:, :self.hidden] = hc[:, :self.hidden]
-        self.c[...] = hc[:, self.hidden:]
+        """Set the state a step reads to a ``(2, rows, H)`` array, h over C."""
+        self.cat[:, :self.hidden] = hc[0]
+        self.c[...] = hc[1]
 
     def save(self, hc: np.ndarray, start: int = 0) -> None:
-        """Write the state of rows ``start`` on into a packed ``(rows, 2H)``
-        ``[h | c]`` array."""
-        stop = start + len(hc)
-        hc[:, :self.hidden] = self.h[start:stop]
-        hc[:, self.hidden:] = self.c[start:stop]
+        """Write the state of rows ``start`` on into a ``(2, rows, H)`` array,
+        h over C."""
+        stop = start + hc.shape[1]
+        hc[0] = self.h[start:stop]
+        hc[1] = self.c[start:stop]
 
 
 # what a StepBuffers keeps when it grows; everything else it holds goes
@@ -344,9 +344,10 @@ class StepKernel:
     def adjoint(self, b: StepBuffers, g: np.ndarray, inputs: tuple[np.ndarray, np.ndarray],
                 need: list[bool]) -> list:
         """Gradients of the taped step taken on ``b``, given the gradient
-        ``g = [dh' | dc']`` of its packed output and ``inputs``, the packed
-        state and the input the step read.  First it rebuilds the work
-        arrays it reads: tanh(C') from C', Q, K, V (and their softmax
+        ``g`` of its ``(2, rows, H)`` output, dh' over dC', and ``inputs``,
+        the state (h over C) and the input the step read; the state's
+        gradient ``d_state`` has the state's layout.  First it rebuilds the
+        work arrays it reads: tanh(C') from C', Q, K, V (and their softmax
         product, for P's gradient) from z_o, and ``cat`` from the inputs
         when a gate weight needs it.  ``need`` flags the parents that require
         a gradient: the state, x, then the cell's blocks in ``blocks`` order
@@ -354,10 +355,9 @@ class StepKernel:
         only unflagged parents are skipped; a gate's weight and bias share
         one product."""
         H = b.hidden
-        hc_prev, x = inputs
-        c_prev = hc_prev[:, H:]
+        (h_prev, c_prev), x = inputs
         np.tanh(b.c, out=b.tmp)
-        dh, dc = g[:, :H], g[:, H:]
+        dh, dc = g
         o, tc, f, i, c_tilde = b.o, b.tmp, b.zf, b.zi, b.zc
         # in-place chains: one pass per factor, no temporaries
         dct = np.multiply(tc, tc)               # dC = dc' + dh' o (1 - tanh(C')^2)
@@ -410,7 +410,7 @@ class StepKernel:
         dz.append(dz_o)
         d_w, d_b = [None] * 4, [None] * 4
         if any(need[2:10]):
-            b.cat[:, :H] = hc_prev[:, :H]
+            b.cat[:, :H] = h_prev
             b.x[...] = x
             for gate, dzg in enumerate(dz):
                 if need[2 + gate] or need[6 + gate]:
@@ -425,9 +425,9 @@ class StepKernel:
                 for w, dzg in zip(weights, dz):
                     d_cat[rows] += np.dot(dzg[rows], w[:-1].T)
             if need[0]:
-                d_state = np.empty((len(f), 2 * H))
-                d_state[:, :H] = d_cat[:, :H]
-                np.multiply(dct, f, out=d_state[:, H:])
+                d_state = np.empty((2, len(f), H))
+                d_state[0] = d_cat[:, :H]
+                np.multiply(dct, f, out=d_state[1])
             if need[1]:
                 d_x = d_cat[:, H:]
         return [d_state, d_x, *d_w, *d_b, *attn_grads]

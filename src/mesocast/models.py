@@ -106,8 +106,8 @@ def _check_batch(x: np.ndarray, s: int) -> np.ndarray:
     return x
 
 
-# Entry k of an nstep prefix is layer k+1's packed (windows * 21, 2H) [h | c]
-# state after the s frames, where an unroll starts layer k+1.  Layer 3 starts
+# Entry k of an nstep prefix is layer k+1's (2, windows * 21, H) state, h over
+# C, after the s frames, where an unroll starts layer k+1.  Layer 3 starts
 # from layer 2's terminal state, which has read prediction 1: two entries at most.
 MAX_PREFIX = 2
 
@@ -188,8 +188,8 @@ class Forecaster:
         (``_Unroll``): one prediction tensor per horizon, each read from the
         single tape node that records the whole unroll on the model's
         blocks, of which only ``trainable`` (None = all) get a gradient, and
-        each layer's terminal packed ``[h | c]`` state.  A layer started
-        from a ``prefix`` entry walks none of its input frames."""
+        each layer's terminal ``(2, rows, H)`` state, h over C.  A layer
+        started from a ``prefix`` entry walks none of its input frames."""
         x = _check_batch(x, self.s)
         unroll = _Unroll(self, upto, trainable)
         horizons = len(unroll.kernels) if self.kind == "nstep" else self.horizon
@@ -370,17 +370,18 @@ class InferencePlan:
     def _frame_starts(self, windows: np.ndarray, reach: int) -> list[np.ndarray]:
         """States of G consecutive windows after their real frames, for the
         first ``reach`` horizons of a one-step recursion: entry k holds, per
-        window j, the packed state after frames k..s-1 from zero.  Those are
-        window j+k's first s-k frames, so one frame pass from zero over the
-        G windows and the reach-1 later starts inside the last window gives
-        every entry: entry k is the pass after s-k steps, k groups on.  Once
-        entry k is saved, start G-1+k is read no more, so the pass drops it:
-        start G-1+k steps over s-k frames and none steps past the last."""
+        window j, the ``(2, rows, H)`` state (h over C) after frames k..s-1
+        from zero.  Those are window j+k's first s-k frames, so one frame
+        pass from zero over the G windows and the reach-1 later starts inside
+        the last window gives every entry: entry k is the pass after s-k
+        steps, k groups on.  Once entry k is saved, start G-1+k is read no
+        more, so the pass drops it: start G-1+k steps over s-k frames and
+        none steps past the last."""
         groups, b, kernel = len(windows), self.buf, self.kernels[0]
         s, tokens = self.s, b.tokens
         # the G + s - 1 frames the windows cut, row j+t being frame t of window j
         series = np.concatenate([windows[:, 0], windows[-1, 1:]])
-        states = np.empty((reach, groups * tokens, 2 * b.hidden))
+        states = np.empty((reach, 2, groups * tokens, b.hidden))
         live = groups + reach - 1
         b.resize(live)
         b.reset()
@@ -424,14 +425,14 @@ class _Unroll(InferencePlan):
         self.rows = groups * self.tokens
 
     def reset(self) -> None:
-        self.load(np.zeros((self.rows, 2 * self.hidden)))
+        self.load(np.zeros((2, self.rows, self.hidden)))
 
     def load(self, hc: np.ndarray) -> None:
         self.hc, self.grad = hc, False
 
     @property
     def h(self) -> np.ndarray:
-        return self.hc[:, :self.hidden]
+        return self.hc[0]
 
     def step(self, kernel: StepKernel, seq: np.ndarray, i: int) -> None:
         need = [self.grad, i >= self.s and self.emitted[i - self.s], *self.need[kernel]]
@@ -449,7 +450,7 @@ class _Unroll(InferencePlan):
 
     def backward(self, g: np.ndarray, blocks: list[Tensor]) -> list:
         """``blocks``' gradients (None where not required) given ``g``, the predictions'."""
-        H, (w, bias), (need_w, need_b) = self.hidden, self.head, self.head_need
+        (w, bias), (need_w, need_b) = self.head, self.head_need
         if self.kind == "all-at-once":                         # one (rows, horizon) head
             d_heads = [np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(self.rows, -1)]
         else:
@@ -463,11 +464,11 @@ class _Unroll(InferencePlan):
         d = None                  # the gradient of the state the later pass started from
         for steps, hc, grad in reversed(self.passes):
             d_head = d_heads.pop()
-            add(w, hc[:, :H].T @ d_head if need_w else None)
+            add(w, hc[0].T @ d_head if need_w else None)
             add(bias, d_head.sum(axis=0) if need_b else None)
             if grad:
                 d = np.zeros(hc.shape) if d is None else d
-                d[:, :H] += d_head @ self.head_w.T
+                d[0] += d_head @ self.head_w.T
             for kernel, step, hc_prev, x, i, need in reversed(steps):
                 if not any(need):             # nor does any earlier step of the pass
                     break
@@ -515,8 +516,9 @@ def predict_batch(model: Forecaster, x: np.ndarray, horizons: int,
 
 
 def prefix_rows(prefix: list[np.ndarray] | None, start: int, stop: int):
-    """The rows of windows start..stop-1 of each prefix entry (None stays None)."""
-    return prefix and [hc[start * NUM_SEGMENTS:stop * NUM_SEGMENTS] for hc in prefix]
+    """The rows of windows start..stop-1 of both halves of each prefix entry
+    (None stays None)."""
+    return prefix and [hc[:, start * NUM_SEGMENTS:stop * NUM_SEGMENTS] for hc in prefix]
 
 
 def fill_prefix(model: Forecaster, x: np.ndarray, held: list[np.ndarray],
@@ -528,7 +530,7 @@ def fill_prefix(model: Forecaster, x: np.ndarray, held: list[np.ndarray],
     x = _check_batch(x, model.s)
     _check_prefix(depth, model.kind, len(model.layers))
     known = len(held)
-    states = [*held, *(np.empty((len(x) * NUM_SEGMENTS, 2 * model.hidden))
+    states = [*held, *(np.empty((2, len(x) * NUM_SEGMENTS, model.hidden))
                        for _ in range(known, depth))]
     plan = InferencePlan(model)
     b = plan.buf
@@ -577,26 +579,29 @@ def pack_container(magic: bytes, header: dict, payload: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def unpack_container(blob, magic: bytes, what: str):
+def unpack_container(blob, magic: bytes, what: str, checked: bool = False):
     """JSON header and payload of a ``pack_container`` blob, after checking
-    its magic and checksum.  The payload is a ``memoryview`` of ``blob``:
+    its magic and, unless the caller has ``checked`` a crc32 that covers
+    ``blob``, its checksum.  The payload is a ``memoryview`` of ``blob``:
     nothing is copied."""
     view = memoryview(blob)
     if len(view) < 12 or view[:4] != magic:
         raise ValueError(f"not a {what} (bad magic)")
     body, crc = view[:-4], int.from_bytes(view[-4:], "little")
-    if zlib.crc32(body) != crc:
+    if not checked and zlib.crc32(body) != crc:
         raise ValueError(f"{what} corrupt (checksum mismatch)")
     head_len = int.from_bytes(view[4:8], "little")
     return json.loads(bytes(view[8:8 + head_len]).decode()), body[8 + head_len:]
 
 
-def deserialize_model(blob) -> Forecaster:
+def deserialize_model(blob, checked: bool = False) -> Forecaster:
     """The model in ``blob``, built straight from its checked payload with
     no init draw: one finiteness pass over the payload names the first
     block, in table order, that holds a non-finite value, and then each
-    block is one copy of its slice."""
-    kind, s, horizon, table, payload = _read_container(blob)
+    block is one copy of its slice.  A caller that has ``checked`` a crc32
+    covering ``blob`` (a checkpoint's covers its model) skips the model
+    container's own, over the same bytes."""
+    kind, s, horizon, table, payload = _read_container(blob, checked)
     values = np.frombuffer(payload, dtype="<f8")
     ends = np.cumsum([math.prod(shape) for _, shape in table])
     finite = np.isfinite(values)
@@ -640,10 +645,10 @@ def check_fields(header, where: str, **tests) -> None:
             raise ValueError(f"{where}: field {key!r} is missing or malformed: {value!r:.60}")
 
 
-def _read_container(blob):
+def _read_container(blob, checked: bool):
     """Kind, s, horizon (1 for a one-step kind), the block table that the
     header's dims give, and payload, all checked against each other."""
-    header, payload = unpack_container(blob, _MAGIC, "model container")
+    header, payload = unpack_container(blob, _MAGIC, "model container", checked)
     check_fields(header, "model header",
                  format_version=lambda v: is_count(v) and v == _FORMAT_VERSION,
                  kind=lambda v: v in MODEL_KINDS, dims=lambda v: isinstance(v, dict),

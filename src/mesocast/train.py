@@ -422,7 +422,7 @@ def load_checkpoint(path, cfg: TrainConfig) -> TrainRun:
     if header["config"] != config_fingerprint(cfg):
         raise ValueError("checkpoint was produced under a different training config")
     model_len = header["model_len"]
-    model = deserialize_model(payload[:model_len])
+    model = deserialize_model(payload[:model_len], checked=True)   # the checkpoint's crc covers it
     shapes = {name: t.data.shape for name, t in model.blocks().items()}
     for key in ("opt", "best"):
         rows = {row[0]: tuple(row[1]) for row in header[key]}

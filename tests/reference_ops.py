@@ -1,9 +1,9 @@
 """Taped ops that training never records, kept as the references the tests
 compose cells and the loss from: the gate functions, ``concat``, ``sub``,
-``abs_``, ``mean_all``, ``narrow``, ``reshape``, ``add_bias``; the packed
-``[h | c]`` recurrent state built from separate ``h`` and ``c`` tensors or
-zeros, and its ``h`` and ``c`` halves; ``reconstruct``, the inverse of
-``losses.build_pyramid``; and the per-step taped unroll that training ran
+``abs_``, ``mean_all``, ``narrow``, ``reshape``, ``add_bias``; the
+``(2, rows, H)`` recurrent state, h over C, built from separate ``h`` and
+``c`` tensors or zeros, and its ``h`` and ``c`` halves; ``reconstruct``, the
+inverse of ``losses.build_pyramid``; and the per-step taped unroll that training ran
 before its unroll became one node: ``lstm_step`` and ``sa_lstm_step`` record
 each cell step as a tape node, and ``taped_unroll`` loops over the model's
 schedule with them, the reference ``Forecaster.forward_graph_with_states``
@@ -74,24 +74,28 @@ def concat(parts, axis: int = 0) -> ad.Tensor:
 
 
 def state_of(h: ad.Tensor, c: ad.Tensor) -> ad.Tensor:
-    """The packed ``[h | c]`` state of separate ``h`` and ``c`` tensors."""
-    return concat([h, c], axis=1)
+    """The ``(2, rows, H)`` state, h over C, of separate ``h`` and ``c``
+    tensors."""
+    return concat([reshape(h, (1, *h.shape)), reshape(c, (1, *c.shape))], axis=0)
 
 
 def zero_state(rows: int, hidden: int) -> ad.Tensor:
-    """An all-zero packed ``(rows, 2 * hidden)`` state."""
-    return ad.tensor(np.zeros((rows, 2 * hidden)))
+    """An all-zero ``(2, rows, hidden)`` state."""
+    return ad.tensor(np.zeros((2, rows, hidden)))
+
+
+def _half(state: ad.Tensor, k: int) -> ad.Tensor:
+    return reshape(narrow(state, 0, k, 1), state.shape[1:])
 
 
 def h_of(state: ad.Tensor) -> ad.Tensor:
-    """The taped ``h`` half of a packed state."""
-    return narrow(state, 1, 0, state.shape[1] // 2)
+    """The taped ``h`` half of a state."""
+    return _half(state, 0)
 
 
 def c_of(state: ad.Tensor) -> ad.Tensor:
-    """The taped ``c`` half of a packed state."""
-    half = state.shape[1] // 2
-    return narrow(state, 1, half, half)
+    """The taped ``c`` half of a state."""
+    return _half(state, 1)
 
 
 def narrow(a: ad.Tensor, axis: int, start: int, length: int) -> ad.Tensor:
@@ -133,13 +137,13 @@ def add_bias(mat: ad.Tensor, vec: ad.Tensor) -> ad.Tensor:
 
 def _record(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int) -> ad.Tensor:
     """Check the shapes, run one step on fresh buffers that write into its
-    packed ``(rows, 2H)`` ``[h | c]`` output and record it as a single tape
-    node whose parents are the packed state, the input and the kernel cell's
-    blocks.  The node keeps the output and the kept set of its buffers; the
-    work arrays are the kernel's ``tape_work``, which every step of it
-    overwrites and each adjoint rebuilds."""
+    ``(2, rows, H)`` output, h over C, and record it as a single tape node
+    whose parents are the state, the input and the kernel cell's blocks.
+    The node keeps the output and the kept set of its buffers; the work
+    arrays are the kernel's ``tape_work``, which every step of it overwrites
+    and each adjoint rebuilds."""
     hc_prev = state.data
-    rows, in_width = len(hc_prev), kernel.cell.in_width
+    rows, in_width = hc_prev.shape[1], kernel.cell.in_width
     if rows % tokens != 0:
         raise ValueError(f"cell step: {rows} state rows not divisible by {tokens} tokens")
     if x.shape != (rows, in_width):
@@ -156,20 +160,20 @@ def _record(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int) -> 
 
 
 def lstm_step(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
-    """A plain cell's step on a packed ``[h | c]`` state, taped as one node."""
+    """A plain cell's step on an h-over-C state, taped as one node."""
     return _record(kernel, state, x, tokens=1)
 
 
 def sa_lstm_step(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int) -> ad.Tensor:
-    """An attention cell's step over groups of ``tokens`` rows on a packed
-    ``[h | c]`` state, taped as one node."""
+    """An attention cell's step over groups of ``tokens`` rows on an
+    h-over-C state, taped as one node."""
     return _record(kernel, state, x, tokens)
 
 
 def taped_unroll(model, x, upto=None, prefix=None, trainable=None):
     """The first ``upto`` layers of ``model`` unrolled on ``models._schedule``
     with a tape node per step and per head op: predictions in horizon order
-    and each layer's terminal packed state tensor.  A layer started from a
+    and each layer's terminal state tensor.  A layer started from a
     ``prefix`` entry records nothing for its input frames.  The blocks
     outside ``trainable`` (None = every block) enter the tape as constants
     over the same arrays, so they get no gradient."""

@@ -313,7 +313,7 @@ class TestStepBuffers:
         step = cells.StepKernel.step
         monkeypatch.setattr(cells.StepKernel, "step",
                             lambda self, b, x: (handed.append(b), step(self, b, x)))
-        h0 = np.random.default_rng(5).uniform(-1, 1, (10, 8))
+        h0 = np.random.default_rng(5).uniform(-1, 1, (2, 10, 4))
         out = sa_lstm_step(cells.StepKernel(p), ad.tensor(h0),
                            ad.tensor(np.ones((10, 1))), tokens=5)
         [b] = handed
@@ -322,7 +322,7 @@ class TestStepBuffers:
         assert not any(np.shares_memory(b.c, a) for a in b._full.values())
         assert set(b._full) == {"o"}
         # the step read h_prev from cat, which the adjoint reads again
-        np.testing.assert_array_equal(b.cat[:, :4], h0[:, :4])
+        np.testing.assert_array_equal(b.cat[:, :4], h0[0])
 
     def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
         b = cells.StepBuffers(cells.init_cell(4, 1, 2, seed=6, prefix="layer1"), 5)
@@ -338,8 +338,8 @@ class TestStepBuffers:
         assert b.capacity == 4 and b.cat.shape == (20, 4 + 1 + 1)
 
     @pytest.mark.parametrize("kind, kept", [
-        ("sa-lstm", 688_128 + 1_376_256 + 344_064 + 112_896),    # [h | c], gates, o, scores
-        ("lstm-seg", 688_128 + 1_376_256),                       # [h | c], gates (o in place)
+        ("sa-lstm", 688_128 + 1_376_256 + 344_064 + 112_896),    # h over c, gates, o, scores
+        ("lstm-seg", 688_128 + 1_376_256),                       # h over c, gates (o in place)
     ])
     def test_taped_step_keeps_only_what_the_adjoint_cannot_rebuild(self, kind, kept):
         # 32 windows x 21 segment rows at default dims (hidden 64, attn 16)
@@ -351,7 +351,7 @@ class TestStepBuffers:
             kernel = cells.StepKernel(cells.init_cell(64, 1, 0, seed=8, prefix="layer1"))
             step = lambda state, x: lstm_step(kernel, state, x)
         rng = np.random.default_rng(8)
-        first = step(ad.tensor(rng.uniform(-1, 1, (rows, 128))),
+        first = step(ad.tensor(rng.uniform(-1, 1, (2, rows, 64))),
                      ad.tensor(rng.uniform(-1, 1, (rows, 1))))
         second = step(first, ad.tensor(rng.uniform(-1, 1, (rows, 1))))
         alive = _kept_alive(second)
@@ -393,15 +393,15 @@ class TestStepBuffers:
         p = cells.init_cell(4, 1, 2, seed=7, prefix="layer1")
         b = cells.StepBuffers(p, 5)
         b.resize(3)
-        hc = np.random.default_rng(7).uniform(-1, 1, (15, 8))
+        hc = np.random.default_rng(7).uniform(-1, 1, (2, 15, 4))
         b.load(hc)
         cat = b.cat
         b.resize(3)
         assert b.cat is cat                   # a same-size request rebuilds no views
         b.resize(2)
-        saved = np.empty((10, 8))
+        saved = np.empty((2, 10, 4))
         b.save(saved)
-        np.testing.assert_array_equal(saved, hc[:10])
+        np.testing.assert_array_equal(saved, hc[:, :10])
         assert b.capacity == 3 and b.cat.base is cat.base
 
 
@@ -410,7 +410,7 @@ def _step_and_adjoint(kernel, tokens, hc_prev, x, g):
     parent flagged."""
     hc = np.empty(hc_prev.shape)
     b = cells.StepBuffers(kernel.cell, tokens, out=hc,
-                          work=kernel.tape_work(tokens, len(hc) // tokens))
+                          work=kernel.tape_work(tokens, hc.shape[1] // tokens))
     b.load(hc_prev)
     kernel.step(b, x)
     need = [True] * (2 + len(kernel.cell.blocks("")))
@@ -429,15 +429,17 @@ class TestRowBlocks:
         kernel = cells.StepKernel(cells.init_cell(64, in_width, 0, seed=12, prefix="layer1"))
         rows = 34 * 21
         rng = np.random.default_rng(12)
-        hc_prev, x, g = (rng.uniform(-1, 1, (rows, w)) for w in (128, in_width, 128))
+        hc_prev, x, g = (rng.uniform(-1, 1, shape)
+                         for shape in ((2, rows, 64), (rows, in_width), (2, rows, 64)))
         whole = _step_and_adjoint(kernel, 1, hc_prev, x, g)
         size = cells.BLAS_SMALL_BOUND // ((64 + in_width + 1) * 64)
         assert size < rows and rows % size
         for start in range(0, rows, size):
             block = slice(start, start + size)
-            alone = _step_and_adjoint(kernel, 1, hc_prev[block], x[block], g[block])
+            alone = _step_and_adjoint(kernel, 1, hc_prev[:, block], x[block], g[:, block])
             for name, a, b in zip(("hc", "d_state", "d_x"), whole, alone):
-                assert np.array_equal(a[block], b), (name, start)
+                at = block if name == "d_x" else (slice(None), block)   # a state's rows: axis 1
+                assert np.array_equal(a[at], b), (name, start)
 
     def test_gate_products_stay_under_the_bound(self, monkeypatch):
         kernel = cells.StepKernel(cells.init_cell(64, 1, 16, seed=13, prefix="layer1"))

@@ -232,7 +232,7 @@ class TestNStep:
         h1 = state
         pred1 = (h_of(h1).data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
         np.testing.assert_array_equal(preds[0].data[0], pred1)
-        np.testing.assert_array_equal(states[0][:, :m.hidden], h_of(h1).data)
+        np.testing.assert_array_equal(states[0][0], h_of(h1).data)
 
         seq = [w[t][:, None] for t in range(m.s)] + [pred1[:, None]]
         state = h1
@@ -257,7 +257,7 @@ class TestNStep:
 
 
 def empty_prefix(m, windows, depth):
-    return [np.empty((windows * NUM_SEGMENTS, 2 * m.hidden)) for _ in range(depth)]
+    return [np.empty((2, windows * NUM_SEGMENTS, m.hidden)) for _ in range(depth)]
 
 
 def filled_prefix(m, X, depth):
@@ -342,6 +342,60 @@ class TestPrefix:
             predict_batch(m, self.X, 1, prefix=empty_prefix(m, len(self.X), 1))
         with pytest.raises(ValueError, match="only nstep"):
             models.fill_prefix(m, self.X, [], 1)
+
+
+def assert_h_over_c(hc, rows, hidden):
+    """A recurrent state is (2, rows, H), h over C, each half C-contiguous."""
+    assert hc.shape == (2, rows, hidden)
+    assert hc[0].flags.c_contiguous and hc[1].flags.c_contiguous
+
+
+class TestStateLayout:
+    """Every recurrent state and state gradient is h over C, two contiguous
+    halves, so no elementwise op on h, C, dh or dC walks a strided view."""
+
+    X = np.stack([rand_window(4, 600 + i) for i in range(9)])
+
+    def test_taped_steps_and_their_adjoints_keep_contiguous_halves(self, monkeypatch):
+        m = tiny("nstep", seed=60)
+        rows, H = len(self.X) * NUM_SEGMENTS, m.hidden
+        outs, grads = [], []
+        step, adjoint = cells.StepKernel.step, cells.StepKernel.adjoint
+        monkeypatch.setattr(cells.StepKernel, "step",
+                            lambda self, b, x: (outs.append(b), step(self, b, x))[1])
+        monkeypatch.setattr(cells.StepKernel, "adjoint", lambda self, *args: (
+            grads.append(adjoint(self, *args)), grads[-1])[1])
+        preds, states = m.forward_graph_with_states(self.X)
+        ad.backward(ad.sum_all(preds[2]))
+        assert len(outs) == 4 + 5 + 6 and len(grads) == len(outs)
+        for b in outs:
+            assert_h_over_c(b.out, rows, H)
+            assert b.h.flags.c_contiguous and b.c.flags.c_contiguous
+        for d_state, *_ in grads[:-1]:      # the first step of layer 1 reads zeros
+            assert_h_over_c(d_state, rows, H)
+        assert len(states) == 3
+        for hc in states:
+            assert_h_over_c(hc, rows, H)
+
+    @pytest.mark.parametrize("reach", [1, 3])
+    def test_frame_starts_keep_contiguous_halves(self, reach):
+        m = tiny("sa-lstm", seed=61)
+        X = series_windows(m.s, 12, seed=61)
+        starts = InferencePlan(m)._frame_starts(X, reach)
+        assert len(starts) == reach
+        for hc in starts:
+            assert_h_over_c(hc, len(X) * NUM_SEGMENTS, m.hidden)
+
+    def test_prefix_entries_and_their_rows_keep_contiguous_halves(self):
+        m = tiny("nstep", seed=62)
+        prefix = models.fill_prefix(m, self.X, [], 2)
+        for hc in prefix:
+            assert_h_over_c(hc, len(self.X) * NUM_SEGMENTS, m.hidden)
+        rows = models.prefix_rows(prefix, 3, 7)
+        cut = slice(3 * NUM_SEGMENTS, 7 * NUM_SEGMENTS)
+        for part, hc in zip(rows, prefix):
+            assert part.shape == (2, 4 * NUM_SEGMENTS, m.hidden)
+            assert np.array_equal(part[0], hc[0][cut]) and np.array_equal(part[1], hc[1][cut])
 
 
 def series_windows(s, count, seed):

@@ -777,6 +777,37 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="checksum"):
             load_checkpoint(path, cfg)
 
+    def test_corrupt_model_blob_in_checkpoint_rejected(self, tmp_path):
+        cfg = tiny_cfg(epochs_per_stage=1)
+        run = train_model(
+            build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=18), constant_corpus(), cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        blob = bytearray(path.read_bytes())
+        model_end = blob.index(b"MSOC") + len(models.serialize_model(run.model))
+        blob[model_end - 40] ^= 0xFF          # a value in the model's payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="checksum"):
+            load_checkpoint(path, cfg)
+
+    def test_load_takes_one_crc32_over_the_model_blob(self, tmp_path, monkeypatch):
+        # the checkpoint's crc32 covers its model blob, so the model
+        # container's own crc32 over the same bytes is not taken again
+        cfg = tiny_cfg(epochs_per_stage=1)
+        run = train_model(
+            build_model("nstep", s=4, hidden=4, attn_width=2, horizon=3, seed=18),
+            constant_corpus(), cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        hashed, crc32 = [], zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", lambda data, *value: (
+            hashed.append(bytes(data)), crc32(data, *value))[1])
+        load_checkpoint(path, cfg)
+        monkeypatch.undo()
+        covering = [data for data in hashed if b"MSOC" in data]
+        assert covering == [path.read_bytes()[:-4]]
+        assert len(hashed) == 2               # the checkpoint and the config fingerprint
+
     def test_non_finite_model_weight_rejected_naming_the_block(self, tmp_path):
         cfg = tiny_cfg(epochs_per_stage=1)
         run = train_model(
