@@ -9,7 +9,10 @@ gate).
 Every command is driven by an INI config (see ``config.py``) with a handful
 of flag overrides (``_FLAG_KEYS``), resolves file paths against ``--out``
 (or the ``MESOCAST_OUT`` environment variable), and drops a manifest
-recording the seed and the resolved-config hash next to its outputs.
+recording the seed and the resolved-config hash next to its outputs, with
+the environment it ran in (``env``) and its wall time since ``main`` began
+and peak resident set (``timing``).  Those two describe the run, not its
+result: the hash and the checkpoint leave them out.
 ``main`` makes the output directory and loads the config, flags applied,
 before it hands both to the command.
 
@@ -24,6 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -31,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import data as D
 from . import evaluate as E
 from .config import EvaluationSection, RunConfig, config_hash, load_config
@@ -69,12 +75,28 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
+def _environment() -> dict:
+    """What a run ran on; the BLAS library is not probed, which is slow."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__, "nproc": nproc,
+            "mesocast": __version__}
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far; ru_maxrss counts KiB, bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _write_manifest(args, out: Path, cfg: RunConfig, outputs: list[str]) -> None:
+    command = args.command
     manifest = {
         "command": command,
         "seed": cfg.data.seed if command == "generate" else cfg.training.seed,
         "config_sha256": config_hash(cfg),
         "outputs": sorted(outputs),
+        "env": _environment(),
+        "timing": {"wall_s": time.perf_counter() - args.started, "peak_rss_mb": _peak_rss_mb()},
     }
     with open(out / f"{command}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -165,7 +187,7 @@ def cmd_generate(args, out: Path, cfg: RunConfig) -> int:
         D.write_csv(series, path)
     # the manifest names train and easy as configured, the hard windows by file name
     outputs = [cfg.data.train_csv, cfg.data.easy_csv, *(path.name for path in paths[2:])]
-    _write_manifest(out, "generate", cfg, outputs)
+    _write_manifest(args, out, cfg, outputs)
     print(f"wrote {len(corpus.train)} train, {len(corpus.easy)} easy frames and "
           f"{len(corpus.hard)} hard windows to {out}")
     return 0
@@ -204,9 +226,9 @@ def cmd_train(args, out: Path, cfg: RunConfig) -> int:
     _finite(model_path, [report.easy_mse_scaled, report.hard_mse_scaled])  # means keep a NaN
     for line in E.report_lines(best.kind, report):
         print(line)
-    _write_manifest(out, "train", cfg, [cfg.training.model_out,
-                                        cfg.training.checkpoint_out,
-                                        cfg.training.metrics_csv])
+    _write_manifest(args, out, cfg, [cfg.training.model_out,
+                                      cfg.training.checkpoint_out,
+                                      cfg.training.metrics_csv])
     return 0
 
 
@@ -233,7 +255,7 @@ def cmd_eval(args, out: Path, cfg: RunConfig) -> int:
             for h, vals in sorted(report.per_horizon.items()):
                 fh.write(f"{name},{kind},{h},{format(vals['easy'], '.9g')},"
                          f"{format(vals['hard'], '.9g')}\n")
-    _write_manifest(out, "eval", cfg, [cfg.evaluation.report_csv])
+    _write_manifest(args, out, cfg, [cfg.evaluation.report_csv])
     return 0
 
 
@@ -272,7 +294,7 @@ def cmd_forecast(args, out: Path, cfg: RunConfig) -> int:
     D.write_csv(forecast_series, out_path)
     print(f"forecast minutes {at + 1}..{at + preds.shape[0]} written to {out_path} "
           f"(model forward {elapsed_ms:.3f} ms)")
-    _write_manifest(out, "forecast", cfg, [out_path.name])
+    _write_manifest(args, out, cfg, [out_path.name])
     return 0
 
 
@@ -354,8 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     tune_allocator()
     args = _build_parser().parse_args(argv)
+    args.started = started              # a manifest's wall_s counts from here
     try:
         return args.func(args, _out_dir(args), _load_run_config(args))
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -8,7 +8,7 @@ to its first bad line, so every rejection names a line without a second
 parser.
 ``build_windows`` returns ``Windows``, read-only strided views of the
 series that slice (``[::stride]``) into more views; ``stack_windows``
-copies just the rows asked for.
+copies just the rows asked for, which only training's staging does.
 
 The measured quantity is the per-minute mean speed over 21 consecutive
 segments of an 11.4 km highway stretch.  Real feeds being proprietary, the

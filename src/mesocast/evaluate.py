@@ -4,22 +4,25 @@ Reported MSE follows the display convention of the accuracy tables: the raw
 mean squared error on normalized speeds multiplied by 1000.  The hard metric
 evaluates each congested window independently and averages the per-window
 values, scored by the chunked tape-free ``models.predict_batch``.  Each
-series is cut into stride-1 windows, so a one-step model's recursive
-horizons start from the frame state of the neighbouring window instead of
-re-walking its frames (see ``models``).  Training's validation metrics
-come from the same ``per_horizon_mse``.  The latency benchmark times each
-bare forecast of the requested horizons on one fixed window (no
-normalisation, no I/O) after an untimed warmup, single process.
+series is normalized once and cut into stride-1 windows that are read-only
+strided views of it, never copies, so evaluation holds that series, the
+predictions and one chunk's work (``PREDICT_CHUNK`` windows), not ``s``
+copies of the series.  A one-step model's recursive horizons start from the
+frame state of the neighbouring window instead of re-walking its frames
+(see ``models``).  Training's validation metrics come from the same
+``per_horizon_mse``.  The latency benchmark times each bare forecast of the
+requested horizons on one fixed window (no normalisation, no I/O) after an
+untimed warmup, single process.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Corpus, Series, build_windows, normalize, stack_windows
+from .data import Corpus, Series, build_windows, normalize
 from .models import InferencePlan, predict_batch
 from .runtime import tune_allocator
 
@@ -47,9 +50,8 @@ def per_horizon_mse(model, x: np.ndarray, y: np.ndarray, horizons: int,
 
 
 def _scaled_mse(model, series: Series, horizons: int) -> dict[int, float]:
-    x, y = stack_windows(build_windows(series, model.s, horizons))
-    x, y = normalize(x), normalize(y)          # the mph copies are freed before the forward
-    mse = per_horizon_mse(model, x, y, horizons)
+    windows = build_windows(replace(series, speeds=normalize(series.speeds)), model.s, horizons)
+    mse = per_horizon_mse(model, windows.inputs, windows.targets, horizons)
     return {h: m * MSE_DISPLAY_SCALE for h, m in enumerate(mse, 1)}
 
 

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import math
+import platform
+import time
 import zlib
 
 import numpy as np
 import pytest
 
+import mesocast
 from mesocast import data as D
 from mesocast import cli, models
 from mesocast.cli import _build_model, main
-from mesocast.config import EvaluationSection, RunConfig, load_config
+from mesocast.config import EvaluationSection, RunConfig, config_hash, load_config
 from mesocast.evaluate import evaluate
 from mesocast.train import TrainConfig
 from mesocast.models import build_model, load_model, save_model
@@ -219,8 +223,13 @@ class TestGenerate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli("generate", "--config", tiny_config, "--out", out1)
         run_cli("generate", "--config", tiny_config, "--out", out2)
-        for name in ("train.csv", "easy.csv", "hard0.csv", "generate_manifest.json"):
+        for name in ("train.csv", "easy.csv", "hard0.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # so is the manifest, but for the run's own wall time and peak memory
+        first, second = (json.loads((out / "generate_manifest.json").read_text())
+                         for out in (out1, out2))
+        assert first.pop("timing").keys() == second.pop("timing").keys()
+        assert first == second
 
     def test_days_flag_overrides(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -703,6 +712,31 @@ def test_train_whose_best_model_overflows_exits_3_naming_it(corpus_dir, tmp_path
     assert f"error: model {model_path} computed a non-finite value" in capsys.readouterr().err
     assert model_path.exists() and (run_dir / "run.ckpt").exists()
     assert not (run_dir / "train_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "forecast"])
+def test_every_manifest_records_env_and_timing(corpus_dir, tmp_path, command):
+    # what the run ran on and what it cost, kept out of the config hash
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / name).write_bytes((out / name).read_bytes())
+    save_model(_build_model(load_config(cfg)), run_dir / "model.bin")
+    argv = ["--input", run_dir / "hard0.csv"] if command == "forecast" else []
+    started = time.perf_counter()
+    assert run_cli(command, "--config", cfg, "--out", run_dir, *argv) == 0
+    took = time.perf_counter() - started
+    manifest = json.loads((run_dir / f"{command}_manifest.json").read_text())
+    env = manifest["env"]
+    assert env.pop("nproc") >= 1
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "mesocast": mesocast.__version__}
+    timing = manifest["timing"]
+    assert sorted(timing) == ["peak_rss_mb", "wall_s"]
+    assert 0.0 < timing["wall_s"] <= took
+    assert 0.0 < timing["peak_rss_mb"] and math.isfinite(timing["peak_rss_mb"])
+    assert manifest["config_sha256"] == config_hash(load_config(cfg))
 
 
 @pytest.mark.parametrize("kind", ["sa-lstm", "all-at-once", "nstep"])

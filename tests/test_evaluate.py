@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mesocast import evaluate as E
-from mesocast.data import NUM_SEGMENTS, Corpus, Series, V_REF_MPH
-from mesocast.models import build_model, forecast_recursive
+from mesocast.data import (NUM_SEGMENTS, Corpus, Series, V_REF_MPH, build_windows, normalize,
+                           stack_windows)
+from mesocast.models import MODEL_KINDS, build_model, forecast_recursive
 from mesocast.evaluate import evaluate, latency_ms
 
 
@@ -80,6 +83,49 @@ class TestEvaluate:
         aao = build_model("all-at-once", s=4, hidden=4, attn_width=2, horizon=2, seed=1)
         with pytest.raises(ValueError, match="model emits 2 horizons, 3 requested"):
             evaluate(aao, corpus, horizons=3)
+
+
+def random_series(rng, T):
+    return Series(minutes=np.arange(T), speeds=rng.uniform(20, 80, (T, NUM_SEGMENTS)))
+
+
+class TestWindowViews:
+    """evaluate scores strided views of each once-normalized series."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_views_score_the_bits_of_stacked_copies(self, kind):
+        # the reference is the old path: stacked mph copies, then normalized
+        # copies; 84 easy windows span three predict chunks
+        rng = np.random.default_rng(12)
+        series = [random_series(rng, T) for T in (90, 40, 35)]
+        corpus = Corpus(train=None, easy=series[0], hard=series[1:])
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=13)
+        report = evaluate(model, corpus, horizons=3)
+
+        def copied(series):
+            x, y = stack_windows(build_windows(series, model.s, 3))
+            mse = E.per_horizon_mse(model, normalize(x), normalize(y), 3)
+            return [(m * E.MSE_DISPLAY_SCALE).hex() for m in mse]
+
+        scored = [[report.per_horizon[h]["easy"].hex() for h in (1, 2, 3)],
+                  *([w[h].hex() for h in (1, 2, 3)] for w in report.hard_per_window)]
+        assert scored == [copied(s) for s in series]
+
+    def test_memory_does_not_grow_with_s(self):
+        # stacked copies held (B, s, 21) windows: about 30 MB more at s 64
+        # than at s 8 for one day's windows
+        rng = np.random.default_rng(14)
+        corpus = Corpus(train=None, easy=random_series(rng, 1440), hard=[random_series(rng, 440)])
+        peaks = []
+        for s in (8, 64):
+            model = build_model("all-at-once", s=s, hidden=4, attn_width=2, horizon=1, seed=15)
+            tracemalloc.start()
+            try:
+                evaluate(model, corpus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 class TestBench:

@@ -608,11 +608,13 @@ class TestInferencePinned:
     ])
     def test_default_dims_forecast_bits(self, kind, batch_sha, window_sha):
         series = np.random.default_rng(60).uniform(-1.0, 1.0, (47, NUM_SEGMENTS))
-        X = np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(series, 8, axis=0).transpose(0, 2, 1))
+        view = np.lib.stride_tricks.sliding_window_view(series, 8, axis=0).transpose(0, 2, 1)
+        X = np.ascontiguousarray(view)
         m = build_model(kind, seed=61)
         digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]
         assert digest(predict_batch(m, X, 3)) == batch_sha
+        # the read-only strided rows that evaluate scores, uncopied
+        assert digest(predict_batch(m, view, 3)) == batch_sha
         assert digest(InferencePlan(m).run(X[0], 3)) == window_sha
 
     def test_default_dims_forecast_bits_at_two_blas_threads(self):
