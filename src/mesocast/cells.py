@@ -17,8 +17,10 @@ every layer's kernel; its taped unroll gives each step (``lstm_step``,
 over C (each half C-contiguous, so no elementwise op on h, C or their
 gradients walks a strided view), and keep only what ``StepKernel.adjoint``
 reads and cannot cheaply rebuild: the gate-major block of f, i, c~ and z_o,
-and for attention o and the softmax weights.  The work arrays ([h, x, 1], tanh(C'),
-Q, K, V, the attention product, the softmax row sums) are shared by every
+and for attention o and the softmax weights.  A plan's buffers keep no o:
+nothing in a plan reads z_o once Q, K and V are projected, so the output
+gate overwrites z_o's slot.  The work arrays ([h, x, 1], tanh(C'), Q, K,
+V, the attention product, the softmax row sums) are shared by every
 taped step of one kernel, and the adjoint rebuilds the ones it reads from
 the step's inputs with the calls the step made, so its gradients are
 bitwise those of the arrays the step saw.  It computes a parent's gradient
@@ -148,9 +150,9 @@ def _staggered(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
 def _work_arrays(cell, tokens: int, groups: int) -> dict[str, np.ndarray]:
     """The arrays a step of ``cell`` (or of buffers sized like it) works in
     that its adjoint can rebuild from the step's inputs and the arrays it
-    keeps: ``cat`` = [h, x, 1], ``tmp`` (i*c~, then tanh(C')) and, with
-    attention, Q, K, V, their softmax product ``att`` and the softmax row
-    sums."""
+    keeps: ``cat`` = [h, x, 1], ``tmp`` (the attention's projection back,
+    then i*c~, then tanh(C')) and, with attention, Q, K, V, their softmax
+    product ``att`` and the softmax row sums."""
     rows, hidden, d = groups * tokens, cell.hidden, cell.attn_width
     shapes = {"cat": (rows, hidden + cell.in_width + 1), "tmp": (rows, hidden)}
     if d:
@@ -169,9 +171,11 @@ class StepBuffers:
 
     The arrays come in two sets.  The kept set is what a taped step's adjoint
     reads and cannot cheaply rebuild: the gate block ``gates``, one
-    gate-major ``(4, rows, H)`` array holding f, i, c~ and z_o (o, for a
-    plain LSTM, whose adjoint never reads z_o), then o itself and the
-    attention weights ``scores`` (attention only).  The work set
+    gate-major ``(4, rows, H)`` array holding f, i, c~ and z_o, then, for a
+    taped attention step, o itself, and the attention weights ``scores``
+    (attention only).  Elsewhere ``o`` is z_o's slot, which the output gate
+    overwrites: a plain LSTM's adjoint never reads z_o, and nothing in a
+    plan reads it once Q, K and V are projected.  The work set
     (``_work_arrays``) is what the adjoint rebuilds.  A plan's buffers own
     both sets and keep ``h`` inside ``cat``, so the state carries on in place
     and a step copies only its input; every layer of a plan shares them, so
@@ -204,7 +208,8 @@ class StepBuffers:
             settings = {name: vars(self)[name] for name in _BUFFER_SETTINGS}
             vars(self).clear()                  # every array and view, whatever its name
             vars(self).update(settings)
-            names = (("o",) if d else ()) + (("c",) if self.out is None else ())
+            # a plan's o is z_o's slot; a taped step keeps z_o for its adjoint
+            names = ("c",) if self.out is None else (("o",) if d else ())
             kept = _staggered({"gates": (4, rows, H), **{name: (rows, H) for name in names},
                                **({"scores": (groups, tokens, tokens)} if d else {})})
             self._gates, self._scores = kept.pop("gates"), kept.pop("scores", None)
@@ -219,7 +224,7 @@ class StepBuffers:
         self.blocks = [slice(start, start + step) for start in range(0, rows, step)]
         self.fic, self.fi = self.gates[:3], self.gates[:2]
         self.zf, self.zi, self.zc, self.zo = self.gates
-        self.o = self._full["o"][:rows] if d else self.zo
+        self.o = self._full["o"][:rows] if "o" in self._full else self.zo
         self.cat = self._work["cat"][:rows]
         self.x = self.cat[:, H:-1]
         self.tmp = self._work["tmp"][:rows]
@@ -323,8 +328,8 @@ class StepKernel:
             np.add.reduce(b.scores, axis=-1, keepdims=True, out=b.rowsum)
             b.scores /= b.rowsum
             b.mm(b.scores, b.vg, out=b.attg)
-            np.dot(b.att, self.attn[3], out=b.o)
-            b.o += b.zo
+            np.dot(b.att, self.attn[3], out=b.tmp)
+            np.add(b.zo, b.tmp, out=b.o)        # o is z_o's slot in a plan's buffers
             ad.sigmoid_array(b.o, out=b.o)
         else:
             ad.sigmoid_array(b.zo, out=b.o)      # in place: the adjoint never reads z_o

@@ -47,9 +47,10 @@ predictions, and those frames are the first s-k frames of window j+k.  So
 when a pass's windows are consecutive (each is the previous one moved on one
 frame, bit for bit, as ``eval`` builds them; a single window always is), one
 frame pass from zero over the windows and the later starts inside the last
-one gives every horizon its start state, and horizon k then walks only its k
-predictions: s + H(H-1)/2 cell steps per pass instead of s*H for H <= s
-horizons, with the same bits.  The frame pass drops each later start once
+one gives every horizon its start state (horizon 0's is where the pass ends,
+in the plan's buffers), and horizon k then walks only its k predictions:
+s + H(H-1)/2 cell steps per pass instead of s*H for H <= s horizons, with
+the same bits.  The frame pass drops each later start once
 its horizon's state is saved, so no start steps past the last frame.  A pass
 with a seam, a one-row dense ``lstm`` window and horizons past s, which read
 no frame, walk from zero.
@@ -314,15 +315,17 @@ class InferencePlan:
         One-step kinds recurse: horizon k reads the last s entries of (window
         + predictions so far) from a zero state, or, when the G windows are
         consecutive, starts after its real frames from the state a frame pass
-        left (``_frame_starts``) and walks only its k fed predictions.  nstep
-        layer k re-reads the window plus the earlier predictions from layer
-        k-1's terminal state, or starts after the window from an nstep
-        ``prefix`` entry.  Training hands a ``tape``: it holds the state in
-        place of the plan's buffers, of which this loop uses only the
-        ``tokens``, ``in_width``, ``resize``, ``reset``, ``load`` and ``h``
-        that the tape has too, and it records each step (``tape.step``) and
-        each pass's head read (``tape.end_pass``).  A taped one-step kind
-        always walks from zero, never from ``_frame_starts``."""
+        left (``_frame_starts``: horizon 0 reads the buffers as the pass
+        leaves them, each later horizon loads its saved entry) and walks only
+        its k fed predictions.  nstep layer k re-reads the window plus the
+        earlier predictions from layer k-1's terminal state, or starts after
+        the window from an nstep ``prefix`` entry.  Training hands a ``tape``:
+        it holds the state in place of the plan's buffers, of which this loop
+        uses only the ``tokens``, ``in_width``, ``resize``, ``reset``,
+        ``load`` and ``h`` that the tape has too, and it records each step
+        (``tape.step``) and each pass's head read (``tape.end_pass``).  A
+        taped one-step kind always walks from zero, never from
+        ``_frame_starts``."""
         groups, horizons = out.shape[:2]
         if horizons < 1:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
@@ -338,7 +341,8 @@ class InferencePlan:
         # a one-row product takes another BLAS routine than the frame pass's
         # multi-row ones, so its bits would change
         if tape is None and recursive and reach > 1 and rows > 1 and _consecutive(windows):
-            held = self._frame_starts(windows, reach)
+            # None: horizon 0 starts where the frame pass ends
+            held = [None, *self._frame_starts(windows, reach)]
         else:
             b.resize(groups)
         # one (rows, in_width) input per step: the window's frames, then the
@@ -349,7 +353,8 @@ class InferencePlan:
             kernel = self.kernels[0 if recursive else k]
             walk, fed, fresh = _schedule(self.kind, s, k)
             if k < len(held):
-                b.load(held[k])
+                if held[k] is not None:
+                    b.load(held[k])
                 walk = ()
             elif fresh:
                 b.reset()
@@ -368,31 +373,33 @@ class InferencePlan:
                 out[:, k] = head.reshape(groups, NUM_SEGMENTS)
 
     def _frame_starts(self, windows: np.ndarray, reach: int) -> list[np.ndarray]:
-        """States of G consecutive windows after their real frames, for the
-        first ``reach`` horizons of a one-step recursion: entry k holds, per
+        """States of G consecutive windows after their real frames, for
+        horizons 1..reach-1 of a one-step recursion: entry k-1 holds, per
         window j, the ``(2, rows, H)`` state (h over C) after frames k..s-1
         from zero.  Those are window j+k's first s-k frames, so one frame
         pass from zero over the G windows and the reach-1 later starts inside
-        the last window gives every entry: entry k is the pass after s-k
-        steps, k groups on.  Once entry k is saved, start G-1+k is read no
-        more, so the pass drops it: start G-1+k steps over s-k frames and
-        none steps past the last."""
+        the last window gives every entry: entry k-1 is the pass after s-k
+        steps, k groups on.  Horizon 0's state, after every frame, is the
+        plan's buffers as the pass ends (sized to the G windows), so it stays
+        there unsaved.  Once entry k-1 is saved, start G-1+k is read no more,
+        so the pass drops it: start G-1+k steps over s-k frames and none
+        steps past the last."""
         groups, b, kernel = len(windows), self.buf, self.kernels[0]
         s, tokens = self.s, b.tokens
         # the G + s - 1 frames the windows cut, row j+t being frame t of window j
         series = np.concatenate([windows[:, 0], windows[-1, 1:]])
-        states = np.empty((reach, 2, groups * tokens, b.hidden))
+        states = np.empty((reach - 1, 2, groups * tokens, b.hidden))
         live = groups + reach - 1
         b.resize(live)
         b.reset()
         for t in range(s):
             k = s - 1 - t
-            if groups + k < live:         # entry k + 1 was the last to read start live-1
+            if groups + k < live:         # horizon k + 1's was the last to read start live-1
                 live = groups + k
                 b.resize(live)
             kernel.step(b, series[t:t + live].reshape(live * tokens, -1))
-            if k < reach:
-                b.save(states[k], start=k * tokens)
+            if 0 < k < reach:
+                b.save(states[k - 1], start=k * tokens)
         return list(states)
 
 
@@ -647,7 +654,9 @@ def check_fields(header, where: str, **tests) -> None:
 
 def _read_container(blob, checked: bool):
     """Kind, s, horizon (1 for a one-step kind), the block table that the
-    header's dims give, and payload, all checked against each other."""
+    header's dims give, and payload, all checked against each other.  The
+    dims hold exactly the kind's own: s, hidden, attn_width and, past the
+    one-step kinds, horizon."""
     header, payload = unpack_container(blob, _MAGIC, "model container", checked)
     check_fields(header, "model header",
                  format_version=lambda v: is_count(v) and v == _FORMAT_VERSION,
@@ -660,6 +669,10 @@ def _read_container(blob, checked: bool):
                  attn_width=is_count if kind in LSTM_KINDS else positive)
     if kind not in ONE_STEP_KINDS:
         tests["horizon"] = positive
+    for key in dims:
+        if key not in tests:
+            raise ValueError(f"model header dims: field {key!r:.60} is not a dim of "
+                             f"a {kind} model")
     check_fields(dims, "model header dims", **tests)
     # the block table and the model grow with the dims, so they must
     # describe the payload first

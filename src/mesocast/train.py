@@ -502,6 +502,21 @@ def schedule(model: Forecaster, cfg: TrainConfig) -> list[Stage]:
     return stages + [Stage(n * e, (n + 1) * e, every, None, cfg.lr * cfg.finetune_lr_scale)]
 
 
+# how many blocks a divergence message names
+_NAMED_BLOCKS = 3
+
+
+def _non_finite_gradients(blocks: dict[str, Tensor], grads: dict[str, np.ndarray]) -> str:
+    """The first _NAMED_BLOCKS blocks, in block-table order, whose summed
+    gradient holds a non-finite value, or that none does."""
+    bad = [name for name in blocks if name in grads and not np.isfinite(grads[name]).all()]
+    if not bad:
+        return "no block's gradient holds a non-finite value"
+    more = len(bad) - _NAMED_BLOCKS
+    return (f"non-finite gradient in {', '.join(map(repr, bad[:_NAMED_BLOCKS]))}"
+            + (f" and {more} more block(s)" if more > 0 else ""))
+
+
 def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stage,
                 prefixes: PrefixStore | None = None) -> None:
     """Advance ``run`` through the epochs of ``stage`` it has not run yet,
@@ -509,7 +524,8 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stag
     model's blocks.  Only a stage that trains every block on every horizon
     may set the best model: a layer stage's metric covers one horizon, so it
     is not comparable.  A non-finite loss raises before the optimizer steps,
-    so the run keeps the last finite epoch's state and stays resumable."""
+    so the run keeps the last finite epoch's state and stays resumable; the
+    error names the blocks whose summed gradient went non-finite."""
     model = run.model
     blocks = model.blocks()
     for epoch in range(max(run.epoch, stage.first) + 1, stage.last + 1):
@@ -521,7 +537,8 @@ def _run_epochs(staged: StagedData, cfg: TrainConfig, run: TrainRun, stage: Stag
             run.epoch = epoch - 1
             raise DivergenceError(
                 f"training loss became non-finite at epoch {epoch}; "
-                "parameters and optimizer left at the last finite epoch", run)
+                "parameters and optimizer left at the last finite epoch; "
+                f"{_non_finite_gradients(blocks, grads)}", run)
         run.optimizer.step(blocks, grads, lr)
         record = MetricRecord(epoch=epoch, lr=lr, train_loss=loss_value)
         if epoch % cfg.validate_every == 0 or epoch == stage.last:

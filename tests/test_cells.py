@@ -389,6 +389,23 @@ class TestStepBuffers:
         assert set(b._work) == {"cat", "tmp"} and set(b._full) == {"c"}
         assert b.o is b.zo                    # o is computed in place of z_o
 
+    def test_a_plans_output_gate_takes_z_os_slot_and_a_taped_steps_does_not(self):
+        # nothing in a plan reads z_o once Q, K and V are projected, while a
+        # taped step's adjoint projects them again from z_o
+        p = cells.init_cell(4, 1, 2, seed=11, prefix="layer1")
+        kernel = cells.StepKernel(p)
+        plan = cells.StepBuffers(p, 5)
+        plan.resize(3)
+        taped = cells.StepBuffers(p, 5, out=np.empty((2, 15, 4)), work=kernel.tape_work(5, 3))
+        assert np.shares_memory(plan.o, plan.zo) and set(plan._full) == {"c"}
+        assert not np.shares_memory(taped.o, taped.zo) and set(taped._full) == {"o"}
+        rng = np.random.default_rng(11)
+        hc, x = rng.uniform(-1, 1, (2, 15, 4)), rng.uniform(-1, 1, (15, 1))
+        for b in (plan, taped):
+            b.load(hc)
+            kernel.step(b, x)
+        assert np.array_equal(plan.h, taped.h) and np.array_equal(plan.c, taped.c)
+
     def test_resize_within_capacity_keeps_the_leading_state(self):
         p = cells.init_cell(4, 1, 2, seed=7, prefix="layer1")
         b = cells.StepBuffers(p, 5)

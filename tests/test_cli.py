@@ -10,11 +10,11 @@ import pytest
 
 import mesocast
 from mesocast import data as D
-from mesocast import cli, models
+from mesocast import cli, models, train
 from mesocast.cli import _build_model, main
 from mesocast.config import EvaluationSection, RunConfig, config_hash, load_config
 from mesocast.evaluate import evaluate
-from mesocast.train import TrainConfig
+from mesocast.train import TrainConfig, load_checkpoint
 from mesocast.models import build_model, load_model, save_model
 from containers import with_header
 
@@ -534,6 +534,8 @@ def unreadable(blob, flaw):
         return blob[:-12] + bytes([blob[-12] ^ 0xFF]) + blob[-11:]
     if flaw == "header":
         return with_header(blob, lambda h: h["dims"].update(hidden="4"))
+    if flaw == "stray dim":
+        return with_header(blob, lambda h: h["dims"].update(horizon=5))
     body = blob[:-12] + np.float64(np.nan).tobytes()    # the last parameter, checksum kept
     return body + zlib.crc32(body).to_bytes(4, "little")
 
@@ -542,6 +544,7 @@ def unreadable(blob, flaw):
     ("magic", "not a model container (bad magic)"),
     ("checksum", "model container corrupt (checksum mismatch)"),
     ("header", "model header dims: field 'hidden' is missing or malformed: '4'"),
+    ("stray dim", "model header dims: field 'horizon' is not a dim of a sa-lstm model"),
     ("non-finite", "model block 'head/b' holds a non-finite value"),
 ])
 @pytest.mark.parametrize("command", ["eval", "forecast", "bench"])
@@ -712,6 +715,33 @@ def test_train_whose_best_model_overflows_exits_3_naming_it(corpus_dir, tmp_path
     assert f"error: model {model_path} computed a non-finite value" in capsys.readouterr().err
     assert model_path.exists() and (run_dir / "run.ckpt").exists()
     assert not (run_dir / "train_manifest.json").exists()
+
+
+def test_train_that_diverges_exits_3_naming_the_non_finite_gradients(corpus_dir, tmp_path,
+                                                                     monkeypatch, capsys):
+    # a NaN in one staged input window reaches every block's gradient; the
+    # checkpoint left behind holds the last finite epoch and loads
+    out, cfg = corpus_dir
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("train.csv", "easy.csv", "hard0.csv"):
+        (run_dir / name).write_bytes((out / name).read_bytes())
+    stage = train.stage_corpus
+
+    def with_nan(*args):
+        staged = stage(*args)
+        staged.x[0, 0, 0] = np.nan
+        return staged
+
+    monkeypatch.setattr(train, "stage_corpus", with_nan)
+    assert run_cli("train", "--config", cfg, "--out", run_dir) == 3
+    ckpt = run_dir / "run.ckpt"
+    assert capsys.readouterr().err == (
+        "training diverged: training loss became non-finite at epoch 1; parameters and "
+        "optimizer left at the last finite epoch; non-finite gradient in 'layer1/w_f', "
+        f"'layer1/w_i', 'layer1/w_c' and 11 more block(s); last checkpoint at {ckpt}\n")
+    assert load_checkpoint(ckpt, load_config(cfg).train_config()).epoch == 0
+    assert not (run_dir / "model.bin").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "eval", "forecast"])

@@ -62,7 +62,8 @@ def test_model_header_field_rewrite(data):
     except ValueError:
         return
     original = deserialize_model(blob)
-    assert back.kind == original.kind and same_blocks(back, original)
+    assert back.kind == original.kind and back.horizon == original.horizon
+    assert same_blocks(back, original)
 
 
 @pytest.fixture(scope="module")

@@ -382,7 +382,7 @@ class TestStateLayout:
         m = tiny("sa-lstm", seed=61)
         X = series_windows(m.s, 12, seed=61)
         starts = InferencePlan(m)._frame_starts(X, reach)
-        assert len(starts) == reach
+        assert len(starts) == reach - 1         # horizon 0 starts in the plan's buffers
         for hc in starts:
             assert_h_over_c(hc, len(X) * NUM_SEGMENTS, m.hidden)
 
@@ -541,6 +541,42 @@ class TestFrameReuse:
                 # the second run reuses the buffers the first one grew
                 assert np.array_equal(first, walk), horizons
                 assert np.array_equal(plan.run(w, horizons), walk), horizons
+
+    @pytest.mark.parametrize("reach", [1, 2, 3, S])
+    def test_frame_pass_leaves_horizon_0s_start_in_the_buffers(self, reach):
+        # entry k - 1 is the state after frames k..s-1 from zero; horizon 0's,
+        # after every frame, is what the pass leaves in the plan's buffers
+        m = build_model("sa-lstm", s=self.S, hidden=16, attn_width=4, seed=50)
+        X = series_windows(self.S, 34, seed=50)
+        plan = InferencePlan(m)
+        starts = plan._frame_starts(X, reach)
+        assert len(starts) == reach - 1
+        tokens = m.layout[0]
+        frames = X.transpose(1, 0, 2).reshape(self.S, len(X) * tokens, -1)
+        walk = cells.StepBuffers(m.layers[0], tokens)
+        walk.resize(len(X))
+        for k, (h, c) in enumerate([(plan.buf.h, plan.buf.c), *starts]):
+            walk.reset()
+            for t in range(k, self.S):
+                plan.kernels[0].step(walk, frames[t])
+            assert np.array_equal(h, walk.h) and np.array_equal(c, walk.c), k
+
+    @pytest.mark.parametrize("kind", ["lstm-seg", "sa-lstm"])
+    def test_horizon_0_reads_the_frame_pass_in_place(self, monkeypatch, kind):
+        # hidden 5, where chunks and single windows agree bitwise (see
+        # test_matches_per_window_recursion)
+        m = build_model(kind, s=self.S, hidden=5, attn_width=3, seed=51)
+        X = series_windows(self.S, 2 * models.PREDICT_CHUNK + 6, seed=51)
+        loads = []
+        load = cells.StepBuffers.load
+        monkeypatch.setattr(cells.StepBuffers, "load",
+                            lambda self, hc: (loads.append(hc), load(self, hc)))
+        out = predict_batch(m, X, 3)
+        monkeypatch.undo()
+        # three chunks, and in each only horizons 1 and 2 load a start
+        assert len(loads) == 3 * 2
+        plan = InferencePlan(m)
+        assert np.array_equal(out[:, 0], np.stack([plan.run(w)[0] for w in X]))
 
     @pytest.mark.parametrize("flip", ["ulp", "signed zero"])
     def test_frames_equal_only_in_value_are_a_seam(self, monkeypatch, flip):
@@ -738,6 +774,16 @@ class TestSerialization:
     def test_malformed_header_names_field(self, kind, edit, field):
         with pytest.raises(ValueError, match=field):
             deserialize_model(with_header(serialize_model(tiny(kind)), edit))
+
+    # a one-step model emits one horizon and recurses for more, so a horizon
+    # in its dims would set what its plan and schedule run
+    @pytest.mark.parametrize("kind, key", [*((kind, "horizon") for kind in models.ONE_STEP_KINDS),
+                                           *((kind, "depth") for kind in models.MODEL_KINDS)])
+    def test_dim_the_kind_does_not_declare_rejected_naming_it(self, kind, key):
+        blob = with_header(serialize_model(tiny(kind)), lambda h: h["dims"].update({key: 5}))
+        with pytest.raises(ValueError, match=f"^model header dims: field '{key}' is not a "
+                                             f"dim of a {kind} model$"):
+            deserialize_model(blob)
 
     @pytest.mark.parametrize("kind, dims", [
         ("sa-lstm", {"hidden": 1500}),

@@ -246,6 +246,34 @@ class TestTrainOneStep:
         with pytest.raises(DivergenceError, match="epoch 2"):
             train_model(None, corpus, cfg, resume=back)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_blocks_whose_gradient_went_non_finite(self, tmp_path):
+        corpus = wavy_corpus()
+        corpus.train.speeds[10, 3] = np.nan
+        cfg = tiny_cfg(epochs_per_stage=3)
+        with pytest.raises(DivergenceError) as info:
+            train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=8), corpus, cfg)
+        # every block's gradient reads the NaN; the first three are named in
+        # block-table order
+        assert str(info.value) == (
+            "training loss became non-finite at epoch 1; parameters and optimizer left at the "
+            "last finite epoch; non-finite gradient in 'layer1/w_f', 'layer1/w_i', "
+            "'layer1/w_c' and 11 more block(s)")
+        run = info.value.run
+        assert run.epoch == 0 and run.optimizer.t == {}
+        path = tmp_path / "diverged.ckpt"
+        save_checkpoint(run, cfg, path)
+        assert load_checkpoint(path, cfg).epoch == 0
+
+    def test_divergence_with_finite_gradients_says_so(self, monkeypatch):
+        diverge_at(monkeypatch, 2)
+        with pytest.raises(DivergenceError) as info:
+            train_model(build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=8),
+                        wavy_corpus(), tiny_cfg(epochs_per_stage=3))
+        assert str(info.value) == (
+            "training loss became non-finite at epoch 2; parameters and optimizer left at the "
+            "last finite epoch; no block's gradient holds a non-finite value")
+
     def test_chunked_gradients_match_single_chunk(self):
         corpus = wavy_corpus()
         model = build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=9)
@@ -807,6 +835,19 @@ class TestCheckpoints:
         covering = [data for data in hashed if b"MSOC" in data]
         assert covering == [path.read_bytes()[:-4]]
         assert len(hashed) == 2               # the checkpoint and the config fingerprint
+
+    def test_model_dims_with_a_stray_field_rejected(self, tmp_path, monkeypatch):
+        # a checkpoint's model goes through the model file's reader
+        cfg = tiny_cfg(epochs_per_stage=1)
+        run = train_model(
+            build_model("sa-lstm", s=4, hidden=4, attn_width=2, seed=18), constant_corpus(), cfg)
+        dims = models.Forecaster.dims
+        monkeypatch.setattr(models.Forecaster, "dims", lambda self: {**dims(self), "horizon": 5})
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(run, cfg, path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="field 'horizon' is not a dim of a sa-lstm model"):
+            load_checkpoint(path, cfg)
 
     def test_non_finite_model_weight_rejected_naming_the_block(self, tmp_path):
         cfg = tiny_cfg(epochs_per_stage=1)
