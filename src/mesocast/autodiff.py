@@ -5,13 +5,13 @@ output tensor; ``backward`` replays the recorded graph once in reverse
 topological order.  All arithmetic is 64-bit and evaluation order is fixed,
 so repeated passes over the same graph are bitwise identical.
 
-The op set is what training records: the whole model unroll is one
-``node`` whose adjoint walks its schedule backwards (``models``), each
-horizon's prediction and loss is one ``node`` on it (``losses``), and ``add``
-and ``scale`` sum and weight the loss terms.  Row softmax, ``transpose`` and
-``matmul`` serve only ``cells.self_attention``, the taped reference the
-fused attention is tested against; ``mul`` and ``sum_all`` serve the tests'
-scalarizers and ``bench/test_bench.py``.
+Training records one op: a chunk's model unroll is one ``node`` on the
+model's blocks whose adjoint walks its schedule backwards (``models``), and
+``backward`` seeds it with the losses' closed-form gradients (``train``).
+Row softmax, ``transpose``, ``matmul`` and ``scale`` serve only
+``cells.self_attention``, the taped reference the fused attention is tested
+against; ``add``, ``mul`` and ``sum_all`` serve the tests' scalarizers and
+``bench/test_bench.py``.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -190,14 +185,14 @@ def sum_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(root: Tensor) -> None:
-    """Populate ``.grad`` on every trainable leaf reachable from ``root``.
+def backward(root: Tensor, seed: np.ndarray | None = None) -> None:
+    """Populate ``.grad`` on every trainable leaf reachable from ``root``,
+    whose gradient is ``seed`` (1 when omitted, for a scalar root).
 
-    ``root`` must be scalar.  Accumulation is out-of-place and follows one
-    fixed reverse-topological order, so two passes over the same graph give
-    bitwise-identical gradients.
+    Accumulation is out-of-place and follows one fixed reverse-topological
+    order, so two passes over the same graph give bitwise-identical gradients.
     """
-    if root.data.size != 1:
+    if seed is None and root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
     if not root.requires_grad:
         return
@@ -218,7 +213,7 @@ def backward(root: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    acc: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    acc: dict[int, np.ndarray] = {id(root): np.ones_like(root.data) if seed is None else seed}
     for t in reversed(topo):
         g = acc.pop(id(t), None)
         if g is None:

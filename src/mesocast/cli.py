@@ -203,8 +203,20 @@ def _write_metrics_csv(history, path) -> None:
                      f"{format(rec.train_loss, '.9g')},{easy},{hard}\n")
 
 
+def _check_train_outputs(cfg: RunConfig, out: Path) -> None:
+    """Reject, before any training, an output path of ``[training]`` that
+    names a directory or whose parent is none, so no run is lost to it."""
+    for key in ("model_out", "checkpoint_out", "metrics_csv"):
+        path = out / getattr(cfg.training, key)
+        if path.is_dir():
+            raise ValueError(f"training.{key}: {path} is a directory, not a file name")
+        if not path.parent.is_dir():
+            raise ValueError(f"training.{key}: {path.parent} is not a directory")
+
+
 def cmd_train(args, out: Path, cfg: RunConfig) -> int:
     train_cfg = cfg.train_config()
+    _check_train_outputs(cfg, out)
     corpus = _load_corpus(cfg, out, train=True)
     model = _build_model(cfg)
     _check_frames(cfg, out, corpus, model.s + model.horizon,

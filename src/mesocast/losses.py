@@ -15,6 +15,7 @@ linear, so level j of a profile x is x @ A_j for a fixed matrix A_j, and the
 penalty sum_j 4^j |L_j(p) - L_j(t)|_1 is |(p - t) @ M|_1 with one matrix
 M = [A_0 | 4 A_1 | ... | 4^depth R], the pyramid of the identity.  So the
 loss's adjoint is closed-form: 2 (p - t) / n plus sign((p - t) M) Mᵀ, scaled.
+``combined_loss`` returns it with the value, for training to seed the walk.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Tensor
 
 _KERNEL = (1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16)
 
@@ -93,17 +91,18 @@ def pyramid_matrix(length: int, depth: int) -> np.ndarray:
     return m
 
 
-def combined_loss(pred: Tensor, truth: np.ndarray, depth: int) -> Tensor:
-    """mse + |(pred - truth) @ M|_1 / (padded length * profile count) as one
-    node on ``pred``, M the pyramid matrix of ``depth`` levels; depth 0 is the
-    plain mse.  The residual is M's top level, so coarse speed-level error is
-    penalised too.  The float expressions keep the order of the composed ops
-    (mean of squares; product, abs, sum, scale) the pinned results were
+def combined_loss(pred: np.ndarray, truth: np.ndarray, depth: int):
+    """The value of mse + |(pred - truth) @ M|_1 / (padded length * profile
+    count), M the pyramid matrix of ``depth`` levels (depth 0 is the plain
+    mse), and its adjoint, which maps the value's gradient ``g`` to
+    ``pred``'s.  The residual is M's top level, so coarse speed-level error
+    is penalised too.  The float expressions keep the order of the composed
+    ops (mean of squares; product, abs, sum, scale) the pinned results were
     trained with."""
     t = np.asarray(truth, dtype=np.float64)
     if pred.shape != t.shape:
         raise ValueError(f"combined_loss: shape mismatch {pred.shape} vs {t.shape}")
-    d = pred.data - t
+    d = pred - t
     value = (d * d).mean()
     lap = depth > 0
     if lap:
@@ -113,12 +112,12 @@ def combined_loss(pred: Tensor, truth: np.ndarray, depth: int) -> Tensor:
         norm = 1.0 / (padded_length(length, depth) * proj.shape[0])
         value = value + np.abs(proj).sum() * norm
 
-    def vjp(g):
+    def adjoint(g: float) -> np.ndarray:
         half = np.full(d.shape, float(g) * (1.0 / d.size)) * d
         grad = half + half
         if lap:
             sign = np.full(proj.shape, float(g * norm)) * np.sign(proj)
             grad = grad + (sign @ m.T).reshape(d.shape)
-        return (grad,)
+        return grad
 
-    return ad.node(value, (pred,), vjp)
+    return float(value), adjoint

@@ -177,8 +177,8 @@ class Forecaster:
             dims["horizon"] = self.horizon
         return dims
 
-    def forward_graph(self, x) -> list[Tensor]:
-        """(B, s, 21) -> one (B, 21) prediction tensor per horizon."""
+    def forward_graph(self, x) -> Tensor:
+        """(B, s, 21) -> the (B, horizons, 21) predictions, one tape node."""
         preds, _ = self.forward_graph_with_states(x)
         return preds
 
@@ -186,24 +186,19 @@ class Forecaster:
                                   prefix: list[np.ndarray] | None = None,
                                   trainable: frozenset[str] | None = None):
         """The plan's unroll of the first ``upto`` layers, taped
-        (``_Unroll``): one prediction tensor per horizon, each read from the
-        single tape node that records the whole unroll on the model's
-        blocks, of which only ``trainable`` (None = all) get a gradient, and
-        each layer's terminal ``(2, rows, H)`` state, h over C.  A layer
-        started from a ``prefix`` entry walks none of its input frames."""
+        (``_Unroll``): the single tape node that records the whole unroll on
+        the model's blocks, of which only ``trainable`` (None = all) get a
+        gradient, holding the (B, horizons, 21) predictions, and each
+        layer's terminal ``(2, rows, H)`` state, h over C.  A layer started
+        from a ``prefix`` entry walks none of its input frames."""
         x = _check_batch(x, self.s)
         unroll = _Unroll(self, upto, trainable)
         horizons = len(unroll.kernels) if self.kind == "nstep" else self.horizon
         out = np.empty((len(x), horizons, NUM_SEGMENTS))
         unroll._forward(x, out, prefix, tape=unroll)
         blocks = list(self.blocks().values())
-        node = ad.node(out, blocks, lambda g: unroll.backward(g, blocks))
-
-        def horizon(k):           # horizon k's (B, 21) slice of the unroll's output
-            return ad.node(out[:, k], (node,), lambda g: (np.stack(
-                [g if j == k else np.zeros(g.shape) for j in range(horizons)], axis=1),))
-
-        return [horizon(k) for k in range(horizons)], [hc for _, hc, _ in unroll.passes]
+        return (ad.node(out, blocks, lambda g: unroll.backward(g, blocks)),
+                [hc for _, hc, _ in unroll.passes])
 
 
 # The benchmark's tracer wraps forward_graph under two of these names and

@@ -7,9 +7,10 @@ per-step arrays stay cache-sized) and accumulated in a fixed order, so
 chunking bounds memory without breaking determinism; each chunk's tape is
 freed before the next is built.  A chunk's loss (``_stage_loss``) is the
 same for every model kind: the model's one unroll, taped up to the last
-horizon of the stage as one node whose adjoint walks its schedule backwards
-(``models``), then the combined loss of each of the stage's horizons at
-pyramid depth ``lap_depth``, summed in horizon order.  Validation runs the
+horizon of the stage as its one tape node, whose adjoint walks its schedule
+backwards (``models``), then the combined loss of each of the stage's
+horizons at pyramid depth ``lap_depth``, summed in horizon order, whose
+closed-form adjoints (``losses``) seed that walk.  Validation runs the
 unroll tape-free (``models.predict_batch``).  Model selection and the
 plateau schedule read the easy validation metric.  In-run validation scores
 every ``val_stride``-th window of the easy series and of each hard window.
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Corpus, build_windows, normalize, stack_windows
+from .data import NUM_SEGMENTS, Corpus, build_windows, normalize, stack_windows
 from .evaluate import per_horizon_mse
 from .losses import combined_loss
 from .models import (MAX_PREFIX, Forecaster, check_fields, deserialize_model, fill_prefix,
@@ -74,6 +75,11 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, run: "TrainRun"):
         super().__init__(message)
         self.run = run
+
+
+# From this pyramid depth on, a profile's residual is one value; a deeper
+# level only doubles the zero padding and the pyramid matrix.
+MAX_LAP_DEPTH = (NUM_SEGMENTS - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,8 @@ class TrainConfig:
         for name in ("epochs_per_stage", "lap_depth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.lap_depth > MAX_LAP_DEPTH:
+            raise ValueError(f"lap_depth must be <= {MAX_LAP_DEPTH}, got {self.lap_depth}")
         for name in ("validate_every", "grad_chunk", "train_stride", "val_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -276,19 +284,24 @@ class PrefixStore:
 
 
 def _stage_loss(model, x_chunk, y_chunk, depth: int, horizons: Sequence[int],
-                prefix: list[np.ndarray] | None = None, trainable: frozenset[str] | None = None):
-    """Summed per-horizon combined loss at pyramid depth ``depth`` over one
-    taped chunk, unrolled up to the last of ``horizons`` (an nstep chunk from
-    ``prefix``) with gradients for the ``trainable`` blocks (None = every
-    block).  It calls ``forward_graph_with_states`` itself, so a tracer
-    wrapping ``forward_graph`` as well sees one forward per chunk."""
+                prefix: list[np.ndarray] | None = None, trainable: frozenset[str] | None = None,
+                weight: float = 1.0) -> float:
+    """``weight`` times the summed per-horizon combined loss at pyramid depth
+    ``depth`` over one taped chunk, unrolled up to the last of ``horizons``
+    (an nstep chunk from ``prefix``); each loss's adjoint at ``weight`` seeds
+    the unroll node's backward, which leaves the gradient on the ``trainable``
+    blocks (None = every block).  A tracer wrapping ``forward_graph`` as well
+    sees the one ``forward_graph_with_states`` call per chunk."""
     preds, _ = model.forward_graph_with_states(x_chunk, upto=max(horizons), prefix=prefix,
                                                trainable=trainable)
-    total = None
+    seed = np.zeros(preds.shape)
+    values = []
     for h in horizons:
-        term = combined_loss(preds[h - 1], y_chunk[:, h - 1, :], depth)
-        total = term if total is None else ad.add(total, term)
-    return total
+        value, adjoint = combined_loss(preds.data[:, h - 1], y_chunk[:, h - 1, :], depth)
+        values.append(value)
+        seed[:, h - 1] = adjoint(weight)
+    ad.backward(preds, seed)
+    return sum(values) * weight
 
 
 def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Sequence[int],
@@ -308,12 +321,9 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Seque
         xc, yc = x[start:stop], y[start:stop]
         for t in blocks.values():
             t.grad = None
-        prefix = prefix_rows(held, start, stop)
-        loss = _stage_loss(model, xc, yc, cfg.lap_depth, horizons, prefix, trainable)
-        loss = ad.scale(loss, xc.shape[0] / total)
-        ad.backward(loss)
-        loss_value += loss.item()
-        del loss            # free this chunk's tape before the next one is built
+        loss_value += _stage_loss(model, xc, yc, cfg.lap_depth, horizons,
+                                  prefix_rows(held, start, stop), trainable,
+                                  xc.shape[0] / total)
         for name, t in blocks.items():
             if t.grad is None:
                 continue

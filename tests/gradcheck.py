@@ -20,8 +20,8 @@ def finite_difference_grads(build, values, h=1e-6):
             args_lo = [v.copy() for v in values]
             args_hi[i].reshape(-1)[j] += h
             args_lo[i].reshape(-1)[j] -= h
-            f_hi = build([ad.tensor(v) for v in args_hi]).item()
-            f_lo = build([ad.tensor(v) for v in args_lo]).item()
+            f_hi = float(build([ad.tensor(v) for v in args_hi]).data)
+            f_lo = float(build([ad.tensor(v) for v in args_lo]).data)
             flat[j] = (f_hi - f_lo) / (2.0 * h)
         grads.append(g)
     return grads
@@ -51,13 +51,13 @@ def assert_grads_close(build, values, h=1e-6, tol=1e-6):
 
 
 def assert_block_grads_close(loss, blocks, trainable=None, h=1e-6, tol=1e-6):
-    """Check the gradient ``ad.backward`` leaves on each tensor of ``blocks``
-    (a model's ``blocks()``) of the scalar ``loss()`` against central
-    differences, perturbing each entry of each block in place.  A block
-    outside ``trainable`` (None = every block) must receive none."""
+    """Check the gradient that ``loss()`` leaves on each tensor of ``blocks``
+    (a model's ``blocks()``) against central differences of the float it
+    returns, perturbing each entry of each block in place.  A block outside
+    ``trainable`` (None = every block) must receive none."""
     for t in blocks.values():
         t.grad = None
-    ad.backward(loss())
+    loss()
     ana = {name: t.grad for name, t in blocks.items()}
     for name, t in blocks.items():
         if trainable is not None and name not in trainable:
@@ -67,9 +67,9 @@ def assert_block_grads_close(loss, blocks, trainable=None, h=1e-6, tol=1e-6):
         for j in range(t.data.size):
             base = t.data.reshape(-1)[j]
             t.data.reshape(-1)[j] = base + h
-            hi = loss().item()
+            hi = loss()
             t.data.reshape(-1)[j] = base - h
-            lo = loss().item()
+            lo = loss()
             t.data.reshape(-1)[j] = base
             num.reshape(-1)[j] = (hi - lo) / (2.0 * h)
         a = np.zeros_like(num) if ana[name] is None else ana[name]

@@ -3,7 +3,8 @@ compose cells and the loss from: the gate functions, ``concat``, ``sub``,
 ``abs_``, ``mean_all``, ``narrow``, ``reshape``, ``add_bias``; the
 ``(2, rows, H)`` recurrent state, h over C, built from separate ``h`` and
 ``c`` tensors or zeros, and its ``h`` and ``c`` halves; ``reconstruct``, the
-inverse of ``losses.build_pyramid``; and the per-step taped unroll that training ran
+inverse of ``losses.build_pyramid``; ``taped_loss``, the combined loss as one
+tape node around its closed-form adjoint; and the per-step taped unroll that training ran
 before its unroll became one node: ``lstm_step`` and ``sa_lstm_step`` record
 each cell step as a tape node, and ``taped_unroll`` loops over the model's
 schedule with them, the reference ``Forecaster.forward_graph_with_states``
@@ -14,7 +15,7 @@ import numpy as np
 from mesocast import autodiff as ad
 from mesocast.cells import CellParams, StepBuffers, StepKernel
 from mesocast.data import NUM_SEGMENTS
-from mesocast.losses import PyramidLevels, _expand
+from mesocast.losses import PyramidLevels, _expand, combined_loss
 from mesocast.models import LSTM_KINDS, _check_batch, _check_prefix, _schedule
 
 
@@ -25,6 +26,12 @@ def reconstruct(levels: PyramidLevels) -> np.ndarray:
     for detail in reversed(levels.details):
         g = detail + _expand(g)
     return g
+
+
+def taped_loss(pred: ad.Tensor, truth: np.ndarray, depth: int) -> ad.Tensor:
+    """``losses.combined_loss`` of ``pred`` recorded as one tape node."""
+    value, adjoint = combined_loss(pred.data, truth, depth)
+    return ad.node(value, (pred,), lambda g: (adjoint(g),))
 
 
 def sigmoid(a: ad.Tensor) -> ad.Tensor:

@@ -130,7 +130,7 @@ class TestStructural:
         np.testing.assert_array_equal(out.data[:3], a)
 
     def test_mean_of_ones(self):
-        assert mean_all(ad.tensor(np.ones((2, 3)))).item() == 1.0
+        assert mean_all(ad.tensor(np.ones((2, 3)))).data == 1.0
 
     def test_narrow_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -161,6 +161,13 @@ class TestBackward:
         x = ad.parameter(np.zeros(3))
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(x)
+
+    def test_seed_is_the_gradient_of_a_non_scalar_root(self):
+        # training seeds its unroll node with the losses' gradients
+        x = ad.parameter([1.0, 2.0])
+        seed = np.array([0.5, -3.0])
+        ad.backward(ad.mul(x, x), seed)
+        np.testing.assert_array_equal(x.grad, [1.0, -12.0])
 
     def test_two_passes_bitwise_identical(self):
         rng = np.random.default_rng(5)

@@ -98,7 +98,7 @@ def gradients(p, tokens, inputs, weights, fused):
         t.grad = None
     loss = unroll(p, tokens, inputs, fused)
     ad.backward(loss)
-    return loss.item(), {name: t.grad for name, t in leaves.items()}
+    return float(loss.data), {name: t.grad for name, t in leaves.items()}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -173,6 +173,29 @@ class TestConfig:
         assert run_cli("train", "--out", tmp_path, "--lap-depth", -1) == 2
         assert "training.lap_depth" in capsys.readouterr().err
 
+    def test_lap_depth_past_its_bound_exits_2_before_reading_csvs(self, tmp_path, capsys):
+        # a depth past a one-value residual only grows the pyramid matrix,
+        # to an allocation failure at the first loss in the 40s
+        assert run_cli("train", "--out", tmp_path / "empty", "--lap-depth", 6) == 2
+        err = capsys.readouterr().err
+        assert "training.lap_depth" in err and "<= 5" in err and "train.csv" not in err
+
+    @pytest.mark.parametrize("key", ["model_out", "checkpoint_out", "metrics_csv"])
+    @pytest.mark.parametrize("name, says", [("nosuchdir/out.bin", "is not a directory"),
+                                            ("", "is a directory")],
+                             ids=["missing-parent", "empty"])
+    def test_unwritable_output_exits_2_before_reading_csvs(self, tmp_path, capsys, key,
+                                                          name, says):
+        # training writes its outputs only at its end; a path it cannot
+        # write there would lose the whole run, so it is rejected up front
+        path = tmp_path / "run.ini"
+        path.write_text(f"[training]\n{key} = {name}\n")
+        out = tmp_path / "empty"
+        assert run_cli("train", "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"training.{key}" in err and says in err and "train.csv" not in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("text", [
         "lr = 0.1\n", "[training]\nlr = 1\nlr = 2\n", "[training]\n[training]\n",
         "[training]\nlr\n",

@@ -36,7 +36,7 @@ def rand_window(s, seed=0):
 
 def taped_horizons(m, w):
     """(horizon, 21) predictions of the taped unroll for one window."""
-    return np.vstack([p.data[0] for p in m.forward_graph(w[None])])
+    return m.forward_graph(w[None]).data[0]
 
 
 def zero_all(model):
@@ -125,11 +125,11 @@ def taped_predictions(m, X, horizons):
     if m.kind in models.ONE_STEP_KINDS:
         rolling, outs = X, []
         for _ in range(horizons):
-            [pred] = m.forward_graph(rolling)
-            outs.append(pred.data)
-            rolling = np.concatenate([rolling[:, 1:], pred.data[:, None]], axis=1)
+            pred = m.forward_graph(rolling).data[:, 0]
+            outs.append(pred)
+            rolling = np.concatenate([rolling[:, 1:], pred[:, None]], axis=1)
         return np.stack(outs, axis=1)
-    return np.stack([p.data for p in m.forward_graph(X)[:horizons]], axis=1)
+    return m.forward_graph(X).data[:, :horizons]
 
 
 class TestRecursive:
@@ -209,7 +209,7 @@ class TestNStep:
         monkeypatch.setattr(models, "sa_lstm_step", counting_step)
         preds, states = m.forward_graph_with_states(rand_window(8, 10)[None])
         assert [steps[id(layer)] for layer in m.layers] == [8, 9, 10]
-        assert len(preds) == len(states) == 3
+        assert preds.shape[1] == len(states) == 3
 
     def test_single_layer_equals_one_step(self):
         m = tiny("nstep", horizon=1, seed=15)
@@ -231,7 +231,7 @@ class TestNStep:
             state = sa_lstm_step(cells.StepKernel(m.layers[0]), state, ad.tensor(w[t][:, None]), tokens=rows)
         h1 = state
         pred1 = (h_of(h1).data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
-        np.testing.assert_array_equal(preds[0].data[0], pred1)
+        np.testing.assert_array_equal(preds.data[0, 0], pred1)
         np.testing.assert_array_equal(states[0][0], h_of(h1).data)
 
         seq = [w[t][:, None] for t in range(m.s)] + [pred1[:, None]]
@@ -239,7 +239,7 @@ class TestNStep:
         for xt in seq:
             state = sa_lstm_step(cells.StepKernel(m.layers[1]), state, ad.tensor(xt), tokens=rows)
         pred2 = (h_of(state).data @ m.head_w.data + m.head_b.data).reshape(NUM_SEGMENTS)
-        np.testing.assert_array_equal(preds[1].data[0], pred2)
+        np.testing.assert_array_equal(preds.data[0, 1], pred2)
 
     def test_shared_head_mutation_moves_every_horizon(self):
         m = tiny("nstep", seed=17)
@@ -266,7 +266,7 @@ def filled_prefix(m, X, depth):
 
 def taped_stack(m, X, prefix=None):
     preds, _ = m.forward_graph_with_states(X, prefix=prefix)
-    return np.stack([p.data for p in preds], axis=1)
+    return preds.data
 
 
 class TestPrefix:
@@ -366,7 +366,9 @@ class TestStateLayout:
         monkeypatch.setattr(cells.StepKernel, "adjoint", lambda self, *args: (
             grads.append(adjoint(self, *args)), grads[-1])[1])
         preds, states = m.forward_graph_with_states(self.X)
-        ad.backward(ad.sum_all(preds[2]))
+        seed = np.zeros(preds.shape)
+        seed[:, 2] = 1.0
+        ad.backward(preds, seed)
         assert len(outs) == 4 + 5 + 6 and len(grads) == len(outs)
         for b in outs:
             assert_h_over_c(b.out, rows, H)

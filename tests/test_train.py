@@ -12,7 +12,6 @@ from mesocast import train as T
 from mesocast.config import RunConfig, TrainingSection
 from mesocast.data import NUM_SEGMENTS, Corpus, Series, build_windows, normalize, stack_windows
 from mesocast.evaluate import per_horizon_mse
-from mesocast.losses import combined_loss
 from mesocast.models import InferencePlan, build_model
 from mesocast.train import (
     AdamW,
@@ -25,7 +24,7 @@ from mesocast.train import (
 )
 from containers import with_header
 from gradcheck import assert_block_grads_close
-from reference_ops import taped_unroll
+from reference_ops import taped_loss, taped_unroll
 
 
 def tiny_cfg(**kw):
@@ -472,9 +471,10 @@ class TestTrainNStep:
         rows = models.prefix_rows(states, 8, 24)
         preds, _ = model.forward_graph_with_states(x[8:24], prefix=rows)
         plain, _ = model.forward_graph_with_states(x[8:24])
-        for a, b in zip(preds, plain):
-            assert np.array_equal(a.data, b.data)
-        ad.backward(ad.sum_all(preds[2]))
+        assert np.array_equal(preds.data, plain.data)
+        seed = np.zeros(preds.shape)
+        seed[:, 2] = 1.0
+        ad.backward(preds, seed)
         assert np.array_equal(models.predict_batch(model, x, 3, prefix=states),
                               models.predict_batch(model, x, 3))
 
@@ -502,24 +502,25 @@ class TestTrainNStep:
 
 
 def reference_stage_loss(model, x, y, depth, horizons, prefix=None, trainable=None):
-    """``T._stage_loss`` on the tests' per-step taped unroll."""
+    """``T._stage_loss`` on the tests' per-step taped unroll, its loss terms
+    summed on the tape."""
     preds, _ = taped_unroll(model, x, upto=max(horizons), prefix=prefix, trainable=trainable)
     total = None
     for h in horizons:
-        term = combined_loss(preds[h - 1], y[:, h - 1, :], depth)
+        term = taped_loss(preds[h - 1], y[:, h - 1, :], depth)
         total = term if total is None else ad.add(total, term)
-    return total
+    ad.backward(total)
+    return float(total.data)
 
 
 def chunk_gradients(model, loss):
-    """The value of ``loss()`` and the gradient ``ad.backward`` leaves on
-    each block of ``model`` that receives one."""
+    """The value ``loss()`` returns and the gradient it leaves on each block
+    of ``model`` that receives one."""
     blocks = model.blocks()
     for t in blocks.values():
         t.grad = None
     value = loss()
-    ad.backward(value)
-    return value.item(), {name: t.grad for name, t in blocks.items() if t.grad is not None}
+    return value, {name: t.grad for name, t in blocks.items() if t.grad is not None}
 
 
 class TestUnrollWalk:
@@ -553,8 +554,8 @@ class TestUnrollWalk:
 
     def test_a_chunk_tape_is_freed_by_reference_counting(self, monkeypatch):
         # the tape holds every step's buffers; a reference cycle in it would
-        # keep them until the cycle collector ran, and peak memory would climb
-        # with each chunk
+        # keep them past the chunk's loss until the cycle collector ran, and
+        # peak memory would climb with each chunk
         refs, real = [], models.StepBuffers
 
         def recording(*args, **kwargs):
@@ -570,14 +571,38 @@ class TestUnrollWalk:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            loss = T._stage_loss(model, x, y, 3, (1, 2, 3))
-            ad.backward(loss)
-            assert len(refs) == 4 + 5 + 6 and all(ref() is not None for ref in refs)
-            del loss
-            assert all(ref() is None for ref in refs)
+            T._stage_loss(model, x, y, 3, (1, 2, 3))
+            assert len(refs) == 4 + 5 + 6 and all(ref() is None for ref in refs)
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("kind, frozen", [(kind, 0) for kind in models.MODEL_KINDS]
+                             + [("nstep", 2)], ids=[*models.MODEL_KINDS, "nstep-stage3-prefix"])
+    def test_a_chunk_tapes_the_unroll_node_alone(self, monkeypatch, kind, frozen):
+        # the losses seed the unroll's walk: no pick, loss, sum or weight node
+        # stands between the root that backward starts from and the blocks
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=35)
+        rng = np.random.default_rng(35)
+        x = rng.uniform(0.2, 1.0, (3, 4, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (3, 3, NUM_SEGMENTS))
+        stage = T.schedule(model, TrainConfig())[frozen or -1]    # stage 3, or every horizon
+        prefix = models.fill_prefix(model, x, [], frozen) if frozen else None
+        roots, real = [], ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root, *args: (roots.append(root),
+                                                                 real(root, *args)))
+        T._stage_loss(model, x, y, 3, stage.horizons, prefix, stage.trainable, 0.5)
+        [root] = roots
+        reached, stack = {}, [root]
+        while stack:
+            t = stack.pop()
+            if id(t) not in reached:
+                reached[id(t)] = t
+                stack.extend(t._parents)
+        blocks = list(model.blocks().values())
+        assert list(root._parents) == blocks
+        assert root.shape == (3, max(stage.horizons), NUM_SEGMENTS)
+        assert reached.keys() == {id(root), *map(id, blocks)}
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_stage_loss_gradients_match_finite_differences(self, kind):
