@@ -13,18 +13,20 @@ cell's prepared weights, acting on the ``(rows, .)`` arrays of the
 ``StepBuffers`` it is handed, which own the recurrent state and size
 themselves.  An inference plan in ``models`` hands its one buffer set to
 every layer's kernel; its taped unroll gives each step (``lstm_step``,
-``sa_lstm_step``) fresh buffers, which write a ``(2, rows, H)`` output, h
-over C (each half C-contiguous, so no elementwise op on h, C or their
-gradients walks a strided view), and keep only what ``StepKernel.adjoint``
-reads and cannot cheaply rebuild: the gate-major block of f, i, c~ and z_o,
-and for attention o and the softmax weights.  A plan's buffers keep no o:
-nothing in a plan reads z_o once Q, K and V are projected, so the output
-gate overwrites z_o's slot.  The work arrays ([h, x, 1], tanh(C'), Q, K,
-V, the attention product, the softmax row sums) are shared by every
-taped step of one kernel, and the adjoint rebuilds the ones it reads from
-the step's inputs with the calls the step made, so its gradients are
-bitwise those of the arrays the step saw.  It computes a parent's gradient
-only when the caller's flags ask for it, so frozen weights cost no products.
+``sa_lstm_step``) fresh buffers, which keep only what ``StepKernel.adjoint``
+reads and cannot cheaply rebuild: the step's C' (a C-contiguous
+``(rows, H)`` array), the gate-major block of f, i, c~ and z_o, and for
+attention o and the softmax weights.  h' = o*tanh(C') is not kept: as in a
+plan, the step writes it into the first H columns of the shared [h, x, 1],
+where the kernel's next step reads it, and the adjoint rebuilds it from the
+o and C' it keeps.  A plan's buffers keep no o: nothing in a plan reads z_o
+once Q, K and V are projected, so the output gate overwrites z_o's slot.
+The work arrays ([h, x, 1], tanh(C'), Q, K, V, the attention product, the
+softmax row sums) are shared by every taped step of one kernel, and the
+adjoint rebuilds the ones it reads with the calls the step made, so its
+gradients are bitwise those of the arrays the step saw.  It computes a
+parent's gradient only when the caller's flags ask for it, so frozen
+weights cost no products.
 
 The layout suits the host.  OpenBLAS takes its small-matrix kernel only
 while M*N*K <= 1e6 (``BLAS_SMALL_BOUND``), so the gate product and the
@@ -167,7 +169,7 @@ class StepBuffers:
     """The recurrent state of ``groups`` groups of ``tokens`` rows and the
     arrays of one cell step on them; ``resize`` alone sizes them.  A step
     reads h from the first H columns of ``cat`` = [h, x, 1] and C from ``c``,
-    and writes h' into ``h`` and C' into ``c``.
+    and writes h' into ``h``, those same columns, and C' into ``c``.
 
     The arrays come in two sets.  The kept set is what a taped step's adjoint
     reads and cannot cheaply rebuild: the gate block ``gates``, one
@@ -177,14 +179,16 @@ class StepBuffers:
     overwrites: a plain LSTM's adjoint never reads z_o, and nothing in a
     plan reads it once Q, K and V are projected.  The work set
     (``_work_arrays``) is what the adjoint rebuilds.  A plan's buffers own
-    both sets and keep ``h`` inside ``cat``, so the state carries on in place
-    and a step copies only its input; every layer of a plan shares them, so
-    a layer starts from the state the previous one left.  A taped step's
-    buffers (``out`` given) own only the kept set, write h' and C' straight
-    into the two halves of the step's ``(2, rows, H)`` output and take the
-    ``work`` arrays that every taped step of one kernel shares.  One group
-    takes 2-D attention products (cheapest at batch 1), several groups
-    batched 3-D ones.  ``blocks`` slices the rows into the gate product's row blocks."""
+    both sets and ``c``, so the state carries on in place and a step copies
+    only its input; every layer of a plan shares them, so a layer starts
+    from the state the previous one left.  A taped step's buffers (``out``
+    given) own only the kept set, write C' into ``out``, the step's
+    ``(rows, H)`` C', and take the ``work`` arrays that every taped step of
+    one kernel shares, so h' stays in the shared ``cat`` as in a plan, where
+    the kernel's next step reads it and the adjoint rebuilds it as
+    o*tanh(C').  One group takes 2-D attention products (cheapest at batch
+    1), several groups batched 3-D ones.  ``blocks`` slices the rows into
+    the gate product's row blocks."""
 
     def __init__(self, cell: CellParams, tokens: int, out: np.ndarray | None = None,
                  work: dict[str, np.ndarray] | None = None):
@@ -192,7 +196,7 @@ class StepBuffers:
         self.tokens, self.out, self.work = tokens, out, work
         self.groups = self.capacity = 0
         if out is not None:
-            self.resize(out.shape[1] // tokens)
+            self.resize(len(out) // tokens)
 
     def resize(self, groups: int) -> None:
         """Size the buffers to ``groups`` groups.  Within capacity they become
@@ -228,10 +232,8 @@ class StepBuffers:
         self.cat = self._work["cat"][:rows]
         self.x = self.cat[:, H:-1]
         self.tmp = self._work["tmp"][:rows]
-        if self.out is None:
-            self.h, self.c = self.cat[:, :H], self._full["c"][:rows]
-        else:
-            self.h, self.c = self.out
+        self.h = self.cat[:, :H]
+        self.c = self._full["c"][:rows] if self.out is None else self.out
         if d:
             self.q, self.k, self.v, self.att = (self._work[name][:rows]
                                                 for name in ("q", "k", "v", "att"))
@@ -346,22 +348,31 @@ class StepKernel:
         np.dot(b.zo, wk, out=b.k)
         np.dot(b.zo, wv, out=b.v)
 
-    def adjoint(self, b: StepBuffers, g: np.ndarray, inputs: tuple[np.ndarray, np.ndarray],
-                need: list[bool]) -> list:
-        """Gradients of the taped step taken on ``b``, given the gradient
-        ``g`` of its ``(2, rows, H)`` output, dh' over dC', and ``inputs``,
-        the state (h over C) and the input the step read; the state's
-        gradient ``d_state`` has the state's layout.  First it rebuilds the
-        work arrays it reads: tanh(C') from C', Q, K, V (and their softmax
-        product, for P's gradient) from z_o, and ``cat`` from the inputs
-        when a gate weight needs it.  ``need`` flags the parents that require
-        a gradient: the state, x, then the cell's blocks in ``blocks`` order
-        (gate weights, gate biases, W_q, W_k, W_v, P).  Products that serve
-        only unflagged parents are skipped; a gate's weight and bias share
-        one product."""
+    def adjoint(self, b: StepBuffers, g: np.ndarray, inputs: tuple, need: list[bool],
+                tanh_kept: bool) -> list:
+        """Gradients of the taped step taken on ``b``, given the ``(2, rows,
+        H)`` gradient ``g`` of its state, dh' over dC', and ``inputs``, the
+        state the step read and its input.  That state is a ``(2, rows, H)``
+        start state, h over C, or the buffers of the kernel's taped step just
+        before it, whose C' is the C it read and whose o and C' rebuild the
+        h it read as o*tanh(C').  The state's gradient ``d_state`` is
+        ``(2, rows, H)``, dh over dC.  The adjoint rebuilds the work arrays
+        it reads: tanh(C') from C' (unless ``tanh_kept``: the adjoint of the
+        step after, which the walk took just before, left it in ``tmp``), Q,
+        K, V (and their softmax product, for P's gradient) from z_o, and
+        ``cat`` from the state and the input when a gate weight needs it.
+        After its last read of its own tanh(C') it writes the step before's
+        into ``tmp`` when that step's adjoint comes next, so a walk takes one
+        tanh a step.  ``need`` flags the parents that require a gradient: the
+        state, x, then the cell's blocks in ``blocks`` order (gate weights,
+        gate biases, W_q, W_k, W_v, P).  Products that serve only unflagged
+        parents are skipped; a gate's weight and bias share one product."""
         H = b.hidden
-        (h_prev, c_prev), x = inputs
-        np.tanh(b.c, out=b.tmp)
+        state, x = inputs
+        before = None if isinstance(state, np.ndarray) else state
+        c_prev = state[1] if before is None else before.c
+        if not tanh_kept:
+            np.tanh(b.c, out=b.tmp)
         dh, dc = g
         o, tc, f, i, c_tilde = b.o, b.tmp, b.zf, b.zi, b.zc
         # in-place chains: one pass per factor, no temporaries
@@ -414,8 +425,16 @@ class StepKernel:
             dz_o += np.dot(d_v, wv.T)
         dz.append(dz_o)
         d_w, d_b = [None] * 4, [None] * 4
-        if any(need[2:10]):
-            b.cat[:, :H] = h_prev
+        weights = any(need[2:10])
+        if before is not None and (need[0] or weights):
+            # the step before's tanh(C'), for its adjoint (next in the walk
+            # when the state needs a gradient) and for the h it wrote
+            np.tanh(before.c, out=b.tmp)
+            if weights:
+                np.multiply(before.o, b.tmp, out=b.h)
+        elif weights:
+            b.h[...] = state[0]
+        if weights:
             b.x[...] = x
             for gate, dzg in enumerate(dz):
                 if need[2 + gate] or need[6 + gate]:

@@ -35,7 +35,10 @@ each pass.  The plan hands its one ``cells.StepBuffers`` to every kernel,
 for one window (the latency path) and, in ``predict_batch``, PREDICT_CHUNK
 windows per pass.  Training runs the same unroll taped (``_Unroll``, through
 ``Forecaster.forward_graph_with_states``): each step keeps its own buffers,
-and the unroll is one tape node whose adjoint walks the schedule backwards.
+which hold its C' but not its h' (that stays in the kernel's shared
+[h, x, 1], as in a plan, and the walk rebuilds it), each pass ends in a
+``(2, rows, H)`` terminal state, h over C, that the head reads, and the
+unroll is one tape node whose adjoint walks the schedule backwards.
 An nstep unroll can start from a prefix, the states that frozen first
 layers reach before any prediction is fed back; it only reads it,
 ``fill_prefix`` allocates and writes it, and only this module spells its
@@ -318,9 +321,9 @@ class InferencePlan:
         it holds the state in place of the plan's buffers, of which this loop
         uses only the ``tokens``, ``in_width``, ``resize``, ``reset``,
         ``load`` and ``h`` that the tape has too, and it records each step
-        (``tape.step``) and each pass's head read (``tape.end_pass``).  A
-        taped one-step kind always walks from zero, never from
-        ``_frame_starts``."""
+        (``tape.step``, told whether it ends its pass) and each pass's head
+        read (``tape.end_pass``).  A taped one-step kind always walks from
+        zero, never from ``_frame_starts``."""
         groups, horizons = out.shape[:2]
         if horizons < 1:
             raise ValueError(f"horizons must be >= 1, got {horizons}")
@@ -353,11 +356,12 @@ class InferencePlan:
                 walk = ()
             elif fresh:
                 b.reset()
-            for i in (*walk, *fed):
+            order = (*walk, *fed)
+            for i in order:
                 if tape is None:
                     kernel.step(b, seq[i])
                 else:
-                    tape.step(kernel, seq, i)
+                    tape.step(kernel, seq, i, i == order[-1])
             head = b.h @ self.head_w + self.head_b
             if tape is not None:
                 tape.end_pass()
@@ -402,13 +406,21 @@ class _Unroll(InferencePlan):
     """A plan over the first ``upto`` layers that is its own ``_forward``
     tape, for training.  Each step runs through the module-level
     ``lstm_step`` / ``sa_lstm_step`` (so a tracer sees it) on its own kept
-    ``StepBuffers``, sharing the kernel's ``tape_work``.  The blocks outside
+    ``StepBuffers``, sharing the kernel's ``tape_work``.  A step keeps its
+    C' alone: its h' stays in the kernel's shared ``cat``, where the next
+    step of the pass reads it, so only a pass start copies h in (zero, a
+    prefix entry or the previous layer's terminal state), and the last step
+    of a pass writes C' into the pass's ``(2, rows, H)`` terminal state, h
+    over C, which the head and the next layer read.  The blocks outside
     ``trainable`` (None = every block) are its constants, flagged once per
     kernel and for the head.  The tape holds the state the next step reads
-    and whether that requires a gradient (a zero or prefix start does not).
+    (a terminal or start state, or the buffers of the step before) and
+    whether that requires a gradient (a zero or prefix start does not).
     ``backward`` walks the recorded passes in reverse (backpropagation
-    through time): each tensor sums its gradient terms in the reverse of the
-    order the forward made them, and only where a gradient is required."""
+    through time), each step's adjoint rebuilding the h' of the step before
+    from its o and the tanh(C') that the step before's adjoint reads next:
+    each tensor sums its gradient terms in the reverse of the order the
+    forward made them, and only where a gradient is required."""
 
     def __init__(self, model: Forecaster, upto: int | None, trainable: frozenset[str] | None):
         # not InferencePlan.__init__, which sizes the one StepBuffers that a
@@ -430,23 +442,32 @@ class _Unroll(InferencePlan):
         self.load(np.zeros((2, self.rows, self.hidden)))
 
     def load(self, hc: np.ndarray) -> None:
-        self.hc, self.grad = hc, False
+        self.state, self.grad = hc, False
 
     @property
     def h(self) -> np.ndarray:
-        return self.hc[0]
+        return self.state[0]                 # a pass ends in a (2, rows, H) state
 
-    def step(self, kernel: StepKernel, seq: np.ndarray, i: int) -> None:
+    def step(self, kernel: StepKernel, seq: np.ndarray, i: int, last: bool) -> None:
         need = [self.grad, i >= self.s and self.emitted[i - self.s], *self.need[kernel]]
-        step = StepBuffers(kernel.cell, self.tokens, np.empty(self.hc.shape),
+        # the last step of a pass writes C' into its terminal state, h over C
+        terminal = np.empty((2, self.rows, self.hidden)) if last else None
+        c = np.empty((self.rows, self.hidden)) if terminal is None else terminal[1]
+        step = StepBuffers(kernel.cell, self.tokens, c,
                            kernel.tape_work(self.tokens, self.rows // self.tokens))
-        step.load(self.hc)
+        before = self.state
+        if isinstance(before, np.ndarray):
+            step.load(before)
+        else:
+            step.c[...] = before.c           # its h' is in the kernel's cat already
         (lstm_step if self.kind in LSTM_KINDS else sa_lstm_step)(kernel, step, seq[i])
-        self.steps.append((kernel, step, self.hc, seq[i], i, need))
-        self.hc, self.grad = step.out, any(need)
+        if terminal is not None:
+            terminal[0] = step.h
+        self.steps.append((kernel, step, before, seq[i], i, need))
+        self.state, self.grad = step if terminal is None else terminal, any(need)
 
     def end_pass(self) -> None:
-        self.passes.append((self.steps, self.hc, self.grad))
+        self.passes.append((self.steps, self.state, self.grad))
         self.steps = []
         self.emitted.append(self.grad or any(self.head_need))
 
@@ -459,26 +480,28 @@ class _Unroll(InferencePlan):
             d_heads = [g[:, k].reshape(self.rows, -1) for k in range(g.shape[1])]
         grads: dict[int, np.ndarray] = {}
 
-        def add(t, d):
+        def accumulate(t, d):
             if d is not None:
                 grads[id(t)] = grads[id(t)] + d if id(t) in grads else d
 
         d = None                  # the gradient of the state the later pass started from
         for steps, hc, grad in reversed(self.passes):
             d_head = d_heads.pop()
-            add(w, hc[0].T @ d_head if need_w else None)
-            add(bias, d_head.sum(axis=0) if need_b else None)
+            accumulate(w, hc[0].T @ d_head if need_w else None)
+            accumulate(bias, d_head.sum(axis=0) if need_b else None)
             if grad:
                 d = np.zeros(hc.shape) if d is None else d
                 d[0] += d_head @ self.head_w.T
-            for kernel, step, hc_prev, x, i, need in reversed(steps):
+            for n, (kernel, step, before, x, i, need) in enumerate(reversed(steps)):
                 if not any(need):             # nor does any earlier step of the pass
                     break
-                d, d_x, *d_cell = kernel.adjoint(step, d, (hc_prev, x), need)
+                # each adjoint but the first of a pass finds its tanh(C') in tmp,
+                # where the later step's adjoint left it
+                d, d_x, *d_cell = kernel.adjoint(step, d, (before, x), need, n > 0)
                 if d_x is not None:
                     d_heads[i - self.s] = d_heads[i - self.s] + d_x
                 for t, dt in zip(kernel.cell.blocks("").values(), d_cell):
-                    add(t, dt)
+                    accumulate(t, dt)
         return [grads.get(id(t)) for t in blocks]
 
 

@@ -331,6 +331,8 @@ def _accumulate_gradients(model, blocks, x, y, cfg: TrainConfig, horizons: Seque
                 grads[name] = grads[name] + t.grad
             else:
                 grads[name] = t.grad
+    for t in blocks.values():
+        t.grad = None                     # grads holds the sums; the model keeps no copy
     return loss_value, grads
 
 

@@ -143,12 +143,14 @@ def add_bias(mat: ad.Tensor, vec: ad.Tensor) -> ad.Tensor:
 
 
 def _record(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int) -> ad.Tensor:
-    """Check the shapes, run one step on fresh buffers that write into its
-    ``(2, rows, H)`` output, h over C, and record it as a single tape node
-    whose parents are the state, the input and the kernel cell's blocks.
-    The node keeps the output and the kept set of its buffers; the work
-    arrays are the kernel's ``tape_work``, which every step of it overwrites
-    and each adjoint rebuilds."""
+    """Check the shapes, run one step on fresh buffers that write C' into
+    the lower half of its ``(2, rows, H)`` output, h over C, copy h' out of
+    the kernel's ``cat`` into the upper half, and record it as a single tape
+    node whose parents are the state, the input and the kernel cell's
+    blocks.  The node keeps the output and the kept set of its buffers; the
+    work arrays are the kernel's ``tape_work``, which every step of it
+    overwrites and each adjoint rebuilds (a node's adjoint finds no tanh(C')
+    left in them)."""
     hc_prev = state.data
     rows, in_width = hc_prev.shape[1], kernel.cell.in_width
     if rows % tokens != 0:
@@ -157,13 +159,14 @@ def _record(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor, tokens: int) -> 
         raise ValueError(f"cell step: input shape {x.shape} does not match "
                          f"(rows={rows}, in_width={in_width})")
     hc = np.empty(hc_prev.shape)
-    b = StepBuffers(kernel.cell, tokens, out=hc, work=kernel.tape_work(tokens, rows // tokens))
+    b = StepBuffers(kernel.cell, tokens, out=hc[1], work=kernel.tape_work(tokens, rows // tokens))
     b.load(hc_prev)
     kernel.step(b, x.data)
+    hc[0] = b.h
     inputs = hc_prev, x.data
     parents = [state, x, *kernel.cell.blocks("").values()]
     return ad.node(hc, parents, lambda g: kernel.adjoint(
-        b, g, inputs, [t.requires_grad for t in parents]))
+        b, g, inputs, [t.requires_grad for t in parents], False))
 
 
 def lstm_step(kernel: StepKernel, state: ad.Tensor, x: ad.Tensor) -> ad.Tensor:

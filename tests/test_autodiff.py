@@ -301,13 +301,36 @@ def _public_definitions(path: Path) -> list[str]:
             if not name.startswith("_")]
 
 
+def _mesocast_imports(tree: ast.Module) -> set[str]:
+    """The names a module binds by importing from the mesocast package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mesocast"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or "mesocast" for alias in node.names
+                         if alias.name.split(".")[0] == "mesocast")
+    return names
+
+
+def _root(node: ast.expr) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _names_outside_own_definition(paths) -> set[str]:
     """Every name that the modules at ``paths`` read, import or spell as a
     string (the benchmark's tracer binds functions by name), except where a
-    definition names itself or an ``__all__`` lists it."""
+    definition names itself or an ``__all__`` lists it.  An attribute counts
+    only off a name imported from mesocast (``ad.add``), so that ``np.add``
+    or a set's ``seen.add`` reads as no use of ``autodiff.add``."""
     used = set()
     for path in paths:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = _mesocast_imports(tree)
+        for top in tree.body:
             if isinstance(top, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
                 continue
@@ -316,6 +339,9 @@ def _names_outside_own_definition(paths) -> set[str]:
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
+                    root = _root(node.value)
+                    if not (isinstance(root, ast.Name) and root.id in imported):
+                        continue
                     name = node.attr
                 elif isinstance(node, ast.alias):
                     name = node.name
@@ -346,8 +372,10 @@ def test_every_public_definition_is_used_outside_the_tests():
 # What src keeps only for the benchmark: its next version binds names that
 # last, and then these leave src (ROADMAP item 1).
 BENCHMARK_ONLY = {
-    # autodiff.tensor joined when the taped unroll loop, src's last caller, left src
-    "autodiff.tensor", "autodiff.mul", "autodiff.sum_all", "cells.self_attention",
+    # autodiff.tensor joined when the taped unroll loop, src's last caller, left src;
+    # autodiff.add when the one-node training chunk removed its last src caller
+    "autodiff.tensor", "autodiff.add", "autodiff.mul", "autodiff.sum_all",
+    "cells.self_attention",
     "models.forecast_recursive",
     "train.load_checkpoint", "models.OneStepModel", "models.AllAtOnceModel",
     "models.NStepModel", "train.train_one_step_model", "train.train_nstep",

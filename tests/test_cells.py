@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesocast import autodiff as ad
-from mesocast import cells
+from mesocast import cells, models
 from mesocast.data import NUM_SEGMENTS
 from gradcheck import assert_grads_close
 from reference_ops import (c_of, h_of, lstm_step, mean_all, sa_lstm_step, sigmoid, state_of,
@@ -318,11 +318,11 @@ class TestStepBuffers:
                            ad.tensor(np.ones((10, 1))), tokens=5)
         [b] = handed
         hc = out.data
-        assert b.h.base is hc and b.c.base is hc
+        # C' goes straight into the output; h' stays in cat, as in a plan
+        assert b.c.base is hc and np.shares_memory(b.h, b.cat)
         assert not any(np.shares_memory(b.c, a) for a in b._full.values())
         assert set(b._full) == {"o"}
-        # the step read h_prev from cat, which the adjoint reads again
-        np.testing.assert_array_equal(b.cat[:, :4], h0[0])
+        np.testing.assert_array_equal(b.cat[:, :4], hc[0])
 
     def test_resize_past_capacity_drops_the_old_arrays_first(self, monkeypatch):
         b = cells.StepBuffers(cells.init_cell(4, 1, 2, seed=6, prefix="layer1"), 5)
@@ -372,6 +372,29 @@ class TestStepBuffers:
         assert sorted(work) == (["att", "cat", "k", "q", "rowsum", "tmp", "v"]
                                 if kind == "sa-lstm" else ["cat", "tmp"])
 
+    @pytest.mark.parametrize("kind, kept", [
+        ("sa-lstm", 344_064 + 1_376_256 + 344_064 + 112_896),    # C', gates, o, scores
+        ("lstm-seg", 344_064 + 1_376_256),                       # C', gates (o in place)
+    ])
+    def test_a_mid_pass_step_of_an_unroll_keeps_c_and_not_h(self, kind, kept):
+        # 32 windows x 21 segment rows at default dims (hidden 64, attn 16):
+        # h' stays in the kernel's cat, where the next step reads it
+        model = models.build_model(kind, seed=14)
+        x = np.random.default_rng(14).uniform(0.2, 1.0, (32, model.s, NUM_SEGMENTS))
+        preds, _ = model.forward_graph_with_states(x)
+        [unroll] = [c.cell_contents for c in preds._vjp.__closure__
+                    if isinstance(c.cell_contents, models._Unroll)]
+        [(steps, _, _)] = unroll.passes
+        mid = len(steps) // 2
+        kernel, b, before, *_ = steps[mid]
+        assert before is steps[mid - 1][1]          # the state it read: the step before's
+        work = {id(_base(a)) for a in kernel.tape_work(b.tokens, b.groups).values()}
+        own = {id(_base(a)) for value in vars(b).values() for a in _arrays(value)} - work
+        views = [b.out, b._gates, *b._full.values(), *([b._scores] if kind == "sa-lstm" else [])]
+        assert own == {id(_base(a)) for a in views}
+        assert b.out.shape == (672, 64) and b.c is b.out
+        assert sum(a.nbytes for a in views) == kept
+
     def test_each_set_starts_its_kth_array_k_staggers_past_a_4k_boundary(self):
         b = cells.StepBuffers(cells.init_cell(64, 1, 16, seed=10, prefix="layer1"), 21)
         b.resize(32)
@@ -396,7 +419,7 @@ class TestStepBuffers:
         kernel = cells.StepKernel(p)
         plan = cells.StepBuffers(p, 5)
         plan.resize(3)
-        taped = cells.StepBuffers(p, 5, out=np.empty((2, 15, 4)), work=kernel.tape_work(5, 3))
+        taped = cells.StepBuffers(p, 5, out=np.empty((15, 4)), work=kernel.tape_work(5, 3))
         assert np.shares_memory(plan.o, plan.zo) and set(plan._full) == {"c"}
         assert not np.shares_memory(taped.o, taped.zo) and set(taped._full) == {"o"}
         rng = np.random.default_rng(11)
@@ -426,12 +449,13 @@ def _step_and_adjoint(kernel, tokens, hc_prev, x, g):
     """hc, d_state and d_x of one step of ``kernel`` and its adjoint, every
     parent flagged."""
     hc = np.empty(hc_prev.shape)
-    b = cells.StepBuffers(kernel.cell, tokens, out=hc,
+    b = cells.StepBuffers(kernel.cell, tokens, out=hc[1],
                           work=kernel.tape_work(tokens, hc.shape[1] // tokens))
     b.load(hc_prev)
     kernel.step(b, x)
+    hc[0] = b.h
     need = [True] * (2 + len(kernel.cell.blocks("")))
-    d_state, d_x = kernel.adjoint(b, g, (hc_prev, x), need)[:2]
+    d_state, d_x = kernel.adjoint(b, g, (hc_prev, x), need, False)[:2]
     return hc, d_state, d_x
 
 

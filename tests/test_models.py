@@ -370,14 +370,32 @@ class TestStateLayout:
         seed[:, 2] = 1.0
         ad.backward(preds, seed)
         assert len(outs) == 4 + 5 + 6 and len(grads) == len(outs)
-        for b in outs:
-            assert_h_over_c(b.out, rows, H)
-            assert b.h.flags.c_contiguous and b.c.flags.c_contiguous
+        for b in outs:                      # a step keeps C'; h' is in cat, as in a plan
+            assert b.out.shape == (rows, H) and b.out.flags.c_contiguous and b.c is b.out
+            assert np.shares_memory(b.h, b.cat)
         for d_state, *_ in grads[:-1]:      # the first step of layer 1 reads zeros
             assert_h_over_c(d_state, rows, H)
         assert len(states) == 3
         for hc in states:
             assert_h_over_c(hc, rows, H)
+
+    def test_a_pass_ends_in_a_terminal_that_holds_its_last_steps_c(self):
+        # no C' is held twice: the last step of a pass writes C' into the
+        # terminal state the head and the next layer read, and the others
+        # keep theirs alone
+        m = tiny("nstep", seed=63)
+        rows, H = len(self.X) * NUM_SEGMENTS, m.hidden
+        preds, states = m.forward_graph_with_states(self.X)
+        [unroll] = [c.cell_contents for c in preds._vjp.__closure__
+                    if isinstance(c.cell_contents, models._Unroll)]
+        assert [id(hc) for _, hc, _ in unroll.passes] == [*map(id, states)] and len(states) == 3
+        for steps, hc, _ in unroll.passes:
+            assert_h_over_c(hc, rows, H)
+            *mid, (_, last, *_) = steps
+            assert last.c.base is hc and np.shares_memory(last.c, hc[1])
+            assert np.array_equal(hc[0], last.o * np.tanh(hc[1]))
+            for _, b, *_ in mid:
+                assert b.c.shape == (rows, H) and b.c.base is None
 
     @pytest.mark.parametrize("reach", [1, 3])
     def test_frame_starts_keep_contiguous_halves(self, reach):

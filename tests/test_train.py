@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 import zlib
 from pathlib import Path
@@ -206,6 +207,14 @@ class TestTrainOneStep:
             assert n1 == n2 and np.array_equal(a.data, b.data)
         assert [r.train_loss for r in runs[0].history] == [r.train_loss for r in runs[1].history]
 
+    @pytest.mark.parametrize("kind", ["sa-lstm", "nstep"])
+    def test_a_trained_model_keeps_no_chunk_gradient(self, kind):
+        # the summed gradients go back in a dict; a block left holding its
+        # last chunk's gradient would keep it alive as long as the run
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=2, seed=7)
+        run = train_model(model, wavy_corpus(), tiny_cfg(epochs_per_stage=1, grad_chunk=16))
+        assert all(t.grad is None for t in run.model.blocks().values())
+
     def test_training_reduces_loss(self):
         corpus = wavy_corpus()
         model = build_model("sa-lstm", s=4, hidden=6, attn_width=2, seed=6)
@@ -335,8 +344,9 @@ class TestTrainNStep:
         taped = []            # per recorded step: does it take weight products?
         adjoint = cells.StepKernel.adjoint
         monkeypatch.setattr(cells.StepKernel, "adjoint",
-                            lambda self, b, g, c, need: (taped.append(need[2]),
-                                                         adjoint(self, b, g, c, need))[1])
+                            lambda self, b, g, c, need, kept: (taped.append(need[2]),
+                                                               adjoint(self, b, g, c, need,
+                                                                       kept))[1])
         # layer k unrolls s + k - 1 steps.  Stage 2: layer 1 records nothing.
         # Stage 3: layer 2 records only the step that reads prediction 1,
         # which passes dh back for the head and takes no weight products
@@ -603,6 +613,59 @@ class TestUnrollWalk:
         assert list(root._parents) == blocks
         assert root.shape == (3, max(stage.horizons), NUM_SEGMENTS)
         assert reached.keys() == {id(root), *map(id, blocks)}
+
+    @pytest.mark.parametrize("kind, stage", [("sa-lstm", -1), ("nstep", -1), ("nstep", 2),
+                                             ("nstep", None)],
+                             ids=["sa-lstm", "nstep", "nstep-stage3-prefix", "nstep-head-only"])
+    def test_the_walk_takes_one_tanh_per_adjoined_step(self, monkeypatch, kind, stage):
+        # a step's adjoint rebuilds the h' of the step before it as o tanh(C')
+        # and leaves that tanh(C') for the step before's adjoint, next in the
+        # walk: only the first step a pass's walk adjoins takes its own
+        model = build_model(kind, s=4, hidden=4, attn_width=2, horizon=3, seed=36)
+        rng = np.random.default_rng(36)
+        x = rng.uniform(0.2, 1.0, (3, 4, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (3, 3, NUM_SEGMENTS))
+        if stage is None:                   # frozen cells, a gradient through each state
+            horizons, prefix, trainable = (1, 2, 3), None, frozenset({"head/w", "head/b"})
+        else:
+            at = T.schedule(model, TrainConfig())[stage]
+            depth = at.depths[0]
+            horizons, trainable = at.horizons, at.trainable
+            prefix = models.fill_prefix(model, x, [], depth) if depth else None
+        adjoined, tanhs = [], []
+        tanh, adjoint = np.tanh, cells.StepKernel.adjoint
+        monkeypatch.setattr(np, "tanh", lambda a, *args, **kw: (    # the walk's, not the steps'
+            adjoined and tanhs.append(a is adjoined[-1][0].c), tanh(a, *args, **kw))[1])
+        monkeypatch.setattr(cells.StepKernel, "adjoint", lambda self, b, *args: (
+            adjoined.append((b, args[-1])), adjoint(self, b, *args))[1])
+        args = (model, x, y, 3, horizons, prefix, trainable)
+        walked = chunk_gradients(model, lambda: T._stage_loss(*args))
+        monkeypatch.undo()
+        # the first step each pass's walk adjoins reads no tanh left for it
+        firsts = sum(not kept for _, kept in adjoined)
+        assert len(tanhs) == len(adjoined) > firsts == sum(tanhs) > 0
+        taped = chunk_gradients(model, lambda: reference_stage_loss(*args))
+        assert walked[0] == taped[0] and walked[1].keys() == taped[1].keys()
+        for name, grad in walked[1].items():
+            assert np.array_equal(grad, taped[1][name]), name
+
+    def test_an_nstep_fine_tune_chunk_traces_under_its_bound(self):
+        # 32 windows at default dims hold 27 taped steps: a step keeps its C'
+        # and no h', so the chunk traced 66.8 MiB where steps that kept both
+        # traced 74.7 MiB
+        model = build_model("nstep", seed=37)
+        rng = np.random.default_rng(37)
+        x = rng.uniform(0.2, 1.0, (32, model.s, NUM_SEGMENTS))
+        y = rng.uniform(0.2, 1.0, (32, model.horizon, NUM_SEGMENTS))
+        stage = T.schedule(model, TrainConfig())[-1]
+        assert stage.horizons == (1, 2, 3) and stage.depths[0] == 0
+        tracemalloc.start()
+        try:
+            T._stage_loss(model, x, y, 3, stage.horizons, None, stage.trainable)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_stage_loss_gradients_match_finite_differences(self, kind):
